@@ -61,8 +61,7 @@ class BranchNode:
 
     ``bound`` is a valid lower bound on every completion: the node's own
     relaxation value once solved, its parent's until then (children only
-    remove edges, so bounds never decrease down a branch).  Unsolved nodes
-    carry the parent's potentials for a warm-start attempt.
+    remove edges, so bounds never decrease down a branch).
     """
 
     forced: tuple[tuple[int, int], ...]  # (plan id, forced delay)
@@ -70,7 +69,6 @@ class BranchNode:
     bound: int
     depth: int
     assignment: FlowAssignment | None
-    warm_potentials: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -332,9 +330,7 @@ def solve_chaining(
         if node.assignment is None:
             relaxations += 1
             try:
-                assignment = solve_mcf(
-                    network, node.disabled_edges, initial_potentials=node.warm_potentials
-                )
+                assignment = solve_mcf(network, node.disabled_edges)
             except FlowInfeasibleError:
                 continue
             if _bound_trace is not None:
@@ -364,14 +360,7 @@ def solve_chaining(
                 for d in network.routed_delays[pid]
             ]
         for forced, extra in children:
-            child = BranchNode(
-                forced,
-                node.disabled_edges | extra,
-                node.bound,
-                node.depth + 1,
-                None,
-                node.assignment.potentials,
-            )
+            child = BranchNode(forced, node.disabled_edges | extra, node.bound, node.depth + 1, None)
             heapq.heappush(heap, (child.bound, -child.depth, 1, next(counter), child))
     if incumbent is None:
         raise InfeasibleError("no variant-consistent chain cover exists")

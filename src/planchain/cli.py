@@ -112,6 +112,7 @@ def _cmd_chain_solve(args) -> int:
         raise InputError("solver produced an invalid solution")  # pragma: no cover
     io.save_json(args.out, io.chain_solution_to_dict(solution, instance.policy))
     print(f"objective {solution.objective} with {len(solution.chains)} chains -> {args.out}")
+    print(f"solved in {solution.stats.wall_ms:.0f} ms", file=sys.stderr)
     return EXIT_OK
 
 

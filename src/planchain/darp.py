@@ -75,14 +75,15 @@ class DarpInstance:
         object.__setattr__(self, "requests", requests)
         if self.capacity < 1:
             raise InputError("vehicle capacity must be at least 1")
-        seen = set()
+        request_map = {}
         for r in requests:
-            if r.id in seen:
+            if r.id in request_map:
                 raise InputError(f"duplicate request id {r.id}")
-            seen.add(r.id)
+            request_map[r.id] = r
             for loc in (r.origin, r.destination):
                 if not (0 <= loc < self.travel.size):
                     raise InputError(f"request {r.id}: location {loc} outside travel matrix")
+        object.__setattr__(self, "_request_map", request_map)
         if not isinstance(self.fleet, AutoFleet):
             fleet = tuple(sorted(self.fleet, key=lambda v: v.id))
             object.__setattr__(self, "fleet", fleet)
@@ -95,10 +96,10 @@ class DarpInstance:
                     raise InputError(f"vehicle {v.id}: location {v.start_location} outside travel matrix")
 
     def request(self, rid: int) -> Request:
-        for r in self.requests:
-            if r.id == rid:
-                return r
-        raise InputError(f"unknown request id {rid}")
+        try:
+            return self._request_map[rid]
+        except KeyError:
+            raise InputError(f"unknown request id {rid}") from None
 
 
 @dataclass(frozen=True)
@@ -294,16 +295,24 @@ def solve_batch_exact(
         raise GuardExceededError(
             f"batch of {len(reqs)} requests exceeds the guard of {max_batch_requests}; use a shorter batch length"
         )
+    deadline = time.monotonic() + time_limit_ms / 1000.0 if time_limit_ms is not None else None
+    timed_out = False
     feasible: dict[frozenset[int], RoutePlan] = {}
     by_id = {r.id: r for r in reqs}
     for size in range(1, min(capacity, len(reqs)) + 1):
         for combo in combinations(reqs, size):
+            # singletons are always built, so the incumbent below exists
+            if size > 1 and deadline is not None and time.monotonic() > deadline:
+                timed_out = True
+                break
             ids = frozenset(r.id for r in combo)
             if size > 1 and any(ids - {rid} not in feasible for rid in ids):
                 continue
             plan = optimal_plan_for_group(combo, travel, capacity)
             if plan is not None:
                 feasible[ids] = plan
+        if timed_out:
+            break
 
     groups_of: dict[int, list[tuple[tuple[int, ...], RoutePlan, int]]] = {r.id: [] for r in reqs}
     for ids, plan in feasible.items():
@@ -322,8 +331,6 @@ def solve_batch_exact(
     best_cost = sum(p.total_duration for p in singleton)
     best_key = (best_cost, len(singleton), tuple((r.id,) for r in reqs))
     best_plans = list(singleton)
-    deadline = time.monotonic() + time_limit_ms / 1000.0 if time_limit_ms is not None else None
-    timed_out = False
 
     def search(unserved: frozenset[int], cost: int, chosen: list):
         nonlocal best_cost, best_key, best_plans, timed_out

@@ -1,4 +1,4 @@
-"""Network construction and the exact min-cost flow solver.
+"""Network construction and the exact solver for its min-cost flow.
 
 The chaining problem becomes a flow network with a source feeding one unit
 per plan, left/right node pairs per plan (and per variant for plans that
@@ -13,6 +13,13 @@ entered as a delayed variant yet leave through a base connection whose
 feasibility was checked undelayed, which silently produces temporally
 invalid chains.  The weaker, variant-only constraint layout is still
 available (``constraint_mode="literal"``) for comparison experiments.
+
+In both layouts a feasible flow is an assignment: each plan's right side
+takes its unit from exactly one origin (a plan's left side or a vehicle)
+and each origin sends at most one, so ``solve_mcf`` collapses the network
+into a target-by-origin cost matrix and solves it with the Hungarian
+method.  Its duals, spread back over the nodes as potentials, certify the
+flow through ``residual_is_optimal``.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from .errors import InfeasibleError, InputError
 from .model import ChainingInstance, Vehicle
 from .variantgen import Connection, GenerationResult
 
-INF = 1 << 60
+NO_EDGE = 1 << 60  # cost of a matrix cell without a usable connection
+_UNSEEN = 1 << 62  # distance of a column the search has not reached
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,6 @@ class FlowNetwork:
         self.connection_edges: list[int] = []
         self.edge_connection: dict[int, Connection] = {}
         self.supply = 0
-        self._arc_cache = None
 
     def _add_node(self, kind: str, payload, supply: int) -> int:
         node = FlowNode(len(self.nodes), kind, payload, supply)
@@ -177,177 +184,155 @@ def build_network(
     return net
 
 
-def _arc_arrays(network: FlowNetwork):
-    """Static residual-arc arrays, cached on the network (edges are immutable).
+def _hungarian(cost: np.ndarray, limit: int, row_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assign every row its own column at minimum total cost.
 
-    Arc 2i is edge i forward, arc 2i+1 its reversal.  Two permutations give
-    CSR-style access: by tail for graph walks, by head for the segmented
-    Bellman relaxation.
+    The Hungarian method in its shortest-augmenting-path form (Jonker &
+    Volgenant 1987): each row enters through a Dijkstra search over the
+    reduced costs ``cost - u - v`` that stops at the first free column.
+    On return ``u[i] + v[j] <= cost[i, j]`` holds everywhere, with equality
+    on the assignment, ``v <= 0``, and ``v == 0`` on unassigned columns.
+    ``owner[j]`` is the row assigned to column ``j``, or -1.  A row whose
+    augmenting path would cost more than ``limit`` (any real assignment
+    costs less) needs a no-edge cell: ``FlowInfeasibleError`` names it.
     """
-    cached = getattr(network, "_arc_cache", None)
-    if cached is not None:
-        return cached
-    m = len(network.edges)
-    n = len(network.nodes)
-    tails = np.empty(2 * m, dtype=np.int64)
-    heads = np.empty(2 * m, dtype=np.int64)
-    cost = np.empty(2 * m, dtype=np.int64)
-    upper = np.empty(2 * m, dtype=np.int64)
-    for i, e in enumerate(network.edges):
-        tails[2 * i] = e.tail
-        heads[2 * i] = e.head
-        cost[2 * i] = e.cost
-        upper[2 * i] = e.upper
-        tails[2 * i + 1] = e.head
-        heads[2 * i + 1] = e.tail
-        cost[2 * i + 1] = -e.cost
-        upper[2 * i + 1] = 0
-    by_tail = np.argsort(tails, kind="stable")
-    by_head = np.argsort(heads, kind="stable")
-    tail_starts = np.searchsorted(tails[by_tail], np.arange(n + 1))
-    head_starts = np.searchsorted(heads[by_head], np.arange(n + 1))
-    cache = (tails, heads, cost, upper, by_tail, tail_starts, by_head, head_starts)
-    network._arc_cache = cache
-    return cache
+    n, m = cost.shape
+    u = np.zeros(n, dtype=np.int64)
+    v = np.zeros(m + 1, dtype=np.int64)  # column m is the root of every search
+    owner = np.full(m + 1, -1, dtype=np.int64)
+    for i in range(n):
+        owner[m] = i
+        minv = np.full(m, _UNSEEN, dtype=np.int64)
+        way = np.full(m, m, dtype=np.int64)
+        used = np.zeros(m + 1, dtype=bool)
+        j0, spent = m, 0
+        while owner[j0] >= 0:
+            used[j0] = True
+            i0 = owner[j0]
+            cur = cost[i0] - u[i0] - v[:m]
+            closer = (cur < minv) & ~used[:m]
+            minv[closer] = cur[closer]
+            way[closer] = j0
+            frontier = np.where(used[:m], _UNSEEN, minv)
+            j0 = int(frontier.argmin())
+            delta = int(frontier[j0])
+            spent += delta
+            if spent > limit:
+                raise FlowInfeasibleError(row_ids[i])
+            tree = np.flatnonzero(used)
+            u[owner[tree]] += delta
+            v[tree] -= delta
+            minv -= delta
+        while j0 != m:
+            prev = way[j0]
+            owner[j0] = owner[prev]
+            j0 = prev
+    return owner[:m], u, v[:m]
 
 
-def _shortest_distances(n, src, caps, rc_head_sorted, tails_h, head_starts, head_empty):
-    """Exact shortest distances over residual arcs via segmented relaxation.
+def solve_mcf(network: FlowNetwork, disabled_edges: frozenset[int] = frozenset()) -> FlowAssignment:
+    """Minimum-cost integral flow of a chaining network, solved as an assignment.
 
-    Costs are reduced by the current potentials; repeated whole-graph
-    relaxation rounds converge in at most the hop length of the longest
-    shortest path.
+    Every feasible flow carries one unit into each plan's right side from
+    one origin (a plan's left side or a vehicle), and each origin sends at
+    most one unit, so the flow is a rectangular assignment of target plans
+    to origins (Dantzig & Fulkerson 1954).  Each cell of the n x (n + V)
+    cost matrix keeps the cheapest usable connection of its pair; a
+    connection is unusable when it, or a structural edge on its path from
+    the source or to the sink, is disabled, and equal costs go to the
+    lowest edge id.  The Hungarian duals become node potentials under which
+    no residual arc has a negative reduced cost, so ``residual_is_optimal``
+    certifies the result.
+
+    Raises ``FlowInfeasibleError`` naming the lowest-id plan without a
+    usable incoming connection, else the plan whose row found no augmenting
+    path; raises ``InputError`` when costs are too large for exact int64
+    duals.
     """
-    dist = np.full(n, INF, dtype=np.int64)
-    dist[src] = 0
-    cap_h = caps  # already permuted by caller
-    while True:
-        cand = np.where(cap_h > 0, dist[tails_h] + rc_head_sorted, INF)
-        seg = np.minimum.reduceat(cand, head_starts[:-1]) if len(cand) else np.full(n, INF, dtype=np.int64)
-        if len(cand):
-            seg = np.where(head_empty, INF, seg)
-        new = np.minimum(dist, seg)
-        new[src] = 0
-        if np.array_equal(new, dist):
-            return dist
-        dist = new
+    edges = network.edges
+    instance = network.instance
+    plans = instance.plans
+    n, m, n_nodes = len(plans), len(plans) + len(instance.vehicles), len(network.nodes)
+    max_cost = max((e.cost for e in edges), default=0)
+    # a failed search must overshoot every real path (factor 2) and the
+    # duals need headroom below the sentinel (another factor 2)
+    if 4 * n * max_cost >= NO_EDGE:
+        raise InputError(
+            f"connection cost {max_cost} over {n} plans exceeds the exact integer range of the relaxation"
+        )
+    tails = np.fromiter((e.tail for e in edges), np.int64, len(edges))
+    heads = np.fromiter((e.head for e in edges), np.int64, len(edges))
+    cost = np.fromiter((e.cost for e in edges), np.int64, len(edges))
 
+    row = np.full(n_nodes, -1, dtype=np.int64)  # right-side node -> target plan
+    col = np.full(n_nodes, -1, dtype=np.int64)  # left-side node -> origin
+    index = {p.id: i for i, p in enumerate(plans)}
+    for pid, node in network.right_plan.items():
+        row[node] = index[pid]
+    for (pid, _), node in network.right_variant.items():
+        row[node] = index[pid]
+    for pid, node in network.left_plan.items():
+        col[node] = index[pid]
+    for (pid, _), node in network.left_variant.items():
+        col[node] = index[pid]
+    for j, vehicle in enumerate(instance.vehicles, start=n):
+        col[network.vehicle_node[vehicle.id]] = j
 
-def solve_mcf(
-    network: FlowNetwork,
-    disabled_edges: frozenset[int] = frozenset(),
-    initial_potentials: tuple[int, ...] | None = None,
-) -> FlowAssignment:
-    """Minimum-cost integral flow via successive shortest augmenting paths.
+    conn = np.asarray(network.connection_edges, dtype=np.int64)
+    structural = np.ones(len(edges), dtype=bool)
+    structural[conn] = False
+    structural = np.flatnonzero(structural)
+    down = structural[col[heads[structural]] >= 0]  # source side: edges into left nodes
+    up = structural[row[tails[structural]] >= 0]  # sink side: edges out of right nodes
+    off = np.zeros(len(edges), dtype=bool)
+    off[list(disabled_edges)] = True
+    cut = np.zeros(n_nodes, dtype=bool)  # a disabled edge separates the node from source or sink
+    for _ in range(2):  # structural paths have at most two edges
+        cut[heads[down]] = off[down] | cut[tails[down]]
+        cut[tails[up]] = off[up] | cut[heads[up]]
 
-    Node potentials keep reduced costs non-negative; each phase computes
-    exact shortest distances, updates the potentials, and then batches all
-    unit augmentations of that reduced length through a blocking flow over
-    the tight (zero reduced cost) arcs.  Raises ``FlowInfeasibleError``
-    naming the first unreachable plan when fewer units than plans fit.
-    """
-    n = len(network.nodes)
-    tails, heads, cost, upper, by_tail, tail_starts, by_head, head_starts = _arc_arrays(network)
-    caps = upper.copy()
-    if disabled_edges:
-        idx = np.fromiter((2 * e for e in disabled_edges), dtype=np.int64)
-        caps[idx] = 0
+    live = conn[~off[conn] & ~cut[tails[conn]] & ~cut[heads[conn]]]
+    cell = row[heads[live]] * m + col[tails[live]]
+    order = np.lexsort((live, cost[live], cell))
+    first = order[np.diff(cell[order], prepend=-1) != 0]
+    matrix = np.full(n * m, NO_EDGE, dtype=np.int64)
+    matrix[cell[first]] = cost[live[first]]
+    matrix = matrix.reshape(n, m)
+    edge_at = np.full(n * m, -1, dtype=np.int64)
+    edge_at[cell[first]] = live[first]
+    starved = np.flatnonzero((matrix == NO_EDGE).all(axis=1))
+    if starved.size:
+        raise FlowInfeasibleError(plans[int(starved[0])].id)
 
-    pi = np.zeros(n, dtype=np.int64)
-    if initial_potentials is not None and len(initial_potentials) == n:
-        candidate = np.asarray(initial_potentials, dtype=np.int64)
-        forward = np.arange(0, len(caps), 2)
-        live = forward[caps[forward] > 0]
-        if live.size == 0 or (cost[live] + candidate[tails[live]] - candidate[heads[live]] >= 0).all():
-            pi = candidate.copy()
+    owner, u, v = _hungarian(matrix, n * max_cost, [p.id for p in plans])
 
-    src, snk = network.source_id, network.sink_id
-    tails_h = tails[by_head]
-    cost_h = cost[by_head]
-    heads_t = heads[by_tail]
-    tails_t = tails[by_tail]
-    head_empty = head_starts[1:] == head_starts[:-1]
+    assigned = np.flatnonzero(owner >= 0)
+    chosen = edge_at[owner[assigned] * m + assigned].tolist()
+    flows = [0] * len(edges)
+    parent = dict(zip(heads[down].tolist(), down.tolist()))
+    child = dict(zip(tails[up].tolist(), up.tolist()))
+    for e in chosen:
+        flows[e] = 1
+        node = edges[e].tail
+        while node in parent:
+            flows[parent[node]] = 1
+            node = edges[parent[node]].tail
+        node = edges[e].head
+        while node in child:
+            flows[child[node]] = 1
+            node = edges[child[node]].head
 
-    sent = 0
-    supply = network.supply
-    while sent < supply:
-        rc_h = cost_h + pi[tails_h] - pi[heads[by_head]]
-        dist = _shortest_distances(n, src, caps[by_head], rc_h, tails_h, head_starts, head_empty)
-        d_sink = int(dist[snk])
-        if d_sink >= INF:
-            raise FlowInfeasibleError(_first_unreachable_plan(network, caps, dist))
-        pi = pi + np.minimum(dist, d_sink)
-
-        # tight residual arcs, grouped by tail for the blocking flow
-        rc_t = cost[by_tail] + pi[tails_t] - pi[heads_t]
-        tight_t = (caps[by_tail] > 0) & (rc_t == 0)
-        sel = by_tail[tight_t]
-        sel_tails = tails[sel]
-        starts = np.searchsorted(sel_tails, np.arange(n + 1))
-        sel_heads = heads[sel].tolist()
-        sel_list = sel.tolist()
-
-        level = [-1] * n
-        level[src] = 0
-        queue = [src]
-        for u in queue:
-            lu = level[u] + 1
-            for k in range(starts[u], starts[u + 1]):
-                v = sel_heads[k]
-                if level[v] < 0 and caps[sel_list[k]] > 0:
-                    level[v] = lu
-                    queue.append(v)
-        if level[snk] < 0:  # pragma: no cover - the shortest path is tight
-            raise InfeasibleError("internal: tight subgraph lost the sink")
-        iters = [int(starts[u]) for u in range(n)]
-        ends = [int(starts[u + 1]) for u in range(n)]
-        stack = [src]
-        path: list[int] = []
-        while stack and sent < supply:
-            u = stack[-1]
-            if u == snk:
-                for a in path:
-                    caps[a] -= 1
-                    caps[a ^ 1] += 1
-                sent += 1
-                stack = [src]
-                path = []
-                continue
-            advanced = False
-            while iters[u] < ends[u]:
-                k = iters[u]
-                v = sel_heads[k]
-                a = sel_list[k]
-                if caps[a] > 0 and level[v] == level[u] + 1:
-                    stack.append(v)
-                    path.append(a)
-                    advanced = True
-                    break
-                iters[u] += 1
-            if not advanced:
-                level[u] = -1
-                stack.pop()
-                if path:
-                    path.pop()
-                if stack:
-                    iters[stack[-1]] += 1
-
-    flows_arr = caps[1::2]  # reverse-arc capacity equals the forward flow
-    flows = tuple(int(f) for f in flows_arr)
-    total = sum(int(network.edges[i].cost) * flows[i] for i in range(len(network.edges)))
-    return FlowAssignment(flows, total, tuple(int(p) for p in pi))
-
-
-def _first_unreachable_plan(network, caps, dist) -> int | None:
-    missing = []
-    for pid, eid in network.sink_edge.items():
-        if caps[2 * eid + 1] == 0:  # no unit delivered for this plan yet
-            node = network.right_plan[pid]
-            missing.append((pid, bool(dist[node] >= INF)))
-    for pid, unreachable in sorted(missing):
-        if unreachable:
-            return pid
-    return min((pid for pid, _ in missing), default=None)
+    potentials = [0] * n_nodes
+    for node in range(n_nodes):
+        if cut[node]:
+            potentials[node] = NO_EDGE if col[node] >= 0 else -NO_EDGE
+        elif col[node] >= 0:
+            potentials[node] = -int(v[col[node]])
+        elif row[node] >= 0:
+            potentials[node] = int(u[row[node]])
+    potentials[network.sink_id] = int(u.max()) if n else 0
+    total = sum(edges[e].cost for e in chosen)
+    return FlowAssignment(tuple(flows), total, tuple(potentials))
 
 
 def residual_is_optimal(

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from planchain import darp
@@ -75,10 +77,26 @@ def test_batch_exact_empty_and_guard():
         solve_batch_exact(rs, LINE, 4)
 
 
+def test_batch_time_limit_covers_group_enumeration():
+    # 924 six-request groups, each a long exact search: the limit must stop
+    # the enumeration, not only the partition search after it
+    travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
+    rs = [Request(i, i % 2, 2, 0, 30) for i in range(12)]
+    started = time.monotonic()
+    result = solve_batch_exact(rs, travel, 6, time_limit_ms=200)
+    assert time.monotonic() - started < 2.0
+    assert result.proven_optimal is False
+    served = sorted(rid for plan in result.plans for rid in plan.request_ids())
+    assert served == list(range(12))
+
+
 def test_insertion_heuristic_examples():
     fleet = (Vehicle(1, 0, 0), Vehicle(2, 0, 0))
     # one request, one vehicle at its origin: direct service, no delay
     inst = DarpInstance((Request(1, 0, 2, 0, 5),), LINE, 4, fleet)
+    assert inst.request(1).t_r == 0
+    with pytest.raises(InputError):
+        inst.request(2)
     sol = insertion_heuristic(inst)
     assert len(sol.routes) == 1
     assert sol.request_delays == ((1, 0),)

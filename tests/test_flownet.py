@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
-from planchain import oracle, variantgen
+from planchain import chainsolve, oracle, variantgen
+from planchain.errors import InputError
 from planchain.flownet import (
     FlowInfeasibleError,
-    FlowNetwork,
     build_network,
     check_conservation,
     residual_is_optimal,
@@ -18,6 +20,7 @@ from planchain.model import (
     TravelMatrix,
     Vehicle,
 )
+from planchain.variantgen import Connection, GenerationResult
 
 from conftest import make_e1
 
@@ -61,18 +64,30 @@ def test_empty_network():
 
 
 def test_parallel_edges_prefer_cheaper():
-    inst = ChainingInstance((), (), TravelMatrix([[0]]), TravelCost())
-    net = FlowNetwork(inst, "extended")
-    s = net._add_node("source", None, 1)
-    t = net._add_node("sink", None, -1)
-    net.source_id, net.sink_id = s, t
-    net.supply = 1
-    e_costly = net._add_edge(s, t, 3)
-    e_cheap = net._add_edge(s, t, 1)
-    assignment = solve_mcf(net)
-    assert assignment.flows[e_cheap] == 1
-    assert assignment.flows[e_costly] == 0
-    assert assignment.total_cost == 1
+    inst = make_e1()
+    gen = variantgen.generate(inst)
+    link = gen.connections[0]  # plan 1 -> plan 2 at delay 1, on the optimal chain
+    # the duplicate comes first, so it has the lower edge id and wins only a tie
+    for extra, duplicate_carries in ((3, False), (0, True)):
+        duplicate = Connection(link.origin, link.target, link.cost + extra)
+        net = build_network(inst, GenerationResult(gen.variants, (duplicate,) + gen.connections))
+        dup_edge, orig_edge = net.connection_edges[:2]
+        assignment = solve_mcf(net)
+        assert assignment.total_cost == 2
+        check_conservation(net, assignment)
+        assert assignment.flows[dup_edge] == int(duplicate_carries)
+        assert assignment.flows[orig_edge] == int(not duplicate_carries)
+
+
+def test_huge_connection_cost_is_rejected():
+    inst = make_e1()
+    gen = variantgen.generate(inst)
+    for cost in (1 << 59, 1 << 70):
+        link = gen.connections[0]
+        huge = Connection(link.origin, link.target, cost)
+        net = build_network(inst, GenerationResult(gen.variants, gen.connections + (huge,)))
+        with pytest.raises(InputError):
+            solve_mcf(net)
 
 
 def test_e1_solve_and_active_edges():
@@ -144,13 +159,22 @@ def test_disabled_edges_reduce_choices():
         solve_mcf(net, disabled_edges=frozenset(veh_edges))
 
 
-def test_warm_start_matches_cold():
-    for seed in range(20):
-        inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=6, vehicles=2))
+def test_certificate_holds_with_forced_variants():
+    feasible = 0
+    for seed in range(120):
+        inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=7, vehicles=3, d_max_range=(0, 12)))
         net = build_network(inst, variantgen.generate(inst))
+        rng = random.Random(seed)
+        disabled = frozenset()
+        for pid, delays in net.routed_delays.items():
+            if delays and rng.random() < 0.5:
+                disabled |= chainsolve._force_variant_edges(net, pid, rng.choice(delays))
         try:
-            cold = solve_mcf(net)
+            assignment = solve_mcf(net, disabled)
         except FlowInfeasibleError:
             continue
-        warm = solve_mcf(net, initial_potentials=cold.potentials)
-        assert warm.total_cost == cold.total_cost
+        feasible += 1
+        check_conservation(net, assignment)
+        assert all(assignment.flows[e] == 0 for e in disabled)
+        assert residual_is_optimal(net, assignment, disabled)
+    assert feasible >= 30

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -116,6 +117,7 @@ def test_cli_chain_solve_e1(tmp_path, capsys):
     out = tmp_path / "solution.json"
     code = main(["chain", "solve", "--instance", str(DATA / "e1.chain.json"), "--policy", "cost", "--out", str(out)])
     assert code == 0
+    assert re.fullmatch(r"solved in \d+ ms\n", capsys.readouterr().err)
     data = json.loads(out.read_text())
     assert data["objective"] == 2
     assert data["chains"] == [
