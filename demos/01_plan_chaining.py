@@ -41,7 +41,7 @@ for conn in gen.connections:
 
 print("\n== flow network ==")
 network = build_network(instance, gen)
-print(f"{len(network.nodes)} nodes, {len(network.edges)} edges")
+print(f"{network.node_count} nodes, {len(network.edges)} edges")
 print(network.edge_list_text())
 
 print("\n== exact solve ==")

@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InfeasibleError, InputError, InternalSolverError
 from . import model
 from .model import (
@@ -51,7 +53,7 @@ class ConsistencyConstraint:
     term_edge: int
     complement_edges: tuple[int, ...]
 
-    def satisfied(self, flows: tuple[int, ...]) -> bool:
+    def satisfied(self, flows) -> bool:
         return flows[self.term_edge] + sum(flows[e] for e in self.complement_edges) <= 1
 
 
@@ -172,51 +174,45 @@ def _generation_for(instance: ChainingInstance, variants: str, guard_ticks: int)
     raise InputError(f"unknown variant source {variants!r}")
 
 
-def _active_connection_costs(network: FlowNetwork, flows) -> tuple[dict, dict]:
-    in_cost: dict[int, int] = {}
-    out_cost: dict[int, int] = {}
-    for eid in network.connection_edges:
-        if flows[eid] != 1:
-            continue
-        conn = network.edge_connection[eid]
-        in_cost[conn.target.plan_id] = conn.cost
-        if isinstance(conn.origin, VariantRef):
-            out_cost[conn.origin.plan_id] = conn.cost
-    return in_cost, out_cost
+def _active_connections(network: FlowNetwork, flows) -> np.ndarray:
+    """Ids of the connection edges that carry flow."""
+    block = network.connection_edges
+    return block.start + np.flatnonzero(np.asarray(flows[block.start : block.stop]) == 1)
 
 
-def _find_mismatches(network: FlowNetwork, flows) -> list[tuple[int, int | None, int | None]]:
+def _find_mismatches(network: FlowNetwork, flows) -> list[tuple[int, int, int]]:
     """Plans whose arrival variant differs from their departure variant.
 
-    Returns (plan_id, in_delay, out_delay) triples.  In literal mode only
-    delayed-variant pairs count, matching the weaker constraint set.
+    Returns (plan_id, in_delay, out_delay) triples in plan order.
     """
-    mismatches = []
-    literal = network.constraint_mode == "literal"
-    for pid, delays in network.routed_delays.items():
-        if not delays:
-            continue
-        ins = [d for d in delays if flows[network.right_struct_edge[(pid, d)]] == 1]
-        outs = [d for d in delays if flows[network.left_struct_edge[(pid, d)]] == 1]
-        if literal:
-            if ins and outs and ins[0] != outs[0]:
-                mismatches.append((pid, ins[0], outs[0]))
-        else:
-            if outs and ins and outs[0] != ins[0]:
-                mismatches.append((pid, ins[0], outs[0]))
-    return mismatches
+    n = len(network.plan_ids)
+    delay_in = np.full(n, -1, dtype=np.int64)
+    delay_out = np.full(n, -1, dtype=np.int64)
+    entered = np.asarray(flows[network.right_struct]) == 1
+    left = np.asarray(flows[network.left_struct]) == 1
+    delay_in[network.variant_plan[entered]] = network.variant_delay[entered]
+    delay_out[network.variant_plan[left]] = network.variant_delay[left]
+    bad = np.flatnonzero((delay_in >= 0) & (delay_out >= 0) & (delay_in != delay_out))
+    return list(zip(network.plan_ids[bad].tolist(), delay_in[bad].tolist(), delay_out[bad].tolist()))
 
 
-def _pick_branch(network: FlowNetwork, flows, mismatches) -> tuple[int, int | None, int | None]:
-    in_cost, out_cost = _active_connection_costs(network, flows)
-    best = None
-    best_score = None
-    for pid, in_d, out_d in mismatches:
-        score = (in_cost.get(pid, 0) + out_cost.get(pid, 0), -pid)
-        if best_score is None or score > best_score:
-            best_score = score
-            best = (pid, in_d, out_d)
-    return best
+def _active_connection_costs(network: FlowNetwork, flows) -> np.ndarray:
+    """Per plan index: cost of the active connection into the plan plus the one out of it."""
+    active = _active_connections(network, flows)
+    costs = network.cost[active]
+    origin = network.origin_col[network.tail[active]]
+    from_plan = origin < len(network.plan_ids)
+    cost_in = np.zeros(len(network.plan_ids), dtype=np.int64)
+    cost_out = np.zeros(len(network.plan_ids), dtype=np.int64)
+    cost_in[network.target_row[network.head[active]]] = costs
+    cost_out[origin[from_plan]] = costs[from_plan]
+    return cost_in + cost_out
+
+
+def _pick_branch(network: FlowNetwork, flows, mismatches) -> int:
+    """The mismatched plan whose active connections cost the most, lowest id on ties."""
+    link_cost = dict(zip(network.plan_ids.tolist(), _active_connection_costs(network, flows).tolist()))
+    return max((pid for pid, _, _ in mismatches), key=lambda pid: (link_cost[pid], -pid))
 
 
 def _force_variant_edges(network: FlowNetwork, pid: int, keep_delay: int) -> frozenset[int]:
@@ -228,22 +224,17 @@ def _force_variant_edges(network: FlowNetwork, pid: int, keep_delay: int) -> fro
     return frozenset(out)
 
 
-def extract_chains(network: FlowNetwork, assignment: FlowAssignment, strict: bool = True) -> tuple[Chain, ...]:
+def extract_chains(network: FlowNetwork, assignment: FlowAssignment) -> tuple[Chain, ...]:
     """Walk unit flows from each vehicle through active connection edges.
 
     Structural hops collapse away; what remains is the vehicle followed by
     the plan variants it serves.  A consistency-violating or cyclic flow
-    raises ``InternalSolverError`` (unreachable from the exact solver;
-    ``strict=False`` skips only the variant-match assertion, for the
-    literal-constraint comparison experiment).
+    raises ``InternalSolverError`` (unreachable from the exact solver).
     """
-    flows = assignment.flows
     entered: dict[int, object] = {}
     successor: dict[tuple, object] = {}
-    for eid in network.connection_edges:
-        if flows[eid] != 1:
-            continue
-        conn = network.edge_connection[eid]
+    for eid in _active_connections(network, assignment.flows).tolist():
+        conn = network.edge_connection(eid)
         pid = conn.target.plan_id
         if pid in entered:
             raise InternalSolverError(f"plan {pid} entered by two connections")
@@ -269,7 +260,7 @@ def extract_chains(network: FlowNetwork, assignment: FlowAssignment, strict: boo
             target = conn.target
             if target.plan_id in used:
                 raise InternalSolverError("cycle in active connection edges")
-            if strict and isinstance(conn.origin, VariantRef):
+            if isinstance(conn.origin, VariantRef):
                 if entered[conn.origin.plan_id].target.delay != conn.origin.delay:
                     raise InternalSolverError(
                         f"plan {conn.origin.plan_id} leaves as a different variant than it arrived"
@@ -290,7 +281,6 @@ def solve_chaining(
     instance: ChainingInstance,
     *,
     variants: str = "auto",
-    constraint_mode: str = "extended",
     exhaustive_guard_ticks: int = 5000,
     _bound_trace: list | None = None,
 ) -> ChainSolution:
@@ -303,10 +293,9 @@ def solve_chaining(
     """
     start = time.perf_counter()
     gen = _generation_for(instance, variants, exhaustive_guard_ticks)
-    network = build_network(instance, gen, constraint_mode)
+    network = build_network(instance, gen)
 
-    has_variants = any(network.routed_delays[p.id] for p in instance.plans)
-    if not has_variants:
+    if not network.variant_delay.size:
         assignment = solve_mcf(network)
         chains = extract_chains(network, assignment)
         wall = (time.perf_counter() - start) * 1000.0
@@ -348,23 +337,14 @@ def solve_chaining(
             if incumbent is None or node.assignment.total_cost < incumbent[0]:
                 incumbent = (node.assignment.total_cost, node.assignment)
             continue
-        pid, in_d, out_d = _pick_branch(network, node.assignment.flows, mismatches)
-        if constraint_mode == "literal":
-            children = [
-                (node.forced, frozenset({network.right_struct_edge[(pid, in_d)]})),
-                (node.forced, frozenset({network.left_struct_edge[(pid, out_d)]})),
-            ]
-        else:
-            children = [
-                (node.forced + ((pid, d),), _force_variant_edges(network, pid, d))
-                for d in network.routed_delays[pid]
-            ]
-        for forced, extra in children:
-            child = BranchNode(forced, node.disabled_edges | extra, node.bound, node.depth + 1, None)
+        pid = _pick_branch(network, node.assignment.flows, mismatches)
+        for d in network.routed_delays[pid]:
+            extra = _force_variant_edges(network, pid, d)
+            child = BranchNode(node.forced + ((pid, d),), node.disabled_edges | extra, node.bound, node.depth + 1, None)
             heapq.heappush(heap, (child.bound, -child.depth, 1, next(counter), child))
     if incumbent is None:
         raise InfeasibleError("no variant-consistent chain cover exists")
-    chains = extract_chains(network, incumbent[1], strict=constraint_mode == "extended")
+    chains = extract_chains(network, incumbent[1])
     wall = (time.perf_counter() - start) * 1000.0
     return ChainSolution(chains, incumbent[0], SolverStats(nodes_explored, relaxations, wall))
 

@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--policy", help="fleet | cost | cost-waitcap:D | cost-waitpen:A (default: the instance's)")
     solve.add_argument("--out", required=True)
     solve.add_argument("--variants", choices=("auto", "minimal", "exhaustive"), default="auto")
-    solve.add_argument("--constraint-mode", choices=("extended", "literal"), default="extended")
 
     orc = chain_sub.add_parser("oracle", help="brute-force reference optimum (small instances)")
     orc.add_argument("--instance", required=True)
@@ -101,14 +100,11 @@ def _cmd_chain_solve(args) -> int:
         raise InputError(f"{args.instance} is not a chaining instance")
     if args.policy:
         instance = instance.with_policy(io.policy_from_cli(args.policy))
-    solution = solve_chaining(instance, variants=args.variants, constraint_mode=args.constraint_mode)
+    solution = solve_chaining(instance, variants=args.variants)
     report = validate_chains(instance, solution.chains, solution.objective)
     if not report.ok:
         for issue in report.issues:
             print(f"validation: {issue.message}", file=sys.stderr)
-        if args.constraint_mode == "literal":
-            print("literal constraint mode produced an invalid solution; not writing it", file=sys.stderr)
-            return EXIT_INFEASIBLE
         raise InputError("solver produced an invalid solution")  # pragma: no cover
     io.save_json(args.out, io.chain_solution_to_dict(solution, instance.policy))
     print(f"objective {solution.objective} with {len(solution.chains)} chains -> {args.out}")

@@ -201,13 +201,21 @@ def _schedule(specs, travel: TravelMatrix, capacity: int, *, start_loc=None, sta
     return tuple(stops)
 
 
-def optimal_plan_for_group(group, travel: TravelMatrix, capacity: int, anchor: int = 0) -> RoutePlan | None:
+class _DeadlinePassed(Exception):
+    """A group search ran past its batch's deadline."""
+
+
+def optimal_plan_for_group(
+    group, travel: TravelMatrix, capacity: int, anchor: int = 0, *, _deadline: float | None = None
+) -> RoutePlan | None:
     """Minimum-duration plan serving all requests of ``group`` together.
 
     Exhausts every pickup/dropoff interleaving that respects precedence,
     scheduling each stop at the earliest feasible time at or after the
     request's departure time (and at or after ``anchor`` for the first
     stop).  Ties fall to less driving, then to a fixed stop order.
+    ``_deadline`` (a ``time.monotonic`` value) aborts the search with
+    ``_DeadlinePassed``; ``solve_batch_exact`` passes its own.
     """
     reqs = sorted(group, key=lambda r: r.id)
     if len(reqs) > capacity:
@@ -218,6 +226,8 @@ def optimal_plan_for_group(group, travel: TravelMatrix, capacity: int, anchor: i
 
     def dfs(seq, last_loc, last_time, first_time, onboard, pending, riding, driving):
         nonlocal best
+        if _deadline is not None and time.monotonic() > _deadline:
+            raise _DeadlinePassed
         if not pending and not riding:
             key = (last_time - first_time, driving, tuple(seq))
             if best is None or key < best:
@@ -286,7 +296,8 @@ def solve_batch_exact(
     then covers every request with exactly one group, minimizing total
     plan duration.  Ties prefer fewer groups, then lexicographic group
     ids.  With a time limit the incumbent partition is returned instead
-    of the proven optimum.
+    of the proven optimum; a group whose search the limit interrupts is
+    left out.
     """
     reqs = sorted(batch, key=lambda r: r.id)
     if not reqs:
@@ -301,14 +312,15 @@ def solve_batch_exact(
     by_id = {r.id: r for r in reqs}
     for size in range(1, min(capacity, len(reqs)) + 1):
         for combo in combinations(reqs, size):
-            # singletons are always built, so the incumbent below exists
-            if size > 1 and deadline is not None and time.monotonic() > deadline:
-                timed_out = True
-                break
             ids = frozenset(r.id for r in combo)
             if size > 1 and any(ids - {rid} not in feasible for rid in ids):
                 continue
-            plan = optimal_plan_for_group(combo, travel, capacity)
+            # singletons are always built, so the incumbent below exists
+            try:
+                plan = optimal_plan_for_group(combo, travel, capacity, _deadline=deadline if size > 1 else None)
+            except _DeadlinePassed:
+                timed_out = True
+                break
             if plan is not None:
                 feasible[ids] = plan
         if timed_out:

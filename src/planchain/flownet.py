@@ -8,18 +8,19 @@ are free and every edge has bounds [0, 1].
 
 Plans that have at least one delayed variant also receive an explicit
 zero-delay variant node pair, and every connection of such a plan is
-routed through variant nodes.  Without that strengthening a plan could be
-entered as a delayed variant yet leave through a base connection whose
-feasibility was checked undelayed, which silently produces temporally
-invalid chains.  The weaker, variant-only constraint layout is still
-available (``constraint_mode="literal"``) for comparison experiments.
+routed through variant nodes.  A plan can then only leave a chain through
+the variant it entered by, which is what makes the chaining exact: a plan
+entered as a delayed variant cannot leave through a base connection whose
+feasibility was checked undelayed.
 
-In both layouts a feasible flow is an assignment: each plan's right side
-takes its unit from exactly one origin (a plan's left side or a vehicle)
-and each origin sends at most one, so ``solve_mcf`` collapses the network
-into a target-by-origin cost matrix and solves it with the Hungarian
-method.  Its duals, spread back over the nodes as potentials, certify the
-flow through ``residual_is_optimal``.
+The network is held as int64 edge arrays (tail, head, cost), built once,
+with the node roles the solver needs precomputed beside them.  A feasible
+flow is an assignment: each plan's right side takes its unit from exactly
+one origin (a plan's left side or a vehicle) and each origin sends at
+most one, so ``solve_mcf`` collapses the network into a target-by-origin
+cost matrix and solves it with the Hungarian method.  Its duals, spread
+back over the nodes as potentials, certify the flow through
+``residual_is_optimal``.
 """
 
 from __future__ import annotations
@@ -37,29 +38,12 @@ _UNSEEN = 1 << 62  # distance of a column the search has not reached
 
 
 @dataclass(frozen=True)
-class FlowNode:
-    id: int
-    kind: str  # source | sink | left_plan | right_plan | left_variant | right_variant | vehicle
-    payload: object
-    supply: int
-
-
-@dataclass(frozen=True)
-class FlowEdge:
-    tail: int
-    head: int
-    lower: int
-    upper: int
-    cost: int
-
-
-@dataclass(frozen=True)
 class FlowAssignment:
     """Integral edge flows with the solver's optimality potentials."""
 
-    flows: tuple[int, ...]
+    flows: np.ndarray  # int64 per edge, 0 or 1
     total_cost: int
-    potentials: tuple[int, ...]
+    potentials: np.ndarray  # int64 per node
 
 
 class FlowInfeasibleError(InfeasibleError):
@@ -72,116 +56,118 @@ class FlowInfeasibleError(InfeasibleError):
 
 
 class FlowNetwork:
-    """Immutable network plus lookup maps back into the domain objects."""
+    """The network as int64 edge arrays, plus maps back into the domain objects.
 
-    def __init__(self, instance: ChainingInstance, constraint_mode: str):
+    Nodes are numbered source, left plans, left variants, vehicles, right
+    variants, right plans, sink; plans and vehicles in instance order and
+    variants by plan, then delay.  Edges are numbered source-side
+    structural edges (source to left plans, source to vehicles, left plan
+    to left variant), then the connections in generation order, then
+    sink-side structural edges (right variant to right plan, right plan to
+    sink).  ``edges`` holds one (tail, head, cost) row per edge.
+    """
+
+    def __init__(self, instance: ChainingInstance, gen: GenerationResult):
+        plans, vehicles = instance.plans, instance.vehicles
+        n, n_veh = len(plans), len(vehicles)
+        delayed = gen.delays_by_plan()
         self.instance = instance
-        self.constraint_mode = constraint_mode
-        self.nodes: list[FlowNode] = []
-        self.edges: list[FlowEdge] = []
+        self.connections = gen.connections
+        self.routed_delays = {p.id: tuple([0] + delayed[p.id]) if p.id in delayed else () for p in plans}
+        keys = [(p.id, d) for p in plans for d in self.routed_delays[p.id]]  # (plan id, delay) per variant
+        self.plan_ids = np.array([p.id for p in plans], dtype=np.int64)
+        self.variant_plan = np.searchsorted(self.plan_ids, [pid for pid, _ in keys])  # plan index
+        self.variant_delay = np.array([d for _, d in keys], dtype=np.int64)
+        k = len(keys)
+
+        left_plan = 1 + np.arange(n)
+        left_variant = 1 + n + np.arange(k)
+        vehicle = 1 + n + k + np.arange(n_veh)
+        right_variant = 1 + n + k + n_veh + np.arange(k)
+        right_plan = 1 + n + 2 * k + n_veh + np.arange(n)
         self.source_id = 0
-        self.sink_id = 0
-        self.left_plan: dict[int, int] = {}
-        self.right_plan: dict[int, int] = {}
-        self.left_variant: dict[tuple[int, int], int] = {}
-        self.right_variant: dict[tuple[int, int], int] = {}
-        self.vehicle_node: dict[int, int] = {}
-        self.routed_delays: dict[int, tuple[int, ...]] = {}
-        self.left_struct_edge: dict[tuple[int, int], int] = {}
-        self.right_struct_edge: dict[tuple[int, int], int] = {}
-        self.sink_edge: dict[int, int] = {}
-        self.connection_edges: list[int] = []
-        self.edge_connection: dict[int, Connection] = {}
-        self.supply = 0
+        self.sink_id = 1 + 2 * n + 2 * k + n_veh
+        self.node_count = self.sink_id + 1
+        self.target_row = np.full(self.node_count, -1, dtype=np.int64)  # right-side node -> target plan
+        self.target_row[right_variant] = self.variant_plan
+        self.target_row[right_plan] = np.arange(n)
+        self.origin_col = np.full(self.node_count, -1, dtype=np.int64)  # left-side node -> origin
+        self.origin_col[left_plan] = np.arange(n)
+        self.origin_col[left_variant] = self.variant_plan
+        self.origin_col[vehicle] = n + np.arange(n_veh)
 
-    def _add_node(self, kind: str, payload, supply: int) -> int:
-        node = FlowNode(len(self.nodes), kind, payload, supply)
-        self.nodes.append(node)
-        return node.id
+        vehicle_node = dict(zip((v.id for v in vehicles), vehicle.tolist()))
+        bare = [i for i, p in enumerate(plans) if not self.routed_delays[p.id]]
+        left_node = dict(zip(keys, left_variant.tolist()))
+        left_node.update(((plans[i].id, 0), int(left_plan[i])) for i in bare)
+        right_node = dict(zip(keys, right_variant.tolist()))
+        right_node.update(((plans[i].id, 0), int(right_plan[i])) for i in bare)
+        try:
+            conn_tail = [
+                vehicle_node[o.id] if type(o) is Vehicle else left_node[o.plan_id, o.delay]
+                for o in (c.origin for c in gen.connections)
+            ]
+            conn_head = [right_node[t.plan_id, t.delay] for t in (c.target for c in gen.connections)]
+        except KeyError as exc:
+            raise InputError(f"connection endpoint {exc.args[0]} has no node in the network") from None
+        costs = [c.cost for c in gen.connections]
+        self.max_cost = max(costs, default=0)
+        # checked in Python ints before any int64 conversion: a failed search
+        # must overshoot every real path (factor 2) and the duals need
+        # headroom below the sentinel (another factor 2)
+        if 4 * n * self.max_cost >= NO_EDGE:
+            raise InputError(
+                f"connection cost {self.max_cost} over {n} plans exceeds the exact integer range of the relaxation"
+            )
 
-    def _add_edge(self, tail: int, head: int, cost: int) -> int:
-        self.edges.append(FlowEdge(tail, head, 0, 1, cost))
-        return len(self.edges) - 1
+        down_head = np.concatenate([left_plan, vehicle, left_variant])
+        up_tail = np.concatenate([right_variant, right_plan])
+        conn_tail, conn_head = np.array(conn_tail, dtype=np.int64), np.array(conn_head, dtype=np.int64)
+        tail = np.concatenate([np.zeros(n + n_veh, dtype=np.int64), left_plan[self.variant_plan], conn_tail, up_tail])
+        head = np.concatenate([down_head, conn_head, right_plan[self.variant_plan], np.full(n, self.sink_id)])
+        first, last = len(down_head), len(down_head) + len(costs)
+        cost = np.zeros(len(tail), dtype=np.int64)
+        cost[first:last] = costs
+        self.edges = np.stack([tail, head, cost], axis=1)
+        self.edges.setflags(write=False)
+        self.tail, self.head, self.cost = self.edges.T
+        self.connection_edges = range(first, last)
+        self.left_struct = slice(n + n_veh, first)
+        self.right_struct = slice(last, last + k)
+        self.left_struct_edge = dict(zip(keys, range(n + n_veh, first)))
+        self.right_struct_edge = dict(zip(keys, range(last, last + k)))
+
+        # the structural edge into each left node from the source side and
+        # out of each right node to the sink side
+        self.parent_edge = np.full(self.node_count, -1, dtype=np.int64)
+        self.parent_edge[down_head] = np.arange(first)
+        self.child_edge = np.full(self.node_count, -1, dtype=np.int64)
+        self.child_edge[up_tail] = np.arange(last, len(tail))
+
+        # matrix cell of each connection, and the connections sorted by
+        # cell, then cost, then edge id: the first usable one of a cell wins
+        self.cell = self.target_row[head[first:last]] * (n + n_veh) + self.origin_col[tail[first:last]]
+        self.cell_order = np.lexsort((np.arange(len(costs)), cost[first:last], self.cell))
+
+    def edge_connection(self, eid: int) -> Connection:
+        """The connection a connection edge carries."""
+        return self.connections[eid - self.connection_edges.start]
 
     def edge_list_text(self) -> str:
         """Plain-text dump, one edge per line: tail head lower upper cost."""
-        return "\n".join(f"{e.tail} {e.head} {e.lower} {e.upper} {e.cost}" for e in self.edges)
+        return "\n".join(f"{t} {h} 0 1 {c}" for t, h, c in self.edges.tolist())
 
 
-def build_network(
-    instance: ChainingInstance,
-    gen: GenerationResult,
-    constraint_mode: str = "extended",
-) -> FlowNetwork:
+def build_network(instance: ChainingInstance, gen: GenerationResult) -> FlowNetwork:
     """Assemble the flow network for a generation result.
 
-    ``extended`` routes every connection of a variant-carrying plan through
-    variant nodes (adding an explicit zero-delay variant); ``literal``
-    keeps base connections on the plan nodes.
+    Every connection of a variant-carrying plan is routed through variant
+    nodes, including an explicit zero-delay variant.  Raises ``InputError``
+    when a connection names a variant without a node, or when costs are
+    too large for exact int64 duals.
     """
-    if constraint_mode not in ("extended", "literal"):
-        raise InputError(f"unknown constraint mode {constraint_mode!r}")
-    net = FlowNetwork(instance, constraint_mode)
-    plans = instance.plans
-    n_plans = len(plans)
+    return FlowNetwork(instance, gen)
 
-    delayed = gen.delays_by_plan()
-    for p in plans:
-        if p.id in delayed:
-            base = [0] if constraint_mode == "extended" else []
-            net.routed_delays[p.id] = tuple(base + delayed[p.id])
-        else:
-            net.routed_delays[p.id] = ()
-
-    net.supply = n_plans
-    net.source_id = net._add_node("source", None, n_plans)
-    for p in plans:
-        net.left_plan[p.id] = net._add_node("left_plan", p.id, 0)
-    for p in plans:
-        for d in net.routed_delays[p.id]:
-            net.left_variant[(p.id, d)] = net._add_node("left_variant", (p.id, d), 0)
-    for v in instance.vehicles:
-        net.vehicle_node[v.id] = net._add_node("vehicle", v.id, 0)
-    for p in plans:
-        for d in net.routed_delays[p.id]:
-            net.right_variant[(p.id, d)] = net._add_node("right_variant", (p.id, d), 0)
-    for p in plans:
-        net.right_plan[p.id] = net._add_node("right_plan", p.id, 0)
-    net.sink_id = net._add_node("sink", None, -n_plans)
-
-    for p in plans:
-        net._add_edge(net.source_id, net.left_plan[p.id], 0)
-    for v in instance.vehicles:
-        net._add_edge(net.source_id, net.vehicle_node[v.id], 0)
-    for p in plans:
-        for d in net.routed_delays[p.id]:
-            net.left_struct_edge[(p.id, d)] = net._add_edge(
-                net.left_plan[p.id], net.left_variant[(p.id, d)], 0
-            )
-    for conn in gen.connections:
-        origin = conn.origin
-        if isinstance(origin, Vehicle):
-            tail = net.vehicle_node[origin.id]
-        else:
-            key = (origin.plan_id, origin.delay)
-            tail = net.left_variant.get(key, net.left_plan.get(origin.plan_id))
-            if key not in net.left_variant and origin.delay > 0:
-                raise InputError(f"connection origin {key} has no variant node")
-        tkey = (conn.target.plan_id, conn.target.delay)
-        head = net.right_variant.get(tkey, net.right_plan.get(conn.target.plan_id))
-        if tkey not in net.right_variant and conn.target.delay > 0:
-            raise InputError(f"connection target {tkey} has no variant node")
-        eid = net._add_edge(tail, head, conn.cost)
-        net.connection_edges.append(eid)
-        net.edge_connection[eid] = conn
-    for p in plans:
-        for d in net.routed_delays[p.id]:
-            net.right_struct_edge[(p.id, d)] = net._add_edge(
-                net.right_variant[(p.id, d)], net.right_plan[p.id], 0
-            )
-    for p in plans:
-        net.sink_edge[p.id] = net._add_edge(net.right_plan[p.id], net.sink_id, 0)
-    return net
 
 
 def _hungarian(cost: np.ndarray, limit: int, row_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,93 +232,56 @@ def solve_mcf(network: FlowNetwork, disabled_edges: frozenset[int] = frozenset()
 
     Raises ``FlowInfeasibleError`` naming the lowest-id plan without a
     usable incoming connection, else the plan whose row found no augmenting
-    path; raises ``InputError`` when costs are too large for exact int64
-    duals.
+    path.
     """
-    edges = network.edges
-    instance = network.instance
-    plans = instance.plans
-    n, m, n_nodes = len(plans), len(plans) + len(instance.vehicles), len(network.nodes)
-    max_cost = max((e.cost for e in edges), default=0)
-    # a failed search must overshoot every real path (factor 2) and the
-    # duals need headroom below the sentinel (another factor 2)
-    if 4 * n * max_cost >= NO_EDGE:
-        raise InputError(
-            f"connection cost {max_cost} over {n} plans exceeds the exact integer range of the relaxation"
-        )
-    tails = np.fromiter((e.tail for e in edges), np.int64, len(edges))
-    heads = np.fromiter((e.head for e in edges), np.int64, len(edges))
-    cost = np.fromiter((e.cost for e in edges), np.int64, len(edges))
-
-    row = np.full(n_nodes, -1, dtype=np.int64)  # right-side node -> target plan
-    col = np.full(n_nodes, -1, dtype=np.int64)  # left-side node -> origin
-    index = {p.id: i for i, p in enumerate(plans)}
-    for pid, node in network.right_plan.items():
-        row[node] = index[pid]
-    for (pid, _), node in network.right_variant.items():
-        row[node] = index[pid]
-    for pid, node in network.left_plan.items():
-        col[node] = index[pid]
-    for (pid, _), node in network.left_variant.items():
-        col[node] = index[pid]
-    for j, vehicle in enumerate(instance.vehicles, start=n):
-        col[network.vehicle_node[vehicle.id]] = j
-
-    conn = np.asarray(network.connection_edges, dtype=np.int64)
-    structural = np.ones(len(edges), dtype=bool)
-    structural[conn] = False
-    structural = np.flatnonzero(structural)
-    down = structural[col[heads[structural]] >= 0]  # source side: edges into left nodes
-    up = structural[row[tails[structural]] >= 0]  # sink side: edges out of right nodes
-    off = np.zeros(len(edges), dtype=bool)
+    net = network
+    tails, heads = net.tail, net.head
+    n = len(net.plan_ids)
+    m = n + len(net.instance.vehicles)
+    off = np.zeros(len(net.edges), dtype=bool)
     off[list(disabled_edges)] = True
-    cut = np.zeros(n_nodes, dtype=bool)  # a disabled edge separates the node from source or sink
+    cut = np.zeros(net.node_count, dtype=bool)  # a disabled edge separates the node from source or sink
+    start, stop = net.connection_edges.start, net.connection_edges.stop
+    down, block, up = slice(0, start), slice(start, stop), slice(stop, None)
     for _ in range(2):  # structural paths have at most two edges
         cut[heads[down]] = off[down] | cut[tails[down]]
         cut[tails[up]] = off[up] | cut[heads[up]]
 
-    live = conn[~off[conn] & ~cut[tails[conn]] & ~cut[heads[conn]]]
-    cell = row[heads[live]] * m + col[tails[live]]
-    order = np.lexsort((live, cost[live], cell))
-    first = order[np.diff(cell[order], prepend=-1) != 0]
+    usable = ~off[block] & ~cut[tails[block]] & ~cut[heads[block]]
+    order = net.cell_order[usable[net.cell_order]]
+    first = order[np.diff(net.cell[order], prepend=-1) != 0]
     matrix = np.full(n * m, NO_EDGE, dtype=np.int64)
-    matrix[cell[first]] = cost[live[first]]
+    matrix[net.cell[first]] = net.cost[start + first]
     matrix = matrix.reshape(n, m)
     edge_at = np.full(n * m, -1, dtype=np.int64)
-    edge_at[cell[first]] = live[first]
+    edge_at[net.cell[first]] = start + first
     starved = np.flatnonzero((matrix == NO_EDGE).all(axis=1))
     if starved.size:
-        raise FlowInfeasibleError(plans[int(starved[0])].id)
+        raise FlowInfeasibleError(int(net.plan_ids[starved[0]]))
 
-    owner, u, v = _hungarian(matrix, n * max_cost, [p.id for p in plans])
+    owner, u, v = _hungarian(matrix, n * net.max_cost, net.plan_ids.tolist())
 
     assigned = np.flatnonzero(owner >= 0)
-    chosen = edge_at[owner[assigned] * m + assigned].tolist()
-    flows = [0] * len(edges)
-    parent = dict(zip(heads[down].tolist(), down.tolist()))
-    child = dict(zip(tails[up].tolist(), up.tolist()))
-    for e in chosen:
-        flows[e] = 1
-        node = edges[e].tail
-        while node in parent:
-            flows[parent[node]] = 1
-            node = edges[parent[node]].tail
-        node = edges[e].head
-        while node in child:
-            flows[child[node]] = 1
-            node = edges[child[node]].head
+    chosen = edge_at[owner[assigned] * m + assigned]
+    flows = np.zeros(len(net.edges), dtype=np.int64)
+    flows[chosen] = 1
+    for path, end in ((net.parent_edge, tails), (net.child_edge, heads)):  # back to the source, on to the sink
+        hop = chosen
+        while hop.size:
+            hop = path[end[hop]]
+            hop = hop[hop >= 0]
+            flows[hop] = 1
 
-    potentials = [0] * n_nodes
-    for node in range(n_nodes):
-        if cut[node]:
-            potentials[node] = NO_EDGE if col[node] >= 0 else -NO_EDGE
-        elif col[node] >= 0:
-            potentials[node] = -int(v[col[node]])
-        elif row[node] >= 0:
-            potentials[node] = int(u[row[node]])
-    potentials[network.sink_id] = int(u.max()) if n else 0
-    total = sum(edges[e].cost for e in chosen)
-    return FlowAssignment(tuple(flows), total, tuple(potentials))
+    left, right = net.origin_col >= 0, net.target_row >= 0
+    potentials = np.zeros(net.node_count, dtype=np.int64)
+    potentials[left] = -v[net.origin_col[left]]
+    potentials[right] = u[net.target_row[right]]
+    potentials[cut] = np.where(left[cut], NO_EDGE, -NO_EDGE)
+    potentials[net.sink_id] = u.max() if n else 0
+    total = sum(net.cost[chosen].tolist())
+    flows.setflags(write=False)
+    potentials.setflags(write=False)
+    return FlowAssignment(flows, total, potentials)
 
 
 def residual_is_optimal(
@@ -341,29 +290,32 @@ def residual_is_optimal(
     disabled_edges: frozenset[int] = frozenset(),
 ) -> bool:
     """Certificate check: no residual arc has a negative reduced cost."""
-    pi = assignment.potentials
-    for i, e in enumerate(network.edges):
-        if i in disabled_edges:
-            continue
-        f = assignment.flows[i]
-        if f < e.upper and e.cost + pi[e.tail] - pi[e.head] < 0:
-            return False
-        if f > 0 and -e.cost + pi[e.head] - pi[e.tail] < 0:
-            return False
-    return True
+    pi = np.asarray(assignment.potentials, dtype=np.int64)
+    flows = np.asarray(assignment.flows, dtype=np.int64)
+    live = np.ones(len(network.edges), dtype=bool)
+    live[list(disabled_edges)] = False
+    reduced = network.cost + pi[network.tail] - pi[network.head]
+    forward = live & (flows < 1) & (reduced < 0)
+    backward = live & (flows > 0) & (reduced > 0)
+    return not (forward.any() or backward.any())
 
 
 def check_conservation(network: FlowNetwork, assignment: FlowAssignment) -> None:
     """Assert flow conservation and bounds exactly; raises on violation."""
-    balance = [0] * len(network.nodes)
-    for i, e in enumerate(network.edges):
-        f = assignment.flows[i]
-        if not (e.lower <= f <= e.upper):
-            raise InfeasibleError(f"edge {i} flow {f} outside [{e.lower}, {e.upper}]")
-        balance[e.tail] += f
-        balance[e.head] -= f
-    for node in network.nodes:
-        if balance[node.id] != node.supply:
-            raise InfeasibleError(
-                f"node {node.id} ({node.kind}) balance {balance[node.id]} != supply {node.supply}"
-            )
+    flows = np.asarray(assignment.flows, dtype=np.int64)
+    if flows.shape != (len(network.edges),):
+        raise InfeasibleError(f"{flows.size} edge flows for {len(network.edges)} edges")
+    outside = np.flatnonzero((flows < 0) | (flows > 1))
+    if outside.size:
+        i = int(outside[0])
+        raise InfeasibleError(f"edge {i} flow {flows[i]} outside [0, 1]")
+    on = flows == 1
+    nodes = network.node_count
+    balance = np.bincount(network.tail[on], minlength=nodes) - np.bincount(network.head[on], minlength=nodes)
+    supply = np.zeros(nodes, dtype=np.int64)
+    supply[network.source_id] = len(network.plan_ids)
+    supply[network.sink_id] = -len(network.plan_ids)
+    wrong = np.flatnonzero(balance != supply)
+    if wrong.size:
+        i = int(wrong[0])
+        raise InfeasibleError(f"node {i} balance {balance[i]} != supply {supply[i]}")

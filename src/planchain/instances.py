@@ -56,9 +56,26 @@ def load_json(path):
 
 
 def _require(data, key, context):
+    if not isinstance(data, dict):
+        raise InputError(f"{context} must be an object, got {type(data).__name__}")
     if key not in data:
         raise InputError(f"{context}: missing field '{key}'")
     return data[key]
+
+
+def _list_field(data, key, context):
+    value = _require(data, key, context)
+    if not isinstance(value, list):
+        raise InputError(f"{context}: field '{key}' must be a list, got {type(value).__name__}")
+    return value
+
+
+def _int_rows(data, key, context):
+    """A list of lists of integers (range checks are left to ``TravelMatrix``)."""
+    rows = _list_field(data, key, context)
+    if not all(isinstance(row, list) and all(type(x) is int for x in row) for row in rows):
+        raise InputError(f"{context}: field '{key}' must be a list of lists of integers")
+    return rows
 
 
 def _int_field(data, key, context):
@@ -125,18 +142,18 @@ def _travel_to_dict(travel: TravelMatrix) -> dict:
 
 
 def _travel_from_dict(data, count: int) -> TravelMatrix:
-    if ("matrix" in data) == ("grid" in data):
-        raise InputError("travel: exactly one of 'matrix' or 'grid' must be present")
+    if not isinstance(data, dict) or ("matrix" in data) == ("grid" in data):
+        raise InputError("travel: must be an object with exactly one of 'matrix' or 'grid'")
     if "matrix" in data:
-        rows = data["matrix"]
+        rows = _int_rows(data, "matrix", "travel")
         if len(rows) != count or any(len(r) != count for r in rows):
             raise InputError(f"travel: matrix must be {count}x{count}")
         return TravelMatrix(rows)
     grid = data["grid"]
-    coords = _require(grid, "coordinates", "travel.grid")
+    coords = _int_rows(grid, "coordinates", "travel.grid")
     if len(coords) != count:
         raise InputError(f"travel.grid: expected {count} coordinates, got {len(coords)}")
-    ticks = grid.get("ticks_per_unit", 1)
+    ticks = _int_field(grid, "ticks_per_unit", "travel.grid") if "ticks_per_unit" in grid else 1
     return TravelMatrix.from_coordinates(coords, ticks_per_unit=ticks)
 
 
@@ -166,8 +183,8 @@ def chain_instance_to_dict(instance: ChainingInstance) -> dict:
 
 
 def chain_instance_from_dict(data) -> ChainingInstance:
-    if data.get("schema") != CHAIN_INSTANCE_SCHEMA:
-        raise InputError(f"expected schema {CHAIN_INSTANCE_SCHEMA}, got {data.get('schema')!r}")
+    if _require(data, "schema", "instance") != CHAIN_INSTANCE_SCHEMA:
+        raise InputError(f"expected schema {CHAIN_INSTANCE_SCHEMA}, got {data['schema']!r}")
     count = _int_field(_require(data, "locations", "instance"), "count", "locations")
     travel = _travel_from_dict(_require(data, "travel", "instance"), count)
     plans = tuple(
@@ -179,7 +196,7 @@ def chain_instance_from_dict(data) -> ChainingInstance:
             t_de=_int_field(p, "t_de", f"plan {p.get('id')}"),
             d_max=_int_field(p, "d_max", f"plan {p.get('id')}"),
         )
-        for p in _require(data, "plans", "instance")
+        for p in _list_field(data, "plans", "instance")
     )
     vehicles = tuple(
         Vehicle(
@@ -187,7 +204,7 @@ def chain_instance_from_dict(data) -> ChainingInstance:
             start_location=_int_field(v, "location", f"vehicle {v.get('id')}"),
             t_st=_int_field(v, "t_st", f"vehicle {v.get('id')}"),
         )
-        for v in _require(data, "vehicles", "instance")
+        for v in _list_field(data, "vehicles", "instance")
     )
     policy = policy_from_dict(data.get("policy", {"kind": "cost"}))
     return ChainingInstance(plans, vehicles, travel, policy)
@@ -225,8 +242,8 @@ def darp_instance_to_dict(instance: DarpInstance) -> dict:
 
 
 def darp_instance_from_dict(data) -> DarpInstance:
-    if data.get("schema") != DARP_INSTANCE_SCHEMA:
-        raise InputError(f"expected schema {DARP_INSTANCE_SCHEMA}, got {data.get('schema')!r}")
+    if _require(data, "schema", "instance") != DARP_INSTANCE_SCHEMA:
+        raise InputError(f"expected schema {DARP_INSTANCE_SCHEMA}, got {data['schema']!r}")
     count = _int_field(_require(data, "locations", "instance"), "count", "locations")
     travel = _travel_from_dict(_require(data, "travel", "instance"), count)
     requests = tuple(
@@ -237,7 +254,7 @@ def darp_instance_from_dict(data) -> DarpInstance:
             t_r=_int_field(r, "t_r", f"request {r.get('id')}"),
             max_delay=_int_field(r, "max_delay", f"request {r.get('id')}"),
         )
-        for r in _require(data, "requests", "instance")
+        for r in _list_field(data, "requests", "instance")
     )
     fleet_data = _require(data, "fleet", "instance")
     mode = _require(fleet_data, "mode", "fleet")
@@ -250,7 +267,7 @@ def darp_instance_from_dict(data) -> DarpInstance:
                 start_location=_int_field(v, "location", f"vehicle {v.get('id')}"),
                 t_st=_int_field(v, "t_st", f"vehicle {v.get('id')}"),
             )
-            for v in _require(fleet_data, "vehicles", "fleet")
+            for v in _list_field(fleet_data, "vehicles", "fleet")
         )
     else:
         raise InputError(f"fleet: unknown mode {mode!r}")

@@ -28,6 +28,13 @@ LocationId = int
 Cost = int
 
 
+def _int64_array(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} must be integers within the int64 range ({exc})") from None
+
+
 class TravelMatrix:
     """Dense, possibly asymmetric travel-time matrix in ticks.
 
@@ -38,7 +45,7 @@ class TravelMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries) -> None:
-        arr = np.asarray(entries, dtype=np.int64)
+        arr = _int64_array(entries, "travel matrix entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputError("travel matrix must be square")
         if arr.size and (arr < 0).any():
@@ -53,9 +60,15 @@ class TravelMatrix:
         """Manhattan-metric matrix for integer grid coordinates."""
         if ticks_per_unit < 0:
             raise InputError("ticks_per_unit must be non-negative")
-        pts = np.asarray(list(coordinates), dtype=np.int64)
+        pts = _int64_array(list(coordinates), "grid coordinates")
         if pts.size == 0:
             return cls(np.zeros((0, 0), dtype=np.int64))
+        if pts.ndim != 2:
+            raise InputError("grid coordinates must be equal-length integer tuples")
+        # numpy wraps on overflow, so bound the largest distance in Python ints
+        span = sum(int(hi) - int(lo) for hi, lo in zip(pts.max(axis=0), pts.min(axis=0)))
+        if max(span, 1) * ticks_per_unit > np.iinfo(np.int64).max:
+            raise InputError("grid distances exceed the int64 range")
         dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
         return cls(dist * int(ticks_per_unit))
 

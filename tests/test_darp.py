@@ -90,6 +90,18 @@ def test_batch_time_limit_covers_group_enumeration():
     assert served == list(range(12))
 
 
+def test_batch_time_limit_interrupts_a_group_search():
+    # the single six-request group search alone runs for about a second
+    travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
+    rs = [Request(i, i % 2, 2, 0, 30) for i in range(6)]
+    started = time.monotonic()
+    result = solve_batch_exact(rs, travel, 6, time_limit_ms=600)
+    assert time.monotonic() - started < 1.2
+    assert result.proven_optimal is False
+    served = sorted(rid for plan in result.plans for rid in plan.request_ids())
+    assert served == list(range(6))
+
+
 def test_insertion_heuristic_examples():
     fleet = (Vehicle(1, 0, 0), Vehicle(2, 0, 0))
     # one request, one vehicle at its origin: direct service, no delay

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from planchain import chainsolve, oracle, variantgen
-from planchain.errors import InputError
+from planchain.errors import InfeasibleError, InputError
 from planchain.flownet import (
+    FlowAssignment,
     FlowInfeasibleError,
     build_network,
     check_conservation,
@@ -33,15 +34,16 @@ def build_e1_network(policy=None, vehicles=None):
 
 def test_e1_network_shape():
     _, net = build_e1_network()
-    assert len(net.nodes) == 11
+    assert net.node_count == 11
     assert len(net.edges) == 12
-    kinds = [n.kind for n in net.nodes]
-    assert kinds[0] == "source" and kinds[-1] == "sink"
+    assert (net.source_id, net.sink_id) == (0, 10)
     # plan 2 gained an explicit zero-delay variant next to the generated one
     assert net.routed_delays == {1: (), 2: (0, 1)}
-    assert net.nodes[net.source_id].supply == 2
-    assert net.nodes[net.sink_id].supply == -2
-    assert all(e.lower == 0 and e.upper == 1 and e.cost >= 0 for e in net.edges)
+    # nodes: source, left plans 1 2, left variants 2@0 2@1, vehicle,
+    # right variants 2@0 2@1, right plans 1 2, sink
+    assert net.origin_col.tolist() == [-1, 0, 1, 1, 1, 2, -1, -1, -1, -1, -1]
+    assert net.target_row.tolist() == [-1, -1, -1, -1, -1, -1, 1, 1, 0, 1, -1]
+    assert (net.cost >= 0).all()
 
 
 def test_minimal_network_without_variants():
@@ -50,14 +52,14 @@ def test_minimal_network_without_variants():
         (Plan(1, 0, 0, 5, 6, 0),), (Vehicle(1, 0, 0),), travel, TravelCost()
     )
     net = build_network(inst, variantgen.generate(inst))
-    assert len(net.nodes) == 5
+    assert net.node_count == 5
     assert len(net.edges) == 4
 
 
 def test_empty_network():
     inst = ChainingInstance((), (), TravelMatrix([[0]]), TravelCost())
     net = build_network(inst, variantgen.generate(inst))
-    assert len(net.nodes) == 2
+    assert net.node_count == 2
     assert len(net.edges) == 0
     assignment = solve_mcf(net)
     assert assignment.total_cost == 0
@@ -82,12 +84,14 @@ def test_parallel_edges_prefer_cheaper():
 def test_huge_connection_cost_is_rejected():
     inst = make_e1()
     gen = variantgen.generate(inst)
+    link = gen.connections[0]
     for cost in (1 << 59, 1 << 70):
-        link = gen.connections[0]
         huge = Connection(link.origin, link.target, cost)
-        net = build_network(inst, GenerationResult(gen.variants, gen.connections + (huge,)))
         with pytest.raises(InputError):
-            solve_mcf(net)
+            solve_mcf(build_network(inst, GenerationResult(gen.variants, gen.connections + (huge,))))
+    # the largest cost the fence admits on two plans still solves exactly
+    largest = Connection(link.origin, link.target, (1 << 57) - 1)
+    assert solve_mcf(build_network(inst, GenerationResult(gen.variants, gen.connections + (largest,)))).total_cost == 2
 
 
 def test_e1_solve_and_active_edges():
@@ -97,11 +101,26 @@ def test_e1_solve_and_active_edges():
     check_conservation(net, assignment)
     assert residual_is_optimal(net, assignment)
     active = {
-        (net.nodes[net.edges[eid].tail].kind, net.nodes[net.edges[eid].head].kind)
-        for eid in net.connection_edges
-        if assignment.flows[eid] == 1
+        (int(net.tail[eid]), int(net.head[eid])) for eid in net.connection_edges if assignment.flows[eid] == 1
     }
-    assert active == {("vehicle", "right_plan"), ("left_plan", "right_variant")}
+    # vehicle -> right plan 1, and left plan 1 -> right variant 2@1
+    assert active == {(5, 8), (1, 7)}
+    # branching scores: plan 1 enters at 0 and leaves at 2, plan 2 enters at 2
+    assert chainsolve._active_connection_costs(net, assignment.flows).tolist() == [2, 2]
+
+
+def test_certificate_checks_catch_broken_flows():
+    _, net = build_e1_network()
+    assignment = solve_mcf(net)
+    for eid in range(len(net.edges)):
+        flows = assignment.flows.copy()
+        flows[eid] ^= 1
+        with pytest.raises(InfeasibleError):
+            check_conservation(net, FlowAssignment(flows, assignment.total_cost, assignment.potentials))
+    for right_plan in (8, 9):
+        potentials = assignment.potentials.copy()
+        potentials[right_plan] -= 1
+        assert not residual_is_optimal(net, FlowAssignment(assignment.flows, assignment.total_cost, potentials))
 
 
 def test_e1_without_vehicle_is_infeasible():
@@ -114,12 +133,22 @@ def test_e1_without_vehicle_is_infeasible():
 
 def test_edge_list_dump_golden():
     _, net = build_e1_network()
-    lines = net.edge_list_text().splitlines()
-    assert len(lines) == 12
-    assert all(len(line.split()) == 5 for line in lines)
-    # stable construction order: source fan-out first, sink fan-in last
-    assert lines[0] == f"{net.source_id} {net.left_plan[1]} 0 1 0"
-    assert lines[-1] == f"{net.right_plan[2]} {net.sink_id} 0 1 0"
+    # source side first, then the connections, then the sink side
+    assert net.edge_list_text().splitlines() == [
+        "0 1 0 1 0",
+        "0 2 0 1 0",
+        "0 5 0 1 0",
+        "2 3 0 1 0",
+        "2 4 0 1 0",
+        "1 7 0 1 2",
+        "5 8 0 1 0",
+        "5 6 0 1 4",
+        "6 9 0 1 0",
+        "7 9 0 1 0",
+        "8 10 0 1 0",
+        "9 10 0 1 0",
+    ]
+    assert list(net.connection_edges) == [5, 6, 7]
 
 
 def test_dump_is_deterministic():
@@ -139,7 +168,7 @@ def test_matching_agreement_on_zero_delay_fleet_instances():
         vehicle_edges = sum(
             assignment.flows[eid]
             for eid in net.connection_edges
-            if isinstance(net.edge_connection[eid].origin, Vehicle)
+            if isinstance(net.edge_connection(eid).origin, Vehicle)
         )
         assert vehicle_edges == len(inst.plans) - (len(inst.plans) - oracle.fleet_min_matching(inst))
 
@@ -148,15 +177,19 @@ def test_disabled_edges_reduce_choices():
     inst, net = build_e1_network()
     assignment = solve_mcf(net)
     active = [eid for eid in net.connection_edges if assignment.flows[eid] == 1]
-    cheap = min(active, key=lambda e: net.edges[e].cost)
+    cheap = min(active, key=lambda e: net.cost[e])
     with pytest.raises(FlowInfeasibleError):
         # disabling the vehicle's only outgoing edge starves plan 1
         veh_edges = [
             eid
             for eid in net.connection_edges
-            if isinstance(net.edge_connection[eid].origin, Vehicle)
+            if isinstance(net.edge_connection(eid).origin, Vehicle)
         ]
         solve_mcf(net, disabled_edges=frozenset(veh_edges))
+    with pytest.raises(FlowInfeasibleError) as err:
+        # plan 2's sink edge lies two hops past both of its right variants
+        solve_mcf(net, disabled_edges=frozenset({11}))
+    assert err.value.plan_id == 2
 
 
 def test_certificate_holds_with_forced_variants():

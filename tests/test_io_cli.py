@@ -76,6 +76,79 @@ def test_semantic_errors_name_the_culprit(tmp_path):
     assert "line 1" in str(err.value)
 
 
+def _instance_doc(kind, travel):
+    if kind == "chain":
+        doc = io.chain_instance_to_dict(make_e1())
+    else:
+        params = io.DarpGenParams(seed=4, requests=3, locations=3, fleet_size=2)
+        doc = io.darp_instance_to_dict(io.darp_instance_from_params(params))
+    if travel == "grid":
+        doc["travel"] = {"grid": {"coordinates": [[0, 0], [2, 0], [4, 0]], "ticks_per_unit": 1}}
+    return doc
+
+
+# the list sections each schema names by these placeholders
+SECTIONS = {
+    "chain": {"ITEMS": ("plans",), "VEHICLES": ("vehicles",)},
+    "darp": {"ITEMS": ("requests",), "VEHICLES": ("fleet", "vehicles")},
+}
+# mutation -> (travel section, [(path, value), ...])
+MALFORMED = {
+    "items-object": ("matrix", [(("ITEMS",), {"id": 1})]),
+    "items-number": ("matrix", [(("ITEMS",), 3)]),
+    "item-not-object": ("matrix", [(("ITEMS", 0), 7)]),
+    "vehicles-object": ("matrix", [(("VEHICLES",), {})]),
+    "vehicles-string": ("matrix", [(("VEHICLES",), "v1")]),
+    "locations-number": ("matrix", [(("locations",), 3)]),
+    "travel-list": ("matrix", [(("travel",), [[0]])]),
+    "matrix-number": ("matrix", [(("travel", "matrix"), 5)]),
+    "matrix-flat": ("matrix", [(("travel", "matrix"), [0, 1, 2])]),
+    "matrix-float": ("matrix", [(("travel", "matrix", 0, 1), 1.5)]),
+    "matrix-string": ("matrix", [(("travel", "matrix", 0, 1), "2")]),
+    "matrix-null": ("matrix", [(("travel", "matrix", 0, 1), None)]),
+    "matrix-beyond-int64": ("matrix", [(("travel", "matrix", 0, 1), 2**63)]),
+    "matrix-below-int64": ("matrix", [(("travel", "matrix", 0, 1), -(2**63) - 1)]),
+    "coordinates-number": ("grid", [(("travel", "grid", "coordinates"), 5)]),
+    "coordinate-number": ("grid", [(("travel", "grid", "coordinates", 0), 3)]),
+    "coordinate-float": ("grid", [(("travel", "grid", "coordinates", 0, 0), 0.5)]),
+    "coordinate-beyond-int64": ("grid", [(("travel", "grid", "coordinates", 0, 0), 2**70)]),
+    "coordinate-ragged": ("grid", [(("travel", "grid", "coordinates", 0), [0])]),
+    "distance-beyond-int64": (
+        "grid",
+        [(("travel", "grid", "coordinates", 0, 0), 2**62), (("travel", "grid", "coordinates", 1, 0), -(2**62))],
+    ),
+    "ticks-string": ("grid", [(("travel", "grid", "ticks_per_unit"), "2")]),
+    "ticks-float": ("grid", [(("travel", "grid", "ticks_per_unit"), 1.5)]),
+    "ticks-beyond-int64": ("grid", [(("travel", "grid", "ticks_per_unit"), 2**70)]),
+}
+
+
+@pytest.mark.parametrize("kind", ["chain", "darp"])
+@pytest.mark.parametrize("mutation", sorted(MALFORMED))
+def test_loaders_reject_malformed_sections(kind, mutation):
+    travel, edits = MALFORMED[mutation]
+    doc = _instance_doc(kind, travel)
+    for path, value in edits:
+        *parents, last = [k for key in path for k in SECTIONS[kind].get(key, (key,))]
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    load = io.chain_instance_from_dict if kind == "chain" else io.darp_instance_from_dict
+    with pytest.raises(InputError):
+        load(doc)
+
+
+def test_cli_rejects_malformed_instance(tmp_path, capsys):
+    doc = _instance_doc("chain", "matrix")
+    doc["travel"]["matrix"][0][1] = 2**63
+    path = tmp_path / "overflow.json"
+    io.save_json(path, doc)
+    assert main(["chain", "solve", "--instance", str(path), "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_policy_round_trip_and_cli_syntax():
     for policy in (
         io.policy_from_cli("fleet"),
