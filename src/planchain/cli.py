@@ -1,14 +1,12 @@
 """Command-line surface: solve, cross-check, run the DARP pipeline, generate.
 
 Exit codes: 0 success, 1 infeasible, 2 input error, 3 guard exceeded.
-Every solution written to disk is validated first.  ``PLANCHAIN_THREADS``
-sets the default worker cap for batch solving.
+Every solution written to disk is validated first.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -23,13 +21,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PLANCHAIN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,11 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--instance", required=True)
     run.add_argument("--method", choices=("proposed", "ih", "single-batch"), required=True)
     run.add_argument("--batch-secs", type=int, help="batch length in ticks (proposed method)")
-    run.add_argument("--time-limit-ms", type=int, help="per-batch budget; incumbent is kept")
+    run.add_argument("--time-limit-ms", type=int, help="per-batch budget for building request groups")
     run.add_argument("--wait-cap", type=int, help="optional chaining wait cap in ticks")
     run.add_argument("--out", required=True)
     run.add_argument("--metrics-dir")
-    run.add_argument("--threads", type=int, default=None)
 
     gen = sub.add_parser("gen", help="generate a random instance")
     gen_sub = gen.add_subparsers(dest="subcommand", required=True)
@@ -128,7 +118,6 @@ def _cmd_darp_run(args) -> int:
     instance = io.load_instance(args.instance)
     if isinstance(instance, ChainingInstance):
         raise InputError(f"{args.instance} is not a DARP instance")
-    threads = args.threads if args.threads else _default_threads()
     chain_policy = None
     if args.wait_cap is not None:
         from .model import TravelCostWaitCapped
@@ -138,9 +127,7 @@ def _cmd_darp_run(args) -> int:
     if args.method == "ih":
         solution = insertion_heuristic(instance)
     elif args.method == "single-batch":
-        solution = run_single_batch(
-            instance, time_limit_ms=args.time_limit_ms, chain_policy=chain_policy, threads=threads
-        )
+        solution = run_single_batch(instance, time_limit_ms=args.time_limit_ms, chain_policy=chain_policy)
     else:
         if not args.batch_secs:
             raise InputError("--batch-secs is required for the proposed method")
@@ -149,7 +136,6 @@ def _cmd_darp_run(args) -> int:
             args.batch_secs,
             time_limit_ms=args.time_limit_ms,
             chain_policy=chain_policy,
-            threads=threads,
         )
     comp_ms = int((time.perf_counter() - started) * 1000)
     issues = validate_darp_solution(instance, solution)

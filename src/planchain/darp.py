@@ -13,11 +13,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import GuardExceededError, InfeasibleError, InputError
-from .model import ChainingInstance, CostPolicy, Plan, TravelCost, TravelMatrix, Vehicle
+from .model import ChainingInstance, CostPolicy, Plan, TravelCost, TravelMatrix, Vehicle, check_range
 from .chainsolve import solve_chaining
 
 PICKUP = "pickup"
@@ -39,6 +38,7 @@ class Request:
     max_delay: int
 
     def __post_init__(self) -> None:
+        check_range(f"request {self.id}", id=self.id, t_r=self.t_r, max_delay=self.max_delay)
         if self.t_r < 0:
             raise InputError(f"request {self.id}: negative departure time")
         if self.max_delay < 0:
@@ -292,12 +292,14 @@ def solve_batch_exact(
     """Optimal set partitioning of a batch into shared route plans.
 
     Feasible groups are enumerated bottom-up (a group is skipped when any
-    subset already failed), each with its optimal plan; an exact search
-    then covers every request with exactly one group, minimizing total
-    plan duration.  Ties prefer fewer groups, then lexicographic group
-    ids.  With a time limit the incumbent partition is returned instead
-    of the proven optimum; a group whose search the limit interrupts is
-    left out.
+    subset already failed), each with its optimal plan.  A dynamic program
+    over subsets of the batch then covers every request with exactly one
+    built group, minimizing total plan duration: the best partition of a
+    request set takes a group holding its lowest request plus the best
+    partition of the rest.  Ties prefer fewer groups, then lexicographic
+    group ids.  The time limit stops only the group enumeration: the group
+    search it interrupts and all later ones are left out, the partition is
+    still the best over the groups built, and ``proven_optimal`` is false.
     """
     reqs = sorted(batch, key=lambda r: r.id)
     if not reqs:
@@ -309,13 +311,12 @@ def solve_batch_exact(
     deadline = time.monotonic() + time_limit_ms / 1000.0 if time_limit_ms is not None else None
     timed_out = False
     feasible: dict[frozenset[int], RoutePlan] = {}
-    by_id = {r.id: r for r in reqs}
     for size in range(1, min(capacity, len(reqs)) + 1):
         for combo in combinations(reqs, size):
             ids = frozenset(r.id for r in combo)
             if size > 1 and any(ids - {rid} not in feasible for rid in ids):
                 continue
-            # singletons are always built, so the incumbent below exists
+            # singletons are always built, so every request set has a partition
             try:
                 plan = optimal_plan_for_group(combo, travel, capacity, _deadline=deadline if size > 1 else None)
             except _DeadlinePassed:
@@ -326,53 +327,25 @@ def solve_batch_exact(
         if timed_out:
             break
 
-    groups_of: dict[int, list[tuple[tuple[int, ...], RoutePlan, int]]] = {r.id: [] for r in reqs}
+    bit = {r.id: 1 << k for k, r in enumerate(reqs)}
+    groups_by_low = {b: [] for b in bit.values()}
     for ids, plan in feasible.items():
-        entry = (tuple(sorted(ids)), plan, plan.total_duration)
-        for rid in ids:
-            groups_of[rid].append(entry)
-    for rid in groups_of:
-        groups_of[rid].sort(key=lambda e: e[0])
-
-    lb: dict[int, Fraction] = {
-        rid: min(Fraction(dur, len(ids)) for ids, _, dur in entries)
-        for rid, entries in groups_of.items()
-    }
-
-    singleton = [feasible[frozenset({r.id})] for r in reqs]
-    best_cost = sum(p.total_duration for p in singleton)
-    best_key = (best_cost, len(singleton), tuple((r.id,) for r in reqs))
-    best_plans = list(singleton)
-
-    def search(unserved: frozenset[int], cost: int, chosen: list):
-        nonlocal best_cost, best_key, best_plans, timed_out
-        if deadline is not None and time.monotonic() > deadline:
-            timed_out = True
-            return
-        if not unserved:
-            key = (cost, len(chosen), tuple(sorted(ids for ids, _, _ in chosen)))
-            if key < best_key:
-                best_key = key
-                best_cost = cost
-                best_plans = [plan for _, plan, _ in chosen]
-            return
-        rid = min(unserved)
-        for ids, plan, dur in groups_of[rid]:
-            if timed_out:
-                return
-            ids_set = frozenset(ids)
-            if not ids_set <= unserved:
-                continue
-            rest = unserved - ids_set
-            rest_lb = sum((lb[x] for x in rest), Fraction(0))
-            if cost + dur + rest_lb > best_cost:
-                continue
-            chosen.append((ids, plan, dur))
-            search(rest, cost + dur, chosen)
-            chosen.pop()
-
-    search(frozenset(by_id), 0, [])
-    ordered = tuple(sorted(best_plans, key=lambda p: (p.first_time, p.request_ids())))
+        mask = sum(bit[rid] for rid in ids)
+        groups_by_low[mask & -mask].append((mask, plan.total_duration, tuple(sorted(ids)), plan))
+    # best[s] = (total duration, group count, group ids, plans) of the best
+    # partition of request bitmask s; its first group holds s's lowest
+    # request, so prepending keeps the group ids sorted
+    best = [(0, 0, (), ())]
+    for s in range(1, 1 << len(reqs)):
+        entry = None
+        for mask, duration, ids, plan in groups_by_low[s & -s]:
+            if mask & s == mask:
+                rest = best[s ^ mask]
+                cand = (rest[0] + duration, rest[1] + 1, (ids,) + rest[2], (plan,) + rest[3])
+                if entry is None or cand[:3] < entry[:3]:
+                    entry = cand
+        best.append(entry)
+    ordered = tuple(sorted(best[-1][3], key=lambda p: (p.first_time, p.request_ids())))
     return BatchResult(ordered, not timed_out)
 
 

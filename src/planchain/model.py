@@ -27,6 +27,20 @@ Duration = int
 LocationId = int
 Cost = int
 
+TICK_LIMIT = 2**60
+"""Exclusive bound on the magnitude of every tick value and id in the model.
+
+It leaves headroom below 2^63, so numpy's int64 sums of a few times,
+delays and travel durations cannot wrap.
+"""
+
+
+def check_range(owner: str, **fields: int) -> None:
+    """Raise ``InputError`` naming ``owner`` unless every field is within ``TICK_LIMIT``."""
+    for name, value in fields.items():
+        if not -TICK_LIMIT < value < TICK_LIMIT:
+            raise InputError(f"{owner}: {name} {value} outside the range (-2^60, 2^60)")
+
 
 def _int64_array(values, what: str) -> np.ndarray:
     try:
@@ -50,6 +64,8 @@ class TravelMatrix:
             raise InputError("travel matrix must be square")
         if arr.size and (arr < 0).any():
             raise InputError("travel matrix entries must be non-negative")
+        if arr.size and arr.max() >= TICK_LIMIT:
+            raise InputError("travel matrix entries must be below 2^60")
         if arr.size and np.diagonal(arr).any():
             raise InputError("travel matrix diagonal must be zero")
         arr.setflags(write=False)
@@ -108,6 +124,7 @@ class Plan:
     d_max: Duration
 
     def __post_init__(self) -> None:
+        check_range(f"plan {self.id}", id=self.id, t_or=self.t_or, t_de=self.t_de, d_max=self.d_max)
         if self.t_or < 0 or self.t_de < 0:
             raise InputError(f"plan {self.id}: times must be non-negative")
         if self.t_or > self.t_de:
@@ -125,6 +142,7 @@ class Vehicle:
     t_st: TimePoint
 
     def __post_init__(self) -> None:
+        check_range(f"vehicle {self.id}", id=self.id, t_st=self.t_st)
         if self.t_st < 0:
             raise InputError(f"vehicle {self.id}: negative start time")
 

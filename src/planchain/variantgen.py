@@ -116,6 +116,12 @@ class _ProbeTables:
         alpha = getattr(policy, "alpha", None)
         self.alpha_num = alpha.numerator if alpha is not None else None
         self.alpha_den = alpha.denominator if alpha is not None else None
+        if alpha is not None:
+            # probe() evaluates 2*p*wait + q and 2*q in int64; no wait exceeds
+            # the latest delayed start, as every ready time is non-negative
+            max_wait = max((plan.t_or + plan.d_max for plan in plans), default=0)
+            if 2 * self.alpha_num * max(max_wait, 1) + 2 * self.alpha_den > np.iinfo(np.int64).max:
+                raise InputError(f"wait penalty {alpha} on waits of up to {max_wait} ticks exceeds the int64 range")
 
     def probe(self, ready: int, from_location: int, origin_key, exclude: int | None):
         """Evaluate one origin against every plan at the minimal delay.

@@ -1,4 +1,6 @@
+import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -20,7 +22,7 @@ from planchain.darp import (
 )
 from planchain.errors import GuardExceededError, InfeasibleError, InputError
 from planchain.instances import DarpGenParams, darp_instance_from_params
-from planchain.model import TravelMatrix, Vehicle
+from planchain.model import TICK_LIMIT, TravelMatrix, Vehicle
 
 LINE = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
 
@@ -42,6 +44,13 @@ def test_two_identical_requests_share():
 def test_two_opposed_zero_delay_requests_infeasible():
     rs = [Request(1, 0, 2, 0, 0), Request(2, 2, 0, 0, 0)]
     assert optimal_plan_for_group(rs, LINE, 4) is None
+
+
+def test_request_ticks_stay_below_the_limit():
+    Request(TICK_LIMIT - 1, 0, 2, TICK_LIMIT - 1, TICK_LIMIT - 1)
+    for bad in ((TICK_LIMIT, 0, 2, 0, 5), (-TICK_LIMIT, 0, 2, 0, 5), (1, 0, 2, TICK_LIMIT, 5), (1, 0, 2, 0, TICK_LIMIT)):
+        with pytest.raises(InputError):
+            Request(*bad)
 
 
 def test_group_capacity_guard():
@@ -100,6 +109,83 @@ def test_batch_time_limit_interrupts_a_group_search():
     assert result.proven_optimal is False
     served = sorted(rid for plan in result.plans for rid in plan.request_ids())
     assert served == list(range(6))
+    # the groups built before the limit still beat six singletons (total 15)
+    assert sum(plan.total_duration for plan in result.plans) < 15
+
+
+def test_batch_without_a_group_search_is_proven_under_a_zero_limit():
+    assert solve_batch_exact([Request(1, 0, 2, 0, 5)], LINE, 4, time_limit_ms=0).proven_optimal
+    pair = [Request(1, 0, 2, 0, 5), Request(2, 0, 2, 0, 5)]
+    assert solve_batch_exact(pair, LINE, 1, time_limit_ms=0).proven_optimal
+    assert not solve_batch_exact(pair, LINE, 2, time_limit_ms=0).proven_optimal
+
+
+def _partition_key(plans):
+    return (
+        sum(plan.total_duration for plan in plans),
+        len(plans),
+        tuple(sorted(plan.request_ids() for plan in plans)),
+    )
+
+
+def test_batch_ties_prefer_fewer_groups_then_lexicographic_ids():
+    a, b, c = Request(1, 0, 1, 0, 0), Request(2, 1, 2, 2, 0), Request(3, 2, 1, 4, 0)
+
+    def duration(*group):
+        return optimal_plan_for_group(group, LINE, 2).total_duration
+
+    # a then b in one plan takes as long as both alone
+    assert duration(a, b) == duration(a) + duration(b)
+    assert [p.request_ids() for p in solve_batch_exact([a, b], LINE, 2).plans] == [(1, 2)]
+    # {a, b} + {c} ties {a} + {b, c} on duration and group count
+    assert duration(a, b) + duration(c) == duration(a) + duration(b, c) < duration(a, c) + duration(b)
+    result = solve_batch_exact([c, b, a], LINE, 2)
+    assert _partition_key(result.plans) == (6, 2, ((1,), (2, 3)))
+
+
+def _built_groups(reqs, travel, capacity):
+    """Every group solve_batch_exact builds without a limit, with its plan."""
+    built = {}
+    for size in range(1, min(capacity, len(reqs)) + 1):
+        for combo in combinations(reqs, size):
+            ids = frozenset(r.id for r in combo)
+            if size == 1 or all(ids - {rid} in built for rid in ids):
+                plan = optimal_plan_for_group(combo, travel, capacity)
+                if plan is not None:
+                    built[ids] = plan
+    return built
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        yield [[first]] + partition
+        for k in range(len(partition)):
+            yield partition[:k] + [[first] + partition[k]] + partition[k + 1 :]
+
+
+def test_batch_partition_matches_brute_force():
+    rng = random.Random(4)
+    ties = 0
+    for seed in range(200):
+        capacity = rng.randint(1, 5)
+        params = DarpGenParams(seed=seed, requests=rng.randint(1, 7), horizon=rng.choice((5, 15, 30)), capacity=capacity)
+        inst = darp_instance_from_params(params)
+        built = _built_groups(inst.requests, inst.travel, capacity)
+        keys = sorted(
+            _partition_key([built[frozenset(block)] for block in partition])
+            for partition in _set_partitions([r.id for r in inst.requests])
+            if all(frozenset(block) in built for block in partition)
+        )
+        ties += len(keys) > 1 and keys[0][:2] == keys[1][:2]
+        result = solve_batch_exact(list(inst.requests), inst.travel, capacity)
+        assert result.proven_optimal
+        assert _partition_key(result.plans) == keys[0], seed
+        assert all(plan == built[frozenset(plan.request_ids())] for plan in result.plans)
+    assert ties > 0
 
 
 def test_insertion_heuristic_examples():

@@ -149,6 +149,29 @@ def test_cli_rejects_malformed_instance(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("section, field", [("plans", "t_de"), ("vehicles", "t_st")])
+def test_cli_rejects_ticks_beyond_the_limit(tmp_path, capsys, section, field):
+    doc = _instance_doc("chain", "matrix")
+    doc[section][-1][field] = 2**70
+    path = tmp_path / "ticks.json"
+    io.save_json(path, doc)
+    assert main(["chain", "solve", "--instance", str(path), "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_cli_fences_the_wait_penalty(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for alpha in ("1000000000000000000", "4611686018427387904"):
+        args = ["chain", "solve", "--instance", str(DATA / "e1.chain.json"), "--policy", f"cost-waitpen:{alpha}"]
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "validation:" not in err
+        assert not out.exists()
+    args = ["chain", "solve", "--instance", str(DATA / "e1.chain.json"), "--policy", "cost-waitpen:2"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["objective"] == 12
+
+
 def test_policy_round_trip_and_cli_syntax():
     for policy in (
         io.policy_from_cli("fleet"),

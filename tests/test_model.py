@@ -35,6 +35,24 @@ def test_travel_matrix_from_coordinates_is_manhattan():
     assert TravelMatrix.from_coordinates([(0, 0), (1, 2)], ticks_per_unit=3).duration(0, 1) == 9
 
 
+def test_tick_limit_bounds_every_model_integer():
+    limit = model.TICK_LIMIT
+    TravelMatrix([[0, limit - 1], [1, 0]])
+    with pytest.raises(InputError):
+        TravelMatrix([[0, limit], [1, 0]])
+    with pytest.raises(InputError):
+        TravelMatrix.from_coordinates([(0, 0), (2**59, 2**59)])
+    Plan(id=-(limit - 1), origin_location=0, destination_location=0, t_or=0, t_de=limit - 1, d_max=limit - 1)
+    plan = dict(id=1, origin_location=0, destination_location=0, t_or=0, t_de=0, d_max=0)
+    for bad in (dict(id=limit), dict(id=-limit), dict(t_de=limit), dict(t_or=limit, t_de=limit), dict(d_max=limit)):
+        with pytest.raises(InputError):
+            Plan(**{**plan, **bad})
+    Vehicle(id=limit - 1, start_location=0, t_st=limit - 1)
+    for bad in (dict(id=limit), dict(id=-limit), dict(t_st=limit)):
+        with pytest.raises(InputError):
+            Vehicle(**{**dict(id=1, start_location=0, t_st=0), **bad})
+
+
 def test_plan_invariants():
     with pytest.raises(InputError):
         Plan(id=1, origin_location=0, destination_location=0, t_or=5, t_de=4, d_max=0)
