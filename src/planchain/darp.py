@@ -291,8 +291,11 @@ def solve_batch_exact(
 ) -> BatchResult:
     """Optimal set partitioning of a batch into shared route plans.
 
-    Feasible groups are enumerated bottom-up (a group is skipped when any
-    subset already failed), each with its optimal plan.  A dynamic program
+    Feasible groups are enumerated bottom-up, each with its optimal plan.
+    On a metric travel matrix a group is skipped when a one-smaller subset
+    already failed: dropping a request's stops then never makes another
+    stop later.  Without the triangle inequality a detour can arrive
+    sooner, so every group up to the capacity is searched.  A dynamic program
     over subsets of the batch then covers every request with exactly one
     built group, minimizing total plan duration: the best partition of a
     request set takes a group holding its lowest request plus the best
@@ -310,11 +313,12 @@ def solve_batch_exact(
         )
     deadline = time.monotonic() + time_limit_ms / 1000.0 if time_limit_ms is not None else None
     timed_out = False
+    prune = travel.is_metric
     feasible: dict[frozenset[int], RoutePlan] = {}
     for size in range(1, min(capacity, len(reqs)) + 1):
         for combo in combinations(reqs, size):
             ids = frozenset(r.id for r in combo)
-            if size > 1 and any(ids - {rid} not in feasible for rid in ids):
+            if size > 1 and prune and any(ids - {rid} not in feasible for rid in ids):
                 continue
             # singletons are always built, so every request set has a partition
             try:

@@ -53,10 +53,10 @@ class TravelMatrix:
     """Dense, possibly asymmetric travel-time matrix in ticks.
 
     Entries must be non-negative with a zero diagonal.  The triangle
-    inequality is *not* assumed anywhere in the package.
+    inequality is *not* assumed: code that needs it checks ``is_metric``.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_metric")
 
     def __init__(self, entries) -> None:
         arr = _int64_array(entries, "travel matrix entries")
@@ -70,6 +70,7 @@ class TravelMatrix:
             raise InputError("travel matrix diagonal must be zero")
         arr.setflags(write=False)
         self._entries = arr
+        self._metric: bool | None = None
 
     @classmethod
     def from_coordinates(cls, coordinates, ticks_per_unit: int = 1) -> "TravelMatrix":
@@ -86,7 +87,9 @@ class TravelMatrix:
         if max(span, 1) * ticks_per_unit > np.iinfo(np.int64).max:
             raise InputError("grid distances exceed the int64 range")
         dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-        return cls(dist * int(ticks_per_unit))
+        matrix = cls(dist * int(ticks_per_unit))
+        matrix._metric = True  # Manhattan distances obey the triangle inequality
+        return matrix
 
     @property
     def size(self) -> int:
@@ -96,6 +99,17 @@ class TravelMatrix:
     def array(self) -> np.ndarray:
         """Read-only int64 view of the matrix."""
         return self._entries
+
+    @property
+    def is_metric(self) -> bool:
+        """True when d(a, c) <= d(a, b) + d(b, c) for all locations a, b, c.
+
+        The O(L^3) check runs on first use and is cached on the matrix.
+        """
+        if self._metric is None:
+            d = self._entries  # entries are below 2^60, so the sums cannot wrap
+            self._metric = all(bool((d <= d[:, [b]] + d[[b], :]).all()) for b in range(self.size))
+        return self._metric
 
     def duration(self, a: LocationId, b: LocationId) -> Duration:
         if not (0 <= a < self.size and 0 <= b < self.size):

@@ -10,15 +10,30 @@ predicates with the main solver: no graph or search code is reused.
 bipartite-matching reduction, and ``full_variant_optimal`` re-solves the
 chaining problem over every integer-delay variant as the ground truth for
 the minimal generator.
+
+``generate_reference`` and ``generate_exhaustive_reference`` are the
+scalar twins of the vectorized variant generators: one model-layer call
+per origin/target pair, kept for the differential tests that pin the
+generators' output.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, InfeasibleError, InputError
 from . import model
-from .model import ChainingInstance, VariantRef
+from .model import ChainingInstance, VariantRef, Vehicle
+from .variantgen import (
+    Connection,
+    ConnectOutcome,
+    GenerationResult,
+    Infeasible,
+    NewVariant,
+    total_delay_ticks,
+    try_connect,
+)
 
 BRUTE_FORCE_MAX_PLANS = 9
 FULL_VARIANT_GUARD_TICKS = 200
@@ -276,7 +291,6 @@ def full_variant_optimal(instance: ChainingInstance, guard_ticks: int = FULL_VAR
     makes the network formulation exact for any per-connection cost rule.
     """
     from .chainsolve import solve_chaining
-    from .variantgen import total_delay_ticks
 
     ticks = total_delay_ticks(instance)
     if ticks > guard_ticks:
@@ -287,3 +301,65 @@ def full_variant_optimal(instance: ChainingInstance, guard_ticks: int = FULL_VAR
         return solve_chaining(instance, variants="exhaustive", exhaustive_guard_ticks=guard_ticks).objective
     except InfeasibleError:
         return None
+
+
+def generate_reference(instance: ChainingInstance, *, queue_lifo: bool = False) -> GenerationResult:
+    """Plain scalar minimal generation via ``try_connect``; twin of ``variantgen.generate``."""
+    variants: dict[VariantRef, None] = {}
+    connections: dict[tuple, Connection] = {}
+    queue: deque[VariantRef] = deque()
+
+    def record(outcome: ConnectOutcome) -> None:
+        if isinstance(outcome, Infeasible):
+            return
+        if isinstance(outcome, NewVariant) and outcome.variant not in variants:
+            variants[outcome.variant] = None
+            queue.append(outcome.variant)
+        conn = outcome.connection
+        if conn is None:
+            return
+        origin = conn.origin
+        okey = ("v", origin.id) if isinstance(origin, Vehicle) else ("p", origin.plan_id, origin.delay)
+        connections.setdefault((okey, conn.target.plan_id, conn.target.delay), conn)
+
+    for a in instance.plans:
+        origin = VariantRef(a.id, 0)
+        for b in instance.plans:
+            if b.id != a.id:
+                record(try_connect(instance, origin, b))
+    for v in instance.vehicles:
+        for b in instance.plans:
+            record(try_connect(instance, v, b))
+    while queue:
+        phi = queue.pop() if queue_lifo else queue.popleft()
+        for p in instance.plans:
+            if p.id != phi.plan_id:
+                record(try_connect(instance, phi, p))
+    return GenerationResult(tuple(variants), tuple(connections.values()))
+
+
+def generate_exhaustive_reference(instance: ChainingInstance) -> GenerationResult:
+    """Plain scalar exhaustive generation; twin of ``variantgen.generate_exhaustive``.
+
+    Emits the connections in the same order: origins by (plan id, delay),
+    then vehicles by id, each against targets by (plan id, delay).
+    """
+    variants: list[VariantRef] = []
+    all_refs: list[VariantRef] = []
+    for p in instance.plans:
+        for d in range(p.d_max + 1):
+            ref = VariantRef(p.id, d)
+            all_refs.append(ref)
+            if d > 0:
+                variants.append(ref)
+    connections: list[Connection] = []
+    for origin in [*all_refs, *instance.vehicles]:
+        for target in all_refs:
+            if not isinstance(origin, Vehicle) and origin.plan_id == target.plan_id:
+                continue
+            if not model.connection_feasible(instance, origin, target):
+                continue
+            cost = model.connection_cost(instance, origin, target)
+            if cost is not None:
+                connections.append(Connection(origin, target, cost))
+    return GenerationResult(tuple(variants), tuple(connections))

@@ -6,12 +6,19 @@ the new variant as an origin against every other plan until the queue
 drains.  The exhaustive generator enumerates every integer delay; it backs
 the optimality cross-checks and the cost policies whose connection costs
 depend on the chosen delays.
+
+Both evaluate one origin per numpy pass through ``_ProbeTables``: the
+minimal generator against every plan, the exhaustive one against every
+variant of every plan.  The tables also hold the one fence on the wait
+penalty's int64 arithmetic.  ``planchain.oracle`` keeps the scalar twins
+that the differential tests compare against.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -96,12 +103,15 @@ def try_connect(instance: ChainingInstance, a: Vehicle | VariantRef, b: Plan) ->
 class _ProbeTables:
     """Vectorized feasibility/cost evaluation of one origin against all plans.
 
-    Implements exactly the scalar semantics of ``try_connect`` (minimal
-    delays, the degenerate-tie ordering, policy costs with forbidden waits
-    dropped); a differential test pins the equivalence.
+    ``probe`` implements exactly the scalar semantics of ``try_connect``
+    (minimal delays, the degenerate-tie ordering, policy costs with
+    forbidden waits dropped); ``probe_variants`` those of
+    ``model.connection_feasible`` and ``model.connection_cost`` against
+    every integer-delay variant, which ``all_variants`` lays out once as
+    flat arrays.  Differential tests pin both equivalences.
     """
 
-    def __init__(self, instance: ChainingInstance):
+    def __init__(self, instance: ChainingInstance, *, all_variants: bool = False):
         self.instance = instance
         plans = instance.plans
         self.t_or = np.array([p.t_or for p in plans], dtype=np.int64)
@@ -110,6 +120,20 @@ class _ProbeTables:
         self.orig = np.array([p.origin_location for p in plans], dtype=np.intp)
         self.ids = np.array([p.id for p in plans], dtype=np.int64)
         self.matrix = instance.travel.array
+        if all_variants:
+            # variants in (plan, delay) order; plan i owns the slice
+            # first[i]:first[i + 1]
+            counts = self.d_max + 1
+            self.first = np.concatenate(([0], np.cumsum(counts)))
+            self.var_plan = np.repeat(np.arange(len(plans)), counts)
+            self.var_delay = np.arange(self.first[-1], dtype=np.int64) - self.first[self.var_plan]
+            self.var_start = self.t_or[self.var_plan] + self.var_delay
+            self.var_orig = self.orig[self.var_plan]
+            # position of each plan in (t_or, id) order, the tie rule's key
+            rank = np.empty(len(plans), dtype=np.int64)
+            rank[np.lexsort((self.ids, self.t_or))] = np.arange(len(plans))
+            self.rank = rank
+            self.var_rank = rank[self.var_plan]
         policy = instance.policy
         self.kind = type(policy).__name__
         self.delta = getattr(policy, "delta", None)
@@ -117,7 +141,7 @@ class _ProbeTables:
         self.alpha_num = alpha.numerator if alpha is not None else None
         self.alpha_den = alpha.denominator if alpha is not None else None
         if alpha is not None:
-            # probe() evaluates 2*p*wait + q and 2*q in int64; no wait exceeds
+            # _policy_cost evaluates 2*p*wait + q and 2*q in int64; no wait exceeds
             # the latest delayed start, as every ready time is non-negative
             max_wait = max((plan.t_or + plan.d_max for plan in plans), default=0)
             if 2 * self.alpha_num * max(max_wait, 1) + 2 * self.alpha_den > np.iinfo(np.int64).max:
@@ -153,20 +177,47 @@ class _ProbeTables:
         dsel = delay[idxs]
         fsel = ftt[idxs]
         temporal = list(zip(idxs.tolist(), dsel.tolist()))
-        if self.kind == "FleetSize":
-            cost = np.full(idxs.size, 0 if origin_key is not None else 1, dtype=np.int64)
-        elif self.kind == "TravelCost":
-            cost = fsel
-        else:
-            wait = self.t_or[idxs] + dsel - ready - fsel
-            if self.kind == "TravelCostWaitCapped":
-                keep = wait <= self.delta
-                idxs, dsel, fsel = idxs[keep], dsel[keep], fsel[keep]
-                cost = fsel
-            else:  # half-up rounding in exact integer arithmetic
-                p, q = self.alpha_num, self.alpha_den
-                cost = fsel + (2 * p * wait + q) // (2 * q)
+        keep, cost = self._policy_cost(fsel, self.t_or[idxs] + dsel - ready - fsel, origin_key is None)
+        if keep is not None:
+            idxs, dsel = idxs[keep], dsel[keep]
         return temporal, list(zip(idxs.tolist(), dsel.tolist(), cost.tolist()))
+
+    def probe_variants(self, ready: int, from_location: int, origin_plan: int | None):
+        """Evaluate one origin against every variant of every other plan.
+
+        ``origin_plan`` is the origin's plan index, None for vehicles.
+        Returns the indices of the variants the origin connects to, in
+        ascending order, and the policy cost of each of those connections.
+        """
+        ftt = self.matrix[from_location][self.var_orig]
+        gap = self.var_start - ready
+        ok = ftt <= gap
+        if origin_plan is not None:
+            # a connection with no slack (hence zero travel) needs the
+            # origin's plan first in (t_or, id) order; a plan never follows itself
+            ok &= ~((gap == 0) & (self.var_rank < self.rank[origin_plan]))
+            ok[self.first[origin_plan] : self.first[origin_plan + 1]] = False
+        idx = np.flatnonzero(ok)
+        fsel = ftt[idx]
+        keep, cost = self._policy_cost(fsel, gap[idx] - fsel, origin_plan is None)
+        return (idx if keep is None else idx[keep]), cost
+
+    def _policy_cost(self, ftt, wait, vehicle: bool):
+        """Costs of time-feasible connections with travel ``ftt`` and ``wait``.
+
+        Returns (keep, cost): ``keep`` masks the connections the policy
+        allows (None when it allows all) and ``cost`` holds their costs.
+        """
+        if self.kind == "FleetSize":
+            return None, np.full(ftt.size, 1 if vehicle else 0, dtype=np.int64)
+        if self.kind == "TravelCost":
+            return None, ftt
+        if self.kind == "TravelCostWaitCapped":
+            keep = wait <= self.delta
+            return keep, ftt[keep]
+        # half-up rounding in exact integer arithmetic
+        p, q = self.alpha_num, self.alpha_den
+        return None, ftt + (2 * p * wait + q) // (2 * q)
 
 
 def generate(instance: ChainingInstance, *, queue_lifo: bool = False) -> GenerationResult:
@@ -227,41 +278,6 @@ def generate(instance: ChainingInstance, *, queue_lifo: bool = False) -> Generat
     return GenerationResult(tuple(variants), tuple(connections.values()))
 
 
-def _generate_reference(instance: ChainingInstance, *, queue_lifo: bool = False) -> GenerationResult:
-    """Plain scalar generation via ``try_connect``; differential-test twin."""
-    variants: dict[VariantRef, None] = {}
-    connections: dict[tuple, Connection] = {}
-    queue: deque[VariantRef] = deque()
-
-    def record(outcome: ConnectOutcome) -> None:
-        if isinstance(outcome, Infeasible):
-            return
-        if isinstance(outcome, NewVariant) and outcome.variant not in variants:
-            variants[outcome.variant] = None
-            queue.append(outcome.variant)
-        conn = outcome.connection
-        if conn is None:
-            return
-        origin = conn.origin
-        okey = ("v", origin.id) if isinstance(origin, Vehicle) else ("p", origin.plan_id, origin.delay)
-        connections.setdefault((okey, conn.target.plan_id, conn.target.delay), conn)
-
-    for a in instance.plans:
-        origin = VariantRef(a.id, 0)
-        for b in instance.plans:
-            if b.id != a.id:
-                record(try_connect(instance, origin, b))
-    for v in instance.vehicles:
-        for b in instance.plans:
-            record(try_connect(instance, v, b))
-    while queue:
-        phi = queue.pop() if queue_lifo else queue.popleft()
-        for p in instance.plans:
-            if p.id != phi.plan_id:
-                record(try_connect(instance, phi, p))
-    return GenerationResult(tuple(variants), tuple(connections.values()))
-
-
 def total_delay_ticks(instance: ChainingInstance) -> int:
     return sum(p.d_max for p in instance.plans)
 
@@ -270,36 +286,31 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
     """Enumerate every integer-delay variant and all pairwise connections.
 
     Exact for any per-connection cost rule, at the price of a variant per
-    tick of delay budget; the guard keeps that enumerable.
+    tick of delay budget; the guard keeps that enumerable.  Origins come in
+    a fixed order, every variant by (plan id, delay) and then every vehicle
+    by id, and each takes one vectorized pass over all target variants,
+    which emits its connections in the same (plan id, delay) order.
     """
     ticks = total_delay_ticks(instance)
     if ticks > guard_ticks:
         raise GuardExceededError(
             f"exhaustive variant enumeration needs {ticks} delay ticks, guard is {guard_ticks}"
         )
-    variants: list[VariantRef] = []
-    all_refs: list[VariantRef] = []
-    for p in instance.plans:
-        for d in range(p.d_max + 1):
-            ref = VariantRef(p.id, d)
-            all_refs.append(ref)
-            if d > 0:
-                variants.append(ref)
+    tables = _ProbeTables(instance, all_variants=True)
+    refs = [
+        VariantRef(plan_id, delay)
+        for plan_id, delay in zip(tables.ids[tables.var_plan].tolist(), tables.var_delay.tolist())
+    ]
+    first = tables.first.tolist()
     connections: list[Connection] = []
-    for origin in all_refs:
-        for target in all_refs:
-            if origin.plan_id == target.plan_id:
-                continue
-            if not model.connection_feasible(instance, origin, target):
-                continue
-            cost = model.connection_cost(instance, origin, target)
-            if cost is not None:
-                connections.append(Connection(origin, target, cost))
+
+    def emit(origin, probe_result) -> None:
+        idx, cost = probe_result
+        connections.extend(map(Connection, repeat(origin), map(refs.__getitem__, idx.tolist()), cost.tolist()))
+
+    for i, plan in enumerate(instance.plans):
+        for origin in refs[first[i] : first[i + 1]]:
+            emit(origin, tables.probe_variants(plan.t_de + origin.delay, plan.destination_location, i))
     for v in instance.vehicles:
-        for target in all_refs:
-            if not model.connection_feasible(instance, v, target):
-                continue
-            cost = model.connection_cost(instance, v, target)
-            if cost is not None:
-                connections.append(Connection(v, target, cost))
-    return GenerationResult(tuple(variants), tuple(connections))
+        emit(v, tables.probe_variants(v.t_st, v.start_location, None))
+    return GenerationResult(tuple(ref for ref in refs if ref.delay > 0), tuple(connections))

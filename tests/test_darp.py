@@ -143,13 +143,17 @@ def test_batch_ties_prefer_fewer_groups_then_lexicographic_ids():
     assert _partition_key(result.plans) == (6, 2, ((1,), (2, 3)))
 
 
-def _built_groups(reqs, travel, capacity):
-    """Every group solve_batch_exact builds without a limit, with its plan."""
+def _built_groups(reqs, travel, capacity, *, prune=True):
+    """Every group solve_batch_exact builds without a limit, with its plan.
+
+    With ``prune`` a group is built only when its one-smaller subsets
+    were, which is what solve_batch_exact does on a metric matrix.
+    """
     built = {}
     for size in range(1, min(capacity, len(reqs)) + 1):
         for combo in combinations(reqs, size):
             ids = frozenset(r.id for r in combo)
-            if size == 1 or all(ids - {rid} in built for rid in ids):
+            if size == 1 or not prune or all(ids - {rid} in built for rid in ids):
                 plan = optimal_plan_for_group(combo, travel, capacity)
                 if plan is not None:
                     built[ids] = plan
@@ -186,6 +190,49 @@ def test_batch_partition_matches_brute_force():
         assert _partition_key(result.plans) == keys[0], seed
         assert all(plan == built[frozenset(plan.request_ids())] for plan in result.plans)
     assert ties > 0
+
+
+def test_batch_on_a_non_metric_matrix_builds_groups_with_infeasible_subsets():
+    # 3 -> 0 -> 2 takes 0 + 0 ticks, but 3 -> 2 directly takes 1
+    travel = TravelMatrix([[0, 3, 0, 3], [3, 0, 0, 0], [3, 3, 0, 0], [0, 1, 1, 0]])
+    reqs = [Request(0, 0, 2, 4, 0), Request(1, 3, 0, 4, 3), Request(2, 2, 0, 1, 2), Request(3, 2, 1, 1, 1)]
+    assert not travel.is_metric
+    assert optimal_plan_for_group(reqs[2:], travel, 4) is None
+    result = solve_batch_exact(reqs, travel, 4)
+    assert result.proven_optimal
+    assert _partition_key(result.plans) == (3, 1, ((0, 1, 2, 3),))
+
+
+def test_batch_partition_matches_brute_force_on_non_metric_matrices():
+    rng = random.Random(11)
+    detours = 0
+    for seed in range(120):
+        size = rng.randint(2, 4)
+        rows = [[0 if a == b else rng.choice((0, 1, 3, 6)) for b in range(size)] for a in range(size)]
+        travel = TravelMatrix(rows)
+        detours += not travel.is_metric
+        capacity = rng.randint(1, 4)
+        reqs = []
+        for rid in range(rng.randint(1, 5)):
+            origin, destination = rng.sample(range(size), 2)
+            reqs.append(Request(rid, origin, destination, rng.randint(0, 6), rng.randint(0, 4)))
+        built = _built_groups(reqs, travel, capacity, prune=travel.is_metric)
+        best = min(
+            _partition_key([built[frozenset(block)] for block in partition])
+            for partition in _set_partitions([r.id for r in reqs])
+            if all(frozenset(block) in built for block in partition)
+        )
+        result = solve_batch_exact(reqs, travel, capacity)
+        assert result.proven_optimal
+        assert _partition_key(result.plans) == best, seed
+        if not travel.is_metric:
+            # no group is skipped, so no feasible grouping is missed
+            assert best == min(
+                _partition_key([optimal_plan_for_group(block, travel, capacity) for block in partition])
+                for partition in _set_partitions(reqs)
+                if all(len(block) <= capacity and optimal_plan_for_group(block, travel, capacity) for block in partition)
+            ), seed
+    assert detours > 30
 
 
 def test_insertion_heuristic_examples():

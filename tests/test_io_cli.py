@@ -172,6 +172,17 @@ def test_cli_fences_the_wait_penalty(tmp_path, capsys):
     assert json.loads(out.read_text())["objective"] == 12
 
 
+def test_cli_fences_the_wait_penalty_on_the_exhaustive_path(tmp_path, capsys):
+    # the penalty is about 1 per tick, but 2 * p * wait leaves int64
+    alpha = f"{2**62 + 1}/{2**62}"
+    out = tmp_path / "x.json"
+    for variants in ("exhaustive", "auto"):
+        args = ["chain", "solve", "--instance", str(DATA / "e1.chain.json"), "--policy", f"cost-waitpen:{alpha}"]
+        assert main(args + ["--variants", variants, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("input error: wait penalty")
+        assert not out.exists()
+
+
 def test_policy_round_trip_and_cli_syntax():
     for policy in (
         io.policy_from_cli("fleet"),

@@ -35,6 +35,22 @@ def test_travel_matrix_from_coordinates_is_manhattan():
     assert TravelMatrix.from_coordinates([(0, 0), (1, 2)], ticks_per_unit=3).duration(0, 1) == 9
 
 
+def test_travel_matrix_knows_whether_it_is_metric():
+    grid = TravelMatrix.from_coordinates([(0, 0), (3, 1), (1, 4)])
+    assert grid.is_metric
+    line = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
+    assert line.is_metric and TravelMatrix([[0]]).is_metric
+    for via in range(3):
+        # a -> via -> c takes 2 ticks, a -> c directly takes 5
+        a, c = (k for k in range(3) if k != via)
+        rows = [[0 if i == j else 1 for j in range(3)] for i in range(3)]
+        rows[a][c] = 5
+        shortcut = TravelMatrix(rows)
+        assert not shortcut.is_metric
+        assert shortcut._metric is False  # cached for later calls
+    assert TravelMatrix([[0, 1], [0, 0]]).is_metric  # asymmetric, still metric
+
+
 def test_tick_limit_bounds_every_model_integer():
     limit = model.TICK_LIMIT
     TravelMatrix([[0, limit - 1], [1, 0]])

@@ -1,12 +1,17 @@
+import random
+from fractions import Fraction
 
 import pytest
 
-from planchain import model, variantgen
+from planchain import model, oracle, variantgen
 from planchain.errors import GuardExceededError, InputError
 from planchain.model import (
     ChainingInstance,
+    FleetSize,
     Plan,
     TravelCost,
+    TravelCostWaitCapped,
+    TravelCostWaitPenalized,
     TravelMatrix,
     VariantRef,
     Vehicle,
@@ -154,7 +159,7 @@ def test_vectorized_generation_matches_scalar_reference():
                 ChainGenParams(seed=100 * pi + seed, plans=6, vehicles=2, policy=policy)
             )
             fast = variantgen.generate(inst)
-            slow = variantgen._generate_reference(inst)
+            slow = oracle.generate_reference(inst)
             assert set(fast.variants) == set(slow.variants)
 
             def costed(result):
@@ -165,3 +170,50 @@ def test_vectorized_generation_matches_scalar_reference():
                 return out
 
             assert costed(fast) == costed(slow)
+
+
+def _zero_travel_instance(seed, policy):
+    """Simultaneous plans over free travel, so the (t_or, id) tie rule decides."""
+    rng = random.Random(seed)
+    plans = []
+    for pid in rng.sample(range(1, 40), rng.randint(2, 6)):
+        t_or = rng.randint(0, 3)
+        plans.append(Plan(pid, rng.randrange(3), rng.randrange(3), t_or, t_or + rng.randint(0, 2), rng.randint(0, 3)))
+    vehicles = tuple(Vehicle(vid, rng.randrange(3), rng.randint(0, 2)) for vid in range(rng.randint(0, 2)))
+    return ChainingInstance(tuple(plans), vehicles, TravelMatrix([[0] * 3] * 3), policy)
+
+
+def test_exhaustive_generation_matches_scalar_reference():
+    policies = [
+        TravelCost(),
+        FleetSize(),
+        TravelCostWaitCapped(3),
+        TravelCostWaitPenalized(Fraction(2)),
+        TravelCostWaitPenalized(Fraction(1, 2)),
+        TravelCostWaitPenalized(Fraction(2, 3)),
+    ]
+    for pi, policy in enumerate(policies):
+        cases = [ChainingInstance((), (Vehicle(1, 0, 0),), TravelMatrix([[0]]), policy)]
+        for seed in range(8):
+            cases.append(chain_instance_from_params(
+                ChainGenParams(seed=300 + 10 * pi + seed, plans=6, vehicles=2, d_max_range=(0, 4), policy=policy)
+            ))
+            cases.append(chain_instance_from_params(
+                ChainGenParams(seed=400 + 10 * pi + seed, plans=5, vehicles=1, d_max_range=(0, 0), policy=policy)
+            ))
+            cases.append(_zero_travel_instance(500 + 10 * pi + seed, policy))
+        for inst in cases:
+            # dataclass equality compares the tuples, so the order must match too
+            assert variantgen.generate_exhaustive(inst) == oracle.generate_exhaustive_reference(inst)
+
+
+def test_exhaustive_generation_orders_simultaneous_plans():
+    travel = TravelMatrix([[0, 0], [0, 0]])
+    first, second = Plan(1, 0, 1, 5, 5, 1), Plan(2, 1, 0, 5, 5, 1)
+    inst = ChainingInstance((second, first), (), travel, TravelCost())
+    result = variantgen.generate_exhaustive(inst)
+    assert result == oracle.generate_exhaustive_reference(inst)
+    pairs = {((c.origin.plan_id, c.origin.delay), (c.target.plan_id, c.target.delay)) for c in result.connections}
+    # zero gap and zero travel: only the (t_or, id)-earlier plan may lead
+    assert ((1, 0), (2, 0)) in pairs and ((2, 0), (1, 0)) not in pairs
+    assert ((2, 0), (1, 1)) in pairs and ((1, 1), (2, 1)) in pairs and ((2, 1), (1, 1)) not in pairs
