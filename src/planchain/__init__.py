@@ -23,7 +23,7 @@ from .model import (
     connection_wait,
     travel_time,
 )
-from .variantgen import Connection, GenerationResult, generate, generate_exhaustive, try_connect
+from .variantgen import Connection, GenerationResult, generate, generate_exhaustive
 from .flownet import FlowAssignment, FlowNetwork, build_network, solve_mcf
 from .chainsolve import (
     Chain,

@@ -39,25 +39,6 @@ from .flownet import (
 
 
 @dataclass(frozen=True)
-class ConsistencyConstraint:
-    """One of the two symmetric <=1 couplings between a plan's sides.
-
-    ``left_major`` couples departing via this variant with arriving via any
-    other; ``right_major`` is the mirror image.  ``term_edge`` and
-    ``complement_edges`` index into the network's edge list.
-    """
-
-    plan_id: int
-    variant_delay: int
-    orientation: str  # left_major | right_major
-    term_edge: int
-    complement_edges: tuple[int, ...]
-
-    def satisfied(self, flows) -> bool:
-        return flows[self.term_edge] + sum(flows[e] for e in self.complement_edges) <= 1
-
-
-@dataclass(frozen=True)
 class BranchNode:
     """A branch-and-bound node: forced variants and their disabled edges.
 
@@ -117,32 +98,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.issues
-
-
-def build_consistency_constraints(network: FlowNetwork) -> tuple[ConsistencyConstraint, ...]:
-    out = []
-    for pid, delays in network.routed_delays.items():
-        for d in delays:
-            others = tuple(d2 for d2 in delays if d2 != d)
-            out.append(
-                ConsistencyConstraint(
-                    pid,
-                    d,
-                    "left_major",
-                    network.left_struct_edge[(pid, d)],
-                    tuple(network.right_struct_edge[(pid, d2)] for d2 in others),
-                )
-            )
-            out.append(
-                ConsistencyConstraint(
-                    pid,
-                    d,
-                    "right_major",
-                    network.right_struct_edge[(pid, d)],
-                    tuple(network.left_struct_edge[(pid, d2)] for d2 in others),
-                )
-            )
-    return tuple(out)
 
 
 def policy_needs_exhaustive_variants(policy: CostPolicy) -> bool:

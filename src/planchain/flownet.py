@@ -14,7 +14,9 @@ entered as a delayed variant cannot leave through a base connection whose
 feasibility was checked undelayed.
 
 The network is held as int64 edge arrays (tail, head, cost), built once,
-with the node roles the solver needs precomputed beside them.  A feasible
+with the node roles the solver needs precomputed beside them, from the
+generators' connection columns by array indexing alone; ``edge_connection``
+makes a ``Connection`` only for an edge asked about.  A feasible
 flow is an assignment: each plan's right side takes its unit from exactly
 one origin (a plan's left side or a vehicle) and each origin sends at
 most one, so ``solve_mcf`` collapses the network into a target-by-origin
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InputError
-from .model import ChainingInstance, Vehicle
-from .variantgen import Connection, GenerationResult
+from .model import ChainingInstance
+from .variantgen import Connection, Connections, GenerationResult
 
 NO_EDGE = 1 << 60  # cost of a matrix cell without a usable connection
 _UNSEEN = 1 << 62  # distance of a column the search has not reached
@@ -70,10 +72,12 @@ class FlowNetwork:
     def __init__(self, instance: ChainingInstance, gen: GenerationResult):
         plans, vehicles = instance.plans, instance.vehicles
         n, n_veh = len(plans), len(vehicles)
-        delayed = gen.delays_by_plan()
         self.instance = instance
-        self.connections = gen.connections
-        self.routed_delays = {p.id: tuple([0] + delayed[p.id]) if p.id in delayed else () for p in plans}
+        self.connections = Connections.of(instance, gen.connections)
+        routed: dict[int, list[int]] = {}  # plan id -> 0 and its delays, ascending
+        for v in sorted(gen.variants, key=lambda v: (v.plan_id, v.delay)):
+            routed.setdefault(v.plan_id, [0]).append(v.delay)
+        self.routed_delays = {p.id: tuple(routed.get(p.id, ())) for p in plans}
         keys = [(p.id, d) for p in plans for d in self.routed_delays[p.id]]  # (plan id, delay) per variant
         self.plan_ids = np.array([p.id for p in plans], dtype=np.int64)
         self.variant_plan = np.searchsorted(self.plan_ids, [pid for pid, _ in keys])  # plan index
@@ -96,25 +100,35 @@ class FlowNetwork:
         self.origin_col[left_variant] = self.variant_plan
         self.origin_col[vehicle] = n + np.arange(n_veh)
 
-        vehicle_node = dict(zip((v.id for v in vehicles), vehicle.tolist()))
-        bare = [i for i, p in enumerate(plans) if not self.routed_delays[p.id]]
-        left_node = dict(zip(keys, left_variant.tolist()))
-        left_node.update(((plans[i].id, 0), int(left_plan[i])) for i in bare)
-        right_node = dict(zip(keys, right_variant.tolist()))
-        right_node.update(((plans[i].id, 0), int(right_plan[i])) for i in bare)
-        try:
-            conn_tail = [
-                vehicle_node[o.id] if type(o) is Vehicle else left_node[o.plan_id, o.delay]
-                for o in (c.origin for c in gen.connections)
-            ]
-            conn_head = [right_node[t.plan_id, t.delay] for t in (c.target for c in gen.connections)]
-        except KeyError as exc:
-            raise InputError(f"connection endpoint {exc.args[0]} has no node in the network") from None
-        costs = [c.cost for c in gen.connections]
-        self.max_cost = max(costs, default=0)
-        # checked in Python ints before any int64 conversion: a failed search
-        # must overshoot every real path (factor 2) and the duals need
-        # headroom below the sentinel (another factor 2)
+        # every (plan index, delay) endpoint with a node pair, sorted, with its
+        # left and right node: the variants, and each other plan at delay 0
+        lp, rp, lv, rv = (x.tolist() for x in (left_plan, right_plan, left_variant, right_variant))
+        ends = list(zip(self.variant_plan.tolist(), self.variant_delay.tolist(), lv, rv))
+        ends += [(i, 0, lp[i], rp[i]) for i, p in enumerate(plans) if not self.routed_delays[p.id]]
+        ends.sort()
+        end_plan, end_delay, end_left, end_right = np.array(ends, dtype=np.int64).reshape(-1, 4).T
+
+        # each plan-side endpoint of a connection, origins then targets, found by
+        # one sorted search on (plan, rank of the delay): a key below n * (k + 2)
+        conns = self.connections
+        from_plan = (conns.origin < n).nonzero()[0]
+        plan = np.concatenate([conns.origin[from_plan], conns.target])
+        delay = np.concatenate([conns.origin_delay[from_plan], conns.target_delay])
+        values = np.array(sorted({end[1] for end in ends}), dtype=np.int64)
+        stride = len(values) + 1
+        end_key = end_plan * stride + np.searchsorted(values, end_delay)
+        at = np.searchsorted(end_key, plan * stride + np.searchsorted(values, delay), side="right") - 1
+        missing = ((end_plan[at] != plan) | (end_delay[at] != delay)).nonzero()[0]
+        if missing.size:
+            r = missing[0]
+            raise InputError(f"connection endpoint {(int(self.plan_ids[plan[r]]), int(delay[r]))} has no node")
+        conn_tail = 1 + k + conns.origin  # a vehicle's node
+        conn_tail[from_plan] = end_left[at[: len(from_plan)]]
+        conn_head = end_right[at[len(from_plan) :]]
+        self.max_cost = int(conns.cost.max()) if len(conns) else 0
+        # checked in Python ints: a failed search must overshoot every real
+        # path (factor 2) and the duals need headroom below the sentinel
+        # (another factor 2)
         if 4 * n * self.max_cost >= NO_EDGE:
             raise InputError(
                 f"connection cost {self.max_cost} over {n} plans exceeds the exact integer range of the relaxation"
@@ -122,12 +136,11 @@ class FlowNetwork:
 
         down_head = np.concatenate([left_plan, vehicle, left_variant])
         up_tail = np.concatenate([right_variant, right_plan])
-        conn_tail, conn_head = np.array(conn_tail, dtype=np.int64), np.array(conn_head, dtype=np.int64)
         tail = np.concatenate([np.zeros(n + n_veh, dtype=np.int64), left_plan[self.variant_plan], conn_tail, up_tail])
         head = np.concatenate([down_head, conn_head, right_plan[self.variant_plan], np.full(n, self.sink_id)])
-        first, last = len(down_head), len(down_head) + len(costs)
+        first, last = len(down_head), len(down_head) + len(conns)
         cost = np.zeros(len(tail), dtype=np.int64)
-        cost[first:last] = costs
+        cost[first:last] = conns.cost
         self.edges = np.stack([tail, head, cost], axis=1)
         self.edges.setflags(write=False)
         self.tail, self.head, self.cost = self.edges.T
@@ -146,8 +159,8 @@ class FlowNetwork:
 
         # matrix cell of each connection, and the connections sorted by
         # cell, then cost, then edge id: the first usable one of a cell wins
-        self.cell = self.target_row[head[first:last]] * (n + n_veh) + self.origin_col[tail[first:last]]
-        self.cell_order = np.lexsort((np.arange(len(costs)), cost[first:last], self.cell))
+        self.cell = conns.target * (n + n_veh) + conns.origin
+        self.cell_order = np.lexsort((np.arange(len(conns)), conns.cost, self.cell))
 
     def edge_connection(self, eid: int) -> Connection:
         """The connection a connection edge carries."""

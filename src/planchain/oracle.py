@@ -13,8 +13,8 @@ the minimal generator.
 
 ``generate_reference`` and ``generate_exhaustive_reference`` are the
 scalar twins of the vectorized variant generators: one model-layer call
-per origin/target pair, kept for the differential tests that pin the
-generators' output.
+per origin/target pair (through ``try_connect`` for the minimal one),
+kept for the differential tests that pin the generators' output.
 """
 
 from __future__ import annotations
@@ -24,16 +24,8 @@ from dataclasses import dataclass
 
 from .errors import GuardExceededError, InfeasibleError, InputError
 from . import model
-from .model import ChainingInstance, VariantRef, Vehicle
-from .variantgen import (
-    Connection,
-    ConnectOutcome,
-    GenerationResult,
-    Infeasible,
-    NewVariant,
-    total_delay_ticks,
-    try_connect,
-)
+from .model import ChainingInstance, Plan, VariantRef, Vehicle
+from .variantgen import Connection, GenerationResult, total_delay_ticks
 
 BRUTE_FORCE_MAX_PLANS = 9
 FULL_VARIANT_GUARD_TICKS = 200
@@ -301,6 +293,49 @@ def full_variant_optimal(instance: ChainingInstance, guard_ticks: int = FULL_VAR
         return solve_chaining(instance, variants="exhaustive", exhaustive_guard_ticks=guard_ticks).objective
     except InfeasibleError:
         return None
+
+
+@dataclass(frozen=True)
+class Direct:
+    """The target plan can follow without being delayed."""
+
+    connection: Connection | None
+
+
+@dataclass(frozen=True)
+class NewVariant:
+    """The target plan must be delayed; carries the fresh variant."""
+
+    variant: VariantRef
+    connection: Connection | None
+
+
+@dataclass(frozen=True)
+class Infeasible:
+    """No delay within the target's budget makes the connection work."""
+
+
+ConnectOutcome = Direct | NewVariant | Infeasible
+
+
+def try_connect(instance: ChainingInstance, a: Vehicle | VariantRef, b: Plan) -> ConnectOutcome:
+    """Attempt to connect origin ``a`` to plan ``b``, delaying ``b`` if needed.
+
+    The produced delay is the minimum feasible one.  ``connection`` is
+    ``None`` when the cost policy forbids the edge; the variant itself is
+    still reported so callers can keep probing from it.
+    """
+    if isinstance(a, VariantRef) and a.plan_id == b.id:
+        raise InputError(f"cannot connect plan {b.id} to its own variant")
+    delay = model.minimal_target_delay(instance, a, b)
+    if delay is None:
+        return Infeasible()
+    target = VariantRef(b.id, delay)
+    cost = model.connection_cost(instance, a, target)
+    connection = None if cost is None else Connection(a, target, cost)
+    if delay == 0:
+        return Direct(connection)
+    return NewVariant(target, connection)
 
 
 def generate_reference(instance: ChainingInstance, *, queue_lifo: bool = False) -> GenerationResult:

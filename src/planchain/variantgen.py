@@ -10,21 +10,24 @@ depend on the chosen delays.
 Both evaluate one origin per numpy pass through ``_ProbeTables``: the
 minimal generator against every plan, the exhaustive one against every
 variant of every plan.  The tables also hold the one fence on the wait
-penalty's int64 arithmetic.  ``planchain.oracle`` keeps the scalar twins
-that the differential tests compare against.
+penalty's int64 arithmetic.  Each generator joins its per-origin arrays
+once into ``Connections``: int64 columns that the flow network reads
+directly, in emission order.  Minimal generation needs no deduplication,
+as each origin is probed once, each variant queued once, and a probe
+reaches each target plan at most once.  ``planchain.oracle`` keeps the
+scalar twins that the differential tests compare against, order included.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import GuardExceededError, InputError
-from . import model
-from .model import ChainingInstance, Cost, Plan, VariantRef, Vehicle
+from .model import ChainingInstance, Cost, VariantRef, Vehicle
 
 
 @dataclass(frozen=True)
@@ -40,70 +43,78 @@ class Connection:
     cost: Cost
 
 
-@dataclass(frozen=True)
-class Direct:
-    """The target plan can follow without being delayed."""
+class Connections(Sequence):
+    """Connections as int64 columns; a ``Connection`` is built per row read.
 
-    connection: Connection | None
+    Row ``r`` links origin ``origin[r]`` (a plan index, or n + a vehicle
+    index) at ``origin_delay[r]`` to plan index ``target[r]`` at
+    ``target_delay[r]`` for ``cost[r]``; indices are instance positions.
+    """
 
+    def __init__(self, instance: ChainingInstance, origin, origin_delay, target, target_delay, cost):
+        self.instance = instance
+        self.columns = (origin, origin_delay, target, target_delay, cost)
+        self.origin, self.origin_delay, self.target, self.target_delay, self.cost = self.columns
 
-@dataclass(frozen=True)
-class NewVariant:
-    """The target plan must be delayed; carries the fresh variant."""
+    @classmethod
+    def of(cls, instance: ChainingInstance, connections: Sequence[Connection]) -> Connections:
+        """``connections`` as columns over ``instance``.
 
-    variant: VariantRef
-    connection: Connection | None
+        Columns made for it pass through; others are range-checked in Python
+        ints first.  An endpoint outside the instance raises ``InputError``.
+        """
+        if isinstance(connections, Connections) and connections.instance is instance:
+            return connections
+        n = len(instance.plans)
+        plan_col = {p.id: i for i, p in enumerate(instance.plans)}
+        vehicle_col = {v.id: n + j for j, v in enumerate(instance.vehicles)}
+        rows = []
+        for c in connections:
+            o, t = c.origin, c.target
+            try:
+                origin = (vehicle_col[o.id], 0) if type(o) is Vehicle else (plan_col[o.plan_id], o.delay)
+                row = (*origin, plan_col[t.plan_id], t.delay, c.cost)
+            except KeyError as exc:
+                raise InputError(f"connection endpoint {exc.args[0]} is not in the instance") from None
+            if not all(-(1 << 63) <= x < 1 << 63 for x in row):
+                raise InputError(f"connection {c} exceeds the int64 range")
+            rows.append(row)
+        return cls(instance, *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
 
+    def _connection(self, o: int, od: int, t: int, td: int, cost: int) -> Connection:
+        plans = self.instance.plans
+        origin = VariantRef(plans[o].id, od) if o < len(plans) else self.instance.vehicles[o - len(plans)]
+        return Connection(origin, VariantRef(plans[t].id, td), cost)
 
-@dataclass(frozen=True)
-class Infeasible:
-    """No delay within the target's budget makes the connection work."""
+    def __len__(self) -> int:
+        return len(self.cost)
 
+    def __getitem__(self, r: int) -> Connection:
+        return self._connection(*(int(col[r]) for col in self.columns))
 
-ConnectOutcome = Direct | NewVariant | Infeasible
+    def __iter__(self):
+        return map(self._connection, *(col.tolist() for col in self.columns))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and len(self) == len(other) and tuple(self) == tuple(other)
 
 
 @dataclass(frozen=True)
 class GenerationResult:
-    """Delayed variants plus all connections, deduplicated."""
+    """Delayed variants plus all connections, as ``Connections`` when generated."""
 
     variants: tuple[VariantRef, ...]
-    connections: tuple[Connection, ...]
-
-    def delays_by_plan(self) -> dict[int, list[int]]:
-        """Sorted positive delays per plan id (plans without variants absent)."""
-        out: dict[int, list[int]] = {}
-        for v in self.variants:
-            out.setdefault(v.plan_id, []).append(v.delay)
-        for delays in out.values():
-            delays.sort()
-        return out
+    connections: Sequence[Connection]
 
 
-def try_connect(instance: ChainingInstance, a: Vehicle | VariantRef, b: Plan) -> ConnectOutcome:
-    """Attempt to connect origin ``a`` to plan ``b``, delaying ``b`` if needed.
-
-    The produced delay is the minimum feasible one.  ``connection`` is
-    ``None`` when the cost policy forbids the edge; the variant itself is
-    still reported so callers can keep probing from it.
-    """
-    if isinstance(a, VariantRef) and a.plan_id == b.id:
-        raise InputError(f"cannot connect plan {b.id} to its own variant")
-    delay = model.minimal_target_delay(instance, a, b)
-    if delay is None:
-        return Infeasible()
-    target = VariantRef(b.id, delay)
-    cost = model.connection_cost(instance, a, target)
-    connection = None if cost is None else Connection(a, target, cost)
-    if delay == 0:
-        return Direct(connection)
-    return NewVariant(target, connection)
+def _column(parts) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 class _ProbeTables:
     """Vectorized feasibility/cost evaluation of one origin against all plans.
 
-    ``probe`` implements exactly the scalar semantics of ``try_connect``
+    ``probe`` implements exactly the scalar semantics of ``oracle.try_connect``
     (minimal delays, the degenerate-tie ordering, policy costs with
     forbidden waits dropped); ``probe_variants`` those of
     ``model.connection_feasible`` and ``model.connection_cost`` against
@@ -112,10 +123,8 @@ class _ProbeTables:
     """
 
     def __init__(self, instance: ChainingInstance, *, all_variants: bool = False):
-        self.instance = instance
         plans = instance.plans
         self.t_or = np.array([p.t_or for p in plans], dtype=np.int64)
-        self.t_de = np.array([p.t_de for p in plans], dtype=np.int64)
         self.d_max = np.array([p.d_max for p in plans], dtype=np.int64)
         self.orig = np.array([p.origin_location for p in plans], dtype=np.intp)
         self.ids = np.array([p.id for p in plans], dtype=np.int64)
@@ -147,40 +156,31 @@ class _ProbeTables:
             if 2 * self.alpha_num * max(max_wait, 1) + 2 * self.alpha_den > np.iinfo(np.int64).max:
                 raise InputError(f"wait penalty {alpha} on waits of up to {max_wait} ticks exceeds the int64 range")
 
-    def probe(self, ready: int, from_location: int, origin_key, exclude: int | None):
-        """Evaluate one origin against every plan at the minimal delay.
+    def probe(self, ready: int, from_location: int, origin_plan: int | None):
+        """Evaluate one origin against every other plan at the minimal delay.
 
-        ``origin_key`` is (t_or, id) for plan-side origins, None for
-        vehicles; ``exclude`` suppresses the origin's own plan index.
-        Returns (temporal, costed): (index, delay) pairs that are time
-        feasible, and (index, delay, cost) triples that the policy allows.
+        ``origin_plan`` is the origin's plan index, None for vehicles.
+        Returns (idx, delay, keep, cost): the time-feasible plan indices in
+        ascending order with their minimal delays, the mask of those the
+        policy allows (None when it allows all) and the allowed costs.
         """
-        if len(self.t_or) == 0:
-            return [], []
         ftt = self.matrix[from_location][self.orig]
         delay = np.maximum(ftt - (self.t_or - ready), 0)
         ok = delay <= self.d_max
-        if origin_key is not None:
+        if origin_plan is not None:
             tie = ok & (ftt == 0) & (self.t_or + delay == ready)
             if tie.any():
-                less = (origin_key[0] < self.t_or) | (
-                    (origin_key[0] == self.t_or) & (origin_key[1] < self.ids)
-                )
+                t_or, pid = self.t_or[origin_plan], self.ids[origin_plan]
+                less = (t_or < self.t_or) | ((t_or == self.t_or) & (pid < self.ids))
                 delay = delay + (tie & ~less)
                 ok = delay <= self.d_max
-        if exclude is not None:
-            ok = ok.copy()
-            ok[exclude] = False
-        idxs = np.nonzero(ok)[0]
-        if idxs.size == 0:
-            return [], []
-        dsel = delay[idxs]
-        fsel = ftt[idxs]
-        temporal = list(zip(idxs.tolist(), dsel.tolist()))
-        keep, cost = self._policy_cost(fsel, self.t_or[idxs] + dsel - ready - fsel, origin_key is None)
-        if keep is not None:
-            idxs, dsel = idxs[keep], dsel[keep]
-        return temporal, list(zip(idxs.tolist(), dsel.tolist(), cost.tolist()))
+            ok[origin_plan] = False
+        idx = ok.nonzero()[0]
+        if not idx.size:
+            return idx, idx, None, idx
+        delay, ftt = delay[idx], ftt[idx]
+        keep, cost = self._policy_cost(ftt, self.t_or[idx] + delay - ready - ftt, origin_plan is None)
+        return idx, delay, keep, cost
 
     def probe_variants(self, ready: int, from_location: int, origin_plan: int | None):
         """Evaluate one origin against every variant of every other plan.
@@ -233,49 +233,42 @@ def generate(instance: ChainingInstance, *, queue_lifo: bool = False) -> Generat
     """
     plans = instance.plans
     tables = _ProbeTables(instance)
-    index_of = {p.id: i for i, p in enumerate(plans)}
-    variants: dict[VariantRef, None] = {}
-    connections: dict[tuple, Connection] = {}
-    queue: deque[VariantRef] = deque()
+    found: dict[tuple[int, int], None] = {}  # (plan index, delay) of each variant, in discovery order
+    queue: deque[tuple[int, int]] = deque()
+    probes = []  # per origin: column, delay, target indices, target delays, costs
 
-    def record(origin, okey, probe_result) -> None:
-        temporal, costed = probe_result
+    def record(origin: int, origin_delay: int, probe_result) -> None:
+        idx, delay, keep, cost = probe_result
         # a policy-forbidden minimal connection still creates its variant
-        for b_idx, delay in temporal:
-            if delay > 0:
-                target = VariantRef(plans[b_idx].id, delay)
-                if target not in variants:
-                    variants[target] = None
-                    queue.append(target)
-        for b_idx, delay, cost in costed:
-            target = VariantRef(plans[b_idx].id, delay)
-            connections.setdefault((okey, target.plan_id, delay), Connection(origin, target, int(cost)))
+        if delay.any():
+            late = delay.nonzero()[0]
+            for ref in zip(idx[late].tolist(), delay[late].tolist()):
+                if ref not in found:
+                    found[ref] = None
+                    queue.append(ref)
+        if keep is not None:
+            idx, delay = idx[keep], delay[keep]
+        probes.append((origin, origin_delay, idx, delay, cost))
 
-    for a in plans:
-        i = index_of[a.id]
-        record(
-            VariantRef(a.id, 0),
-            ("p", a.id, 0),
-            tables.probe(a.t_de, a.destination_location, (a.t_or, a.id), i),
-        )
-    for v in instance.vehicles:
-        record(v, ("v", v.id), tables.probe(v.t_st, v.start_location, None, None))
-
+    for i, a in enumerate(plans):
+        record(i, 0, tables.probe(a.t_de, a.destination_location, i))
+    for j, v in enumerate(instance.vehicles):
+        record(len(plans) + j, 0, tables.probe(v.t_st, v.start_location, None))
     while queue:
-        phi = queue.pop() if queue_lifo else queue.popleft()
-        plan = instance.plan(phi.plan_id)
-        record(
-            phi,
-            ("p", phi.plan_id, phi.delay),
-            tables.probe(
-                plan.t_de + phi.delay,
-                plan.destination_location,
-                (plan.t_or, plan.id),
-                index_of[phi.plan_id],
-            ),
-        )
+        i, d = queue.pop() if queue_lifo else queue.popleft()
+        record(i, d, tables.probe(plans[i].t_de + d, plans[i].destination_location, i))
 
-    return GenerationResult(tuple(variants), tuple(connections.values()))
+    origins, origin_delays, targets, delays, costs = zip(*probes) if probes else ((),) * 5
+    counts = [len(t) for t in targets]
+    connections = Connections(
+        instance,
+        np.repeat(np.array(origins, dtype=np.int64), counts),
+        np.repeat(np.array(origin_delays, dtype=np.int64), counts),
+        _column(targets),
+        _column(delays),
+        _column(costs),
+    )
+    return GenerationResult(tuple(VariantRef(plans[i].id, d) for i, d in found), connections)
 
 
 def total_delay_ticks(instance: ChainingInstance) -> int:
@@ -297,20 +290,22 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
             f"exhaustive variant enumeration needs {ticks} delay ticks, guard is {guard_ticks}"
         )
     tables = _ProbeTables(instance, all_variants=True)
-    refs = [
-        VariantRef(plan_id, delay)
-        for plan_id, delay in zip(tables.ids[tables.var_plan].tolist(), tables.var_delay.tolist())
+    plans, vehicles = instance.plans, instance.vehicles
+    probes = [
+        tables.probe_variants(plans[i].t_de + d, plans[i].destination_location, i)
+        for i, d in zip(tables.var_plan.tolist(), tables.var_delay.tolist())
     ]
-    first = tables.first.tolist()
-    connections: list[Connection] = []
-
-    def emit(origin, probe_result) -> None:
-        idx, cost = probe_result
-        connections.extend(map(Connection, repeat(origin), map(refs.__getitem__, idx.tolist()), cost.tolist()))
-
-    for i, plan in enumerate(instance.plans):
-        for origin in refs[first[i] : first[i + 1]]:
-            emit(origin, tables.probe_variants(plan.t_de + origin.delay, plan.destination_location, i))
-    for v in instance.vehicles:
-        emit(v, tables.probe_variants(v.t_st, v.start_location, None))
-    return GenerationResult(tuple(ref for ref in refs if ref.delay > 0), tuple(connections))
+    probes += [tables.probe_variants(v.t_st, v.start_location, None) for v in vehicles]
+    counts = [len(hit) for hit, _ in probes]
+    hit = _column([hit for hit, _ in probes])
+    connections = Connections(
+        instance,
+        np.repeat(np.concatenate([tables.var_plan, len(plans) + np.arange(len(vehicles))]), counts),
+        np.repeat(np.concatenate([tables.var_delay, np.zeros(len(vehicles), dtype=np.int64)]), counts),
+        tables.var_plan[hit],
+        tables.var_delay[hit],
+        _column([cost for _, cost in probes]),
+    )
+    late = np.flatnonzero(tables.var_delay)
+    variants = tuple(map(VariantRef, tables.ids[tables.var_plan[late]].tolist(), tables.var_delay[late].tolist()))
+    return GenerationResult(variants, connections)

@@ -19,6 +19,7 @@ from planchain.model import (
     Plan,
     TravelCost,
     TravelMatrix,
+    VariantRef,
     Vehicle,
 )
 from planchain.variantgen import Connection, GenerationResult
@@ -72,13 +73,43 @@ def test_parallel_edges_prefer_cheaper():
     # the duplicate comes first, so it has the lower edge id and wins only a tie
     for extra, duplicate_carries in ((3, False), (0, True)):
         duplicate = Connection(link.origin, link.target, link.cost + extra)
-        net = build_network(inst, GenerationResult(gen.variants, (duplicate,) + gen.connections))
+        net = build_network(inst, GenerationResult(gen.variants, (duplicate, *gen.connections)))
         dup_edge, orig_edge = net.connection_edges[:2]
         assignment = solve_mcf(net)
         assert assignment.total_cost == 2
         check_conservation(net, assignment)
         assert assignment.flows[dup_edge] == int(duplicate_carries)
         assert assignment.flows[orig_edge] == int(not duplicate_carries)
+
+
+def test_generated_columns_build_the_hand_built_network():
+    # generated columns and the same Connection objects, converted one by
+    # one, must number every edge and order every matrix cell alike
+    for seed in range(30):
+        policy = (TravelCost(), FleetSize())[seed % 2]
+        inst = chain_instance_from_params(
+            ChainGenParams(seed=seed, plans=7, vehicles=3, d_max_range=(0, 12), policy=policy)
+        )
+        for gen in (variantgen.generate(inst), variantgen.generate_exhaustive(inst)):
+            fast = build_network(inst, gen)
+            slow = build_network(inst, GenerationResult(gen.variants, tuple(gen.connections)))
+            assert fast.edges.tolist() == slow.edges.tolist()
+            assert fast.cell_order.tolist() == slow.cell_order.tolist()
+            assert [fast.edge_connection(e) for e in fast.connection_edges] == list(gen.connections)
+
+
+def test_connection_without_a_node_is_rejected():
+    inst = make_e1()
+    gen = variantgen.generate(inst)
+    link = gen.connections[0]
+    for stray in (
+        Connection(link.origin, VariantRef(2, 2), link.cost),  # no such variant
+        Connection(link.origin, VariantRef(1, 1), link.cost),  # plan 1 has no variants
+        Connection(Vehicle(9, 0, 0), link.target, link.cost),  # no such vehicle
+        Connection(link.origin, VariantRef(7, 0), link.cost),  # no such plan
+    ):
+        with pytest.raises(InputError):
+            build_network(inst, GenerationResult(gen.variants, (*gen.connections, stray)))
 
 
 def test_huge_connection_cost_is_rejected():
@@ -88,10 +119,10 @@ def test_huge_connection_cost_is_rejected():
     for cost in (1 << 59, 1 << 70):
         huge = Connection(link.origin, link.target, cost)
         with pytest.raises(InputError):
-            solve_mcf(build_network(inst, GenerationResult(gen.variants, gen.connections + (huge,))))
+            solve_mcf(build_network(inst, GenerationResult(gen.variants, (*gen.connections, huge))))
     # the largest cost the fence admits on two plans still solves exactly
     largest = Connection(link.origin, link.target, (1 << 57) - 1)
-    assert solve_mcf(build_network(inst, GenerationResult(gen.variants, gen.connections + (largest,)))).total_cost == 2
+    assert solve_mcf(build_network(inst, GenerationResult(gen.variants, (*gen.connections, largest)))).total_cost == 2
 
 
 def test_e1_solve_and_active_edges():
