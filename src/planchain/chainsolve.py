@@ -6,6 +6,15 @@ already satisfies consistency we are done; otherwise a branch-and-bound
 search forces one variant per mismatched plan, using the relaxation value
 as the bound.  Bounds only grow down a branch (children solve a restricted
 network), so best-first search with integral costs prunes exactly.
+
+A child's relaxation is warm-started from its parent's Hungarian state.  A
+child only disables edges, so its assignment costs only rise and the
+parent's duals stay feasible; only the plans whose assigned connection got
+dearer are re-assigned, and the solver's duals still certify each child's
+optimum, so every bound stays exact.  On tied optima a warm child can pick
+another optimal assignment than a cold solve would, so the branching, and
+with it ``stats.relaxations_solved``, can differ from earlier versions on
+such instances; it stays deterministic from run to run.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .flownet import (
     FlowAssignment,
     FlowInfeasibleError,
     FlowNetwork,
+    HungarianState,
     build_network,
     solve_mcf,
 )
@@ -44,7 +54,9 @@ class BranchNode:
 
     ``bound`` is a valid lower bound on every completion: the node's own
     relaxation value once solved, its parent's until then (children only
-    remove edges, so bounds never decrease down a branch).
+    remove edges, so bounds never decrease down a branch).  An unsolved
+    node keeps only its parent's Hungarian state, the warm start of its own
+    relaxation.
     """
 
     forced: tuple[tuple[int, int], ...]  # (plan id, forced delay)
@@ -52,6 +64,7 @@ class BranchNode:
     bound: int
     depth: int
     assignment: FlowAssignment | None
+    start: HungarianState | None = None
 
 
 @dataclass(frozen=True)
@@ -274,7 +287,7 @@ def solve_chaining(
         if node.assignment is None:
             relaxations += 1
             try:
-                assignment = solve_mcf(network, node.disabled_edges)
+                assignment = solve_mcf(network, node.disabled_edges, node.start)
             except FlowInfeasibleError:
                 continue
             if _bound_trace is not None:
@@ -295,7 +308,9 @@ def solve_chaining(
         pid = _pick_branch(network, node.assignment.flows, mismatches)
         for d in network.routed_delays[pid]:
             extra = _force_variant_edges(network, pid, d)
-            child = BranchNode(node.forced + ((pid, d),), node.disabled_edges | extra, node.bound, node.depth + 1, None)
+            child = BranchNode(
+                node.forced + ((pid, d),), node.disabled_edges | extra, node.bound, node.depth + 1, None, node.assignment.state
+            )
             heapq.heappush(heap, (child.bound, -child.depth, 1, next(counter), child))
     if incumbent is None:
         raise InfeasibleError("no variant-consistent chain cover exists")

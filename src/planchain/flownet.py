@@ -28,6 +28,7 @@ back over the nodes as potentials, certify the flow through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,20 @@ NO_EDGE = 1 << 60  # cost of a matrix cell without a usable connection
 _UNSEEN = 1 << 62  # distance of a column the search has not reached
 
 
+class HungarianState(NamedTuple):
+    """Where the assignment solver stopped: enough to warm-start a re-solve.
+
+    ``owner[j]`` is the row assigned to column ``j``, or -1; ``u`` and ``v``
+    are the row and column duals.  Every cell satisfies ``u[i] + v[j] <=
+    cost[i, j]``, with equality on the assignment, ``v <= 0``, and ``v == 0``
+    on unassigned columns.
+    """
+
+    owner: np.ndarray  # int64 per column
+    u: np.ndarray  # int64 per row
+    v: np.ndarray  # int64 per column
+
+
 @dataclass(frozen=True)
 class FlowAssignment:
     """Integral edge flows with the solver's optimality potentials."""
@@ -46,6 +61,7 @@ class FlowAssignment:
     flows: np.ndarray  # int64 per edge, 0 or 1
     total_cost: int
     potentials: np.ndarray  # int64 per node
+    state: HungarianState | None = None  # the solver's, to warm-start a restricted re-solve
 
 
 class FlowInfeasibleError(InfeasibleError):
@@ -126,9 +142,10 @@ class FlowNetwork:
         conn_tail[from_plan] = end_left[at[: len(from_plan)]]
         conn_head = end_right[at[len(from_plan) :]]
         self.max_cost = int(conns.cost.max()) if len(conns) else 0
-        # checked in Python ints: a failed search must overshoot every real
-        # path (factor 2) and the duals need headroom below the sentinel
-        # (another factor 2)
+        # checked in Python ints: an assignment through real cells must cost
+        # less than one through a no-edge cell, and the duals and search
+        # distances, which stay within n * max cost of 0 and of NO_EDGE, need
+        # headroom below the sentinels (the argument is in ``_hungarian``)
         if 4 * n * self.max_cost >= NO_EDGE:
             raise InputError(
                 f"connection cost {self.max_cost} over {n} plans exceeds the exact integer range of the relaxation"
@@ -183,71 +200,126 @@ def build_network(instance: ChainingInstance, gen: GenerationResult) -> FlowNetw
 
 
 
-def _hungarian(cost: np.ndarray, limit: int, row_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assign every row its own column at minimum total cost.
+def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> HungarianState:
+    """Assign every row its own column at minimum total cost, from ``start``.
 
     The Hungarian method in its shortest-augmenting-path form (Jonker &
-    Volgenant 1987): each row enters through a Dijkstra search over the
-    reduced costs ``cost - u - v`` that stops at the first free column.
-    On return ``u[i] + v[j] <= cost[i, j]`` holds everywhere, with equality
-    on the assignment, ``v <= 0``, and ``v == 0`` on unassigned columns.
-    ``owner[j]`` is the row assigned to column ``j``, or -1.  A row whose
-    augmenting path would cost more than ``limit`` (any real assignment
-    costs less) needs a no-edge cell: ``FlowInfeasibleError`` names it.
+    Volgenant 1987): each unassigned row enters through a Dijkstra search
+    over the reduced costs ``cost - u - v``.  The duals move only once the
+    path is found: each scanned column and its row by how far short of the
+    path's end the search reached it.
+
+    ``start`` must be dual feasible for ``cost`` and is kept as far as it
+    stays optimal: an assigned row whose cell is no longer tight (it got
+    dearer or unusable) is freed, and only free rows are searched.  From the
+    empty state (no owners, zero duals) this is the cold solve; from the
+    state of a solve on cheaper costs it is the dynamic Hungarian method
+    (Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27, 2007).
+
+    The matrix is rectangular (n rows, m >= n columns), and a freed column
+    can keep ``v < 0``, which an unassigned column may not have at the
+    optimum.  The search treats the matrix as squared by m - n identical
+    zero-cost slack rows.  At any dual-feasible state the columns they own
+    all carry the largest column dual ``mu`` (their dual is ``-mu``), so
+    they act as one pseudo-row owning m - n of the free columns at ``mu``.
+    A search ends at the first free column it reaches, unless exactly m - n
+    free columns are at ``mu`` and this is one of them: then the pseudo-row
+    and all its columns join the search, which reaches any column ``j`` from
+    there at ``mu - v[j]`` further.  (With more free columns at ``mu``, each
+    is as near as the pseudo-row's own, so any of them can end a path.)  At
+    the end the only free columns are the slack-owned ones, all at ``mu``,
+    so shifting ``v -= mu`` and ``u += mu`` gives back rectangular duals.
+    Cold searches never meet the pseudo-row: every free column is at ``mu =
+    0`` and more than m - n are free.
+
+    Infeasibility: the dual objective ``sum(u) + sum(v) - (m - n) * mu``
+    never exceeds the optimum (weak duality), and a search that has reached
+    distance ``d`` has raised it by ``d``.  An assignment through real cells
+    costs at most ``limit`` (n times the largest cost), and one through a
+    no-edge cell at least ``NO_EDGE``, so once the dual objective passes
+    ``limit`` every assignment needs a no-edge cell: ``FlowInfeasibleError``
+    names the row being searched.  This holds for any dual-feasible start;
+    the empty state starts at 0 and a parent's state at the parent's
+    optimum.  The fence ``4 * n * max cost < NO_EDGE`` in ``FlowNetwork``
+    keeps this exact in int64: ``limit < NO_EDGE``, and as every search
+    stops before the dual objective passes ``limit``, no dual moves further
+    than ``limit`` from 0 and every distance stays below ``NO_EDGE + 2 *
+    limit < _UNSEEN``.
     """
     n, m = cost.shape
-    u = np.zeros(n, dtype=np.int64)
-    v = np.zeros(m + 1, dtype=np.int64)  # column m is the root of every search
-    owner = np.full(m + 1, -1, dtype=np.int64)
-    for i in range(n):
+    owner = np.append(start.owner, -1)  # column m roots every search
+    u, v = start.u.copy(), start.v.copy()
+    if np.any(v > 0) or np.any(cost - v < u[:, None]):
+        raise ValueError("the start state is not dual feasible for this cost matrix")
+    cols = (owner[:m] >= 0).nonzero()[0]
+    rows = owner[cols]
+    owner[cols[cost[rows, cols] != u[rows] + v[cols]]] = -1
+    assigned = np.zeros(n, dtype=bool)
+    assigned[owner[owner >= 0]] = True
+    level = sum(u.tolist()) + sum(v.tolist())  # the dual objective
+    slack, mu = m - n, 0
+    for i in (~assigned).nonzero()[0].tolist():
+        slack_cols = ((owner[:m] < 0) & (v == mu)).nonzero()[0]
+        pseudo = slack > 0 and len(slack_cols) == slack
+        dist = np.full(m, _UNSEEN, dtype=np.int64)  # final once a column is scanned
+        front = dist.copy()  # dist of the columns not scanned yet
+        way = np.full(m, m, dtype=np.int64)  # the column whose row reached each column
+        scanned: list[int] = []
+        entry = None  # distance at which the pseudo-row joined
         owner[m] = i
-        minv = np.full(m, _UNSEEN, dtype=np.int64)
-        way = np.full(m, m, dtype=np.int64)
-        used = np.zeros(m + 1, dtype=bool)
-        j0, spent = m, 0
-        while owner[j0] >= 0:
-            used[j0] = True
-            i0 = owner[j0]
-            cur = cost[i0] - u[i0] - v[:m]
-            closer = (cur < minv) & ~used[:m]
-            minv[closer] = cur[closer]
-            way[closer] = j0
-            frontier = np.where(used[:m], _UNSEEN, minv)
-            j0 = int(frontier.argmin())
-            delta = int(frontier[j0])
-            spent += delta
-            if spent > limit:
+        r, j, d = i, m, 0
+        while True:
+            # nonnegative reduced costs keep every scanned column out of ``closer``
+            if r >= 0:
+                cur = cost[r] - v
+                cur += d - int(u[r])
+            else:  # the slack pseudo-row: zero costs, dual -mu
+                cur = (d + mu) - v
+            closer = cur < dist
+            np.copyto(dist, cur, where=closer)
+            np.copyto(front, cur, where=closer)
+            np.copyto(way, j, where=closer)
+            j = int(front.argmin())
+            d = int(front[j])
+            if level + d > limit:
                 raise FlowInfeasibleError(row_ids[i])
-            tree = np.flatnonzero(used)
-            u[owner[tree]] += delta
-            v[tree] -= delta
-            minv -= delta
-        while j0 != m:
-            prev = way[j0]
-            owner[j0] = owner[prev]
-            j0 = prev
-    return owner[:m], u, v[:m]
+            front[j] = _UNSEEN
+            r = int(owner[j])
+            if r >= 0:
+                scanned.append(j)
+            elif pseudo and v[j] == mu:
+                dist[slack_cols] = d
+                front[slack_cols] = _UNSEEN
+                scanned += slack_cols.tolist()
+                entry, pseudo = d, False
+            else:
+                break
+        seen = np.array(scanned, dtype=np.int64)
+        gain = d - dist[seen]
+        v[seen] -= gain
+        held = owner[seen]
+        real = held >= 0
+        u[held[real]] += gain[real]
+        u[i] += d
+        if entry is not None:
+            mu -= d - entry
+        level += d
+        while j != m:
+            prev = int(way[j])
+            owner[j] = owner[prev]
+            j = prev
+    u += mu
+    v -= mu
+    return HungarianState(owner[:m], u, v)
 
 
-def solve_mcf(network: FlowNetwork, disabled_edges: frozenset[int] = frozenset()) -> FlowAssignment:
-    """Minimum-cost integral flow of a chaining network, solved as an assignment.
+def _assignment_matrix(net: FlowNetwork, disabled_edges: frozenset[int]):
+    """The target-by-origin cost matrix of a network with some edges disabled.
 
-    Every feasible flow carries one unit into each plan's right side from
-    one origin (a plan's left side or a vehicle), and each origin sends at
-    most one unit, so the flow is a rectangular assignment of target plans
-    to origins (Dantzig & Fulkerson 1954).  Each cell of the n x (n + V)
-    cost matrix keeps the cheapest usable connection of its pair; a
-    connection is unusable when it, or a structural edge on its path from
-    the source or to the sink, is disabled, and equal costs go to the
-    lowest edge id.  The Hungarian duals become node potentials under which
-    no residual arc has a negative reduced cost, so ``residual_is_optimal``
-    certifies the result.
-
-    Raises ``FlowInfeasibleError`` naming the lowest-id plan without a
-    usable incoming connection, else the plan whose row found no augmenting
-    path.
+    Returns the matrix (``NO_EDGE`` where no connection is usable), the
+    connection edge behind each cell (-1 for none), flat, and the nodes a
+    disabled edge separates from the source or the sink.
     """
-    net = network
     tails, heads = net.tail, net.head
     n = len(net.plan_ids)
     m = n + len(net.instance.vehicles)
@@ -265,19 +337,61 @@ def solve_mcf(network: FlowNetwork, disabled_edges: frozenset[int] = frozenset()
     first = order[np.diff(net.cell[order], prepend=-1) != 0]
     matrix = np.full(n * m, NO_EDGE, dtype=np.int64)
     matrix[net.cell[first]] = net.cost[start + first]
-    matrix = matrix.reshape(n, m)
     edge_at = np.full(n * m, -1, dtype=np.int64)
     edge_at[net.cell[first]] = start + first
-    starved = np.flatnonzero((matrix == NO_EDGE).all(axis=1))
+    return matrix.reshape(n, m), edge_at, cut
+
+
+def solve_mcf(
+    network: FlowNetwork,
+    disabled_edges: frozenset[int] = frozenset(),
+    start: HungarianState | None = None,
+) -> FlowAssignment:
+    """Minimum-cost integral flow of a chaining network, solved as an assignment.
+
+    Every feasible flow carries one unit into each plan's right side from
+    one origin (a plan's left side or a vehicle), and each origin sends at
+    most one unit, so the flow is a rectangular assignment of target plans
+    to origins (Dantzig & Fulkerson 1954).  Each cell of the n x (n + V)
+    cost matrix keeps the cheapest usable connection of its pair; a
+    connection is unusable when it, or a structural edge on its path from
+    the source or to the sink, is disabled, and equal costs go to the
+    lowest edge id.  The Hungarian duals become node potentials under which
+    no residual arc has a negative reduced cost, so ``residual_is_optimal``
+    certifies the result.
+
+    ``start`` warm-starts the solver from the ``state`` of an assignment
+    solved on the same network with a subset of ``disabled_edges``.
+    Disabling edges only raises cells, so that state stays dual feasible,
+    and only the plans whose assigned cell got dearer are re-assigned; the
+    result is as exact as a cold solve, though on tied optima it can be
+    another optimal assignment.  Without ``start`` the solver begins from
+    the empty assignment.
+
+    Raises ``FlowInfeasibleError`` naming the lowest-id plan without a
+    usable incoming connection, else the plan whose row found no augmenting
+    path.
+    """
+    net = network
+    n = len(net.plan_ids)
+    m = n + len(net.instance.vehicles)
+    matrix, edge_at, cut = _assignment_matrix(net, disabled_edges)
+    starved = (matrix == NO_EDGE).all(axis=1).nonzero()[0]
     if starved.size:
         raise FlowInfeasibleError(int(net.plan_ids[starved[0]]))
+    if start is None:
+        start = HungarianState(np.full(m, -1, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64))
 
-    owner, u, v = _hungarian(matrix, n * net.max_cost, net.plan_ids.tolist())
+    state = _hungarian(matrix, n * net.max_cost, net.plan_ids.tolist(), start)
+    owner, u, v = state
+    for part in state:
+        part.setflags(write=False)
 
-    assigned = np.flatnonzero(owner >= 0)
+    assigned = (owner >= 0).nonzero()[0]
     chosen = edge_at[owner[assigned] * m + assigned]
     flows = np.zeros(len(net.edges), dtype=np.int64)
     flows[chosen] = 1
+    tails, heads = net.tail, net.head
     for path, end in ((net.parent_edge, tails), (net.child_edge, heads)):  # back to the source, on to the sink
         hop = chosen
         while hop.size:
@@ -294,7 +408,7 @@ def solve_mcf(network: FlowNetwork, disabled_edges: frozenset[int] = frozenset()
     total = sum(net.cost[chosen].tolist())
     flows.setflags(write=False)
     potentials.setflags(write=False)
-    return FlowAssignment(flows, total, potentials)
+    return FlowAssignment(flows, total, potentials, state)
 
 
 def residual_is_optimal(

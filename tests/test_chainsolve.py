@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planchain import chainsolve, model, oracle, variantgen
 from planchain.chainsolve import solve_chaining, validate_chains
@@ -285,3 +287,36 @@ def test_branching_is_lazy_under_large_variant_fanout():
     assert solution.objective == 9
     assert validate_chains(inst, solution.chains, solution.objective).ok
     assert solution.stats.relaxations_solved < 50
+
+
+POLICIES = st.one_of(
+    st.just(TravelCost()),
+    st.just(FleetSize()),
+    st.integers(0, 40).map(TravelCostWaitCapped),
+    st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3))).map(TravelCostWaitPenalized),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 30),
+    plans=st.integers(0, 7),
+    vehicles=st.integers(1, 3),
+    locations=st.integers(3, 8),
+    d_max=st.integers(0, 10),
+    policy=POLICIES,
+)
+def test_solver_agrees_with_brute_force_on_random_instances(seed, plans, vehicles, locations, d_max, policy):
+    inst = chain_instance_from_params(
+        ChainGenParams(
+            seed=seed, plans=plans, vehicles=vehicles, locations=locations, d_max_range=(0, d_max), policy=policy
+        )
+    )
+    expected = oracle.brute_force_optimal(inst).objective
+    try:
+        solution = solve_chaining(inst)
+    except InfeasibleError:
+        assert expected is None
+        return
+    assert solution.objective == expected
+    assert validate_chains(inst, solution.chains, solution.objective).ok

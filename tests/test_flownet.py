@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from planchain import chainsolve, oracle, variantgen
+from planchain import chainsolve, flownet, oracle, variantgen
 from planchain.errors import InfeasibleError, InputError
 from planchain.flownet import (
     FlowAssignment,
@@ -242,3 +243,61 @@ def test_certificate_holds_with_forced_variants():
         assert all(assignment.flows[e] == 0 for e in disabled)
         assert residual_is_optimal(net, assignment, disabled)
     assert feasible >= 30
+
+
+def freed_below_zero(net, state, disabled):
+    """Columns a warm start from ``state`` frees that keep a negative dual.
+
+    A column is freed when its row's cell is no longer tight under the
+    restricted network's costs.
+    """
+    matrix = flownet._assignment_matrix(net, disabled)[0]
+    cols = np.flatnonzero(state.owner >= 0)
+    rows = state.owner[cols]
+    freed = cols[matrix[rows, cols] != state.u[rows] + state.v[cols]]
+    return int((state.v[freed] < 0).sum())
+
+
+def test_warm_start_matches_cold_on_nested_forced_variants():
+    # as in branch-and-bound, each child forces one more plan's variant on
+    # top of its parent's and is warm-started from the parent's state
+    rng = random.Random(11)
+    compared = infeasible = freed = 0
+    for seed in range(150):
+        inst = chain_instance_from_params(
+            ChainGenParams(seed=seed, plans=rng.randint(2, 9), vehicles=rng.randint(1, 4), d_max_range=(0, 12))
+        )
+        net = build_network(inst, variantgen.generate(inst))
+        try:
+            parent = solve_mcf(net)
+        except FlowInfeasibleError:
+            continue
+        routed = [pid for pid, delays in net.routed_delays.items() if delays]
+        disabled = frozenset()
+        for pid in rng.sample(routed, len(routed)):
+            disabled |= chainsolve._force_variant_edges(net, pid, rng.choice(net.routed_delays[pid]))
+            freed += freed_below_zero(net, parent.state, disabled)
+            try:
+                cold = solve_mcf(net, disabled)
+            except FlowInfeasibleError:
+                with pytest.raises(FlowInfeasibleError):
+                    solve_mcf(net, disabled, parent.state)
+                infeasible += 1
+                break
+            warm = solve_mcf(net, disabled, parent.state)
+            assert warm.total_cost == cold.total_cost
+            check_conservation(net, warm)
+            assert all(warm.flows[e] == 0 for e in disabled)
+            assert residual_is_optimal(net, warm, disabled)
+            compared += 1
+            parent = warm
+    assert compared >= 100 and infeasible >= 20 and freed >= 20
+
+
+def test_start_must_be_dual_feasible():
+    _, net = build_e1_network()
+    state = solve_mcf(net).state
+    assert solve_mcf(net, frozenset(), state).total_cost == 2  # its own optimum is a valid start
+    for bad in (state._replace(v=state.v + 1), state._replace(u=state.u + 1)):
+        with pytest.raises(ValueError):
+            solve_mcf(net, frozenset(), bad)
