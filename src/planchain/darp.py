@@ -49,7 +49,8 @@ class Request:
         return self.t_r + self.max_delay
 
     def direct(self, travel: TravelMatrix) -> int:
-        return travel.duration(self.origin, self.destination)
+        """Direct travel time; both locations must lie in ``travel`` (unchecked)."""
+        return travel.table[self.origin][self.destination]
 
     def latest_arrival(self, travel: TravelMatrix) -> int:
         return self.t_r + self.direct(travel) + self.max_delay
@@ -129,9 +130,9 @@ class RoutePlan:
         return self.last_time - self.first_time if self.stops else 0
 
     def driving(self, travel: TravelMatrix) -> int:
-        return sum(
-            travel.duration(a.location, b.location) for a, b in zip(self.stops, self.stops[1:])
-        )
+        """Driven ticks between the stops; their locations must lie in ``travel`` (unchecked)."""
+        table = travel.table
+        return sum(table[a.location][b.location] for a, b in zip(self.stops, self.stops[1:]))
 
     def request_ids(self) -> tuple[int, ...]:
         return tuple(sorted({s.request_id for s in self.stops}))
@@ -163,46 +164,70 @@ def _latest_for_stop(stop: Stop, request: Request, travel: TravelMatrix) -> int:
     return request.latest_arrival(travel)
 
 
-def _schedule(specs, travel: TravelMatrix, capacity: int, *, start_loc=None, start_time=0):
+def _stop_times(specs, table, capacity: int, start_loc=None, start_time: int = 0) -> list[int] | None:
     """Earliest-feasible stop times for an ordered (request, kind) list.
 
     Pickups never start before their request's departure time; with a
     vehicle (``start_loc``) the first arrival includes the approach leg.
-    Returns the stop tuple or None when a window or the capacity breaks.
+    Returns None when a window, the capacity or the precedence breaks.
+    ``table`` is a ``TravelMatrix.table`` that every location was checked
+    against.
     """
-    stops: list[Stop] = []
+    times: list[int] = []
     onboard = 0
     picked: set[int] = set()
-    for k, (req, kind) in enumerate(specs):
-        loc = req.origin if kind == PICKUP else req.destination
-        if k == 0:
-            if kind != PICKUP:
-                return None
-            arrival = start_time + travel.duration(start_loc, loc) if start_loc is not None else start_time
-            t = max(arrival, req.t_r)
-        else:
-            prev = stops[-1]
-            arrival = prev.time + travel.duration(prev.location, loc)
-            t = max(arrival, req.t_r) if kind == PICKUP else arrival
+    loc = start_loc
+    t = start_time
+    for req, kind in specs:
         if kind == PICKUP:
+            nxt = req.origin
+            if loc is not None:
+                t += table[loc][nxt]
+            if t < req.t_r:
+                t = req.t_r
             if req.id in picked:
                 return None
             picked.add(req.id)
             onboard += 1
-            if onboard > capacity or t > req.latest_pickup:
+            if onboard > capacity or t > req.t_r + req.max_delay:
                 return None
         else:
             if req.id not in picked:
                 return None
+            nxt = req.destination
+            t += table[loc][nxt]
             onboard -= 1
-            if t > req.latest_arrival(travel):
+            if t > req.t_r + table[req.origin][nxt] + req.max_delay:
                 return None
-        stops.append(Stop(req.id, kind, loc, t))
-    return tuple(stops)
+        loc = nxt
+        times.append(t)
+    return times
+
+
+def _schedule(specs, travel: TravelMatrix, capacity: int, *, start_loc=None, start_time=0):
+    """The stops of ``specs`` at their ``_stop_times``, or None when infeasible."""
+    times = _stop_times(specs, travel.table, capacity, start_loc, start_time)
+    if times is None:
+        return None
+    return tuple(
+        Stop(req.id, kind, req.origin if kind == PICKUP else req.destination, t) for (req, kind), t in zip(specs, times)
+    )
 
 
 class _DeadlinePassed(Exception):
     """A group search ran past its batch's deadline."""
+
+
+def _check_locations(reqs, travel: TravelMatrix) -> None:
+    """Raise ``InputError`` unless every request location lies in ``travel``.
+
+    The searches index ``travel.table`` without a range check, where a
+    negative location would silently wrap, so each entry point checks once.
+    """
+    size = travel.size
+    for r in reqs:
+        if not (0 <= r.origin < size and 0 <= r.destination < size):
+            raise InputError(f"request {r.id}: locations ({r.origin}, {r.destination}) outside {size}x{size} matrix")
 
 
 def optimal_plan_for_group(
@@ -222,49 +247,49 @@ def optimal_plan_for_group(
         raise GuardExceededError(f"group of {len(reqs)} exceeds capacity {capacity}")
     if not reqs:
         return None
+    _check_locations(reqs, travel)
+    table = travel.table
+    # (id, origin, destination, t_r, latest pickup, latest arrival) per request;
+    # the capacity guard above means the onboard count never binds
+    info = [(r.id, r.origin, r.destination, r.t_r, r.latest_pickup, r.latest_arrival(travel)) for r in reqs]
     best: tuple | None = None
 
-    def dfs(seq, last_loc, last_time, first_time, onboard, pending, riding, driving):
+    def dfs(seq, loc, now, first, pending, riding, driving):
         nonlocal best
         if _deadline is not None and time.monotonic() > _deadline:
             raise _DeadlinePassed
         if not pending and not riding:
-            key = (last_time - first_time, driving, tuple(seq))
+            key = (now - first, driving, tuple(seq))
             if best is None or key < best:
                 best = key
             return
-        if best is not None and first_time is not None and last_time - first_time > best[0]:
+        if best is not None and now - first > best[0]:
             return
+        row = table[loc]
         for req in pending:
-            t = max(anchor, req.t_r) if last_loc is None else max(last_time + travel.duration(last_loc, req.origin), req.t_r)
-            if t > req.latest_pickup or onboard + 1 > capacity:
-                continue
-            dfs(
-                seq + [(0, req.id)],
-                req.origin,
-                t,
-                t if first_time is None else first_time,
-                onboard + 1,
-                [r for r in pending if r is not req],
-                riding + [req],
-                driving if last_loc is None else driving + travel.duration(last_loc, req.origin),
-            )
+            rid, origin, _, t_r, latest_pickup, _ = req
+            leg = row[origin]
+            t = now + leg
+            if t < t_r:
+                t = t_r
+            if t <= latest_pickup:
+                rest = [r for r in pending if r is not req]
+                dfs(seq + [(0, rid)], origin, t, first, rest, riding + [req], driving + leg)
         for req in riding:
-            t = last_time + travel.duration(last_loc, req.destination)
-            if t > req.latest_arrival(travel):
-                continue
-            dfs(
-                seq + [(1, req.id)],
-                req.destination,
-                t,
-                first_time,
-                onboard - 1,
-                pending,
-                [r for r in riding if r is not req],
-                driving + travel.duration(last_loc, req.destination),
-            )
+            rid, _, destination, _, _, latest_arrival = req
+            leg = row[destination]
+            t = now + leg
+            if t <= latest_arrival:
+                rest = [r for r in riding if r is not req]
+                dfs(seq + [(1, rid)], destination, t, first, pending, rest, driving + leg)
 
-    dfs([], None, None, None, 0, reqs, [], 0)
+    if _deadline is not None and time.monotonic() > _deadline:
+        raise _DeadlinePassed
+    for req in info:  # the first stop: no approach leg, floored at the anchor
+        rid, origin, _, t_r, latest_pickup, _ = req
+        t = max(anchor, t_r)
+        if t <= latest_pickup:
+            dfs([(0, rid)], origin, t, t, [r for r in info if r is not req], [req], 0)
     if best is None:
         return None
     by_id = {r.id: r for r in reqs}
@@ -311,6 +336,7 @@ def solve_batch_exact(
         raise GuardExceededError(
             f"batch of {len(reqs)} requests exceeds the guard of {max_batch_requests}; use a shorter batch length"
         )
+    _check_locations(reqs, travel)
     deadline = time.monotonic() + time_limit_ms / 1000.0 if time_limit_ms is not None else None
     timed_out = False
     prune = travel.is_metric
@@ -384,12 +410,15 @@ def plans_to_chaining(plans, instance: DarpInstance) -> tuple[tuple[Plan, ...], 
 
 
 def total_driving_cost(routes, travel: TravelMatrix) -> int:
-    """Driven ticks over all routes, including the empty approach legs."""
+    """Driven ticks over all routes, including the empty approach legs.
+
+    Every location must lie in ``travel`` (unchecked).
+    """
     total = 0
     for vehicle, plan in routes:
         if not plan.stops:
             continue
-        total += travel.duration(vehicle.start_location, plan.stops[0].location)
+        total += travel.table[vehicle.start_location][plan.stops[0].location]
         total += plan.driving(travel)
     return total
 
@@ -500,69 +529,66 @@ def insertion_heuristic(instance: DarpInstance) -> DarpSolution:
     """
     if isinstance(instance.fleet, AutoFleet):
         raise InputError("the insertion heuristic needs an explicit fleet")
+    travel, capacity = instance.travel, instance.capacity
+    table = travel.table  # DarpInstance checked every location
     specs_by_vehicle: dict[int, list] = {}
+    duration_by_vehicle: dict[int, int] = {}
     vehicle_by_id = {v.id: v for v in instance.fleet}
-    stops_by_vehicle: dict[int, tuple[Stop, ...]] = {}
 
+    # trials need only stop times; Stop objects are built once per route
     for req in sorted(instance.requests, key=lambda r: (r.t_r, r.id)):
         best = None
         for vid in sorted(specs_by_vehicle):
             vehicle = vehicle_by_id[vid]
             specs = specs_by_vehicle[vid]
-            old_plan = RoutePlan(stops_by_vehicle[vid])
             for i in range(len(specs) + 1):
                 for j in range(i + 1, len(specs) + 2):
                     trial = list(specs)
                     trial.insert(i, (req, PICKUP))
                     trial.insert(j, (req, DROPOFF))
-                    stops = _schedule(
-                        trial,
-                        instance.travel,
-                        instance.capacity,
-                        start_loc=vehicle.start_location,
-                        start_time=vehicle.t_st,
-                    )
-                    if stops is None:
+                    times = _stop_times(trial, table, capacity, vehicle.start_location, vehicle.t_st)
+                    if times is None:
                         continue
-                    delta = (stops[-1].time - stops[0].time) - old_plan.total_duration
-                    cand = (delta, vid, i, j)
+                    cand = (times[-1] - times[0] - duration_by_vehicle[vid], vid, i, j)
                     if best is None or cand < best[0]:
-                        best = (cand, trial, stops)
+                        best = (cand, trial, times)
         if best is not None:
-            _, trial, stops = best
-            vid = best[0][1]
-            specs_by_vehicle[vid] = trial
-            stops_by_vehicle[vid] = stops
-            continue
-        opened = None
-        for v in sorted(
-            instance.fleet,
-            key=lambda v: (instance.travel.duration(v.start_location, req.origin), v.id),
-        ):
-            if v.id in specs_by_vehicle:
-                continue
+            (_, vid, _, _), trial, times = best
+        else:
             trial = [(req, PICKUP), (req, DROPOFF)]
-            stops = _schedule(
-                trial, instance.travel, instance.capacity, start_loc=v.start_location, start_time=v.t_st
-            )
-            if stops is not None:
-                opened = (v.id, trial, stops)
-                break
-        if opened is None:
-            raise InfeasibleError(f"fleet exhausted: request {req.id} fits no vehicle")
-        specs_by_vehicle[opened[0]] = opened[1]
-        stops_by_vehicle[opened[0]] = opened[2]
+            for v in sorted(instance.fleet, key=lambda v: (table[v.start_location][req.origin], v.id)):
+                if v.id in specs_by_vehicle:
+                    continue
+                times = _stop_times(trial, table, capacity, v.start_location, v.t_st)
+                if times is not None:
+                    vid = v.id
+                    break
+            else:
+                raise InfeasibleError(f"fleet exhausted: request {req.id} fits no vehicle")
+        specs_by_vehicle[vid] = trial
+        duration_by_vehicle[vid] = times[-1] - times[0]
 
-    routes = [(vehicle_by_id[vid], RoutePlan(stops_by_vehicle[vid])) for vid in sorted(specs_by_vehicle)]
+    routes = []
+    for vid in sorted(specs_by_vehicle):
+        vehicle = vehicle_by_id[vid]
+        stops = _schedule(
+            specs_by_vehicle[vid], travel, capacity, start_loc=vehicle.start_location, start_time=vehicle.t_st
+        )
+        routes.append((vehicle, RoutePlan(stops)))
     return _solution_from_routes("ih", None, routes, instance)
 
 
 def validate_darp_solution(instance: DarpInstance, solution: DarpSolution) -> list[str]:
-    """Independent feasibility check of a DARP solution; returns violations."""
+    """Independent feasibility check of a DARP solution; returns violations.
+
+    Every travel time comes from the range-checked ``TravelMatrix.duration``,
+    not from the table the solvers read.
+    """
     issues: list[str] = []
     travel = instance.travel
     seen_vehicles: set[int] = set()
     service: dict[int, dict[str, int]] = {}
+    driven = 0
 
     for vehicle, plan in solution.routes:
         if vehicle.id in seen_vehicles:
@@ -574,11 +600,19 @@ def validate_darp_solution(instance: DarpInstance, solution: DarpSolution) -> li
             issues.append(f"vehicle {vehicle.id}: empty route")
             continue
         first = plan.stops[0]
-        if first.time < vehicle.t_st + travel.duration(vehicle.start_location, first.location):
+        approach = travel.duration(vehicle.start_location, first.location)
+        driven += approach
+        if first.time < vehicle.t_st + approach:
             issues.append(f"vehicle {vehicle.id}: cannot reach its first stop in time")
         onboard = 0
         picked: set[int] = set()
         for k, stop in enumerate(plan.stops):
+            if k > 0:
+                prev = plan.stops[k - 1]
+                leg = travel.duration(prev.location, stop.location)
+                driven += leg
+                if stop.time - prev.time < leg:
+                    issues.append(f"vehicle {vehicle.id}: stop {k} arrives faster than travel time allows")
             try:
                 req = instance.request(stop.request_id)
             except InputError:
@@ -587,11 +621,6 @@ def validate_darp_solution(instance: DarpInstance, solution: DarpSolution) -> li
             expected_loc = req.origin if stop.kind == PICKUP else req.destination
             if stop.location != expected_loc:
                 issues.append(f"request {req.id}: {stop.kind} at wrong location {stop.location}")
-            if k > 0:
-                prev = plan.stops[k - 1]
-                gap = stop.time - prev.time
-                if gap < travel.duration(prev.location, stop.location):
-                    issues.append(f"vehicle {vehicle.id}: stop {k} arrives faster than travel time allows")
             rec = service.setdefault(req.id, {})
             if stop.kind == PICKUP:
                 if req.id in picked or "pickup" in rec:
@@ -609,8 +638,9 @@ def validate_darp_solution(instance: DarpInstance, solution: DarpSolution) -> li
                 else:
                     picked.discard(req.id)
                     onboard -= 1
-                if stop.time > req.latest_arrival(travel):
-                    issues.append(f"request {req.id}: arrival at {stop.time} after {req.latest_arrival(travel)}")
+                latest = req.latest_pickup + travel.duration(req.origin, req.destination)
+                if stop.time > latest:
+                    issues.append(f"request {req.id}: arrival at {stop.time} after {latest}")
                 rec["dropoff"] = stop.time
         if picked:
             issues.append(f"vehicle {vehicle.id}: requests {sorted(picked)} never dropped off")
@@ -619,9 +649,8 @@ def validate_darp_solution(instance: DarpInstance, solution: DarpSolution) -> li
         rec = service.get(req.id)
         if rec is None or "pickup" not in rec or "dropoff" not in rec:
             issues.append(f"request {req.id} is not fully served")
-    recomputed = total_driving_cost(solution.routes, travel)
-    if recomputed != solution.objective:
-        issues.append(f"objective {solution.objective} != recomputed driving cost {recomputed}")
+    if driven != solution.objective:
+        issues.append(f"objective {solution.objective} != recomputed driving cost {driven}")
     return issues
 
 

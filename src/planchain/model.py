@@ -56,7 +56,7 @@ class TravelMatrix:
     inequality is *not* assumed: code that needs it checks ``is_metric``.
     """
 
-    __slots__ = ("_entries", "_metric")
+    __slots__ = ("_entries", "_metric", "_table")
 
     def __init__(self, entries) -> None:
         arr = _int64_array(entries, "travel matrix entries")
@@ -71,6 +71,7 @@ class TravelMatrix:
         arr.setflags(write=False)
         self._entries = arr
         self._metric: bool | None = None
+        self._table: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def from_coordinates(cls, coordinates, ticks_per_unit: int = 1) -> "TravelMatrix":
@@ -111,12 +112,26 @@ class TravelMatrix:
             self._metric = all(bool((d <= d[:, [b]] + d[[b], :]).all()) for b in range(self.size))
         return self._metric
 
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """Read-only rows of Python ints: ``table[a][b] == duration(a, b)``.
+
+        Built on first use and cached on the matrix.  Indexing it skips
+        ``duration``'s range check, so a hot loop checks each location
+        once (``0 <= loc < size``) before it starts: a negative index
+        would silently wrap around.
+        """
+        if self._table is None:
+            self._table = tuple(map(tuple, self._entries.tolist()))
+        return self._table
+
     def duration(self, a: LocationId, b: LocationId) -> Duration:
         if not (0 <= a < self.size and 0 <= b < self.size):
             raise InputError(f"location pair ({a}, {b}) outside {self.size}x{self.size} matrix")
         return int(self._entries[a, b])
 
     def rows(self) -> list[list[int]]:
+        """A fresh mutable copy of the entries; changing it changes nothing here."""
         return self._entries.tolist()
 
     def __eq__(self, other) -> bool:

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -65,6 +65,72 @@ def test_anchor_floors_the_first_stop():
     assert plan.stops[0].time == 3
 
 
+@pytest.mark.parametrize("pair", [(-1, 2), (0, -1), (3, 2), (0, 3)])
+def test_group_and_batch_searches_range_check_request_locations(pair):
+    # the searches index a plain table, where -1 would silently wrap
+    bad = Request(2, *pair, 0, 5)
+    group = [Request(1, 0, 2, 0, 5), bad]
+    with pytest.raises(InputError):
+        optimal_plan_for_group(group, LINE, 4)
+    with pytest.raises(InputError):
+        optimal_plan_for_group([bad], LINE, 4)
+    with pytest.raises(InputError):
+        solve_batch_exact(group, LINE, 4)
+
+
+def _brute_force_group_plan(group, travel, capacity, anchor):
+    """Best (duration, driving, stop sequence) over every precedence-respecting order."""
+    by_id = {r.id: r for r in group}
+    best = None
+    for order in permutations([(code, r.id) for r in group for code in (0, 1)]):
+        if any(order.index((0, rid)) > order.index((1, rid)) for rid in by_id):
+            continue
+        specs = [(by_id[rid], "pickup" if code == 0 else "dropoff") for code, rid in order]
+        stops = darp._schedule(specs, travel, capacity, start_time=anchor)
+        if stops is None:
+            continue
+        driving = sum(travel.duration(a.location, b.location) for a, b in zip(stops, stops[1:]))
+        key = (stops[-1].time - stops[0].time, driving, order)
+        if best is None or key < best[0]:
+            best = (key, RoutePlan(stops))
+    return None if best is None else best[1]
+
+
+def test_group_search_matches_brute_force_over_stop_orders():
+    rng = random.Random(8)
+    kinds = {True: 0, False: 0}
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        size = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            travel = TravelMatrix.from_coordinates([(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(size)])
+        else:
+            travel = TravelMatrix([[0 if a == b else rng.choice((0, 1, 2, 5)) for b in range(size)] for a in range(size)])
+        kinds[travel.is_metric] += 1
+        group = [
+            Request(rid, rng.randrange(size), rng.randrange(size), rng.randint(0, 8), rng.randint(0, 6))
+            for rid in rng.sample(range(10), rng.randint(1, 3))
+        ]
+        capacity = rng.randint(len(group), 4)
+        anchor = rng.randint(0, 4)
+        expected = _brute_force_group_plan(group, travel, capacity, anchor)
+        outcomes[expected is None] += 1
+        assert optimal_plan_for_group(group, travel, capacity, anchor) == expected, (travel.rows(), group, anchor)
+    assert min(kinds.values()) > 50 and min(outcomes.values()) > 50, (kinds, outcomes)
+
+
+def test_group_search_ignores_changes_to_copies_of_the_rows():
+    travel = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
+    req = Request(1, 0, 2, 0, 5)
+    travel.rows()[0][2] = 0  # before the search builds the table
+    plan = optimal_plan_for_group([req], travel, 4)
+    assert [(s.kind, s.time) for s in plan.stops] == [("pickup", 0), ("dropoff", 4)]
+    for row in travel.rows():  # after
+        row[:] = [0] * len(row)
+    assert optimal_plan_for_group([req], travel, 4) == plan
+    assert solve_batch_exact([req], travel, 4).plans == (plan,)
+
+
 def test_batch_exact_prefers_sharing():
     rs = [Request(1, 0, 2, 0, 5), Request(2, 0, 2, 0, 5)]
     result = solve_batch_exact(rs, LINE, 4)
@@ -101,8 +167,9 @@ def test_batch_time_limit_covers_group_enumeration():
 
 def test_batch_time_limit_interrupts_a_group_search():
     # the single six-request group search alone runs for about a second
+    # (0.85 s on a 2-core x86_64 host), longer than the limit
     travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
-    rs = [Request(i, i % 2, 2, 0, 30) for i in range(6)]
+    rs = [Request(i, 2, i % 2, 0, 30) for i in range(6)]
     started = time.monotonic()
     result = solve_batch_exact(rs, travel, 6, time_limit_ms=600)
     assert time.monotonic() - started < 1.2
