@@ -7,6 +7,9 @@ search forces one variant per mismatched plan, using the relaxation value
 as the bound.  Bounds only grow down a branch (children solve a restricted
 network), so best-first search with integral costs prunes exactly.
 
+A node holds the connection rows its relaxation chose, not edge flows:
+mismatches, the branching plan and the chains are read from their columns.
+
 A child's relaxation is warm-started from its parent's Hungarian state.  A
 child only disables edges, so its assignment costs only rise and the
 parent's duals stay feasible; only the plans whose assigned connection got
@@ -22,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +42,6 @@ from .model import (
 )
 from .variantgen import GenerationResult, generate, generate_exhaustive
 from .flownet import (
-    FlowAssignment,
     FlowInfeasibleError,
     FlowNetwork,
     HungarianState,
@@ -54,17 +56,16 @@ class BranchNode:
 
     ``bound`` is a valid lower bound on every completion: the node's own
     relaxation value once solved, its parent's until then (children only
-    remove edges, so bounds never decrease down a branch).  An unsolved
-    node keeps only its parent's Hungarian state, the warm start of its own
-    relaxation.
+    remove edges, so bounds never decrease down a branch).  ``rows`` (None
+    until solved) and ``state`` are its relaxation's; an unsolved node keeps
+    its parent's state, the warm start of its own relaxation.
     """
 
-    forced: tuple[tuple[int, int], ...]  # (plan id, forced delay)
+    forced: tuple[tuple[int, int], ...]  # (plan id, forced delay), one per level
     disabled_edges: frozenset[int]
     bound: int
-    depth: int
-    assignment: FlowAssignment | None
-    start: HungarianState | None = None
+    rows: np.ndarray | None
+    state: HungarianState
 
 
 @dataclass(frozen=True)
@@ -142,105 +143,70 @@ def _generation_for(instance: ChainingInstance, variants: str, guard_ticks: int)
     raise InputError(f"unknown variant source {variants!r}")
 
 
-def _active_connections(network: FlowNetwork, flows) -> np.ndarray:
-    """Ids of the connection edges that carry flow."""
-    block = network.connection_edges
-    return block.start + np.flatnonzero(np.asarray(flows[block.start : block.stop]) == 1)
+def _per_plan(network: FlowNetwork, rows, into, out_of, fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per plan index: column ``into`` of the chosen row into it, ``out_of`` of the one out of it."""
+    conns, n = network.connections, len(network.plan_ids)
+    entering, leaving = np.full(n, fill, dtype=np.int64), np.full(n, fill, dtype=np.int64)
+    entering[conns.target[rows]] = into[rows]
+    from_plan = rows[conns.origin[rows] < n]
+    leaving[conns.origin[from_plan]] = out_of[from_plan]
+    return entering, leaving
 
 
-def _find_mismatches(network: FlowNetwork, flows) -> list[tuple[int, int, int]]:
-    """Plans whose arrival variant differs from their departure variant.
-
-    Returns (plan_id, in_delay, out_delay) triples in plan order.
-    """
-    n = len(network.plan_ids)
-    delay_in = np.full(n, -1, dtype=np.int64)
-    delay_out = np.full(n, -1, dtype=np.int64)
-    entered = np.asarray(flows[network.right_struct]) == 1
-    left = np.asarray(flows[network.left_struct]) == 1
-    delay_in[network.variant_plan[entered]] = network.variant_delay[entered]
-    delay_out[network.variant_plan[left]] = network.variant_delay[left]
+def _find_mismatches(network: FlowNetwork, rows) -> list[tuple[int, int, int]]:
+    """(plan_id, in_delay, out_delay), in plan order, of the plans the chosen ``rows`` leave by another variant."""
+    conns = network.connections
+    delay_in, delay_out = _per_plan(network, rows, conns.target_delay, conns.origin_delay, -1)
     bad = np.flatnonzero((delay_in >= 0) & (delay_out >= 0) & (delay_in != delay_out))
     return list(zip(network.plan_ids[bad].tolist(), delay_in[bad].tolist(), delay_out[bad].tolist()))
 
 
-def _active_connection_costs(network: FlowNetwork, flows) -> np.ndarray:
-    """Per plan index: cost of the active connection into the plan plus the one out of it."""
-    active = _active_connections(network, flows)
-    costs = network.cost[active]
-    origin = network.origin_col[network.tail[active]]
-    from_plan = origin < len(network.plan_ids)
-    cost_in = np.zeros(len(network.plan_ids), dtype=np.int64)
-    cost_out = np.zeros(len(network.plan_ids), dtype=np.int64)
-    cost_in[network.target_row[network.head[active]]] = costs
-    cost_out[origin[from_plan]] = costs[from_plan]
+def _active_connection_costs(network: FlowNetwork, rows) -> np.ndarray:
+    """Per plan index: cost of the chosen connection into the plan plus the one out of it."""
+    cost_in, cost_out = _per_plan(network, rows, network.connections.cost, network.connections.cost, 0)
     return cost_in + cost_out
 
 
-def _pick_branch(network: FlowNetwork, flows, mismatches) -> int:
-    """The mismatched plan whose active connections cost the most, lowest id on ties."""
-    link_cost = dict(zip(network.plan_ids.tolist(), _active_connection_costs(network, flows).tolist()))
+def _pick_branch(network: FlowNetwork, rows, mismatches) -> int:
+    """The mismatched plan whose chosen connections cost the most, lowest id on ties."""
+    link_cost = dict(zip(network.plan_ids.tolist(), _active_connection_costs(network, rows).tolist()))
     return max((pid for pid, _, _ in mismatches), key=lambda pid: (link_cost[pid], -pid))
 
 
 def _force_variant_edges(network: FlowNetwork, pid: int, keep_delay: int) -> frozenset[int]:
-    out = set()
-    for d in network.routed_delays[pid]:
-        if d != keep_delay:
-            out.add(network.left_struct_edge[(pid, d)])
-            out.add(network.right_struct_edge[(pid, d)])
-    return frozenset(out)
+    dropped = [network.variant_index[pid, d] for d in network.routed_delays[pid] if d != keep_delay]
+    return frozenset(start + i for i in dropped for start in (network.left_struct.start, network.right_struct.start))
 
 
-def extract_chains(network: FlowNetwork, assignment: FlowAssignment) -> tuple[Chain, ...]:
-    """Walk unit flows from each vehicle through active connection edges.
+def extract_chains(network: FlowNetwork, rows) -> tuple[Chain, ...]:
+    """Walk from each vehicle through the chosen connection rows.
 
-    Structural hops collapse away; what remains is the vehicle followed by
-    the plan variants it serves.  A consistency-violating or cyclic flow
-    raises ``InternalSolverError`` (unreachable from the exact solver).
+    Each chain is a vehicle followed by the plan variants it serves.  Rows
+    that enter a plan or leave an origin twice, break variant consistency or
+    miss a plan raise ``InternalSolverError`` (unreachable from the solver).
     """
-    entered: dict[int, object] = {}
-    successor: dict[tuple, object] = {}
-    for eid in _active_connections(network, assignment.flows).tolist():
-        conn = network.edge_connection(eid)
-        pid = conn.target.plan_id
-        if pid in entered:
-            raise InternalSolverError(f"plan {pid} entered by two connections")
-        entered[pid] = conn
-        origin = conn.origin
-        okey = ("v", origin.id) if isinstance(origin, Vehicle) else ("p", origin.plan_id)
-        if okey in successor:
-            raise InternalSolverError(f"origin {okey} leaves twice")
-        successor[okey] = conn
-
-    instance = network.instance
+    conns, instance = network.connections, network.instance
+    origins, targets = conns.origin[rows].tolist(), conns.target[rows].tolist()
+    if len(set(targets)) < len(targets) or len(set(origins)) < len(origins):
+        raise InternalSolverError("a plan is entered, or an origin left, by two connections")
+    mismatches = _find_mismatches(network, rows)
+    if mismatches:
+        raise InternalSolverError(f"plan {mismatches[0][0]} leaves as a different variant than it arrived")
+    successor = dict(zip(origins, rows.tolist()))  # origin column -> row out of it
     chains = []
-    used: set[int] = set()
-    for v in instance.vehicles:
-        conn = successor.get(("v", v.id))
-        if conn is None:
-            continue
-        elements: list[VariantRef] = []
-        costs: list[int] = []
-        waits: list[int] = []
-        prev: object = v
-        while conn is not None:
-            target = conn.target
-            if target.plan_id in used:
-                raise InternalSolverError("cycle in active connection edges")
-            if isinstance(conn.origin, VariantRef):
-                if entered[conn.origin.plan_id].target.delay != conn.origin.delay:
-                    raise InternalSolverError(
-                        f"plan {conn.origin.plan_id} leaves as a different variant than it arrived"
-                    )
-            used.add(target.plan_id)
-            elements.append(target)
+    for j, vehicle in enumerate(instance.vehicles):
+        elements, costs, waits, prev = [], [], [], vehicle
+        r = successor.get(len(instance.plans) + j)
+        while r is not None:  # no cycle: every plan is entered once
+            conn = conns[r]
+            elements.append(conn.target)
             costs.append(conn.cost)
-            waits.append(model.connection_wait(instance, prev, target))
-            prev = target
-            conn = successor.get(("p", target.plan_id))
-        chains.append(Chain(v, tuple(elements), tuple(costs), tuple(waits)))
-    if len(used) != len(instance.plans):
+            waits.append(model.connection_wait(instance, prev, conn.target))
+            prev = conn.target
+            r = successor.get(int(conns.target[r]))
+        if elements:
+            chains.append(Chain(vehicle, tuple(elements), tuple(costs), tuple(waits)))
+    if sum(len(c.elements) for c in chains) != len(instance.plans):
         raise InternalSolverError("extracted chains do not cover every plan")
     return tuple(chains)
 
@@ -263,60 +229,52 @@ def solve_chaining(
     gen = _generation_for(instance, variants, exhaustive_guard_ticks)
     network = build_network(instance, gen)
 
+    root = solve_mcf(network)
     if not network.variant_delay.size:
-        assignment = solve_mcf(network)
-        chains = extract_chains(network, assignment)
         wall = (time.perf_counter() - start) * 1000.0
-        return ChainSolution(chains, assignment.total_cost, SolverStats(0, 1, wall))
+        return ChainSolution(extract_chains(network, root.rows), root.total_cost, SolverStats(0, 1, wall))
 
-    root_assignment = solve_mcf(network)
-    root = BranchNode((), frozenset(), root_assignment.total_cost, 0, root_assignment)
-    relaxations = 1
-    nodes_explored = 0
+    relaxations, nodes_explored = 1, 0
     counter = itertools.count()
     # best-first by bound, ties by depth (deeper first) with solved nodes
     # ahead of unsolved ones, then creation order; children enter the heap
     # unsolved and are relaxed only when popped, so an incumbent that
     # matches the parent bound prunes whole sibling sets without a solve
-    heap = [(root.bound, -root.depth, 0, next(counter), root)]
-    incumbent: tuple[int, FlowAssignment] | None = None
+    heap = [(root.total_cost, 0, 0, next(counter), BranchNode((), frozenset(), root.total_cost, root.rows, root.state))]
+    incumbent: BranchNode | None = None
     while heap:
         _, _, _, _, node = heapq.heappop(heap)
-        if incumbent is not None and node.bound >= incumbent[0]:
+        if incumbent is not None and node.bound >= incumbent.bound:
             continue
-        if node.assignment is None:
+        if node.rows is None:
             relaxations += 1
             try:
-                assignment = solve_mcf(network, node.disabled_edges, node.start)
+                assignment = solve_mcf(network, node.disabled_edges, node.state)
             except FlowInfeasibleError:
                 continue
             if _bound_trace is not None:
                 _bound_trace.append((node.bound, assignment.total_cost))
-            if incumbent is not None and assignment.total_cost >= incumbent[0]:
+            if incumbent is not None and assignment.total_cost >= incumbent.bound:
                 continue
-            solved = BranchNode(
-                node.forced, node.disabled_edges, assignment.total_cost, node.depth, assignment
-            )
-            heapq.heappush(heap, (solved.bound, -solved.depth, 0, next(counter), solved))
+            solved = replace(node, bound=assignment.total_cost, rows=assignment.rows, state=assignment.state)
+            heapq.heappush(heap, (solved.bound, -len(solved.forced), 0, next(counter), solved))
             continue
         nodes_explored += 1
-        mismatches = _find_mismatches(network, node.assignment.flows)
+        mismatches = _find_mismatches(network, node.rows)
         if not mismatches:
-            if incumbent is None or node.assignment.total_cost < incumbent[0]:
-                incumbent = (node.assignment.total_cost, node.assignment)
+            if incumbent is None or node.bound < incumbent.bound:
+                incumbent = node
             continue
-        pid = _pick_branch(network, node.assignment.flows, mismatches)
+        pid = _pick_branch(network, node.rows, mismatches)
         for d in network.routed_delays[pid]:
             extra = _force_variant_edges(network, pid, d)
-            child = BranchNode(
-                node.forced + ((pid, d),), node.disabled_edges | extra, node.bound, node.depth + 1, None, node.assignment.state
-            )
-            heapq.heappush(heap, (child.bound, -child.depth, 1, next(counter), child))
+            child = BranchNode(node.forced + ((pid, d),), node.disabled_edges | extra, node.bound, None, node.state)
+            heapq.heappush(heap, (child.bound, -len(child.forced), 1, next(counter), child))
     if incumbent is None:
         raise InfeasibleError("no variant-consistent chain cover exists")
-    chains = extract_chains(network, incumbent[1])
+    chains = extract_chains(network, incumbent.rows)
     wall = (time.perf_counter() - start) * 1000.0
-    return ChainSolution(chains, incumbent[0], SolverStats(nodes_explored, relaxations, wall))
+    return ChainSolution(chains, incumbent.bound, SolverStats(nodes_explored, relaxations, wall))
 
 
 def _normalize_chains(chains) -> list[tuple[int, tuple[tuple[int, int], ...]]]:

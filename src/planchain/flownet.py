@@ -13,21 +13,19 @@ the variant it entered by, which is what makes the chaining exact: a plan
 entered as a delayed variant cannot leave through a base connection whose
 feasibility was checked undelayed.
 
-The network is held as int64 edge arrays (tail, head, cost), built once,
-with the node roles the solver needs precomputed beside them, from the
-generators' connection columns by array indexing alone; ``edge_connection``
-makes a ``Connection`` only for an edge asked about.  A feasible
-flow is an assignment: each plan's right side takes its unit from exactly
-one origin (a plan's left side or a vehicle) and each origin sends at
-most one, so ``solve_mcf`` collapses the network into a target-by-origin
-cost matrix and solves it with the Hungarian method.  Its duals, spread
-back over the nodes as potentials, certify the flow through
-``residual_is_optimal``.
+A feasible flow is an assignment: each plan's right side takes its unit
+from exactly one origin (a plan's left side or a vehicle) and each origin
+sends at most one, so ``solve_mcf`` collapses the network into a
+target-by-origin cost matrix and solves it with the Hungarian method.  It
+reads only the connection rows, each one source-to-sink path of at most
+five edges.  The node-and-edge view, and a solution's edge flows and node
+potentials (the Hungarian duals spread over the nodes, which certify the
+flow through ``residual_is_optimal``), are built on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +36,7 @@ from .variantgen import Connection, Connections, GenerationResult
 
 NO_EDGE = 1 << 60  # cost of a matrix cell without a usable connection
 _UNSEEN = 1 << 62  # distance of a column the search has not reached
+_EDGE_VIEW = frozenset("edges tail head cost target_row origin_col left_struct_edge right_struct_edge".split())
 
 
 class HungarianState(NamedTuple):
@@ -54,14 +53,28 @@ class HungarianState(NamedTuple):
     v: np.ndarray  # int64 per column
 
 
-@dataclass(frozen=True)
 class FlowAssignment:
-    """Integral edge flows with the solver's optimality potentials."""
+    """Integral edge flows with the solver's optimality potentials.
 
-    flows: np.ndarray  # int64 per edge, 0 or 1
-    total_cost: int
-    potentials: np.ndarray  # int64 per node
-    state: HungarianState | None = None  # the solver's, to warm-start a restricted re-solve
+    ``flows`` is int64 per edge, 0 or 1, and ``potentials`` int64 per node.
+    ``solve_mcf`` gives neither: it keeps the chosen connection ``rows``, its
+    Hungarian ``state`` (to warm-start a restricted re-solve) and in
+    ``solved`` the network and disabled edges, and derives both on first read.
+    """
+
+    def __init__(self, flows=None, total_cost: int = 0, potentials=None, state=None, rows=None, solved=None):
+        self.total_cost, self.state, self.rows, self.solved = total_cost, state, rows, solved
+        for name, given in (("flows", flows), ("potentials", potentials)):
+            if given is not None:
+                setattr(self, name, given)
+
+    @cached_property
+    def flows(self) -> np.ndarray:
+        return self.solved[0]._flows(self.rows)
+
+    @cached_property
+    def potentials(self) -> np.ndarray:
+        return self.solved[0]._potentials(self.state, self.solved[1])
 
 
 class FlowInfeasibleError(InfeasibleError):
@@ -74,7 +87,7 @@ class FlowInfeasibleError(InfeasibleError):
 
 
 class FlowNetwork:
-    """The network as int64 edge arrays, plus maps back into the domain objects.
+    """A chaining network: connection rows for the solver, an edge view on demand.
 
     Nodes are numbered source, left plans, left variants, vehicles, right
     variants, right plans, sink; plans and vehicles in instance order and
@@ -82,51 +95,47 @@ class FlowNetwork:
     structural edges (source to left plans, source to vehicles, left plan
     to left variant), then the connections in generation order, then
     sink-side structural edges (right variant to right plan, right plan to
-    sink).  ``edges`` holds one (tail, head, cost) row per edge.
+    sink).  Connection row ``r`` is edge ``connection_edges[r]``, and its
+    path runs from source edge ``connections.origin[r]`` (an origin's column
+    numbers its source edge) through variant edges ``origin_edge[r]`` and
+    ``target_edge[r]`` (``edge_count`` where the plan has no variants) to
+    the sink edge of plan ``connections.target[r]``.  The node-and-edge
+    view (``_EDGE_VIEW``) is built on first access.
     """
 
     def __init__(self, instance: ChainingInstance, gen: GenerationResult):
-        plans, vehicles = instance.plans, instance.vehicles
-        n, n_veh = len(plans), len(vehicles)
+        plans = instance.plans
+        n, n_veh = len(plans), len(instance.vehicles)
         self.instance = instance
-        self.connections = Connections.of(instance, gen.connections)
+        self.connections = conns = Connections.of(instance, gen.connections)
         routed: dict[int, list[int]] = {}  # plan id -> 0 and its delays, ascending
         for v in sorted(gen.variants, key=lambda v: (v.plan_id, v.delay)):
             routed.setdefault(v.plan_id, [0]).append(v.delay)
         self.routed_delays = {p.id: tuple(routed.get(p.id, ())) for p in plans}
         keys = [(p.id, d) for p in plans for d in self.routed_delays[p.id]]  # (plan id, delay) per variant
+        self.variant_index = {key: i for i, key in enumerate(keys)}
         self.plan_ids = np.array([p.id for p in plans], dtype=np.int64)
         self.variant_plan = np.searchsorted(self.plan_ids, [pid for pid, _ in keys])  # plan index
         self.variant_delay = np.array([d for _, d in keys], dtype=np.int64)
         k = len(keys)
-
-        left_plan = 1 + np.arange(n)
-        left_variant = 1 + n + np.arange(k)
-        vehicle = 1 + n + k + np.arange(n_veh)
-        right_variant = 1 + n + k + n_veh + np.arange(k)
-        right_plan = 1 + n + 2 * k + n_veh + np.arange(n)
-        self.source_id = 0
-        self.sink_id = 1 + 2 * n + 2 * k + n_veh
+        self.source_id, self.sink_id = 0, 1 + 2 * n + 2 * k + n_veh
         self.node_count = self.sink_id + 1
-        self.target_row = np.full(self.node_count, -1, dtype=np.int64)  # right-side node -> target plan
-        self.target_row[right_variant] = self.variant_plan
-        self.target_row[right_plan] = np.arange(n)
-        self.origin_col = np.full(self.node_count, -1, dtype=np.int64)  # left-side node -> origin
-        self.origin_col[left_plan] = np.arange(n)
-        self.origin_col[left_variant] = self.variant_plan
-        self.origin_col[vehicle] = n + np.arange(n_veh)
+        first, last = n + n_veh + k, n + n_veh + k + len(conns)
+        self.connection_edges = range(first, last)
+        self.left_struct, self.right_struct = slice(n + n_veh, first), slice(last, last + k)
+        self.edge_count = last + k + n
 
         # every (plan index, delay) endpoint with a node pair, sorted, with its
-        # left and right node: the variants, and each other plan at delay 0
-        lp, rp, lv, rv = (x.tolist() for x in (left_plan, right_plan, left_variant, right_variant))
-        ends = list(zip(self.variant_plan.tolist(), self.variant_delay.tolist(), lv, rv))
-        ends += [(i, 0, lp[i], rp[i]) for i, p in enumerate(plans) if not self.routed_delays[p.id]]
+        # left and right variant edge: the variants, and each other plan at
+        # delay 0, whose "variant edges" are the absent edge ``edge_count``
+        lefts, rights = range(first - k, first), range(last, last + k)
+        ends = list(zip(self.variant_plan.tolist(), self.variant_delay.tolist(), lefts, rights))
+        ends += [(i, 0, self.edge_count, self.edge_count) for i, p in enumerate(plans) if not self.routed_delays[p.id]]
         ends.sort()
         end_plan, end_delay, end_left, end_right = np.array(ends, dtype=np.int64).reshape(-1, 4).T
 
         # each plan-side endpoint of a connection, origins then targets, found by
         # one sorted search on (plan, rank of the delay): a key below n * (k + 2)
-        conns = self.connections
         from_plan = (conns.origin < n).nonzero()[0]
         plan = np.concatenate([conns.origin[from_plan], conns.target])
         delay = np.concatenate([conns.origin_delay[from_plan], conns.target_delay])
@@ -138,9 +147,9 @@ class FlowNetwork:
         if missing.size:
             r = missing[0]
             raise InputError(f"connection endpoint {(int(self.plan_ids[plan[r]]), int(delay[r]))} has no node")
-        conn_tail = 1 + k + conns.origin  # a vehicle's node
-        conn_tail[from_plan] = end_left[at[: len(from_plan)]]
-        conn_head = end_right[at[len(from_plan) :]]
+        self.origin_edge = np.full(len(conns), self.edge_count, dtype=np.int64)  # a vehicle's: absent
+        self.origin_edge[from_plan] = end_left[at[: len(from_plan)]]
+        self.target_edge = end_right[at[len(from_plan) :]]
         self.max_cost = int(conns.cost.max()) if len(conns) else 0
         # checked in Python ints: an assignment through real cells must cost
         # less than one through a no-edge cell, and the duals and search
@@ -151,33 +160,64 @@ class FlowNetwork:
                 f"connection cost {self.max_cost} over {n} plans exceeds the exact integer range of the relaxation"
             )
 
-        down_head = np.concatenate([left_plan, vehicle, left_variant])
-        up_tail = np.concatenate([right_variant, right_plan])
-        tail = np.concatenate([np.zeros(n + n_veh, dtype=np.int64), left_plan[self.variant_plan], conn_tail, up_tail])
-        head = np.concatenate([down_head, conn_head, right_plan[self.variant_plan], np.full(n, self.sink_id)])
-        first, last = len(down_head), len(down_head) + len(conns)
-        cost = np.zeros(len(tail), dtype=np.int64)
-        cost[first:last] = conns.cost
+        # matrix cell of each connection, and the connections sorted by
+        # cell, then cost, then row: the first usable one of a cell wins
+        self.cell = conns.target * (n + n_veh) + conns.origin
+        self.cell_order = np.lexsort((np.arange(len(conns)), conns.cost, self.cell))
+
+    def __getattr__(self, name: str):
+        if name not in _EDGE_VIEW:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_view()
+        return self.__dict__[name]
+
+    def _build_view(self) -> None:
+        """The node-and-edge view of the rows: edge arrays, node roles, structural-edge maps."""
+        n, n_veh, k, vp = len(self.plan_ids), len(self.instance.vehicles), len(self.variant_plan), self.variant_plan
+        right = 1 + n + k + n_veh  # the first right-side node
+        self.origin_col = np.concatenate([[-1], np.arange(n), vp, n + np.arange(n_veh), np.full(k + n + 1, -1)])
+        self.target_row = np.concatenate([np.full(right, -1), vp, np.arange(n), [-1]])
+        # left variant edge n + n_veh + i heads node 1 + n + i; right variant edge i tails node right + i
+        conns, routed = self.connections, (self.origin_edge < self.edge_count, self.target_edge < self.edge_count)
+        conn_tail = 1 + np.where(routed[0], self.origin_edge - n_veh, conns.origin + k * (conns.origin >= n))
+        conn_head = right + np.where(routed[1], self.target_edge - self.right_struct.start, k + conns.target)
+        tail = np.concatenate([np.zeros(n + n_veh, dtype=np.int64), 1 + vp, conn_tail, right + np.arange(k + n)])
+        down_head = [1 + np.arange(n), 1 + n + k + np.arange(n_veh), 1 + n + np.arange(k)]
+        head = np.concatenate([*down_head, conn_head, right + k + vp, np.full(n, self.sink_id)])
+        cost = np.zeros(self.edge_count, dtype=np.int64)
+        cost[self.connection_edges.start : self.connection_edges.stop] = conns.cost
         self.edges = np.stack([tail, head, cost], axis=1)
         self.edges.setflags(write=False)
         self.tail, self.head, self.cost = self.edges.T
-        self.connection_edges = range(first, last)
-        self.left_struct = slice(n + n_veh, first)
-        self.right_struct = slice(last, last + k)
-        self.left_struct_edge = dict(zip(keys, range(n + n_veh, first)))
-        self.right_struct_edge = dict(zip(keys, range(last, last + k)))
+        self.left_struct_edge = {key: self.left_struct.start + i for key, i in self.variant_index.items()}
+        self.right_struct_edge = {key: self.right_struct.start + i for key, i in self.variant_index.items()}
 
-        # the structural edge into each left node from the source side and
-        # out of each right node to the sink side
-        self.parent_edge = np.full(self.node_count, -1, dtype=np.int64)
-        self.parent_edge[down_head] = np.arange(first)
-        self.child_edge = np.full(self.node_count, -1, dtype=np.int64)
-        self.child_edge[up_tail] = np.arange(last, len(tail))
+    def _off(self, disabled_edges) -> np.ndarray:  # per edge, then False for the absent edge
+        off = np.zeros(self.edge_count + 1, dtype=bool)
+        off[: self.edge_count][list(disabled_edges)] = True  # an id past the edges raises
+        return off
 
-        # matrix cell of each connection, and the connections sorted by
-        # cell, then cost, then edge id: the first usable one of a cell wins
-        self.cell = conns.target * (n + n_veh) + conns.origin
-        self.cell_order = np.lexsort((np.arange(len(conns)), conns.cost, self.cell))
+    def _flows(self, rows: np.ndarray) -> np.ndarray:
+        """Edge flows of the chosen rows: each row's path carries one unit."""
+        conns, first, sinks = self.connections, self.connection_edges.start, self.right_struct.stop
+        flows = np.zeros(self.edge_count + 1, dtype=np.int64)
+        flows[np.concatenate([conns.origin[rows], self.origin_edge[rows], first + rows, self.target_edge[rows]])] = 1
+        flows[sinks + conns.target[rows]] = 1
+        flows = flows[:-1]
+        flows.setflags(write=False)
+        return flows
+
+    def _potentials(self, state: HungarianState, disabled_edges) -> np.ndarray:
+        """-v on left nodes, u on right ones, +-NO_EDGE where a disabled edge cuts off the source or sink."""
+        off, n, vp, (u, v) = self._off(disabled_edges), len(self.plan_ids), self.variant_plan, state[1:]
+        source, sink = off[: self.left_struct.start], off[self.right_struct.stop : -1]
+        left_cut = np.concatenate([source[:n], off[self.left_struct] | source[vp], source[n:]])
+        right_cut = np.concatenate([off[self.right_struct] | sink[vp], sink])
+        left = np.where(left_cut, NO_EDGE, -np.concatenate([v[:n], v[vp], v[n:]]))
+        right = np.where(right_cut, -NO_EDGE, np.concatenate([u[vp], u]))
+        potentials = np.concatenate([[0], left, right, [u.max() if n else 0]])
+        potentials.setflags(write=False)
+        return potentials
 
     def edge_connection(self, eid: int) -> Connection:
         """The connection a connection edge carries."""
@@ -197,7 +237,6 @@ def build_network(instance: ChainingInstance, gen: GenerationResult) -> FlowNetw
     too large for exact int64 duals.
     """
     return FlowNetwork(instance, gen)
-
 
 
 def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> HungarianState:
@@ -282,7 +321,7 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
             j = int(front.argmin())
             d = int(front[j])
             if level + d > limit:
-                raise FlowInfeasibleError(row_ids[i])
+                raise FlowInfeasibleError(int(row_ids[i]))
             front[j] = _UNSEEN
             r = int(owner[j])
             if r >= 0:
@@ -314,32 +353,26 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
 
 
 def _assignment_matrix(net: FlowNetwork, disabled_edges: frozenset[int]):
-    """The target-by-origin cost matrix of a network with some edges disabled.
+    """The target-by-origin cost matrix, and the connection row per cell (-1: none), flat.
 
-    Returns the matrix (``NO_EDGE`` where no connection is usable), the
-    connection edge behind each cell (-1 for none), flat, and the nodes a
-    disabled edge separates from the source or the sink.
+    A cell without a usable row costs ``NO_EDGE``.  A row is unusable when
+    one of the five edges on its path is disabled (see ``FlowNetwork``).
     """
-    tails, heads = net.tail, net.head
-    n = len(net.plan_ids)
+    conns, order, n = net.connections, net.cell_order, len(net.plan_ids)
     m = n + len(net.instance.vehicles)
-    off = np.zeros(len(net.edges), dtype=bool)
-    off[list(disabled_edges)] = True
-    cut = np.zeros(net.node_count, dtype=bool)  # a disabled edge separates the node from source or sink
-    start, stop = net.connection_edges.start, net.connection_edges.stop
-    down, block, up = slice(0, start), slice(start, stop), slice(stop, None)
-    for _ in range(2):  # structural paths have at most two edges
-        cut[heads[down]] = off[down] | cut[tails[down]]
-        cut[tails[up]] = off[up] | cut[heads[up]]
-
-    usable = ~off[block] & ~cut[tails[block]] & ~cut[heads[block]]
-    order = net.cell_order[usable[net.cell_order]]
-    first = order[np.diff(net.cell[order], prepend=-1) != 0]
-    matrix = np.full(n * m, NO_EDGE, dtype=np.int64)
-    matrix[net.cell[first]] = net.cost[start + first]
-    edge_at = np.full(n * m, -1, dtype=np.int64)
-    edge_at[net.cell[first]] = start + first
-    return matrix.reshape(n, m), edge_at, cut
+    if disabled_edges:
+        off = net._off(disabled_edges)
+        blocked = off[net.connection_edges.start : net.connection_edges.stop] | off[conns.origin]
+        blocked |= off[net.origin_edge] | off[net.target_edge] | off[net.right_struct.stop :][conns.target]
+        order = order[~blocked[order]]
+    cells = net.cell[order]
+    lead = np.ones(len(cells), dtype=bool)  # the first row of each cell
+    lead[1:] = cells[1:] != cells[:-1]
+    rows, cells = order[lead], cells[lead]
+    matrix, row_at = np.full(n * m, NO_EDGE, dtype=np.int64), np.full(n * m, -1, dtype=np.int64)
+    matrix[cells] = conns.cost[rows]
+    row_at[cells] = rows
+    return matrix.reshape(n, m), row_at
 
 
 def solve_mcf(
@@ -356,9 +389,9 @@ def solve_mcf(
     cost matrix keeps the cheapest usable connection of its pair; a
     connection is unusable when it, or a structural edge on its path from
     the source or to the sink, is disabled, and equal costs go to the
-    lowest edge id.  The Hungarian duals become node potentials under which
-    no residual arc has a negative reduced cost, so ``residual_is_optimal``
-    certifies the result.
+    lowest edge id.  The result holds the chosen connection rows; its flows
+    and the node potentials made from the Hungarian duals, which
+    ``residual_is_optimal`` certifies, are derived when read.
 
     ``start`` warm-starts the solver from the ``state`` of an assignment
     solved on the same network with a subset of ``disabled_edges``.
@@ -372,43 +405,22 @@ def solve_mcf(
     usable incoming connection, else the plan whose row found no augmenting
     path.
     """
-    net = network
-    n = len(net.plan_ids)
+    net, n = network, len(network.plan_ids)
     m = n + len(net.instance.vehicles)
-    matrix, edge_at, cut = _assignment_matrix(net, disabled_edges)
+    matrix, row_at = _assignment_matrix(net, disabled_edges)
     starved = (matrix == NO_EDGE).all(axis=1).nonzero()[0]
     if starved.size:
         raise FlowInfeasibleError(int(net.plan_ids[starved[0]]))
     if start is None:
         start = HungarianState(np.full(m, -1, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64))
 
-    state = _hungarian(matrix, n * net.max_cost, net.plan_ids.tolist(), start)
-    owner, u, v = state
+    state = _hungarian(matrix, n * net.max_cost, net.plan_ids, start)
     for part in state:
         part.setflags(write=False)
-
-    assigned = (owner >= 0).nonzero()[0]
-    chosen = edge_at[owner[assigned] * m + assigned]
-    flows = np.zeros(len(net.edges), dtype=np.int64)
-    flows[chosen] = 1
-    tails, heads = net.tail, net.head
-    for path, end in ((net.parent_edge, tails), (net.child_edge, heads)):  # back to the source, on to the sink
-        hop = chosen
-        while hop.size:
-            hop = path[end[hop]]
-            hop = hop[hop >= 0]
-            flows[hop] = 1
-
-    left, right = net.origin_col >= 0, net.target_row >= 0
-    potentials = np.zeros(net.node_count, dtype=np.int64)
-    potentials[left] = -v[net.origin_col[left]]
-    potentials[right] = u[net.target_row[right]]
-    potentials[cut] = np.where(left[cut], NO_EDGE, -NO_EDGE)
-    potentials[net.sink_id] = u.max() if n else 0
-    total = sum(net.cost[chosen].tolist())
-    flows.setflags(write=False)
-    potentials.setflags(write=False)
-    return FlowAssignment(flows, total, potentials, state)
+    assigned = (state.owner >= 0).nonzero()[0]
+    rows = row_at[state.owner[assigned] * m + assigned]
+    rows.setflags(write=False)
+    return FlowAssignment(None, sum(net.connections.cost[rows].tolist()), None, state, rows, (net, disabled_edges))
 
 
 def residual_is_optimal(
@@ -419,8 +431,7 @@ def residual_is_optimal(
     """Certificate check: no residual arc has a negative reduced cost."""
     pi = np.asarray(assignment.potentials, dtype=np.int64)
     flows = np.asarray(assignment.flows, dtype=np.int64)
-    live = np.ones(len(network.edges), dtype=bool)
-    live[list(disabled_edges)] = False
+    live = ~network._off(disabled_edges)[:-1]
     reduced = network.cost + pi[network.tail] - pi[network.head]
     forward = live & (flows < 1) & (reduced < 0)
     backward = live & (flows > 0) & (reduced > 0)

@@ -15,6 +15,8 @@ the minimal generator.
 scalar twins of the vectorized variant generators: one model-layer call
 per origin/target pair (through ``try_connect`` for the minimal one),
 kept for the differential tests that pin the generators' output.
+``assignment_matrix_reference`` builds the relaxation's cost matrix from
+the edge view, as the node-level twin of the solver's row-level one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
+from .flownet import NO_EDGE
 from .errors import GuardExceededError, InfeasibleError, InputError
 from . import model
 from .model import ChainingInstance, Plan, VariantRef, Vehicle
@@ -398,3 +403,27 @@ def generate_exhaustive_reference(instance: ChainingInstance) -> GenerationResul
             if cost is not None:
                 connections.append(Connection(origin, target, cost))
     return GenerationResult(tuple(variants), tuple(connections))
+
+
+def assignment_matrix_reference(net, disabled_edges: frozenset[int]):
+    """``solve_mcf``'s cost matrix, the connection edge per cell (-1: none), flat, and the cut nodes.
+
+    A disabled edge cuts the nodes past it on its structural path from the
+    source or to the sink, and a connection at a cut node is unusable.
+    """
+    n, m = len(net.plan_ids), len(net.plan_ids) + len(net.instance.vehicles)
+    off = np.zeros(len(net.edges), dtype=bool)
+    off[list(disabled_edges)] = True
+    cut = np.zeros(net.node_count, dtype=bool)
+    start, stop = net.connection_edges.start, net.connection_edges.stop
+    down, block, up = slice(0, start), slice(start, stop), slice(stop, None)
+    for _ in range(2):  # structural paths have at most two edges
+        cut[net.head[down]] = off[down] | cut[net.tail[down]]
+        cut[net.tail[up]] = off[up] | cut[net.head[up]]
+    usable = ~off[block] & ~cut[net.tail[block]] & ~cut[net.head[block]]
+    order = net.cell_order[usable[net.cell_order]]
+    first = order[np.diff(net.cell[order], prepend=-1) != 0]
+    matrix, edge_at = np.full(n * m, NO_EDGE, dtype=np.int64), np.full(n * m, -1, dtype=np.int64)
+    matrix[net.cell[first]] = net.cost[start + first]
+    edge_at[net.cell[first]] = start + first
+    return matrix.reshape(n, m), edge_at, cut

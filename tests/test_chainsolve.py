@@ -120,7 +120,7 @@ def test_mismatch_detector_matches_constraint_objects():
         except FlowInfeasibleError:
             continue
         all_satisfied = all(coupling_satisfied(c, assignment.flows) for c in constraints)
-        assert all_satisfied == (not _find_mismatches(net, assignment.flows))
+        assert all_satisfied == (not _find_mismatches(net, assignment.rows))
         checked += 1
     assert checked > 10
 

@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -165,14 +166,32 @@ def test_batch_time_limit_covers_group_enumeration():
     assert served == list(range(12))
 
 
-def test_batch_time_limit_interrupts_a_group_search():
-    # the single six-request group search alone runs for about a second
-    # (0.85 s on a 2-core x86_64 host), longer than the limit
+def test_batch_time_limit_interrupts_a_group_search(monkeypatch):
+    # a fake clock, read once per search node, advances 2**-19 s per read, so
+    # the 600 ms limit passes after 314,573 reads on any host: inside the
+    # six-request group search, which runs from read 243,316 to 889,877
+    clock = SimpleNamespace(reads=0, late=0)
+
+    def monotonic():
+        now = clock.reads * 2.0**-19
+        clock.reads += 1
+        clock.late += now > 0.6  # the first read, 0, plus the limit
+        return now
+
+    sizes = []  # of the groups searched
+    search = darp.optimal_plan_for_group
+
+    def recorded(group, *args, **kwargs):
+        sizes.append(len(group))
+        return search(group, *args, **kwargs)
+
+    monkeypatch.setattr(darp, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(darp, "optimal_plan_for_group", recorded)
     travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
     rs = [Request(i, 2, i % 2, 0, 30) for i in range(6)]
-    started = time.monotonic()
     result = solve_batch_exact(rs, travel, 6, time_limit_ms=600)
-    assert time.monotonic() - started < 1.2
+    # the six-request search stops at its first read past the deadline
+    assert sizes[-1] == 6 and clock.late == 1
     assert result.proven_optimal is False
     served = sorted(rid for plan in result.plans for rid in plan.request_ids())
     assert served == list(range(6))

@@ -138,7 +138,7 @@ def test_e1_solve_and_active_edges():
     # vehicle -> right plan 1, and left plan 1 -> right variant 2@1
     assert active == {(5, 8), (1, 7)}
     # branching scores: plan 1 enters at 0 and leaves at 2, plan 2 enters at 2
-    assert chainsolve._active_connection_costs(net, assignment.flows).tolist() == [2, 2]
+    assert chainsolve._active_connection_costs(net, assignment.rows).tolist() == [2, 2]
 
 
 def test_certificate_checks_catch_broken_flows():
@@ -301,3 +301,72 @@ def test_start_must_be_dual_feasible():
     for bad in (state._replace(v=state.v + 1), state._replace(u=state.u + 1)):
         with pytest.raises(ValueError):
             solve_mcf(net, frozenset(), bad)
+
+
+def edge_kinds(net):
+    """Edge ids by kind: source to plan, source to vehicle, left structural,
+    connection, right structural, sink."""
+    n, n_veh = len(net.plan_ids), len(net.instance.vehicles)
+    left, right = net.left_struct, net.right_struct
+    return (
+        range(n),
+        range(n, n + n_veh),
+        range(left.start, left.stop),
+        net.connection_edges,
+        range(right.start, right.stop),
+        range(right.stop, net.edge_count),
+    )
+
+
+def test_row_matrix_matches_the_edge_level_reference():
+    # each case disables a random subset of one edge kind, or of all six;
+    # the row-level usability test must rebuild the reference's matrix
+    rng = random.Random(23)
+    changed = [0] * 6  # cases of each kind whose matrix differs from the unrestricted one
+    solved = 0
+    for seed in range(150):
+        params = ChainGenParams(seed=seed, plans=rng.randint(1, 7), vehicles=rng.randint(1, 3), d_max_range=(0, 12))
+        inst = chain_instance_from_params(params)
+        net = build_network(inst, variantgen.generate(inst))
+        kinds = edge_kinds(net)
+        unrestricted = flownet._assignment_matrix(net, frozenset())[0]
+        for kind in range(7):
+            pool = [e for edges in kinds for e in edges] if kind == 6 else kinds[kind]
+            disabled = frozenset(e for e in pool if rng.random() < 0.3)
+            matrix, row_at = flownet._assignment_matrix(net, disabled)
+            reference, edge_at, cut = oracle.assignment_matrix_reference(net, disabled)
+            assert matrix.tolist() == reference.tolist()
+            assert np.where(row_at >= 0, row_at + net.connection_edges.start, -1).tolist() == edge_at.tolist()
+            if kind < 6:
+                changed[kind] += bool((matrix != unrestricted).any())
+            try:
+                assignment = solve_mcf(net, disabled)
+            except FlowInfeasibleError:
+                continue
+            solved += 1
+            # flows and potentials, derived on first read, certify the solve
+            check_conservation(net, assignment)
+            assert residual_is_optimal(net, assignment, disabled)
+            assert not any(assignment.flows[e] for e in disabled)
+            assert (np.abs(assignment.potentials[cut]) == flownet.NO_EDGE).all()
+    assert min(changed) >= 15 and solved >= 200, (changed, solved)
+
+
+def test_branching_solve_never_builds_the_edge_view(monkeypatch):
+    inst = chain_instance_from_params(ChainGenParams(seed=60, plans=3, vehicles=2, d_max_range=(0, 12)))
+    built = []
+    build = chainsolve.build_network
+    monkeypatch.setattr(chainsolve, "build_network", lambda *args: built.append(build(*args)) or built[-1])
+    solution = chainsolve.solve_chaining(inst)
+    assert (solution.stats.nodes_explored, solution.stats.relaxations_solved) == (2, 3)
+    (net,) = built
+    assert not flownet._EDGE_VIEW & vars(net).keys()
+    # built on first access, the view holds the edges an eager build made
+    assert net.edges.tolist() == [
+        [0, 1, 0], [0, 2, 0], [0, 3, 0], [0, 6, 0], [0, 7, 0], [3, 4, 0], [3, 5, 0],
+        [1, 9, 0], [4, 10, 0], [6, 10, 16], [6, 11, 0], [6, 8, 16], [7, 10, 6], [7, 11, 14], [7, 8, 6],
+        [8, 12, 0], [9, 12, 0], [10, 13, 0], [11, 13, 0], [12, 13, 0],
+    ]
+    assert net.origin_col.tolist() == [-1, 0, 1, 2, 2, 2, 3, 4, -1, -1, -1, -1, -1, -1]
+    assert net.target_row.tolist() == [-1, -1, -1, -1, -1, -1, -1, -1, 2, 2, 0, 1, 2, -1]
+    assert (net.left_struct_edge, net.right_struct_edge) == ({(3, 0): 5, (3, 6): 6}, {(3, 0): 15, (3, 6): 16})

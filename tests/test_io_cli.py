@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import planchain
 from planchain import instances as io
 from planchain.cli import main
 from planchain.chainsolve import solve_chaining
@@ -299,3 +303,12 @@ def test_cli_solution_files_are_deterministic(tmp_path):
     assert main(["chain", "solve", "--instance", str(inst_path), "--out", str(out2)]) in (0, 1)
     if out1.exists():
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_package_import_leaves_scipy_out():
+    # scipy would add about 0.45 s to every fresh interpreter's set-up
+    src = str(Path(planchain.__file__).resolve().parent.parent)
+    code = "import sys, planchain; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["False"]
