@@ -3,9 +3,10 @@
 The pure min-cost flow relaxation ignores the requirement that a plan must
 leave a chain as the same variant it entered with.  When the relaxation
 already satisfies consistency we are done; otherwise a branch-and-bound
-search forces one variant per mismatched plan, using the relaxation value
-as the bound.  Bounds only grow down a branch (children solve a restricted
-network), so best-first search with integral costs prunes exactly.
+search splits a mismatched plan's open delays into two intervals, one per
+child, using the relaxation value as the bound.  Bounds only grow down a
+branch (children solve a restricted network), so best-first search with
+integral costs prunes exactly.
 
 A node holds the connection rows its relaxation chose, not edge flows:
 mismatches, the branching plan and the chains are read from their columns.
@@ -52,7 +53,7 @@ from .flownet import (
 
 @dataclass(frozen=True)
 class BranchNode:
-    """A branch-and-bound node: forced variants and their disabled edges.
+    """A branch-and-bound node: its depth and the variant edges it disabled.
 
     ``bound`` is a valid lower bound on every completion: the node's own
     relaxation value once solved, its parent's until then (children only
@@ -61,7 +62,7 @@ class BranchNode:
     its parent's state, the warm start of its own relaxation.
     """
 
-    forced: tuple[tuple[int, int], ...]  # (plan id, forced delay), one per level
+    depth: int
     disabled_edges: frozenset[int]
     bound: int
     rows: np.ndarray | None
@@ -167,15 +168,28 @@ def _active_connection_costs(network: FlowNetwork, rows) -> np.ndarray:
     return cost_in + cost_out
 
 
-def _pick_branch(network: FlowNetwork, rows, mismatches) -> int:
-    """The mismatched plan whose chosen connections cost the most, lowest id on ties."""
+def _pick_branch(network: FlowNetwork, rows, mismatches) -> tuple[int, int, int]:
+    """The mismatch whose plan's chosen connections cost the most, lowest plan id on ties."""
     link_cost = dict(zip(network.plan_ids.tolist(), _active_connection_costs(network, rows).tolist()))
-    return max((pid for pid, _, _ in mismatches), key=lambda pid: (link_cost[pid], -pid))
+    return max(mismatches, key=lambda m: (link_cost[m[0]], -m[0]))
 
 
-def _force_variant_edges(network: FlowNetwork, pid: int, keep_delay: int) -> frozenset[int]:
-    dropped = [network.variant_index[pid, d] for d in network.routed_delays[pid] if d != keep_delay]
+def _force_variant_edges(network: FlowNetwork, pid: int, keep) -> frozenset[int]:
+    """Both variant edges of plan ``pid`` at each routed delay not in ``keep``."""
+    dropped = [network.variant_index[pid, d] for d in network.routed_delays[pid] if d not in keep]
     return frozenset(start + i for i in dropped for start in (network.left_struct.start, network.right_struct.start))
+
+
+def _split_open_delays(network: FlowNetwork, disabled, pid: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """Plan ``pid``'s open delays (variant edges not in ``disabled``) below ``max(a, b)``, and the rest.
+
+    A plan entered at ``a`` and left at ``b != a`` has both open, so each
+    part is non-empty; a consistent cover serves the plan at one open delay,
+    which lies in exactly one part.
+    """
+    left = network.left_struct.start
+    open_delays = [d for d in network.routed_delays[pid] if left + network.variant_index[pid, d] not in disabled]
+    return tuple(d for d in open_delays if d < max(a, b)), tuple(d for d in open_delays if d >= max(a, b))
 
 
 def extract_chains(network: FlowNetwork, rows) -> tuple[Chain, ...]:
@@ -240,7 +254,7 @@ def solve_chaining(
     # ahead of unsolved ones, then creation order; children enter the heap
     # unsolved and are relaxed only when popped, so an incumbent that
     # matches the parent bound prunes whole sibling sets without a solve
-    heap = [(root.total_cost, 0, 0, next(counter), BranchNode((), frozenset(), root.total_cost, root.rows, root.state))]
+    heap = [(root.total_cost, 0, 0, next(counter), BranchNode(0, frozenset(), root.total_cost, root.rows, root.state))]
     incumbent: BranchNode | None = None
     while heap:
         _, _, _, _, node = heapq.heappop(heap)
@@ -257,7 +271,7 @@ def solve_chaining(
             if incumbent is not None and assignment.total_cost >= incumbent.bound:
                 continue
             solved = replace(node, bound=assignment.total_cost, rows=assignment.rows, state=assignment.state)
-            heapq.heappush(heap, (solved.bound, -len(solved.forced), 0, next(counter), solved))
+            heapq.heappush(heap, (solved.bound, -solved.depth, 0, next(counter), solved))
             continue
         nodes_explored += 1
         mismatches = _find_mismatches(network, node.rows)
@@ -265,11 +279,11 @@ def solve_chaining(
             if incumbent is None or node.bound < incumbent.bound:
                 incumbent = node
             continue
-        pid = _pick_branch(network, node.rows, mismatches)
-        for d in network.routed_delays[pid]:
-            extra = _force_variant_edges(network, pid, d)
-            child = BranchNode(node.forced + ((pid, d),), node.disabled_edges | extra, node.bound, None, node.state)
-            heapq.heappush(heap, (child.bound, -len(child.forced), 1, next(counter), child))
+        pid, a, b = _pick_branch(network, node.rows, mismatches)
+        for keep in _split_open_delays(network, node.disabled_edges, pid, a, b):
+            extra = _force_variant_edges(network, pid, keep)
+            child = BranchNode(node.depth + 1, node.disabled_edges | extra, node.bound, None, node.state)
+            heapq.heappush(heap, (child.bound, -child.depth, 1, next(counter), child))
     if incumbent is None:
         raise InfeasibleError("no variant-consistent chain cover exists")
     chains = extract_chains(network, incumbent.rows)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -289,6 +290,54 @@ def test_branching_is_lazy_under_large_variant_fanout():
     assert solution.stats.relaxations_solved < 50
 
 
+def test_split_open_delays_partitions_the_open_set():
+    # random open sets: each plan keeps a random subset of its delays open,
+    # then is split on a mismatch between two of its open delays
+    rng = random.Random(5)
+    splits = 0
+    for seed in range(40):
+        inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=5, vehicles=2, d_max_range=(1, 10)))
+        net = build_network(inst, variantgen.generate_exhaustive(inst))
+        left, right = net.left_struct_edge, net.right_struct_edge
+        disabled, open_delays = frozenset(), {}
+        for pid, delays in net.routed_delays.items():
+            if len(delays) >= 2:
+                open_delays[pid] = set(rng.sample(delays, rng.randint(2, len(delays))))
+                disabled |= chainsolve._force_variant_edges(net, pid, open_delays[pid])
+        for pid, kept in open_delays.items():
+            a, b = rng.sample(sorted(kept), 2)
+            low, high = chainsolve._split_open_delays(net, disabled, pid, a, b)
+            assert low and high and not set(low) & set(high)
+            assert set(low) | set(high) == kept
+            assert (min(a, b) in low) and (max(a, b) in high)
+            for part in (low, high):
+                child = disabled | chainsolve._force_variant_edges(net, pid, part)
+                assert child >= disabled
+                for d in net.routed_delays[pid]:
+                    assert (left[pid, d] in child) == (right[pid, d] in child) == (d not in part)
+            splits += 1
+    assert splits >= 50
+
+
+def test_interval_branching_keeps_the_search_small():
+    # one child per routed delay needed 687 relaxations on this instance
+    inst = chain_instance_from_params(
+        ChainGenParams(
+            seed=63,
+            plans=7,
+            vehicles=3,
+            locations=3,
+            horizon=60,
+            d_max_range=(0, 10),
+            policy=TravelCostWaitPenalized(Fraction(2, 3)),
+        )
+    )
+    solution = solve_chaining(inst)
+    assert solution.objective == 39 == oracle.brute_force_optimal(inst).objective
+    assert validate_chains(inst, solution.chains, solution.objective).ok
+    assert solution.stats.relaxations_solved <= 200
+
+
 POLICIES = st.one_of(
     st.just(TravelCost()),
     st.just(FleetSize()),
@@ -297,26 +346,36 @@ POLICIES = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=500, deadline=None)
 @given(
     seed=st.integers(0, 1 << 30),
-    plans=st.integers(0, 7),
-    vehicles=st.integers(1, 3),
+    plans=st.integers(0, 8),
+    vehicles=st.integers(1, 4),
     locations=st.integers(3, 8),
+    horizon=st.sampled_from((60, 120)),
     d_max=st.integers(0, 10),
     policy=POLICIES,
 )
-def test_solver_agrees_with_brute_force_on_random_instances(seed, plans, vehicles, locations, d_max, policy):
+def test_solver_agrees_with_brute_force_on_random_instances(seed, plans, vehicles, locations, horizon, d_max, policy):
+    # the default variant source and the exhaustive one, whatever the policy;
+    # the longer horizon keeps more of the larger instances feasible
     inst = chain_instance_from_params(
         ChainGenParams(
-            seed=seed, plans=plans, vehicles=vehicles, locations=locations, d_max_range=(0, d_max), policy=policy
+            seed=seed,
+            plans=plans,
+            vehicles=vehicles,
+            locations=locations,
+            horizon=horizon,
+            d_max_range=(0, d_max),
+            policy=policy,
         )
     )
     expected = oracle.brute_force_optimal(inst).objective
-    try:
-        solution = solve_chaining(inst)
-    except InfeasibleError:
-        assert expected is None
-        return
-    assert solution.objective == expected
-    assert validate_chains(inst, solution.chains, solution.objective).ok
+    for variants in ("auto", "exhaustive"):
+        try:
+            solution = solve_chaining(inst, variants=variants)
+        except InfeasibleError:
+            assert expected is None
+            continue
+        assert solution.objective == expected
+        assert validate_chains(inst, solution.chains, solution.objective).ok

@@ -233,7 +233,7 @@ def test_certificate_holds_with_forced_variants():
         disabled = frozenset()
         for pid, delays in net.routed_delays.items():
             if delays and rng.random() < 0.5:
-                disabled |= chainsolve._force_variant_edges(net, pid, rng.choice(delays))
+                disabled |= chainsolve._force_variant_edges(net, pid, {rng.choice(delays)})
         try:
             assignment = solve_mcf(net, disabled)
         except FlowInfeasibleError:
@@ -275,7 +275,7 @@ def test_warm_start_matches_cold_on_nested_forced_variants():
         routed = [pid for pid, delays in net.routed_delays.items() if delays]
         disabled = frozenset()
         for pid in rng.sample(routed, len(routed)):
-            disabled |= chainsolve._force_variant_edges(net, pid, rng.choice(net.routed_delays[pid]))
+            disabled |= chainsolve._force_variant_edges(net, pid, {rng.choice(net.routed_delays[pid])})
             freed += freed_below_zero(net, parent.state, disabled)
             try:
                 cold = solve_mcf(net, disabled)
