@@ -3,16 +3,17 @@
 The pure min-cost flow relaxation ignores the requirement that a plan must
 leave a chain as the same variant it entered with.  When the relaxation
 already satisfies consistency we are done; otherwise a branch-and-bound
-search splits a mismatched plan's open delays into two intervals, one per
-child, using the relaxation value as the bound.  Bounds only grow down a
-branch (children solve a restricted network), so best-first search with
-integral costs prunes exactly.
+search restricts each plan to a delay window ``[lo, hi]`` and splits a
+mismatched plan's window into two, one per child, using the relaxation
+value as the bound.  Bounds only grow down a branch (children solve under a
+narrower window), so best-first search with integral costs prunes exactly.
 
-A node holds the connection rows its relaxation chose, not edge flows:
-mismatches, the branching plan and the chains are read from their columns.
+A node holds its window and the connection rows its relaxation chose, not
+edge flows: mismatches, the branching plan and the chains are read from
+the rows' columns.
 
 A child's relaxation is warm-started from its parent's Hungarian state.  A
-child only disables edges, so its assignment costs only rise and the
+child only narrows a window, so its assignment costs only rise and the
 parent's duals stay feasible; only the plans whose assigned connection got
 dearer are re-assigned, and the solver's duals still certify each child's
 optimum, so every bound stays exact.  On tied optima a warm child can pick
@@ -53,17 +54,17 @@ from .flownet import (
 
 @dataclass(frozen=True)
 class BranchNode:
-    """A branch-and-bound node: its depth and the variant edges it disabled.
+    """A branch-and-bound node: its depth and its delay window, lo and hi per plan index.
 
     ``bound`` is a valid lower bound on every completion: the node's own
     relaxation value once solved, its parent's until then (children only
-    remove edges, so bounds never decrease down a branch).  ``rows`` (None
+    narrow the window, so bounds never decrease down a branch).  ``rows`` (None
     until solved) and ``state`` are its relaxation's; an unsolved node keeps
     its parent's state, the warm start of its own relaxation.
     """
 
     depth: int
-    disabled_edges: frozenset[int]
+    window: np.ndarray
     bound: int
     rows: np.ndarray | None
     state: HungarianState
@@ -155,11 +156,11 @@ def _per_plan(network: FlowNetwork, rows, into, out_of, fill: int) -> tuple[np.n
 
 
 def _find_mismatches(network: FlowNetwork, rows) -> list[tuple[int, int, int]]:
-    """(plan_id, in_delay, out_delay), in plan order, of the plans the chosen ``rows`` leave by another variant."""
+    """(plan index, in_delay, out_delay), in plan order, of the plans the chosen ``rows`` leave by another variant."""
     conns = network.connections
     delay_in, delay_out = _per_plan(network, rows, conns.target_delay, conns.origin_delay, -1)
     bad = np.flatnonzero((delay_in >= 0) & (delay_out >= 0) & (delay_in != delay_out))
-    return list(zip(network.plan_ids[bad].tolist(), delay_in[bad].tolist(), delay_out[bad].tolist()))
+    return list(zip(bad.tolist(), delay_in[bad].tolist(), delay_out[bad].tolist()))
 
 
 def _active_connection_costs(network: FlowNetwork, rows) -> np.ndarray:
@@ -169,27 +170,21 @@ def _active_connection_costs(network: FlowNetwork, rows) -> np.ndarray:
 
 
 def _pick_branch(network: FlowNetwork, rows, mismatches) -> tuple[int, int, int]:
-    """The mismatch whose plan's chosen connections cost the most, lowest plan id on ties."""
-    link_cost = dict(zip(network.plan_ids.tolist(), _active_connection_costs(network, rows).tolist()))
+    """The mismatch whose plan's chosen connections cost the most, lowest plan index (and id) on ties."""
+    link_cost = _active_connection_costs(network, rows).tolist()
     return max(mismatches, key=lambda m: (link_cost[m[0]], -m[0]))
 
 
-def _force_variant_edges(network: FlowNetwork, pid: int, keep) -> frozenset[int]:
-    """Both variant edges of plan ``pid`` at each routed delay not in ``keep``."""
-    dropped = [network.variant_index[pid, d] for d in network.routed_delays[pid] if d not in keep]
-    return frozenset(start + i for i in dropped for start in (network.left_struct.start, network.right_struct.start))
+def _split_window(window: np.ndarray, i: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two copies of ``window``: plan index ``i``'s range cut below ``max(a, b)``, and from it on.
 
-
-def _split_open_delays(network: FlowNetwork, disabled, pid: int, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """Plan ``pid``'s open delays (variant edges not in ``disabled``) below ``max(a, b)``, and the rest.
-
-    A plan entered at ``a`` and left at ``b != a`` has both open, so each
-    part is non-empty; a consistent cover serves the plan at one open delay,
-    which lies in exactly one part.
+    A plan entered at ``a`` and left at ``b != a`` has both in its window,
+    so each part is non-empty; a consistent cover serves the plan at one
+    delay, which lies in exactly one part.
     """
-    left = network.left_struct.start
-    open_delays = [d for d in network.routed_delays[pid] if left + network.variant_index[pid, d] not in disabled]
-    return tuple(d for d in open_delays if d < max(a, b)), tuple(d for d in open_delays if d >= max(a, b))
+    low, high = window.copy(), window.copy()
+    low[1, i], high[0, i] = max(a, b) - 1, max(a, b)
+    return low, high
 
 
 def extract_chains(network: FlowNetwork, rows) -> tuple[Chain, ...]:
@@ -205,7 +200,8 @@ def extract_chains(network: FlowNetwork, rows) -> tuple[Chain, ...]:
         raise InternalSolverError("a plan is entered, or an origin left, by two connections")
     mismatches = _find_mismatches(network, rows)
     if mismatches:
-        raise InternalSolverError(f"plan {mismatches[0][0]} leaves as a different variant than it arrived")
+        pid = network.plan_ids[mismatches[0][0]]
+        raise InternalSolverError(f"plan {pid} leaves as a different variant than it arrived")
     successor = dict(zip(origins, rows.tolist()))  # origin column -> row out of it
     chains = []
     for j, vehicle in enumerate(instance.vehicles):
@@ -254,7 +250,8 @@ def solve_chaining(
     # ahead of unsolved ones, then creation order; children enter the heap
     # unsolved and are relaxed only when popped, so an incumbent that
     # matches the parent bound prunes whole sibling sets without a solve
-    heap = [(root.total_cost, 0, 0, next(counter), BranchNode(0, frozenset(), root.total_cost, root.rows, root.state))]
+    window = np.array([[0] * len(instance.plans), [p.d_max for p in instance.plans]], dtype=np.int64)
+    heap = [(root.total_cost, 0, 0, next(counter), BranchNode(0, window, root.total_cost, root.rows, root.state))]
     incumbent: BranchNode | None = None
     while heap:
         _, _, _, _, node = heapq.heappop(heap)
@@ -263,7 +260,7 @@ def solve_chaining(
         if node.rows is None:
             relaxations += 1
             try:
-                assignment = solve_mcf(network, node.disabled_edges, node.state)
+                assignment = solve_mcf(network, node.window, node.state)
             except FlowInfeasibleError:
                 continue
             if _bound_trace is not None:
@@ -279,10 +276,8 @@ def solve_chaining(
             if incumbent is None or node.bound < incumbent.bound:
                 incumbent = node
             continue
-        pid, a, b = _pick_branch(network, node.rows, mismatches)
-        for keep in _split_open_delays(network, node.disabled_edges, pid, a, b):
-            extra = _force_variant_edges(network, pid, keep)
-            child = BranchNode(node.depth + 1, node.disabled_edges | extra, node.bound, None, node.state)
+        for window in _split_window(node.window, *_pick_branch(network, node.rows, mismatches)):
+            child = BranchNode(node.depth + 1, window, node.bound, None, node.state)
             heapq.heappush(heap, (child.bound, -child.depth, 1, next(counter), child))
     if incumbent is None:
         raise InfeasibleError("no variant-consistent chain cover exists")

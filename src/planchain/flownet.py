@@ -18,9 +18,11 @@ from exactly one origin (a plan's left side or a vehicle) and each origin
 sends at most one, so ``solve_mcf`` collapses the network into a
 target-by-origin cost matrix and solves it with the Hungarian method.  It
 reads only the connection rows, each one source-to-sink path of at most
-five edges.  The node-and-edge view, and a solution's edge flows and node
-potentials (the Hungarian duals spread over the nodes, which certify the
-flow through ``residual_is_optimal``), are built on first read.
+five edges.  Branch-and-bound restricts a relaxation by a delay window per
+plan, which closes the variant nodes outside it.  The edge list, and a
+solution's edge flows and node potentials (the Hungarian duals spread over
+the nodes, which certify the flow through ``residual_is_optimal``), are
+built on first read.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ import numpy as np
 
 from .errors import InfeasibleError, InputError
 from .model import ChainingInstance
-from .variantgen import Connection, Connections, GenerationResult
+from .variantgen import Connections, GenerationResult
 
 NO_EDGE = 1 << 60  # cost of a matrix cell without a usable connection
 _UNSEEN = 1 << 62  # distance of a column the search has not reached
-_EDGE_VIEW = frozenset("edges tail head cost target_row origin_col left_struct_edge right_struct_edge".split())
 
 
 class HungarianState(NamedTuple):
@@ -54,40 +55,33 @@ class HungarianState(NamedTuple):
 
 
 class FlowAssignment:
-    """Integral edge flows with the solver's optimality potentials.
+    """A solve's chosen connection ``rows``, with its edge flows and potentials on first read.
 
-    ``flows`` is int64 per edge, 0 or 1, and ``potentials`` int64 per node.
-    ``solve_mcf`` gives neither: it keeps the chosen connection ``rows``, its
-    Hungarian ``state`` (to warm-start a restricted re-solve) and in
-    ``solved`` the network and disabled edges, and derives both on first read.
+    ``state`` is the Hungarian state (to warm-start a restricted re-solve)
+    and ``window`` the delay window it was solved under.  ``flows`` is int64
+    per edge, 0 or 1, and ``potentials`` int64 per node.
     """
 
-    def __init__(self, flows=None, total_cost: int = 0, potentials=None, state=None, rows=None, solved=None):
-        self.total_cost, self.state, self.rows, self.solved = total_cost, state, rows, solved
-        for name, given in (("flows", flows), ("potentials", potentials)):
-            if given is not None:
-                setattr(self, name, given)
+    def __init__(self, network: FlowNetwork, window, rows: np.ndarray, state: HungarianState, total_cost: int):
+        self.network, self.window, self.rows, self.state, self.total_cost = network, window, rows, state, total_cost
 
     @cached_property
     def flows(self) -> np.ndarray:
-        return self.solved[0]._flows(self.rows)
+        return self.network._flows(self.rows)
 
     @cached_property
     def potentials(self) -> np.ndarray:
-        return self.solved[0]._potentials(self.state, self.solved[1])
+        return self.network._potentials(self.state, self.window)
 
 
 class FlowInfeasibleError(InfeasibleError):
-    def __init__(self, plan_id: int | None):
+    def __init__(self, plan_id: int):
         self.plan_id = plan_id
-        if plan_id is None:
-            super().__init__("flow network is infeasible")
-        else:
-            super().__init__(f"no chain can reach plan {plan_id}: its right node is unreachable")
+        super().__init__(f"no chain can reach plan {plan_id}: its right node is unreachable")
 
 
 class FlowNetwork:
-    """A chaining network: connection rows for the solver, an edge view on demand.
+    """A chaining network: connection rows for the solver, an edge list on demand.
 
     Nodes are numbered source, left plans, left variants, vehicles, right
     variants, right plans, sink; plans and vehicles in instance order and
@@ -97,10 +91,13 @@ class FlowNetwork:
     sink-side structural edges (right variant to right plan, right plan to
     sink).  Connection row ``r`` is edge ``connection_edges[r]``, and its
     path runs from source edge ``connections.origin[r]`` (an origin's column
-    numbers its source edge) through variant edges ``origin_edge[r]`` and
-    ``target_edge[r]`` (``edge_count`` where the plan has no variants) to
-    the sink edge of plan ``connections.target[r]``.  The node-and-edge
-    view (``_EDGE_VIEW``) is built on first access.
+    numbers its source edge) through variant edges ``end_left[origin_end[r]]``
+    and ``end_right[target_end[r]]`` to the sink edge of plan
+    ``connections.target[r]``.  ``origin_end`` and ``target_end`` index the
+    sorted (plan index, delay) endpoints ``end_plan``, ``end_delay``, whose
+    variant edges are ``edge_count`` (absent) where the plan has no variants;
+    a vehicle origin's index is the last slot of ``end_left``, one past the
+    endpoints.  The edge list ``edges`` is built on first access.
     """
 
     def __init__(self, instance: ChainingInstance, gen: GenerationResult):
@@ -113,7 +110,6 @@ class FlowNetwork:
             routed.setdefault(v.plan_id, [0]).append(v.delay)
         self.routed_delays = {p.id: tuple(routed.get(p.id, ())) for p in plans}
         keys = [(p.id, d) for p in plans for d in self.routed_delays[p.id]]  # (plan id, delay) per variant
-        self.variant_index = {key: i for i, key in enumerate(keys)}
         self.plan_ids = np.array([p.id for p in plans], dtype=np.int64)
         self.variant_plan = np.searchsorted(self.plan_ids, [pid for pid, _ in keys])  # plan index
         self.variant_delay = np.array([d for _, d in keys], dtype=np.int64)
@@ -133,6 +129,8 @@ class FlowNetwork:
         ends += [(i, 0, self.edge_count, self.edge_count) for i, p in enumerate(plans) if not self.routed_delays[p.id]]
         ends.sort()
         end_plan, end_delay, end_left, end_right = np.array(ends, dtype=np.int64).reshape(-1, 4).T
+        self.end_plan, self.end_delay = end_plan, end_delay
+        self.end_left, self.end_right = np.append(end_left, self.edge_count), end_right
 
         # each plan-side endpoint of a connection, origins then targets, found by
         # one sorted search on (plan, rank of the delay): a key below n * (k + 2)
@@ -147,9 +145,9 @@ class FlowNetwork:
         if missing.size:
             r = missing[0]
             raise InputError(f"connection endpoint {(int(self.plan_ids[plan[r]]), int(delay[r]))} has no node")
-        self.origin_edge = np.full(len(conns), self.edge_count, dtype=np.int64)  # a vehicle's: absent
-        self.origin_edge[from_plan] = end_left[at[: len(from_plan)]]
-        self.target_edge = end_right[at[len(from_plan) :]]
+        self.origin_end = np.full(len(conns), len(ends), dtype=np.int64)  # a vehicle's: the last slot
+        self.origin_end[from_plan] = at[: len(from_plan)]
+        self.target_end = at[len(from_plan) :].copy()  # not a view that keeps the origins' half alive
         self.max_cost = int(conns.cost.max()) if len(conns) else 0
         # checked in Python ints: an assignment through real cells must cost
         # less than one through a no-edge cell, and the duals and search
@@ -165,63 +163,48 @@ class FlowNetwork:
         self.cell = conns.target * (n + n_veh) + conns.origin
         self.cell_order = np.lexsort((np.arange(len(conns)), conns.cost, self.cell))
 
-    def __getattr__(self, name: str):
-        if name not in _EDGE_VIEW:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._build_view()
-        return self.__dict__[name]
-
-    def _build_view(self) -> None:
-        """The node-and-edge view of the rows: edge arrays, node roles, structural-edge maps."""
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Read-only int64 (tail, head, cost) per edge, numbered as in the class docstring."""
         n, n_veh, k, vp = len(self.plan_ids), len(self.instance.vehicles), len(self.variant_plan), self.variant_plan
         right = 1 + n + k + n_veh  # the first right-side node
-        self.origin_col = np.concatenate([[-1], np.arange(n), vp, n + np.arange(n_veh), np.full(k + n + 1, -1)])
-        self.target_row = np.concatenate([np.full(right, -1), vp, np.arange(n), [-1]])
         # left variant edge n + n_veh + i heads node 1 + n + i; right variant edge i tails node right + i
-        conns, routed = self.connections, (self.origin_edge < self.edge_count, self.target_edge < self.edge_count)
-        conn_tail = 1 + np.where(routed[0], self.origin_edge - n_veh, conns.origin + k * (conns.origin >= n))
-        conn_head = right + np.where(routed[1], self.target_edge - self.right_struct.start, k + conns.target)
+        conns = self.connections
+        origin_edge, target_edge = self.end_left[self.origin_end], self.end_right[self.target_end]
+        routed = (origin_edge < self.edge_count, target_edge < self.edge_count)
+        conn_tail = 1 + np.where(routed[0], origin_edge - n_veh, conns.origin + k * (conns.origin >= n))
+        conn_head = right + np.where(routed[1], target_edge - self.right_struct.start, k + conns.target)
         tail = np.concatenate([np.zeros(n + n_veh, dtype=np.int64), 1 + vp, conn_tail, right + np.arange(k + n)])
         down_head = [1 + np.arange(n), 1 + n + k + np.arange(n_veh), 1 + n + np.arange(k)]
         head = np.concatenate([*down_head, conn_head, right + k + vp, np.full(n, self.sink_id)])
         cost = np.zeros(self.edge_count, dtype=np.int64)
         cost[self.connection_edges.start : self.connection_edges.stop] = conns.cost
-        self.edges = np.stack([tail, head, cost], axis=1)
-        self.edges.setflags(write=False)
-        self.tail, self.head, self.cost = self.edges.T
-        self.left_struct_edge = {key: self.left_struct.start + i for key, i in self.variant_index.items()}
-        self.right_struct_edge = {key: self.right_struct.start + i for key, i in self.variant_index.items()}
-
-    def _off(self, disabled_edges) -> np.ndarray:  # per edge, then False for the absent edge
-        off = np.zeros(self.edge_count + 1, dtype=bool)
-        off[: self.edge_count][list(disabled_edges)] = True  # an id past the edges raises
-        return off
+        edges = np.stack([tail, head, cost], axis=1)
+        edges.setflags(write=False)
+        return edges
 
     def _flows(self, rows: np.ndarray) -> np.ndarray:
         """Edge flows of the chosen rows: each row's path carries one unit."""
         conns, first, sinks = self.connections, self.connection_edges.start, self.right_struct.stop
         flows = np.zeros(self.edge_count + 1, dtype=np.int64)
-        flows[np.concatenate([conns.origin[rows], self.origin_edge[rows], first + rows, self.target_edge[rows]])] = 1
+        variant_edges = [self.end_left[self.origin_end[rows]], self.end_right[self.target_end[rows]]]
+        flows[np.concatenate([conns.origin[rows], *variant_edges, first + rows])] = 1
         flows[sinks + conns.target[rows]] = 1
         flows = flows[:-1]
         flows.setflags(write=False)
         return flows
 
-    def _potentials(self, state: HungarianState, disabled_edges) -> np.ndarray:
-        """-v on left nodes, u on right ones, +-NO_EDGE where a disabled edge cuts off the source or sink."""
-        off, n, vp, (u, v) = self._off(disabled_edges), len(self.plan_ids), self.variant_plan, state[1:]
-        source, sink = off[: self.left_struct.start], off[self.right_struct.stop : -1]
-        left_cut = np.concatenate([source[:n], off[self.left_struct] | source[vp], source[n:]])
-        right_cut = np.concatenate([off[self.right_struct] | sink[vp], sink])
-        left = np.where(left_cut, NO_EDGE, -np.concatenate([v[:n], v[vp], v[n:]]))
-        right = np.where(right_cut, -NO_EDGE, np.concatenate([u[vp], u]))
-        potentials = np.concatenate([[0], left, right, [u.max() if n else 0]])
+    def _potentials(self, state: HungarianState, window) -> np.ndarray:
+        """-v on left nodes, u on right ones, +-NO_EDGE on the variant nodes ``window`` closes."""
+        n, vp, delay, (u, v) = len(self.plan_ids), self.variant_plan, self.variant_delay, state[1:]
+        closed = np.zeros(len(delay), dtype=bool)
+        if window is not None:
+            closed = (delay < window[0, vp]) | (delay > window[1, vp])
+        left = np.where(closed, NO_EDGE, -v[vp])
+        right = np.where(closed, -NO_EDGE, u[vp])
+        potentials = np.concatenate([[0], -v[:n], left, -v[n:], right, u, [u.max() if n else 0]])
         potentials.setflags(write=False)
         return potentials
-
-    def edge_connection(self, eid: int) -> Connection:
-        """The connection a connection edge carries."""
-        return self.connections[eid - self.connection_edges.start]
 
     def edge_list_text(self) -> str:
         """Plain-text dump, one edge per line: tail head lower upper cost."""
@@ -352,19 +335,19 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     return HungarianState(owner[:m], u, v)
 
 
-def _assignment_matrix(net: FlowNetwork, disabled_edges: frozenset[int]):
+def _assignment_matrix(net: FlowNetwork, window):
     """The target-by-origin cost matrix, and the connection row per cell (-1: none), flat.
 
-    A cell without a usable row costs ``NO_EDGE``.  A row is unusable when
-    one of the five edges on its path is disabled (see ``FlowNetwork``).
+    A cell without a usable row costs ``NO_EDGE``.  A row is usable when its
+    target delay, and its origin delay if the origin is a plan, lie in that
+    plan's window ``[window[0, i], window[1, i]]``; None opens every delay.
     """
     conns, order, n = net.connections, net.cell_order, len(net.plan_ids)
     m = n + len(net.instance.vehicles)
-    if disabled_edges:
-        off = net._off(disabled_edges)
-        blocked = off[net.connection_edges.start : net.connection_edges.stop] | off[conns.origin]
-        blocked |= off[net.origin_edge] | off[net.target_edge] | off[net.right_struct.stop :][conns.target]
-        order = order[~blocked[order]]
+    if window is not None:
+        lo, hi = window[:, net.end_plan]
+        closed = np.append((net.end_delay < lo) | (net.end_delay > hi), False)  # then a vehicle origin's slot
+        order = order[~(closed[net.origin_end] | closed[net.target_end])[order]]
     cells = net.cell[order]
     lead = np.ones(len(cells), dtype=bool)  # the first row of each cell
     lead[1:] = cells[1:] != cells[:-1]
@@ -376,9 +359,7 @@ def _assignment_matrix(net: FlowNetwork, disabled_edges: frozenset[int]):
 
 
 def solve_mcf(
-    network: FlowNetwork,
-    disabled_edges: frozenset[int] = frozenset(),
-    start: HungarianState | None = None,
+    network: FlowNetwork, window: np.ndarray | None = None, start: HungarianState | None = None
 ) -> FlowAssignment:
     """Minimum-cost integral flow of a chaining network, solved as an assignment.
 
@@ -386,16 +367,19 @@ def solve_mcf(
     one origin (a plan's left side or a vehicle), and each origin sends at
     most one unit, so the flow is a rectangular assignment of target plans
     to origins (Dantzig & Fulkerson 1954).  Each cell of the n x (n + V)
-    cost matrix keeps the cheapest usable connection of its pair; a
-    connection is unusable when it, or a structural edge on its path from
-    the source or to the sink, is disabled, and equal costs go to the
-    lowest edge id.  The result holds the chosen connection rows; its flows
-    and the node potentials made from the Hungarian duals, which
-    ``residual_is_optimal`` certifies, are derived when read.
+    cost matrix keeps the cheapest usable connection of its pair, and equal
+    costs go to the lowest edge id.  The result holds the chosen connection
+    rows; its flows and the node potentials made from the Hungarian duals,
+    which ``residual_is_optimal`` certifies, are derived when read.
+
+    ``window`` is an int64 array of shape (2, n): plan index ``i`` may only
+    be entered and left at a delay in ``[window[0, i], window[1, i]]``, which
+    closes its variant nodes outside it.  Vehicles are never restricted, and
+    None leaves every delay open.
 
     ``start`` warm-starts the solver from the ``state`` of an assignment
-    solved on the same network with a subset of ``disabled_edges``.
-    Disabling edges only raises cells, so that state stays dual feasible,
+    solved on the same network under a window that contains ``window``.
+    Narrowing windows only raises cells, so that state stays dual feasible,
     and only the plans whose assigned cell got dearer are re-assigned; the
     result is as exact as a cold solve, though on tied optima it can be
     another optimal assignment.  Without ``start`` the solver begins from
@@ -407,7 +391,7 @@ def solve_mcf(
     """
     net, n = network, len(network.plan_ids)
     m = n + len(net.instance.vehicles)
-    matrix, row_at = _assignment_matrix(net, disabled_edges)
+    matrix, row_at = _assignment_matrix(net, window)
     starved = (matrix == NO_EDGE).all(axis=1).nonzero()[0]
     if starved.size:
         raise FlowInfeasibleError(int(net.plan_ids[starved[0]]))
@@ -420,36 +404,39 @@ def solve_mcf(
     assigned = (state.owner >= 0).nonzero()[0]
     rows = row_at[state.owner[assigned] * m + assigned]
     rows.setflags(write=False)
-    return FlowAssignment(None, sum(net.connections.cost[rows].tolist()), None, state, rows, (net, disabled_edges))
+    return FlowAssignment(net, window, rows, state, sum(net.connections.cost[rows].tolist()))
 
 
-def residual_is_optimal(
-    network: FlowNetwork,
-    assignment: FlowAssignment,
-    disabled_edges: frozenset[int] = frozenset(),
-) -> bool:
-    """Certificate check: no residual arc has a negative reduced cost."""
-    pi = np.asarray(assignment.potentials, dtype=np.int64)
-    flows = np.asarray(assignment.flows, dtype=np.int64)
-    live = ~network._off(disabled_edges)[:-1]
-    reduced = network.cost + pi[network.tail] - pi[network.head]
+def residual_is_optimal(network: FlowNetwork, flows, potentials) -> bool:
+    """Certificate check: no residual arc has a negative reduced cost.
+
+    The potentials carry the window the flow was solved under: a node at
+    ``NO_EDGE`` is closed from the source and one at ``-NO_EDGE`` from the
+    sink, so the edges into the first and out of the second are not in the
+    network.  A flow through a closed node fails on its connection edge,
+    whose reduced cost is about ``NO_EDGE``.
+    """
+    pi, flows = np.asarray(potentials, dtype=np.int64), np.asarray(flows, dtype=np.int64)
+    tail, head, cost = network.edges.T
+    live = (pi[head] != NO_EDGE) & (pi[tail] != -NO_EDGE)
+    reduced = cost + pi[tail] - pi[head]
     forward = live & (flows < 1) & (reduced < 0)
     backward = live & (flows > 0) & (reduced > 0)
     return not (forward.any() or backward.any())
 
 
-def check_conservation(network: FlowNetwork, assignment: FlowAssignment) -> None:
+def check_conservation(network: FlowNetwork, flows) -> None:
     """Assert flow conservation and bounds exactly; raises on violation."""
-    flows = np.asarray(assignment.flows, dtype=np.int64)
+    flows = np.asarray(flows, dtype=np.int64)
     if flows.shape != (len(network.edges),):
         raise InfeasibleError(f"{flows.size} edge flows for {len(network.edges)} edges")
     outside = np.flatnonzero((flows < 0) | (flows > 1))
     if outside.size:
         i = int(outside[0])
         raise InfeasibleError(f"edge {i} flow {flows[i]} outside [0, 1]")
-    on = flows == 1
+    tail, head = network.edges[flows == 1, :2].T
     nodes = network.node_count
-    balance = np.bincount(network.tail[on], minlength=nodes) - np.bincount(network.head[on], minlength=nodes)
+    balance = np.bincount(tail, minlength=nodes) - np.bincount(head, minlength=nodes)
     supply = np.zeros(nodes, dtype=np.int64)
     supply[network.source_id] = len(network.plan_ids)
     supply[network.sink_id] = -len(network.plan_ids)

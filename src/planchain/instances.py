@@ -85,6 +85,19 @@ def _int_field(data, key, context):
     return value
 
 
+def _int_fields(data, keys, context) -> tuple[int, ...]:
+    return tuple(_int_field(data, key, context) for key in keys)
+
+
+def _record(cls, data, context, keys):
+    """``cls`` of an object's integer fields ``keys``, the first of them its id, which names the rest."""
+    rid = _int_field(data, keys[0], context)
+    return cls(rid, *_int_fields(data, keys[1:], f"{context} {rid}"))
+
+
+_VEHICLE_KEYS = ("id", "location", "t_st")
+
+
 # -- cost policies ----------------------------------------------------------
 
 def policy_to_dict(policy: CostPolicy) -> dict:
@@ -187,25 +200,9 @@ def chain_instance_from_dict(data) -> ChainingInstance:
         raise InputError(f"expected schema {CHAIN_INSTANCE_SCHEMA}, got {data['schema']!r}")
     count = _int_field(_require(data, "locations", "instance"), "count", "locations")
     travel = _travel_from_dict(_require(data, "travel", "instance"), count)
-    plans = tuple(
-        Plan(
-            id=_int_field(p, "id", "plan"),
-            origin_location=_int_field(p, "origin", f"plan {p.get('id')}"),
-            destination_location=_int_field(p, "destination", f"plan {p.get('id')}"),
-            t_or=_int_field(p, "t_or", f"plan {p.get('id')}"),
-            t_de=_int_field(p, "t_de", f"plan {p.get('id')}"),
-            d_max=_int_field(p, "d_max", f"plan {p.get('id')}"),
-        )
-        for p in _list_field(data, "plans", "instance")
-    )
-    vehicles = tuple(
-        Vehicle(
-            id=_int_field(v, "id", "vehicle"),
-            start_location=_int_field(v, "location", f"vehicle {v.get('id')}"),
-            t_st=_int_field(v, "t_st", f"vehicle {v.get('id')}"),
-        )
-        for v in _list_field(data, "vehicles", "instance")
-    )
+    plan_keys = ("id", "origin", "destination", "t_or", "t_de", "d_max")
+    plans = tuple(_record(Plan, p, "plan", plan_keys) for p in _list_field(data, "plans", "instance"))
+    vehicles = tuple(_record(Vehicle, v, "vehicle", _VEHICLE_KEYS) for v in _list_field(data, "vehicles", "instance"))
     policy = policy_from_dict(data.get("policy", {"kind": "cost"}))
     return ChainingInstance(plans, vehicles, travel, policy)
 
@@ -246,29 +243,15 @@ def darp_instance_from_dict(data) -> DarpInstance:
         raise InputError(f"expected schema {DARP_INSTANCE_SCHEMA}, got {data['schema']!r}")
     count = _int_field(_require(data, "locations", "instance"), "count", "locations")
     travel = _travel_from_dict(_require(data, "travel", "instance"), count)
-    requests = tuple(
-        Request(
-            id=_int_field(r, "id", "request"),
-            origin=_int_field(r, "origin", f"request {r.get('id')}"),
-            destination=_int_field(r, "destination", f"request {r.get('id')}"),
-            t_r=_int_field(r, "t_r", f"request {r.get('id')}"),
-            max_delay=_int_field(r, "max_delay", f"request {r.get('id')}"),
-        )
-        for r in _list_field(data, "requests", "instance")
-    )
+    request_keys = ("id", "origin", "destination", "t_r", "max_delay")
+    requests = tuple(_record(Request, r, "request", request_keys) for r in _list_field(data, "requests", "instance"))
     fleet_data = _require(data, "fleet", "instance")
     mode = _require(fleet_data, "mode", "fleet")
     if mode == "auto":
         fleet: tuple[Vehicle, ...] | AutoFleet = AUTO_FLEET
     elif mode == "explicit":
-        fleet = tuple(
-            Vehicle(
-                id=_int_field(v, "id", "vehicle"),
-                start_location=_int_field(v, "location", f"vehicle {v.get('id')}"),
-                t_st=_int_field(v, "t_st", f"vehicle {v.get('id')}"),
-            )
-            for v in _list_field(fleet_data, "vehicles", "fleet")
-        )
+        vehicles = _list_field(fleet_data, "vehicles", "fleet")
+        fleet = tuple(_record(Vehicle, v, "vehicle", _VEHICLE_KEYS) for v in vehicles)
     else:
         raise InputError(f"fleet: unknown mode {mode!r}")
     return DarpInstance(requests, travel, _int_field(data, "capacity", "instance"), fleet)
@@ -324,12 +307,13 @@ def chain_solution_to_dict(solution: ChainSolution, policy: CostPolicy) -> dict:
 
 def chain_solution_chains_from_dict(data) -> list[tuple[int, list[tuple[int, int]]]]:
     """Extract (vehicle id, [(plan, delay), ...]) pairs for revalidation."""
-    if data.get("schema") != CHAIN_SOLUTION_SCHEMA:
-        raise InputError(f"expected schema {CHAIN_SOLUTION_SCHEMA}, got {data.get('schema')!r}")
-    return [
-        (int(c["vehicle"]), [(int(e["plan"]), int(e["delay"])) for e in c["plans"]])
-        for c in data["chains"]
-    ]
+    if _require(data, "schema", "solution") != CHAIN_SOLUTION_SCHEMA:
+        raise InputError(f"expected schema {CHAIN_SOLUTION_SCHEMA}, got {data['schema']!r}")
+    chains = []
+    for c in _list_field(data, "chains", "solution"):
+        links = [_int_fields(e, ("plan", "delay"), "chain link") for e in _list_field(c, "plans", "chain")]
+        chains.append((_int_field(c, "vehicle", "chain"), links))
+    return chains
 
 
 def darp_solution_to_dict(solution: DarpSolution) -> dict:
@@ -352,27 +336,29 @@ def darp_solution_to_dict(solution: DarpSolution) -> dict:
     }
 
 
+def _stop_from_dict(s) -> Stop:
+    request, location, time = _int_fields(s, ("request", "location", "time"), "stop")
+    if _require(s, "kind", "stop") not in ("pickup", "dropoff"):
+        raise InputError(f"stop: field 'kind' must be 'pickup' or 'dropoff', got {s['kind']!r}")
+    return Stop(request, s["kind"], location, time)
+
+
 def darp_solution_from_dict(data) -> DarpSolution:
-    if data.get("schema") != DARP_SOLUTION_SCHEMA:
-        raise InputError(f"expected schema {DARP_SOLUTION_SCHEMA}, got {data.get('schema')!r}")
-    routes = tuple(
-        (
-            Vehicle(route["vehicle"]["id"], route["vehicle"]["location"], route["vehicle"]["t_st"]),
-            RoutePlan(
-                tuple(
-                    Stop(s["request"], s["kind"], s["location"], s["time"]) for s in route["stops"]
-                )
-            ),
-        )
-        for route in data["routes"]
-    )
-    return DarpSolution(
-        method=data["method"],
-        batch_len=data["batch_len"],
-        routes=routes,
-        objective=data["objective"],
-        request_delays=tuple((rid, delay) for rid, delay in data["request_delays"]),
-    )
+    if _require(data, "schema", "solution") != DARP_SOLUTION_SCHEMA:
+        raise InputError(f"expected schema {DARP_SOLUTION_SCHEMA}, got {data['schema']!r}")
+    routes = []
+    for route in _list_field(data, "routes", "solution"):
+        vehicle = _record(Vehicle, _require(route, "vehicle", "route"), "vehicle", _VEHICLE_KEYS)
+        routes.append((vehicle, RoutePlan(tuple(map(_stop_from_dict, _list_field(route, "stops", "route"))))))
+    delays = _int_rows(data, "request_delays", "solution")
+    if any(len(pair) != 2 for pair in delays):
+        raise InputError("solution: field 'request_delays' must hold [request, delay] pairs")
+    method = _require(data, "method", "solution")
+    if not isinstance(method, str):
+        raise InputError(f"solution: field 'method' must be a string, got {method!r}")
+    batch_len = None if _require(data, "batch_len", "solution") is None else _int_field(data, "batch_len", "solution")
+    objective = _int_field(data, "objective", "solution")
+    return DarpSolution(method, batch_len, tuple(routes), objective, tuple(map(tuple, delays)))
 
 
 # -- metric CSVs ------------------------------------------------------------

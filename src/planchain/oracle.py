@@ -405,25 +405,34 @@ def generate_exhaustive_reference(instance: ChainingInstance) -> GenerationResul
     return GenerationResult(tuple(variants), tuple(connections))
 
 
-def assignment_matrix_reference(net, disabled_edges: frozenset[int]):
+def assignment_matrix_reference(net, window):
     """``solve_mcf``'s cost matrix, the connection edge per cell (-1: none), flat, and the cut nodes.
 
-    A disabled edge cuts the nodes past it on its structural path from the
+    Edge-level twin of the row rule: each variant outside its plan's
+    ``window`` has both structural edges closed, and so does a plan without
+    variants (its source and sink edge) when the window leaves out delay 0.
+    A closed edge cuts the nodes past it on its structural path from the
     source or to the sink, and a connection at a cut node is unusable.
     """
     n, m = len(net.plan_ids), len(net.plan_ids) + len(net.instance.vehicles)
+    tail, head, cost = net.edges.T
     off = np.zeros(len(net.edges), dtype=bool)
-    off[list(disabled_edges)] = True
+    for i, (p, d) in enumerate(zip(net.variant_plan.tolist(), net.variant_delay.tolist())):
+        if not window[0][p] <= d <= window[1][p]:
+            off[net.left_struct.start + i] = off[net.right_struct.start + i] = True
+    for i, pid in enumerate(net.plan_ids.tolist()):
+        if not net.routed_delays[pid] and not window[0][i] <= 0 <= window[1][i]:
+            off[i] = off[net.right_struct.stop + i] = True
     cut = np.zeros(net.node_count, dtype=bool)
     start, stop = net.connection_edges.start, net.connection_edges.stop
     down, block, up = slice(0, start), slice(start, stop), slice(stop, None)
     for _ in range(2):  # structural paths have at most two edges
-        cut[net.head[down]] = off[down] | cut[net.tail[down]]
-        cut[net.tail[up]] = off[up] | cut[net.head[up]]
-    usable = ~off[block] & ~cut[net.tail[block]] & ~cut[net.head[block]]
+        cut[head[down]] = off[down] | cut[tail[down]]
+        cut[tail[up]] = off[up] | cut[head[up]]
+    usable = ~off[block] & ~cut[tail[block]] & ~cut[head[block]]
     order = net.cell_order[usable[net.cell_order]]
     first = order[np.diff(net.cell[order], prepend=-1) != 0]
     matrix, edge_at = np.full(n * m, NO_EDGE, dtype=np.int64), np.full(n * m, -1, dtype=np.int64)
-    matrix[net.cell[first]] = net.cost[start + first]
+    matrix[net.cell[first]] = cost[start + first]
     edge_at[net.cell[first]] = start + first
     return matrix.reshape(n, m), edge_at, cut

@@ -220,16 +220,15 @@ class _ProbeTables:
         return None, ftt + (2 * p * wait + q) // (2 * q)
 
 
-def generate(instance: ChainingInstance, *, queue_lifo: bool = False) -> GenerationResult:
+def generate(instance: ChainingInstance) -> GenerationResult:
     """Run the minimal variant/connection generation to a fixed point.
 
     First every base plan and vehicle is probed against every other plan;
     each freshly created variant is then probed as an origin against every
     base plan, transitively, until the queue drains.  Variants are
     deduplicated by (plan, delay) before queueing, so each is processed at
-    most once and the result is a pure function of the instance (the queue
-    discipline does not matter; ``queue_lifo`` exists for the test that
-    asserts exactly that).
+    most once and the result is a pure function of the instance: the queue
+    discipline does not matter.
     """
     plans = instance.plans
     tables = _ProbeTables(instance)
@@ -255,7 +254,7 @@ def generate(instance: ChainingInstance, *, queue_lifo: bool = False) -> Generat
     for j, v in enumerate(instance.vehicles):
         record(len(plans) + j, 0, tables.probe(v.t_st, v.start_location, None))
     while queue:
-        i, d = queue.pop() if queue_lifo else queue.popleft()
+        i, d = queue.popleft()
         record(i, d, tables.probe(plans[i].t_de + d, plans[i].destination_location, i))
 
     origins, origin_delays, targets, delays, costs = zip(*probes) if probes else ((),) * 5

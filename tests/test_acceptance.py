@@ -177,8 +177,8 @@ def test_criterion_5_pure_flow_path_on_zero_variant_instances():
         network = build_network(instance, gen)
         assignment = solve_mcf(network)
         assert all(f in (0, 1) for f in assignment.flows)
-        check_conservation(network, assignment)
-        assert residual_is_optimal(network, assignment)
+        check_conservation(network, assignment.flows)
+        assert residual_is_optimal(network, assignment.flows, assignment.potentials)
         solution = solve_chaining(instance)
         assert solution.stats.nodes_explored == 0
         assert solution.objective == assignment.total_cost

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,11 +79,14 @@ def consistency_couplings(network):
     arriving via any other variant and ``right_major`` is the mirror
     image: (plan id, delay, orientation, term edge, complement edges).
     """
+    # variant i's structural edges: left_struct.start + i and right_struct.start + i
+    keys = list(zip(network.plan_ids[network.variant_plan].tolist(), network.variant_delay.tolist()))
+    left = {key: network.left_struct.start + i for i, key in enumerate(keys)}
+    right = {key: network.right_struct.start + i for i, key in enumerate(keys)}
     out = []
     for pid, delays in network.routed_delays.items():
         for d in delays:
             others = [d2 for d2 in delays if d2 != d]
-            left, right = network.left_struct_edge, network.right_struct_edge
             out.append((pid, d, "left_major", left[pid, d], tuple(right[pid, d2] for d2 in others)))
             out.append((pid, d, "right_major", right[pid, d], tuple(left[pid, d2] for d2 in others)))
     return out
@@ -290,33 +294,23 @@ def test_branching_is_lazy_under_large_variant_fanout():
     assert solution.stats.relaxations_solved < 50
 
 
-def test_split_open_delays_partitions_the_open_set():
-    # random open sets: each plan keeps a random subset of its delays open,
-    # then is split on a mismatch between two of its open delays
+def test_window_split_partitions_the_window():
+    # random windows of up to 8 plans, split on a mismatch between two delays in one of them
     rng = random.Random(5)
-    splits = 0
-    for seed in range(40):
-        inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=5, vehicles=2, d_max_range=(1, 10)))
-        net = build_network(inst, variantgen.generate_exhaustive(inst))
-        left, right = net.left_struct_edge, net.right_struct_edge
-        disabled, open_delays = frozenset(), {}
-        for pid, delays in net.routed_delays.items():
-            if len(delays) >= 2:
-                open_delays[pid] = set(rng.sample(delays, rng.randint(2, len(delays))))
-                disabled |= chainsolve._force_variant_edges(net, pid, open_delays[pid])
-        for pid, kept in open_delays.items():
-            a, b = rng.sample(sorted(kept), 2)
-            low, high = chainsolve._split_open_delays(net, disabled, pid, a, b)
-            assert low and high and not set(low) & set(high)
-            assert set(low) | set(high) == kept
-            assert (min(a, b) in low) and (max(a, b) in high)
-            for part in (low, high):
-                child = disabled | chainsolve._force_variant_edges(net, pid, part)
-                assert child >= disabled
-                for d in net.routed_delays[pid]:
-                    assert (left[pid, d] in child) == (right[pid, d] in child) == (d not in part)
-            splits += 1
-    assert splits >= 50
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        window = np.array([sorted(rng.randint(0, 12) for _ in range(2)) for _ in range(n)], dtype=np.int64).T
+        i = rng.randrange(n)
+        if window[0, i] == window[1, i]:
+            window[1, i] += 1
+        a, b = rng.sample(range(window[0, i], window[1, i] + 1), 2)
+        low, high = chainsolve._split_window(window, i, a, b)
+        parts = [set(range(part[0, i], part[1, i] + 1)) for part in (low, high)]
+        assert all(parts) and not parts[0] & parts[1]
+        assert parts[0] | parts[1] == set(range(window[0, i], window[1, i] + 1))
+        assert min(a, b) in parts[0] and max(a, b) in parts[1]
+        others = np.arange(n) != i
+        assert (low[:, others] == window[:, others]).all() and (high[:, others] == window[:, others]).all()
 
 
 def test_interval_branching_keeps_the_search_small():
@@ -336,6 +330,25 @@ def test_interval_branching_keeps_the_search_small():
     assert solution.objective == 39 == oracle.brute_force_optimal(inst).objective
     assert validate_chains(inst, solution.chains, solution.objective).ok
     assert solution.stats.relaxations_solved <= 200
+
+
+def test_deep_window_search_on_twelve_plans():
+    # a delay-sensitive 12-plan instance whose tree splits windows over a thousand times
+    inst = chain_instance_from_params(
+        ChainGenParams(
+            seed=502,
+            plans=12,
+            vehicles=3,
+            locations=8,
+            horizon=220,
+            d_max_range=(0, 10),
+            policy=TravelCostWaitPenalized(Fraction(2, 3)),
+        )
+    )
+    solution = solve_chaining(inst)
+    assert solution.objective == 317
+    assert (solution.stats.nodes_explored, solution.stats.relaxations_solved) == (1314, 2627)
+    assert validate_chains(inst, solution.chains, solution.objective).ok
 
 
 POLICIES = st.one_of(

