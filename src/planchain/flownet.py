@@ -75,9 +75,16 @@ class FlowAssignment:
 
 
 class FlowInfeasibleError(InfeasibleError):
-    def __init__(self, plan_id: int):
+    """No feasible flow: plan ``plan_id`` has no usable incoming connection
+    (``starved``), or no assignment of origins covers every plan, as the
+    search for ``plan_id``'s origin found."""
+
+    def __init__(self, plan_id: int, starved: bool = True):
         self.plan_id = plan_id
-        super().__init__(f"no chain can reach plan {plan_id}: its right node is unreachable")
+        if starved:
+            super().__init__(f"no chain can reach plan {plan_id}: its right node is unreachable")
+        else:
+            super().__init__(f"no assignment of origins covers every plan (found while assigning plan {plan_id})")
 
 
 class FlowNetwork:
@@ -226,17 +233,31 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     """Assign every row its own column at minimum total cost, from ``start``.
 
     The Hungarian method in its shortest-augmenting-path form (Jonker &
-    Volgenant 1987): each unassigned row enters through a Dijkstra search
-    over the reduced costs ``cost - u - v``.  The duals move only once the
-    path is found: each scanned column and its row by how far short of the
-    path's end the search reached it.
+    Volgenant, Computing 38, 1987): each unassigned row enters through a
+    Dijkstra search over the reduced costs ``cost - u - v``.  The duals move
+    only once the path is found: each scanned column and its row by how far
+    short of the path's end the search reached it.
 
     ``start`` must be dual feasible for ``cost`` and is kept as far as it
     stays optimal: an assigned row whose cell is no longer tight (it got
     dearer or unusable) is freed, and only free rows are searched.  From the
-    empty state (no owners, zero duals) this is the cold solve; from the
-    state of a solve on cheaper costs it is the dynamic Hungarian method
-    (Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27, 2007).
+    state of a solve on cheaper costs this is the dynamic Hungarian method
+    (Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27, 2007).  From the empty
+    state (no owners, zero duals) it is the cold solve, which first does
+    what Jonker & Volgenant's initialisation does, on rows: ``u`` becomes
+    each row's minimum, which keeps every reduced cost nonnegative and gives
+    each row a tight cell, and each row in turn takes its first free tight
+    column.  Only the rows left over are searched.  Any other start keeps
+    its tight assigned cells as they are.
+
+    The search settles the columns a level at a time: all the front columns
+    at the current least distance ``d``.  If some are free, the lowest of
+    them ends the path (or brings in the pseudo-row, below).  Otherwise the
+    rows owning the level are scanned as one block, ``cost[R] - v - u[R,
+    None] + d``, whose column minima update the front.  Each column records
+    the scan that first reached it at its final distance; flipping the path
+    finds a block's row again as the first that gives the column that
+    distance.  A level of one column is the single-row scan.
 
     The matrix is rectangular (n rows, m >= n columns), and a freed column
     can keep ``v < 0``, which an unassigned column may not have at the
@@ -244,9 +265,9 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     zero-cost slack rows.  At any dual-feasible state the columns they own
     all carry the largest column dual ``mu`` (their dual is ``-mu``), so
     they act as one pseudo-row owning m - n of the free columns at ``mu``.
-    A search ends at the first free column it reaches, unless exactly m - n
-    free columns are at ``mu`` and this is one of them: then the pseudo-row
-    and all its columns join the search, which reaches any column ``j`` from
+    A search ends at a free column it reaches, unless exactly m - n free
+    columns are at ``mu`` and this is one of them: then the pseudo-row and
+    all its columns join the search, which reaches any column ``j`` from
     there at ``mu - v[j]`` further.  (With more free columns at ``mu``, each
     is as near as the pseudo-row's own, so any of them can end a path.)  At
     the end the only free columns are the slack-owned ones, all at ``mu``,
@@ -255,83 +276,126 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     0`` and more than m - n are free.
 
     Infeasibility: the dual objective ``sum(u) + sum(v) - (m - n) * mu``
-    never exceeds the optimum (weak duality), and a search that has reached
-    distance ``d`` has raised it by ``d``.  An assignment through real cells
-    costs at most ``limit`` (n times the largest cost), and one through a
-    no-edge cell at least ``NO_EDGE``, so once the dual objective passes
-    ``limit`` every assignment needs a no-edge cell: ``FlowInfeasibleError``
-    names the row being searched.  This holds for any dual-feasible start;
-    the empty state starts at 0 and a parent's state at the parent's
-    optimum.  The fence ``4 * n * max cost < NO_EDGE`` in ``FlowNetwork``
-    keeps this exact in int64: ``limit < NO_EDGE``, and as every search
-    stops before the dual objective passes ``limit``, no dual moves further
-    than ``limit`` from 0 and every distance stays below ``NO_EDGE + 2 *
-    limit < _UNSEEN``.
+    never exceeds the optimum (weak duality), and a search whose level is
+    at distance ``d`` has raised it by ``d``.  An assignment through real
+    cells costs at most ``limit`` (n times the largest cost), and one
+    through a no-edge cell at least ``NO_EDGE``, so once the dual objective
+    passes ``limit`` every assignment needs a no-edge cell:
+    ``FlowInfeasibleError`` names the row being searched.  This holds for
+    any dual-feasible start: the row reduction starts at the sum of the row
+    minima (past ``limit`` only when a row has no-edge cells alone, which is
+    reported as that row being unreachable), a parent's state at the
+    parent's optimum.  Taking a level at once changes neither: its ``d`` is
+    the distance a column-at-a-time search reaches next, and the fence is
+    tested on it before anything in the level is scanned.  The fence ``4 *
+    n * max cost < NO_EDGE`` in ``FlowNetwork`` keeps this exact in int64:
+    ``limit < NO_EDGE``, the row minima ``u`` start in ``[0, max cost]``,
+    and as every search stops before the dual objective passes ``limit``,
+    no dual moves further than ``limit`` from 0 and every distance stays
+    below ``NO_EDGE + 2 * limit < _UNSEEN``.  A block holds the same values
+    a column-at-a-time search computes one row at a time, so the same
+    bounds cover it.
     """
     n, m = cost.shape
-    owner = np.append(start.owner, -1)  # column m roots every search
+    owner = np.concatenate((start.owner, [-1]))  # column m roots every search
     u, v = start.u.copy(), start.v.copy()
-    if np.any(v > 0) or np.any(cost - v < u[:, None]):
+    if (v > 0).any() or (cost - v < u[:, None]).any():
         raise ValueError("the start state is not dual feasible for this cost matrix")
-    cols = (owner[:m] >= 0).nonzero()[0]
-    rows = owner[cols]
-    owner[cols[cost[rows, cols] != u[rows] + v[cols]]] = -1
-    assigned = np.zeros(n, dtype=bool)
-    assigned[owner[owner >= 0]] = True
+    cols = (owner >= 0).nonzero()[0]
+    if len(cols) or u.any() or v.any():  # free the rows whose cells are no longer tight
+        rows = owner[cols]
+        owner[cols[cost[rows, cols] != u[rows] + v[cols]]] = -1
+    else:  # the empty state: reduce the rows, then give each row in turn its first free tight column
+        u = cost.min(axis=1, initial=NO_EDGE)
+        if sum(u.tolist()) > limit:  # a row of no-edge cells
+            raise FlowInfeasibleError(int(row_ids[u.argmax()]))
+        tight_rows, tight_cols = (cost == u[:, None]).nonzero()
+        ends = np.searchsorted(tight_rows, np.arange(1, n + 1)).tolist()  # one past each row's tight cells
+        tight_cols, owner, first = tight_cols.tolist(), owner.tolist(), 0
+        for i, end in enumerate(ends):
+            for j in tight_cols[first:end]:
+                if owner[j] < 0:
+                    owner[j] = i
+                    break
+            first = end
+        owner = np.array(owner, dtype=np.int64)
     level = sum(u.tolist()) + sum(v.tolist())  # the dual objective
     slack, mu = m - n, 0
-    for i in (~assigned).nonzero()[0].tolist():
+    way = np.empty(m, dtype=np.int64)  # the scan that reached each column, set as it is reached
+    for i in sorted(set(range(n)).difference(owner.tolist())):  # the unassigned rows
         slack_cols = ((owner[:m] < 0) & (v == mu)).nonzero()[0]
         pseudo = slack > 0 and len(slack_cols) == slack
         dist = np.full(m, _UNSEEN, dtype=np.int64)  # final once a column is scanned
         front = dist.copy()  # dist of the columns not scanned yet
-        way = np.full(m, m, dtype=np.int64)  # the column whose row reached each column
+        scans = []  # (rows, the columns they hold, d) per scan
         scanned: list[int] = []
         entry = None  # distance at which the pseudo-row joined
         owner[m] = i
-        r, j, d = i, m, 0
+        rows, near, d = i, m, 0  # the rows to scan (-1: the pseudo-row), reached at d through the columns near
         while True:
             # nonnegative reduced costs keep every scanned column out of ``closer``
-            if r >= 0:
-                cur = cost[r] - v
-                cur += d - int(u[r])
-            else:  # the slack pseudo-row: zero costs, dual -mu
-                cur = (d + mu) - v
+            if type(rows) is int:
+                if rows >= 0:
+                    cur = cost[rows] - v
+                    cur += d - int(u[rows])
+                else:  # the slack pseudo-row: zero costs, dual -mu
+                    cur = (d + mu) - v
+            else:  # a level's rows as one block
+                cur = cost[rows] - v
+                cur -= (u[rows] - d)[:, None]
+                cur = cur.min(axis=0)
             closer = cur < dist
-            np.copyto(dist, cur, where=closer)
-            np.copyto(front, cur, where=closer)
-            np.copyto(way, j, where=closer)
+            np.putmask(dist, closer, cur)
+            np.putmask(front, closer, cur)
+            np.putmask(way, closer, len(scans))
+            scans.append((rows, near, d))
             j = int(front.argmin())
             d = int(front[j])
             if level + d > limit:
-                raise FlowInfeasibleError(int(row_ids[i]))
+                raise FlowInfeasibleError(int(row_ids[i]), starved=False)
+            near = (front == d).nonzero()[0]
+            if len(near) > 1:
+                held = owner[near]
+                free = near[held < 0]
+                if not len(free):  # every column of the level is owned: scan their rows as one block
+                    front[near] = _UNSEEN
+                    scanned += near.tolist()
+                    rows = held
+                    continue
+                j = int(free[0])
             front[j] = _UNSEEN
             r = int(owner[j])
             if r >= 0:
                 scanned.append(j)
+                rows, near = r, j
             elif pseudo and v[j] == mu:
                 dist[slack_cols] = d
                 front[slack_cols] = _UNSEEN
                 scanned += slack_cols.tolist()
                 entry, pseudo = d, False
+                rows, near = -1, j
             else:
                 break
         seen = np.array(scanned, dtype=np.int64)
+        held = owner[seen]
+        # flip the path back to the root: each column to the row of the column it was reached through
+        while j != m:
+            rows, prev, at = scans[way[j]]
+            if type(rows) is not int:  # the first row of the block that reached j at dist[j]
+                prev = int(prev[(cost[rows, j] - u[rows] == dist[j] - at + v[j]).argmax()])
+            owner[j] = owner[prev]
+            j = prev
         gain = d - dist[seen]
         v[seen] -= gain
-        held = owner[seen]
         real = held >= 0
         u[held[real]] += gain[real]
         u[i] += d
         if entry is not None:
             mu -= d - entry
         level += d
-        while j != m:
-            prev = int(way[j])
-            owner[j] = owner[prev]
-            j = prev
-    u += mu
-    v -= mu
+    if mu:
+        u += mu
+        v -= mu
     return HungarianState(owner[:m], u, v)
 
 
@@ -383,11 +447,13 @@ def solve_mcf(
     and only the plans whose assigned cell got dearer are re-assigned; the
     result is as exact as a cold solve, though on tied optima it can be
     another optimal assignment.  Without ``start`` the solver begins from
-    the empty assignment.
+    the empty assignment, which it row-reduces and pre-assigns on tight
+    cells before any search.
 
     Raises ``FlowInfeasibleError`` naming the lowest-id plan without a
-    usable incoming connection, else the plan whose row found no augmenting
-    path.
+    usable incoming connection ("its right node is unreachable"), else,
+    when no assignment of origins covers every plan, the plan whose search
+    found that out.
     """
     net, n = network, len(network.plan_ids)
     m = n + len(net.instance.vehicles)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -364,3 +365,122 @@ def test_branching_solve_never_builds_the_edge_view(monkeypatch):
         [1, 9, 0], [4, 10, 0], [6, 10, 16], [6, 11, 0], [6, 8, 16], [7, 10, 6], [7, 11, 14], [7, 8, 6],
         [8, 12, 0], [9, 12, 0], [10, 13, 0], [11, 13, 0], [12, 13, 0],
     ]
+
+
+def test_infeasibility_messages_tell_a_starved_plan_from_a_hall_violation():
+    # plan 4 has usable cells in columns 2 and 4, but the other plans need both
+    inst = chain_instance_from_params(ChainGenParams(seed=1, plans=4, vehicles=1))
+    net = build_network(inst, variantgen.generate(inst))
+    matrix = flownet._assignment_matrix(net, None)[0]
+    assert (matrix[3] != flownet.NO_EDGE).nonzero()[0].tolist() == [2, 4]
+    hall = "no assignment of origins covers every plan (found while assigning plan {})"
+    with pytest.raises(FlowInfeasibleError, match=re.escape(hall.format(4))) as err:
+        solve_mcf(net)
+    assert err.value.plan_id == 4
+    # e1 with plan 2 held at delay 0: the vehicle reaches plan 2, but plan 1 needs it too
+    _, net = build_e1_network()
+    with pytest.raises(FlowInfeasibleError, match=re.escape(hall.format(2))):
+        solve_mcf(net, force_variant(open_window(net), net, 2, 0))
+    # held past both of its routed delays, plan 2 has no usable incoming connection
+    with pytest.raises(FlowInfeasibleError, match="^no chain can reach plan 2: its right node is unreachable$"):
+        solve_mcf(net, force_variant(open_window(net), net, 2, 2))
+
+
+def empty_state(n, m):
+    """No owners and zero duals: where a cold solve starts."""
+    return flownet.HungarianState(np.full(m, -1), np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64))
+
+
+def certified_cost(cost, state):
+    """The assignment's cost, after checking that ``state`` is an optimal one (``HungarianState``'s contract)."""
+    owner, u, v = state
+    cols = np.flatnonzero(owner >= 0)
+    rows = owner[cols]
+    assert sorted(rows.tolist()) == list(range(cost.shape[0]))
+    assert (cost - v >= u[:, None]).all()  # dual feasible
+    assert (cost[rows, cols] == u[rows] + v[cols]).all()  # tight on the assignment
+    assert (v <= 0).all() and (v[owner < 0] == 0).all()
+    return int(cost[rows, cols].sum())
+
+
+def test_kernel_matches_scipy_on_random_matrices():
+    from scipy.optimize import linear_sum_assignment
+
+    def scipy_optimum(cost):
+        try:
+            rows, cols = linear_sum_assignment(np.where(cost == flownet.NO_EDGE, np.inf, cost))
+        except ValueError:  # every assignment needs a no-edge cell
+            return None
+        return int(cost[rows, cols].sum())
+
+    def solve(cost, start):
+        n, largest = cost.shape[0], int(cost[cost < flownet.NO_EDGE].max(initial=0))
+        try:
+            return flownet._hungarian(cost, n * largest, np.arange(1, n + 1), start)
+        except FlowInfeasibleError:
+            return None
+
+    rng = np.random.default_rng(7)
+    shapes = [(500, 700)] + [(n, n + int(rng.integers(0, 4))) for n in rng.integers(0, 9, 250).tolist()]
+    solved = infeasible = warm = freed = 0
+    for n, m in shapes:
+        cost = rng.integers(0, 4, (n, m))  # costs 0..3, so ties are common
+        cost[rng.random((n, m)) < rng.uniform(0, 0.5)] = flownet.NO_EDGE
+        state = solve(cost, empty_state(n, m))
+        optimum = scipy_optimum(cost)
+        assert (state is None) == (optimum is None)
+        if state is None:
+            infeasible += 1
+            continue
+        assert certified_cost(cost, state) == optimum
+        solved += 1
+        # raise random cells from the solved state, as a narrower window does, and re-solve warm
+        for _ in range(3):
+            raised = cost.copy()
+            bump = rng.random((n, m)) < 0.2
+            raised[bump] = np.minimum(raised[bump] + rng.integers(1, 3, (n, m))[bump], flownet.NO_EDGE)
+            raised[rng.random((n, m)) < 0.05] = flownet.NO_EDGE
+            assigned = np.flatnonzero(state.owner >= 0)
+            rows = state.owner[assigned]
+            untight = assigned[raised[rows, assigned] != state.u[rows] + state.v[assigned]]
+            freed += int((state.v[untight] < 0).sum())
+            again = solve(raised, state)
+            optimum = scipy_optimum(raised)
+            assert (again is None) == (optimum is None)
+            if again is None:
+                infeasible += 1
+                break
+            assert certified_cost(raised, again) == optimum
+            cost, state = raised, again
+            warm += 1
+    assert solved >= 200 and warm >= 600 and infeasible >= 15 and freed >= 100, (solved, warm, infeasible, freed)
+
+
+def test_resolving_from_an_optimal_state_changes_nothing():
+    rng = np.random.default_rng(3)
+    for n, m in ((0, 0), (1, 1), (4, 7), (9, 9), (40, 60)):
+        cost = rng.integers(0, 5, (n, m))
+        state = flownet._hungarian(cost, 4 * n, np.arange(n), empty_state(n, m))
+        again = flownet._hungarian(cost, 4 * n, np.arange(n), state)
+        for part, same in zip(state, again):
+            assert part.tolist() == same.tolist()
+    _, net = build_e1_network()
+    first = solve_mcf(net)
+    second = solve_mcf(net, None, first.state)
+    assert [p.tolist() for p in first.state] == [p.tolist() for p in second.state]
+    assert second.rows.tolist() == first.rows.tolist()
+
+
+def test_only_the_empty_state_is_pre_assigned():
+    # from the empty state, each row in turn takes its first free tight column
+    cost = np.array([[0, 0, 5], [0, 3, 0]], dtype=np.int64)
+    cold = flownet._hungarian(cost, 10, np.arange(2), empty_state(2, 3))
+    assert cold.owner.tolist() == [0, -1, 1]
+    # a start with an assignment keeps its tight cells, even with zero duals
+    start = empty_state(2, 3)._replace(owner=np.array([-1, 0, 1], dtype=np.int64))
+    warm = flownet._hungarian(cost, 10, np.arange(2), start)
+    assert warm.owner.tolist() == [-1, 0, 1]
+    assert certified_cost(cost, warm) == certified_cost(cost, cold) == 0
+    # a partial start keeps row 0 on column 1; row 1's search ends at the lowest free column of its level
+    start = empty_state(2, 3)._replace(owner=np.array([-1, 0, -1], dtype=np.int64))
+    assert flownet._hungarian(cost, 10, np.arange(2), start).owner.tolist() == [1, 0, -1]
