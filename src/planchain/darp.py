@@ -238,7 +238,14 @@ def optimal_plan_for_group(
     Exhausts every pickup/dropoff interleaving that respects precedence,
     scheduling each stop at the earliest feasible time at or after the
     request's departure time (and at or after ``anchor`` for the first
-    stop).  Ties fall to less driving, then to a fixed stop order.
+    stop).  Ties fall to less driving, then to a fixed stop order.  A
+    branch is cut once a bound read from the shortest-path ``closure``
+    shows that a pending pickup or any arrival must miss its window, or
+    that the plan must last longer than the best one found: each pending
+    request is picked up no sooner than ``max(now + short[loc][origin],
+    t_r)`` and arrives ``short[origin][destination]`` later, and each
+    riding one arrives no sooner than ``now + short[loc][destination]``.
+    The duration cut is strict, so ties still reach the tie-break.
     ``_deadline`` (a ``time.monotonic`` value) aborts the search with
     ``_DeadlinePassed``; ``solve_batch_exact`` passes its own.
     """
@@ -248,10 +255,14 @@ def optimal_plan_for_group(
     if not reqs:
         return None
     _check_locations(reqs, travel)
-    table = travel.table
-    # (id, origin, destination, t_r, latest pickup, latest arrival) per request;
-    # the capacity guard above means the onboard count never binds
-    info = [(r.id, r.origin, r.destination, r.t_r, r.latest_pickup, r.latest_arrival(travel)) for r in reqs]
+    table, short = travel.table, travel.closure
+    # (id, origin, destination, t_r, latest pickup, latest arrival, shortest
+    # ride) per request; the capacity guard above means the onboard count
+    # never binds
+    info = [
+        (r.id, r.origin, r.destination, r.t_r, r.latest_pickup, r.latest_arrival(travel), short[r.origin][r.destination])
+        for r in reqs
+    ]
     best: tuple | None = None
 
     def dfs(seq, loc, now, first, pending, riding, driving):
@@ -263,11 +274,30 @@ def optimal_plan_for_group(
             if best is None or key < best:
                 best = key
             return
-        if best is not None and now - first > best[0]:
+        reach = short[loc]
+        end = now
+        for _, origin, _, t_r, latest_pickup, latest_arrival, ride in pending:
+            t = now + reach[origin]
+            if t < t_r:
+                t = t_r
+            if t > latest_pickup:
+                return
+            t += ride
+            if t > latest_arrival:
+                return
+            if t > end:
+                end = t
+        for _, _, destination, _, _, latest_arrival, _ in riding:
+            t = now + reach[destination]
+            if t > latest_arrival:
+                return
+            if t > end:
+                end = t
+        if best is not None and end - first > best[0]:
             return
         row = table[loc]
         for req in pending:
-            rid, origin, _, t_r, latest_pickup, _ = req
+            rid, origin, _, t_r, latest_pickup, _, _ = req
             leg = row[origin]
             t = now + leg
             if t < t_r:
@@ -276,20 +306,23 @@ def optimal_plan_for_group(
                 rest = [r for r in pending if r is not req]
                 dfs(seq + [(0, rid)], origin, t, first, rest, riding + [req], driving + leg)
         for req in riding:
-            rid, _, destination, _, _, latest_arrival = req
+            rid, _, destination, _, _, latest_arrival, _ = req
             leg = row[destination]
             t = now + leg
             if t <= latest_arrival:
                 rest = [r for r in riding if r is not req]
                 dfs(seq + [(1, rid)], destination, t, first, pending, rest, driving + leg)
 
-    if _deadline is not None and time.monotonic() > _deadline:
-        raise _DeadlinePassed
-    for req in info:  # the first stop: no approach leg, floored at the anchor
-        rid, origin, _, t_r, latest_pickup, _ = req
-        t = max(anchor, t_r)
-        if t <= latest_pickup:
-            dfs([(0, rid)], origin, t, t, [r for r in info if r is not req], [req], 0)
+    try:
+        if _deadline is not None and time.monotonic() > _deadline:
+            raise _DeadlinePassed
+        for req in info:  # the first stop: no approach leg, floored at the anchor
+            rid, origin, _, t_r, latest_pickup, _, _ = req
+            t = max(anchor, t_r)
+            if t <= latest_pickup:
+                dfs([(0, rid)], origin, t, t, [r for r in info if r is not req], [req], 0)
+    finally:
+        dfs = None  # the closure refers to itself; break the cycle for refcounting
     if best is None:
         return None
     by_id = {r.id: r for r in reqs}
@@ -304,6 +337,25 @@ def optimal_plan_for_group(
 class BatchResult:
     plans: tuple[RoutePlan, ...]
     proven_optimal: bool
+
+
+def _best_partition(s: int, groups_by_low, memo: dict) -> tuple:
+    """(total duration, group count, group ids, plans) of the best partition of bitmask ``s``.
+
+    Its first group holds ``s``'s lowest request, so prepending keeps the
+    group ids sorted.  ``memo`` maps the masks already solved, 0 included;
+    only masks reachable from the first call are ever solved.
+    """
+    entry = memo.get(s)
+    if entry is None:
+        for mask, duration, ids, plan in groups_by_low[s & -s]:
+            if mask & s == mask:
+                rest = _best_partition(s ^ mask, groups_by_low, memo)
+                cand = (rest[0] + duration, rest[1] + 1, (ids,) + rest[2], (plan,) + rest[3])
+                if entry is None or cand[:3] < entry[:3]:
+                    entry = cand
+        memo[s] = entry
+    return entry
 
 
 def solve_batch_exact(
@@ -321,13 +373,14 @@ def solve_batch_exact(
     already failed: dropping a request's stops then never makes another
     stop later.  Without the triangle inequality a detour can arrive
     sooner, so every group up to the capacity is searched.  A dynamic program
-    over subsets of the batch then covers every request with exactly one
-    built group, minimizing total plan duration: the best partition of a
-    request set takes a group holding its lowest request plus the best
-    partition of the rest.  Ties prefer fewer groups, then lexicographic
-    group ids.  The time limit stops only the group enumeration: the group
-    search it interrupts and all later ones are left out, the partition is
-    still the best over the groups built, and ``proven_optimal`` is false.
+    over the subsets reachable from the full batch then covers every
+    request with exactly one built group, minimizing total plan duration:
+    the best partition of a request set takes a group holding its lowest
+    request plus the best partition of the rest, memoized per subset.
+    Ties prefer fewer groups, then lexicographic group ids.  The time limit
+    stops only the group enumeration: the group search it interrupts and
+    all later ones are left out, the partition is still the best over the
+    groups built, and ``proven_optimal`` is false.
     """
     reqs = sorted(batch, key=lambda r: r.id)
     if not reqs:
@@ -362,20 +415,8 @@ def solve_batch_exact(
     for ids, plan in feasible.items():
         mask = sum(bit[rid] for rid in ids)
         groups_by_low[mask & -mask].append((mask, plan.total_duration, tuple(sorted(ids)), plan))
-    # best[s] = (total duration, group count, group ids, plans) of the best
-    # partition of request bitmask s; its first group holds s's lowest
-    # request, so prepending keeps the group ids sorted
-    best = [(0, 0, (), ())]
-    for s in range(1, 1 << len(reqs)):
-        entry = None
-        for mask, duration, ids, plan in groups_by_low[s & -s]:
-            if mask & s == mask:
-                rest = best[s ^ mask]
-                cand = (rest[0] + duration, rest[1] + 1, (ids,) + rest[2], (plan,) + rest[3])
-                if entry is None or cand[:3] < entry[:3]:
-                    entry = cand
-        best.append(entry)
-    ordered = tuple(sorted(best[-1][3], key=lambda p: (p.first_time, p.request_ids())))
+    plans = _best_partition((1 << len(reqs)) - 1, groups_by_low, {0: (0, 0, (), ())})[3]
+    ordered = tuple(sorted(plans, key=lambda p: (p.first_time, p.request_ids())))
     return BatchResult(ordered, not timed_out)
 
 

@@ -56,7 +56,7 @@ class TravelMatrix:
     inequality is *not* assumed: code that needs it checks ``is_metric``.
     """
 
-    __slots__ = ("_entries", "_metric", "_table")
+    __slots__ = ("_closure", "_entries", "_metric", "_table")
 
     def __init__(self, entries) -> None:
         arr = _int64_array(entries, "travel matrix entries")
@@ -72,6 +72,7 @@ class TravelMatrix:
         self._entries = arr
         self._metric: bool | None = None
         self._table: tuple[tuple[int, ...], ...] | None = None
+        self._closure: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def from_coordinates(cls, coordinates, ticks_per_unit: int = 1) -> "TravelMatrix":
@@ -105,11 +106,11 @@ class TravelMatrix:
     def is_metric(self) -> bool:
         """True when d(a, c) <= d(a, b) + d(b, c) for all locations a, b, c.
 
-        The O(L^3) check runs on first use and is cached on the matrix.
+        That is, when ``closure`` equals the entries; decided with it on
+        first use and cached on the matrix.
         """
         if self._metric is None:
-            d = self._entries  # entries are below 2^60, so the sums cannot wrap
-            self._metric = all(bool((d <= d[:, [b]] + d[[b], :]).all()) for b in range(self.size))
+            self.closure  # the closure pass decides it
         return self._metric
 
     @property
@@ -124,6 +125,27 @@ class TravelMatrix:
         if self._table is None:
             self._table = tuple(map(tuple, self._entries.tolist()))
         return self._table
+
+    @property
+    def closure(self) -> tuple[tuple[int, ...], ...]:
+        """Read-only rows of shortest-path times over any chain of legs.
+
+        ``closure[a][b]`` is never above ``table[a][b]`` and is a lower
+        bound on every route from a to b; on a metric matrix it is
+        ``table`` itself.  The O(L^3) pass runs on first use, also decides
+        ``is_metric``, and is cached on the matrix.  Indexed unchecked, as
+        ``table`` is.
+        """
+        if self._closure is None:
+            if self._metric:
+                self._closure = self.table
+            else:
+                d = self._entries.copy()  # entries are below 2^60, so the sums cannot wrap
+                for b in range(self.size):
+                    np.minimum(d, d[:, [b]] + d[[b], :], out=d)
+                self._metric = bool(np.array_equal(d, self._entries))
+                self._closure = self.table if self._metric else tuple(map(tuple, d.tolist()))
+        return self._closure
 
     def duration(self, a: LocationId, b: LocationId) -> Duration:
         if not (0 <= a < self.size and 0 <= b < self.size):

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from itertools import combinations, permutations
@@ -120,6 +121,49 @@ def test_group_search_matches_brute_force_over_stop_orders():
     assert min(kinds.values()) > 50 and min(outcomes.values()) > 50, (kinds, outcomes)
 
 
+def test_group_search_bounds_with_the_closure_on_a_non_metric_matrix():
+    # 0 -> 2 directly takes 10 ticks, the detour 0 -> 1 -> 2 only 2.  The
+    # only feasible plan picks 1 up at 0, drops it at 1 and reaches 2 at
+    # tick 2, just in time for 2's pickup; a bound read from the direct
+    # legs would give that pickup tick 10 and cut the plan away
+    travel = TravelMatrix([[0, 1, 10], [1, 0, 1], [1, 1, 0]])
+    assert not travel.is_metric and travel.closure[0][2] == 2
+    group = [Request(1, 0, 1, 0, 0), Request(2, 2, 0, 0, 2)]
+    plan = optimal_plan_for_group(group, travel, 2)
+    assert plan == _brute_force_group_plan(group, travel, 2, 0)
+    assert [(s.request_id, s.kind, s.time) for s in plan.stops] == [
+        (1, "pickup", 0),
+        (1, "dropoff", 1),
+        (2, "pickup", 2),
+        (2, "dropoff", 3),
+    ]
+
+
+def test_batch_search_leaves_no_garbage_cycles(monkeypatch):
+    # the recursive searches free their state by reference counting alone,
+    # also when a deadline interrupts a group search deep in its recursion
+    inst = darp_instance_from_params(DarpGenParams(seed=3, requests=7, horizon=15, capacity=4))
+    travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
+    clock = SimpleNamespace(reads=0)
+
+    def monotonic():
+        clock.reads += 1
+        return clock.reads * 2.0**-19
+
+    gc.collect()
+    gc.disable()
+    try:
+        result = solve_batch_exact(list(inst.requests), inst.travel, 4)
+        assert result.proven_optimal and len(result.plans) < 7
+        monkeypatch.setattr(darp, "time", SimpleNamespace(monotonic=monotonic))
+        rs = [Request(i, 2, i % 2, 0, 30) for i in range(6)]
+        assert not solve_batch_exact(rs, travel, 6, time_limit_ms=200).proven_optimal
+        assert clock.reads > 100_000  # stopped inside the six-request search
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_group_search_ignores_changes_to_copies_of_the_rows():
     travel = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
     req = Request(1, 0, 2, 0, 5)
@@ -168,14 +212,14 @@ def test_batch_time_limit_covers_group_enumeration():
 
 def test_batch_time_limit_interrupts_a_group_search(monkeypatch):
     # a fake clock, read once per search node, advances 2**-19 s per read, so
-    # the 600 ms limit passes after 314,573 reads on any host: inside the
-    # six-request group search, which runs from read 243,316 to 889,877
+    # the 200 ms limit passes at read 104,858 on any host: inside the
+    # six-request group search, which runs from read 55,177 to 159,896
     clock = SimpleNamespace(reads=0, late=0)
 
     def monotonic():
         now = clock.reads * 2.0**-19
         clock.reads += 1
-        clock.late += now > 0.6  # the first read, 0, plus the limit
+        clock.late += now > 0.2  # the first read, 0, plus the limit
         return now
 
     sizes = []  # of the groups searched
@@ -189,7 +233,7 @@ def test_batch_time_limit_interrupts_a_group_search(monkeypatch):
     monkeypatch.setattr(darp, "optimal_plan_for_group", recorded)
     travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
     rs = [Request(i, 2, i % 2, 0, 30) for i in range(6)]
-    result = solve_batch_exact(rs, travel, 6, time_limit_ms=600)
+    result = solve_batch_exact(rs, travel, 6, time_limit_ms=200)
     # the six-request search stops at its first read past the deadline
     assert sizes[-1] == 6 and clock.late == 1
     assert result.proven_optimal is False

@@ -68,6 +68,40 @@ def test_travel_matrix_knows_whether_it_is_metric():
     assert TravelMatrix([[0, 1], [0, 0]]).is_metric  # asymmetric, still metric
 
 
+def test_closure_is_the_shortest_path_matrix():
+    import networkx as nx
+    import numpy as np
+
+    def floyd_warshall(rows):
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(len(rows)))  # zero entries are legs too, so add every edge by hand
+        graph.add_weighted_edges_from((a, b, d) for a, row in enumerate(rows) for b, d in enumerate(row) if a != b)
+        return nx.floyd_warshall_numpy(graph, nodelist=range(len(rows)))
+
+    rng = random.Random(12)
+    kinds = {True: 0, False: 0}
+    for case in range(120):
+        size = rng.randint(3, 7)
+        rows = [[0 if a == b else rng.choice((0, 1, 3, 8, 20, 20)) for b in range(size)] for a in range(size)]
+        if case % 2:  # a shortest-path matrix is metric, and asymmetric here too
+            rows = floyd_warshall(rows).astype(np.int64).tolist()
+        travel = TravelMatrix(rows)
+        if case % 3 == 0:
+            travel.is_metric  # decided first, or by the closure below
+        closure = travel.closure
+        assert np.array_equal(np.array(closure, dtype=np.int64).reshape(size, size), floyd_warshall(rows)), rows
+        assert all(closure[a][b] <= rows[a][b] for a in range(size) for b in range(size))
+        assert all(type(d) is int for row in closure for d in row)
+        assert travel.closure is closure  # cached
+        with pytest.raises(TypeError):
+            closure[0][0] = 1
+        assert travel.is_metric == (list(map(list, closure)) == rows)
+        kinds[travel.is_metric] += 1
+    assert min(kinds.values()) > 40, kinds
+    grid = TravelMatrix.from_coordinates([(0, 0), (3, 1), (1, 4)])
+    assert grid.closure is grid.table  # Manhattan distances need no pass
+
+
 def test_tick_limit_bounds_every_model_integer():
     limit = model.TICK_LIMIT
     TravelMatrix([[0, limit - 1], [1, 0]])
