@@ -105,6 +105,15 @@ class FlowNetwork:
     variant edges are ``edge_count`` (absent) where the plan has no variants;
     a vehicle origin's index is the last slot of ``end_left``, one past the
     endpoints.  The edge list ``edges`` is built on first access.
+
+    Connection row ``r`` fills matrix cell ``cell[r] = target * m + origin``
+    of the n x m assignment matrix (m = n + vehicles).  ``cell_order`` lists
+    the rows by cell, then cost, then row, as one stable sort of the int64
+    key ``cell * span + (cost - low)``, where ``low`` is the lowest cost and
+    ``span = max_cost - low + 1``.  The key is below ``n * m * span``, so a
+    network with ``n * m * span >= 2**63`` is refused with ``InputError``,
+    as is one whose costs break the relaxation's ``4 * n * max_cost <
+    NO_EDGE`` fence.
     """
 
     def __init__(self, instance: ChainingInstance, gen: GenerationResult):
@@ -156,6 +165,8 @@ class FlowNetwork:
         self.origin_end[from_plan] = at[: len(from_plan)]
         self.target_end = at[len(from_plan) :].copy()  # not a view that keeps the origins' half alive
         self.max_cost = int(conns.cost.max()) if len(conns) else 0
+        low = int(conns.cost.min()) if len(conns) else 0
+        span, m = self.max_cost - low + 1, n + n_veh
         # checked in Python ints: an assignment through real cells must cost
         # less than one through a no-edge cell, and the duals and search
         # distances, which stay within n * max cost of 0 and of NO_EDGE, need
@@ -164,11 +175,19 @@ class FlowNetwork:
             raise InputError(
                 f"connection cost {self.max_cost} over {n} plans exceeds the exact integer range of the relaxation"
             )
+        # the cell order's key, below n * m * span, must fit in int64
+        if n * m * span >= 1 << 63:
+            raise InputError(
+                f"connection costs {low} to {self.max_cost} on {n} x {m} cells exceed the int64 range of the cell order"
+            )
 
         # matrix cell of each connection, and the connections sorted by
-        # cell, then cost, then row: the first usable one of a cell wins
-        self.cell = conns.target * (n + n_veh) + conns.origin
-        self.cell_order = np.lexsort((np.arange(len(conns)), conns.cost, self.cell))
+        # cell, then cost, then row (one stable sort of the fenced key):
+        # the first usable one of a cell wins
+        self.cell = conns.target * m + conns.origin
+        key = self.cell * span
+        key += conns.cost - low
+        self.cell_order = np.argsort(key, kind="stable")
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -224,7 +243,8 @@ def build_network(instance: ChainingInstance, gen: GenerationResult) -> FlowNetw
     Every connection of a variant-carrying plan is routed through variant
     nodes, including an explicit zero-delay variant.  Raises ``InputError``
     when a connection names a variant without a node, or when costs are
-    too large for exact int64 duals.
+    too large for exact int64 duals or too widely spread for the cell
+    order's int64 key.
     """
     return FlowNetwork(instance, gen)
 

@@ -430,9 +430,13 @@ def assignment_matrix_reference(net, window):
         cut[head[down]] = off[down] | cut[tail[down]]
         cut[tail[up]] = off[up] | cut[head[up]]
     usable = ~off[block] & ~cut[tail[block]] & ~cut[head[block]]
-    order = net.cell_order[usable[net.cell_order]]
-    first = order[np.diff(net.cell[order], prepend=-1) != 0]
+    # the usable connections by cell, then cost, then edge: each cell's first wins
+    conns = net.connections
+    cell = conns.target * m + conns.origin
+    order = np.lexsort((np.arange(len(cell)), cost[block], cell))
+    order = order[usable[order]]
+    first = order[np.diff(cell[order], prepend=-1) != 0]
     matrix, edge_at = np.full(n * m, NO_EDGE, dtype=np.int64), np.full(n * m, -1, dtype=np.int64)
-    matrix[net.cell[first]] = cost[start + first]
-    edge_at[net.cell[first]] = start + first
+    matrix[cell[first]] = cost[start + first]
+    edge_at[cell[first]] = start + first
     return matrix.reshape(n, m), edge_at, cut

@@ -7,20 +7,21 @@ drains.  The exhaustive generator enumerates every integer delay; it backs
 the optimality cross-checks and the cost policies whose connection costs
 depend on the chosen delays.
 
-Both evaluate one origin per numpy pass through ``_ProbeTables``: the
-minimal generator against every plan, the exhaustive one against every
-variant of every plan.  The tables also hold the one fence on the wait
-penalty's int64 arithmetic.  Each generator joins its per-origin arrays
-once into ``Connections``: int64 columns that the flow network reads
-directly, in emission order.  Minimal generation needs no deduplication,
-as each origin is probed once, each variant queued once, and a probe
-reaches each target plan at most once.  ``planchain.oracle`` keeps the
-scalar twins that the differential tests compare against, order included.
+Both evaluate a block of origins per numpy pass through ``_ProbeTables``:
+origins by plans for the minimal generator, origins by every variant of
+every plan for the exhaustive one, at most ``_BLOCK_CELLS`` cells a pass.
+The tables also hold the one fence on the wait penalty's int64
+arithmetic.  Each generator joins its per-block arrays once into
+``Connections``: int64 columns that the flow network reads directly, in
+emission order, which is origin order and then target order.  Minimal
+generation needs no deduplication of connections, as each origin is
+probed once, each variant queued once, and a probe reaches each target
+plan at most once.  ``planchain.oracle`` keeps the scalar twins that the
+differential tests compare against, order included.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -111,38 +112,64 @@ def _column(parts) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
-class _ProbeTables:
-    """Vectorized feasibility/cost evaluation of one origin against all plans.
+# origins x targets evaluated in one numpy pass: a few MB per int64 temporary
+_BLOCK_CELLS = 1 << 18
 
-    ``probe`` implements exactly the scalar semantics of ``oracle.try_connect``
-    (minimal delays, the degenerate-tie ordering, policy costs with
-    forbidden waits dropped); ``probe_variants`` those of
-    ``model.connection_feasible`` and ``model.connection_cost`` against
-    every integer-delay variant, which ``all_variants`` lays out once as
-    flat arrays.  Differential tests pin both equivalences.
+
+def _blocks(count: int, width: int):
+    """Slices of ``count`` origins, each at most ``_BLOCK_CELLS`` cells over ``width`` targets.
+
+    A block holds at least one origin, also when its row alone is wider.
+    """
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    return (slice(s, s + step) for s in range(0, count, step))
+
+
+class _ProbeTables:
+    """Vectorized feasibility/cost evaluation of a block of origins.
+
+    An origin is a column of the assignment matrix, a plan index or n + a
+    vehicle index, at a delay.  ``probe`` evaluates a block of origins
+    against every other plan in one 2-D pass, with exactly the scalar
+    semantics of ``oracle.try_connect`` (minimal delays, the
+    degenerate-tie ordering, policy costs with forbidden waits dropped);
+    ``probe_variants`` evaluates a block against every integer-delay
+    variant, which ``all_variants`` lays out once as flat arrays, with
+    those of ``model.connection_feasible`` and ``model.connection_cost``.
+    Both return the hits in row-major order: by origin, then by target.
+    Differential tests pin both equivalences.
     """
 
     def __init__(self, instance: ChainingInstance, *, all_variants: bool = False):
-        plans = instance.plans
+        plans, vehicles = instance.plans, instance.vehicles
+        self.n = n = len(plans)
         self.t_or = np.array([p.t_or for p in plans], dtype=np.int64)
         self.d_max = np.array([p.d_max for p in plans], dtype=np.int64)
         self.orig = np.array([p.origin_location for p in plans], dtype=np.intp)
         self.ids = np.array([p.id for p in plans], dtype=np.int64)
-        self.matrix = instance.travel.array
+        # position of each plan in (t_or, id) order, the tie rule's key
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[np.lexsort((self.ids, self.t_or))] = np.arange(n)
+        # per origin column: ready time at delay 0, location, plan index and
+        # rank; a vehicle's plan and rank are -1, which no plan matches or follows
+        no_plan = np.full(len(vehicles), -1, dtype=np.int64)
+        self.ready = np.array([p.t_de for p in plans] + [v.t_st for v in vehicles], dtype=np.int64)
+        self.location = np.array(
+            [p.destination_location for p in plans] + [v.start_location for v in vehicles], dtype=np.intp
+        )
+        self.plan = np.concatenate([np.arange(n), no_plan])
+        self.origin_rank = np.concatenate([self.rank, no_plan])
         if all_variants:
             # variants in (plan, delay) order; plan i owns the slice
             # first[i]:first[i + 1]
             counts = self.d_max + 1
-            self.first = np.concatenate(([0], np.cumsum(counts)))
-            self.var_plan = np.repeat(np.arange(len(plans)), counts)
-            self.var_delay = np.arange(self.first[-1], dtype=np.int64) - self.first[self.var_plan]
+            first = np.concatenate(([0], np.cumsum(counts)))
+            self.var_plan = np.repeat(np.arange(n), counts)
+            self.var_delay = np.arange(first[-1], dtype=np.int64) - first[self.var_plan]
             self.var_start = self.t_or[self.var_plan] + self.var_delay
-            self.var_orig = self.orig[self.var_plan]
-            # position of each plan in (t_or, id) order, the tie rule's key
-            rank = np.empty(len(plans), dtype=np.int64)
-            rank[np.lexsort((self.ids, self.t_or))] = np.arange(len(plans))
-            self.rank = rank
-            self.var_rank = rank[self.var_plan]
+            self.var_rank = self.rank[self.var_plan]
+        # travel time from each location to each target's origin location
+        self.to_target = instance.travel.array[:, self.orig[self.var_plan] if all_variants else self.orig]
         policy = instance.policy
         self.kind = type(policy).__name__
         self.delta = getattr(policy, "delta", None)
@@ -156,60 +183,59 @@ class _ProbeTables:
             if 2 * self.alpha_num * max(max_wait, 1) + 2 * self.alpha_den > np.iinfo(np.int64).max:
                 raise InputError(f"wait penalty {alpha} on waits of up to {max_wait} ticks exceeds the int64 range")
 
-    def probe(self, ready: int, from_location: int, origin_plan: int | None):
-        """Evaluate one origin against every other plan at the minimal delay.
+    def probe(self, origin: np.ndarray, origin_delay: np.ndarray):
+        """Evaluate a block of origins against every other plan at the minimal delay.
 
-        ``origin_plan`` is the origin's plan index, None for vehicles.
-        Returns (idx, delay, keep, cost): the time-feasible plan indices in
-        ascending order with their minimal delays, the mask of those the
-        policy allows (None when it allows all) and the allowed costs.
+        Returns (row, col, delay, keep, cost): each time-feasible pair as the
+        origin's position in the block and the target plan index, by row and
+        then column, with its minimal delay; the mask of those the policy
+        allows (None when it allows all) and the allowed costs.
         """
-        ftt = self.matrix[from_location][self.orig]
-        delay = np.maximum(ftt - (self.t_or - ready), 0)
+        ftt = self.to_target[self.location[origin]]
+        ready = (self.ready[origin] + origin_delay)[:, None]
+        delay = ftt + ready
+        delay -= self.t_or
+        np.maximum(delay, 0, out=delay)
+        # a connection with no slack (hence zero travel) needs the origin's plan
+        # first in (t_or, id) order, else the target waits one tick more
+        delay += (ftt == 0) & (self.t_or + delay == ready) & (self.rank <= self.origin_rank[origin][:, None])
         ok = delay <= self.d_max
-        if origin_plan is not None:
-            tie = ok & (ftt == 0) & (self.t_or + delay == ready)
-            if tie.any():
-                t_or, pid = self.t_or[origin_plan], self.ids[origin_plan]
-                less = (t_or < self.t_or) | ((t_or == self.t_or) & (pid < self.ids))
-                delay = delay + (tie & ~less)
-                ok = delay <= self.d_max
-            ok[origin_plan] = False
-        idx = ok.nonzero()[0]
-        if not idx.size:
-            return idx, idx, None, idx
-        delay, ftt = delay[idx], ftt[idx]
-        keep, cost = self._policy_cost(ftt, self.t_or[idx] + delay - ready - ftt, origin_plan is None)
-        return idx, delay, keep, cost
+        ok &= np.arange(self.n) != self.plan[origin][:, None]  # a plan never follows itself
+        hit = np.flatnonzero(ok)
+        row, col = np.divmod(hit, self.n)
+        delay, ftt = delay.ravel()[hit], ftt.ravel()[hit]
+        keep, cost = self._policy_cost(ftt, self.t_or[col] + delay - ready[row, 0] - ftt, origin[row] >= self.n)
+        return row, col, delay, keep, cost
 
-    def probe_variants(self, ready: int, from_location: int, origin_plan: int | None):
-        """Evaluate one origin against every variant of every other plan.
+    def probe_variants(self, origin: np.ndarray, origin_delay: np.ndarray):
+        """Evaluate a block of origins against every variant of every other plan.
 
-        ``origin_plan`` is the origin's plan index, None for vehicles.
-        Returns the indices of the variants the origin connects to, in
-        ascending order, and the policy cost of each of those connections.
+        Returns (row, col, cost): each connection as the origin's position in
+        the block and the target variant's index, by row and then column,
+        with its policy cost.
         """
-        ftt = self.matrix[from_location][self.var_orig]
-        gap = self.var_start - ready
+        ftt = self.to_target[self.location[origin]]
+        gap = self.var_start - (self.ready[origin] + origin_delay)[:, None]
         ok = ftt <= gap
-        if origin_plan is not None:
-            # a connection with no slack (hence zero travel) needs the
-            # origin's plan first in (t_or, id) order; a plan never follows itself
-            ok &= ~((gap == 0) & (self.var_rank < self.rank[origin_plan]))
-            ok[self.first[origin_plan] : self.first[origin_plan + 1]] = False
-        idx = np.flatnonzero(ok)
-        fsel = ftt[idx]
-        keep, cost = self._policy_cost(fsel, gap[idx] - fsel, origin_plan is None)
-        return (idx if keep is None else idx[keep]), cost
+        # a connection with no slack (hence zero travel) needs the origin's
+        # plan first in (t_or, id) order; a plan never follows itself
+        ok &= (gap != 0) | (self.var_rank >= self.origin_rank[origin][:, None])
+        ok &= self.var_plan != self.plan[origin][:, None]
+        hit = np.flatnonzero(ok)
+        row, col = np.divmod(hit, len(self.var_plan))
+        ftt = ftt.ravel()[hit]
+        keep, cost = self._policy_cost(ftt, gap.ravel()[hit] - ftt, origin[row] >= self.n)
+        return (row, col, cost) if keep is None else (row[keep], col[keep], cost)
 
-    def _policy_cost(self, ftt, wait, vehicle: bool):
+    def _policy_cost(self, ftt, wait, vehicle):
         """Costs of time-feasible connections with travel ``ftt`` and ``wait``.
 
-        Returns (keep, cost): ``keep`` masks the connections the policy
-        allows (None when it allows all) and ``cost`` holds their costs.
+        ``vehicle`` marks the connections out of a vehicle.  Returns (keep,
+        cost): ``keep`` masks the connections the policy allows (None when
+        it allows all) and ``cost`` holds their costs.
         """
         if self.kind == "FleetSize":
-            return None, np.full(ftt.size, 1 if vehicle else 0, dtype=np.int64)
+            return None, vehicle.astype(np.int64)
         if self.kind == "TravelCost":
             return None, ftt
         if self.kind == "TravelCostWaitCapped":
@@ -229,44 +255,37 @@ def generate(instance: ChainingInstance) -> GenerationResult:
     deduplicated by (plan, delay) before queueing, so each is processed at
     most once and the result is a pure function of the instance: the queue
     discipline does not matter.
+
+    The queue is taken a frontier at a time: the plans and vehicles first,
+    then each batch of variants the previous frontier queued, probed in
+    blocks.  A probe does not depend on what was found before it, so
+    walking each block's results in origin order finds, queues and emits
+    in exactly the order of a one-origin-at-a-time FIFO queue.
     """
     plans = instance.plans
     tables = _ProbeTables(instance)
     found: dict[tuple[int, int], None] = {}  # (plan index, delay) of each variant, in discovery order
-    queue: deque[tuple[int, int]] = deque()
-    probes = []  # per origin: column, delay, target indices, target delays, costs
-
-    def record(origin: int, origin_delay: int, probe_result) -> None:
-        idx, delay, keep, cost = probe_result
-        # a policy-forbidden minimal connection still creates its variant
-        if delay.any():
+    parts = []  # per block: origin, origin delay, target, target delay, cost columns
+    origin = np.arange(len(plans) + len(instance.vehicles))
+    origin_delay = np.zeros(len(origin), dtype=np.int64)
+    while len(origin):
+        queued: list[tuple[int, int]] = []
+        for block in _blocks(len(origin), len(plans)):
+            o, od = origin[block], origin_delay[block]
+            row, col, delay, keep, cost = tables.probe(o, od)
+            # a policy-forbidden minimal connection still creates its variant
             late = delay.nonzero()[0]
-            for ref in zip(idx[late].tolist(), delay[late].tolist()):
+            for ref in zip(col[late].tolist(), delay[late].tolist()):
                 if ref not in found:
                     found[ref] = None
-                    queue.append(ref)
-        if keep is not None:
-            idx, delay = idx[keep], delay[keep]
-        probes.append((origin, origin_delay, idx, delay, cost))
+                    queued.append(ref)
+            if keep is not None:
+                row, col, delay = row[keep], col[keep], delay[keep]
+            parts.append((o[row], od[row], col, delay, cost))
+        origin, origin_delay = np.array(queued, dtype=np.int64).reshape(-1, 2).T
 
-    for i, a in enumerate(plans):
-        record(i, 0, tables.probe(a.t_de, a.destination_location, i))
-    for j, v in enumerate(instance.vehicles):
-        record(len(plans) + j, 0, tables.probe(v.t_st, v.start_location, None))
-    while queue:
-        i, d = queue.popleft()
-        record(i, d, tables.probe(plans[i].t_de + d, plans[i].destination_location, i))
-
-    origins, origin_delays, targets, delays, costs = zip(*probes) if probes else ((),) * 5
-    counts = [len(t) for t in targets]
-    connections = Connections(
-        instance,
-        np.repeat(np.array(origins, dtype=np.int64), counts),
-        np.repeat(np.array(origin_delays, dtype=np.int64), counts),
-        _column(targets),
-        _column(delays),
-        _column(costs),
-    )
+    columns = [_column(part) for part in zip(*parts)] or [_column(())] * 5
+    connections = Connections(instance, *columns)
     return GenerationResult(tuple(VariantRef(plans[i].id, d) for i, d in found), connections)
 
 
@@ -280,8 +299,9 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
     Exact for any per-connection cost rule, at the price of a variant per
     tick of delay budget; the guard keeps that enumerable.  Origins come in
     a fixed order, every variant by (plan id, delay) and then every vehicle
-    by id, and each takes one vectorized pass over all target variants,
-    which emits its connections in the same (plan id, delay) order.
+    by id, and a block of them takes one vectorized pass over all target
+    variants, which emits each origin's connections in the same (plan id,
+    delay) order.
     """
     ticks = total_delay_ticks(instance)
     if ticks > guard_ticks:
@@ -289,21 +309,16 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
             f"exhaustive variant enumeration needs {ticks} delay ticks, guard is {guard_ticks}"
         )
     tables = _ProbeTables(instance, all_variants=True)
-    plans, vehicles = instance.plans, instance.vehicles
-    probes = [
-        tables.probe_variants(plans[i].t_de + d, plans[i].destination_location, i)
-        for i, d in zip(tables.var_plan.tolist(), tables.var_delay.tolist())
-    ]
-    probes += [tables.probe_variants(v.t_st, v.start_location, None) for v in vehicles]
-    counts = [len(hit) for hit, _ in probes]
-    hit = _column([hit for hit, _ in probes])
+    n, n_veh = len(instance.plans), len(instance.vehicles)
+    origin = np.concatenate([tables.var_plan, n + np.arange(n_veh)])
+    origin_delay = np.concatenate([tables.var_delay, np.zeros(n_veh, dtype=np.int64)])
+    parts = []  # per block: origin position, target variant, cost
+    for block in _blocks(len(origin), len(tables.var_plan)):
+        row, col, cost = tables.probe_variants(origin[block], origin_delay[block])
+        parts.append((row + block.start, col, cost))
+    at, hit, cost = [_column(part) for part in zip(*parts)] or [_column(())] * 3
     connections = Connections(
-        instance,
-        np.repeat(np.concatenate([tables.var_plan, len(plans) + np.arange(len(vehicles))]), counts),
-        np.repeat(np.concatenate([tables.var_delay, np.zeros(len(vehicles), dtype=np.int64)]), counts),
-        tables.var_plan[hit],
-        tables.var_delay[hit],
-        _column([cost for _, cost in probes]),
+        instance, origin[at], origin_delay[at], tables.var_plan[hit], tables.var_delay[hit], cost
     )
     late = np.flatnonzero(tables.var_delay)
     variants = tuple(map(VariantRef, tables.ids[tables.var_plan[late]].tolist(), tables.var_delay[late].tolist()))

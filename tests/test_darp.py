@@ -211,31 +211,43 @@ def test_batch_time_limit_covers_group_enumeration():
 
 
 def test_batch_time_limit_interrupts_a_group_search(monkeypatch):
-    # a fake clock, read once per search node, advances 2**-19 s per read, so
-    # the 200 ms limit passes at read 104,858 on any host: inside the
-    # six-request group search, which runs from read 55,177 to 159,896
-    clock = SimpleNamespace(reads=0, late=0)
+    # a fake clock, read once per search node, advances 2**-19 s per read on
+    # any host; the limit is put halfway through the six-request group
+    # search, as counted on a run whose limit never passes
+    clock = SimpleNamespace(reads=0, late=0, deadline=None)
 
     def monotonic():
         now = clock.reads * 2.0**-19
         clock.reads += 1
-        clock.late += now > 0.2  # the first read, 0, plus the limit
+        clock.late += now > clock.deadline
         return now
 
-    sizes = []  # of the groups searched
+    searches = []  # (size, first read, reads after it) per group searched
     search = darp.optimal_plan_for_group
 
     def recorded(group, *args, **kwargs):
-        sizes.append(len(group))
-        return search(group, *args, **kwargs)
+        first = clock.reads
+        try:
+            return search(group, *args, **kwargs)
+        finally:
+            searches.append((len(group), first, clock.reads))
 
     monkeypatch.setattr(darp, "time", SimpleNamespace(monotonic=monotonic))
     monkeypatch.setattr(darp, "optimal_plan_for_group", recorded)
     travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
     rs = [Request(i, 2, i % 2, 0, 30) for i in range(6)]
-    result = solve_batch_exact(rs, travel, 6, time_limit_ms=200)
+
+    def run(time_limit_ms):
+        clock.reads, clock.late, clock.deadline = 0, 0, time_limit_ms / 1000.0
+        searches.clear()
+        return solve_batch_exact(rs, travel, 6, time_limit_ms=time_limit_ms)
+
+    assert run(10**9).proven_optimal
+    size, first, end = searches[-1]
+    assert size == 6 and end - first > 1000
+    result = run((first + (end - first) // 2) * 2.0**-19 * 1000)
     # the six-request search stops at its first read past the deadline
-    assert sizes[-1] == 6 and clock.late == 1
+    assert searches[-1][0] == 6 and clock.late == 1
     assert result.proven_optimal is False
     served = sorted(rid for plan in result.plans for rid in plan.request_ids())
     assert served == list(range(6))

@@ -117,9 +117,62 @@ def test_huge_connection_cost_is_rejected():
         huge = Connection(link.origin, link.target, cost)
         with pytest.raises(InputError):
             solve_mcf(build_network(inst, GenerationResult(gen.variants, (*gen.connections, huge))))
-    # the largest cost the fence admits on two plans still solves exactly
+    # the largest cost the fence admits on two plans still solves exactly;
+    # its cell order key stays far inside int64
     largest = Connection(link.origin, link.target, (1 << 57) - 1)
     assert solve_mcf(build_network(inst, GenerationResult(gen.variants, (*gen.connections, largest)))).total_cost == 2
+
+
+def _lexsorted_cells(net):
+    conns = net.connections
+    cell = conns.target * (len(net.plan_ids) + len(net.instance.vehicles)) + conns.origin
+    return np.lexsort((np.arange(len(conns)), conns.cost, cell)).tolist()
+
+
+def test_cell_order_is_the_lexsort_by_cell_cost_and_row():
+    # hand-built connection lists: each generated link again, and again, at
+    # tied, cheaper, dearer and negative costs, in shuffled order
+    rng = random.Random(5)
+    for seed in range(40):
+        inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=5, vehicles=2, d_max_range=(0, 6)))
+        gen = variantgen.generate(inst)
+        links = list(gen.connections)
+        links += [Connection(c.origin, c.target, c.cost + rng.choice((-9, -1, 0, 0, 1, 7))) for c in links * 2]
+        rng.shuffle(links)
+        net = build_network(inst, GenerationResult(gen.variants, tuple(links)))
+        assert net.cell_order.tolist() == _lexsorted_cells(net)
+        assert len(set(net.cell.tolist())) < len(links) and (net.connections.cost < 0).any()
+
+
+def test_cell_order_key_range_is_fenced():
+    # the key cell * span + (cost - low) must stay below 2**63 on n x m cells:
+    # two plans by four origin columns admit a span of up to 2**60 - 1
+    inst = make_e1(vehicles=(Vehicle(1, 0, 0), Vehicle(2, 1, 0)))
+    gen = variantgen.generate(inst)
+    link = gen.connections[0]
+    top = max(c.cost for c in gen.connections)
+    for span, admitted in (((1 << 60) - 1, True), (1 << 60, False), (1 << 63, False)):
+        low = Connection(link.origin, link.target, top - span + 1)
+        extended = GenerationResult(gen.variants, (*gen.connections, low))
+        if admitted:
+            net = build_network(inst, extended)
+            assert int(net.connections.cost.max()) - int(net.connections.cost.min()) + 1 == span
+            assert len(net.plan_ids) * (len(net.plan_ids) + 2) * span == (1 << 63) - 8
+            assert net.cell_order.tolist() == _lexsorted_cells(net)
+        else:
+            with pytest.raises(InputError, match="cell order"):
+                build_network(inst, extended)
+    # all costs far above 0 and the widest admitted span on 2 x 64 cells:
+    # the key must count costs from the lowest, or the last cells wrap past 2**63
+    inst = make_e1(vehicles=[Vehicle(j, 0, 0) for j in range(1, 63)])
+    gen = variantgen.generate(inst)
+    top, span = (1 << 57) - 1, (1 << 56) - 1
+    links = [Connection(c.origin, c.target, top - r % 3) for r, c in enumerate(gen.connections)]
+    links[0] = Connection(links[0].origin, links[0].target, top - span + 1)
+    links.append(Connection(links[-1].origin, links[-1].target, top))  # into the last cell
+    net = build_network(inst, GenerationResult(gen.variants, tuple(links)))
+    assert net.cell[-1] == 2 * 64 - 1 and len(net.plan_ids) * 64 * span == (1 << 63) - 128
+    assert net.cell_order.tolist() == _lexsorted_cells(net)
 
 
 def test_e1_solve_and_active_edges():

@@ -211,3 +211,54 @@ def test_exhaustive_generation_orders_simultaneous_plans():
     # zero gap and zero travel: only the (t_or, id)-earlier plan may lead
     assert ((1, 0), (2, 0)) in pairs and ((2, 0), (1, 0)) not in pairs
     assert ((2, 0), (1, 1)) in pairs and ((1, 1), (2, 1)) in pairs and ((2, 1), (1, 1)) not in pairs
+
+
+def _block_boundary_cases():
+    policies = (TravelCost(), FleetSize(), TravelCostWaitCapped(4), TravelCostWaitPenalized(Fraction(2, 3)))
+    cases = [ChainingInstance((), (), TravelMatrix([[0]]), TravelCost())]  # the empty instance
+    for pi, policy in enumerate(policies):
+        for seed in range(4):
+            cases.append(chain_instance_from_params(
+                ChainGenParams(seed=700 + 10 * pi + seed, plans=6, vehicles=2, d_max_range=(0, 5), policy=policy)
+            ))
+            cases.append(_zero_travel_instance(800 + 10 * pi + seed, policy))
+        cases.append(chain_instance_from_params(  # plans without vehicles
+            ChainGenParams(seed=900 + pi, plans=5, vehicles=0, d_max_range=(0, 5), policy=policy)
+        ))
+        cases.append(ChainingInstance((), (Vehicle(1, 0, 0), Vehicle(2, 1, 3)), TravelMatrix([[0, 1], [1, 0]]), policy))
+    return cases
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 3])
+def test_generation_is_independent_of_the_block_size(monkeypatch, rows):
+    # blocks of one cell (one origin each), and of 2 or 3 origins, which split
+    # frontiers and plans' variant slices, must emit what the scalar
+    # references emit, in the same order; None keeps the default blocks
+    cases = _block_boundary_cases()
+    assert any(not inst.vehicles and inst.plans for inst in cases)
+    assert any(inst.vehicles and not inst.plans for inst in cases)
+    blocks = []  # origins per probe
+    probe, probe_variants = variantgen._ProbeTables.probe, variantgen._ProbeTables.probe_variants
+
+    def counted(method):
+        def wrapper(self, origin, origin_delay):
+            blocks.append(len(origin))
+            return method(self, origin, origin_delay)
+        return wrapper
+
+    monkeypatch.setattr(variantgen._ProbeTables, "probe", counted(probe))
+    monkeypatch.setattr(variantgen._ProbeTables, "probe_variants", counted(probe_variants))
+    default_cells = variantgen._BLOCK_CELLS
+    for inst in cases:
+        n, ticks = len(inst.plans), variantgen.total_delay_ticks(inst)
+        for width, run, reference in (
+            (n, variantgen.generate, oracle.generate_reference),
+            (n + ticks, variantgen.generate_exhaustive, oracle.generate_exhaustive_reference),
+        ):
+            cells = default_cells if rows is None else 1 if rows == 1 else rows * width
+            monkeypatch.setattr(variantgen, "_BLOCK_CELLS", cells)
+            assert run(inst) == reference(inst)
+    if rows is not None:
+        assert max(blocks) == rows
+    else:
+        assert max(blocks) > 3
