@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -42,7 +41,7 @@ from .model import (
     VariantRef,
     Vehicle,
 )
-from .variantgen import GenerationResult, generate, generate_exhaustive
+from .variantgen import generate, generate_exhaustive
 from .flownet import (
     FlowInfeasibleError,
     FlowNetwork,
@@ -88,7 +87,6 @@ class Chain:
 class SolverStats:
     nodes_explored: int
     relaxations_solved: int
-    wall_ms: float
 
 
 @dataclass(frozen=True)
@@ -131,18 +129,6 @@ def policy_needs_exhaustive_variants(policy: CostPolicy) -> bool:
     if isinstance(policy, TravelCostWaitPenalized):
         return policy.alpha > 0 and Fraction(policy.alpha).denominator != 1
     return False
-
-
-def _generation_for(instance: ChainingInstance, variants: str, guard_ticks: int) -> GenerationResult:
-    if variants == "minimal":
-        return generate(instance)
-    if variants == "exhaustive":
-        return generate_exhaustive(instance, guard_ticks=guard_ticks)
-    if variants == "auto":
-        if policy_needs_exhaustive_variants(instance.policy):
-            return generate_exhaustive(instance, guard_ticks=guard_ticks)
-        return generate(instance)
-    raise InputError(f"unknown variant source {variants!r}")
 
 
 def _per_plan(network: FlowNetwork, rows, into, out_of, fill: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,28 +207,31 @@ def extract_chains(network: FlowNetwork, rows) -> tuple[Chain, ...]:
     return tuple(chains)
 
 
-def solve_chaining(
-    instance: ChainingInstance,
-    *,
-    variants: str = "auto",
-    exhaustive_guard_ticks: int = 5000,
-    _bound_trace: list | None = None,
-) -> ChainSolution:
+def solve_chaining(instance: ChainingInstance) -> ChainSolution:
     """Compute a minimum-cost chain cover of all plans, or raise.
 
-    ``variants`` selects the variant source: ``minimal`` (generate only
-    needed delays), ``exhaustive`` (every integer delay), or ``auto``
-    (exhaustive exactly for the delay-sensitive cost policies).  Raises
-    ``InfeasibleError`` when no cover exists.
+    Variants come from minimal generation, or from exhaustive integer-delay
+    enumeration for the policies that need it
+    (``policy_needs_exhaustive_variants``).  Raises ``InfeasibleError``
+    when no cover exists.
     """
-    start = time.perf_counter()
-    gen = _generation_for(instance, variants, exhaustive_guard_ticks)
-    network = build_network(instance, gen)
+    if policy_needs_exhaustive_variants(instance.policy):
+        gen = generate_exhaustive(instance)
+    else:
+        gen = generate(instance)
+    return solve_network(build_network(instance, gen))
 
+
+def solve_network(network: FlowNetwork) -> ChainSolution:
+    """Branch-and-bound to a minimum-cost variant-consistent cover over ``network``'s variants.
+
+    Exact for the instance only when the network's variant set is complete
+    for its policy, as ``solve_chaining`` ensures.  Raises
+    ``InfeasibleError`` when no cover exists over these variants.
+    """
     root = solve_mcf(network)
     if not network.variant_delay.size:
-        wall = (time.perf_counter() - start) * 1000.0
-        return ChainSolution(extract_chains(network, root.rows), root.total_cost, SolverStats(0, 1, wall))
+        return ChainSolution(extract_chains(network, root.rows), root.total_cost, SolverStats(0, 1))
 
     relaxations, nodes_explored = 1, 0
     counter = itertools.count()
@@ -250,7 +239,8 @@ def solve_chaining(
     # ahead of unsolved ones, then creation order; children enter the heap
     # unsolved and are relaxed only when popped, so an incumbent that
     # matches the parent bound prunes whole sibling sets without a solve
-    window = np.array([[0] * len(instance.plans), [p.d_max for p in instance.plans]], dtype=np.int64)
+    plans = network.instance.plans
+    window = np.array([[0] * len(plans), [p.d_max for p in plans]], dtype=np.int64)
     heap = [(root.total_cost, 0, 0, next(counter), BranchNode(0, window, root.total_cost, root.rows, root.state))]
     incumbent: BranchNode | None = None
     while heap:
@@ -263,8 +253,6 @@ def solve_chaining(
                 assignment = solve_mcf(network, node.window, node.state)
             except FlowInfeasibleError:
                 continue
-            if _bound_trace is not None:
-                _bound_trace.append((node.bound, assignment.total_cost))
             if incumbent is not None and assignment.total_cost >= incumbent.bound:
                 continue
             solved = replace(node, bound=assignment.total_cost, rows=assignment.rows, state=assignment.state)
@@ -282,8 +270,7 @@ def solve_chaining(
     if incumbent is None:
         raise InfeasibleError("no variant-consistent chain cover exists")
     chains = extract_chains(network, incumbent.rows)
-    wall = (time.perf_counter() - start) * 1000.0
-    return ChainSolution(chains, incumbent.bound, SolverStats(nodes_explored, relaxations, wall))
+    return ChainSolution(chains, incumbent.bound, SolverStats(nodes_explored, relaxations))
 
 
 def _normalize_chains(chains) -> list[tuple[int, tuple[tuple[int, int], ...]]]:

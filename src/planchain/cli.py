@@ -34,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--instance", required=True)
     solve.add_argument("--policy", help="fleet | cost | cost-waitcap:D | cost-waitpen:A (default: the instance's)")
     solve.add_argument("--out", required=True)
-    solve.add_argument("--variants", choices=("auto", "minimal", "exhaustive"), default="auto")
 
     orc = chain_sub.add_parser("oracle", help="brute-force reference optimum (small instances)")
     orc.add_argument("--instance", required=True)
@@ -90,7 +89,9 @@ def _cmd_chain_solve(args) -> int:
         raise InputError(f"{args.instance} is not a chaining instance")
     if args.policy:
         instance = instance.with_policy(io.policy_from_cli(args.policy))
-    solution = solve_chaining(instance, variants=args.variants)
+    started = time.perf_counter()
+    solution = solve_chaining(instance)
+    solve_ms = (time.perf_counter() - started) * 1000.0
     report = validate_chains(instance, solution.chains, solution.objective)
     if not report.ok:
         for issue in report.issues:
@@ -98,7 +99,7 @@ def _cmd_chain_solve(args) -> int:
         raise InputError("solver produced an invalid solution")  # pragma: no cover
     io.save_json(args.out, io.chain_solution_to_dict(solution, instance.policy))
     print(f"objective {solution.objective} with {len(solution.chains)} chains -> {args.out}")
-    print(f"solved in {solution.stats.wall_ms:.0f} ms", file=sys.stderr)
+    print(f"solved in {solve_ms:.0f} ms", file=sys.stderr)
     return EXIT_OK
 
 

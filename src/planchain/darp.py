@@ -21,6 +21,7 @@ from .chainsolve import solve_chaining
 
 PICKUP = "pickup"
 DROPOFF = "dropoff"
+MAX_BATCH_REQUESTS = 12  # the subset DP's size guard per batch
 
 
 @dataclass(frozen=True)
@@ -231,18 +232,17 @@ def _check_locations(reqs, travel: TravelMatrix) -> None:
 
 
 def optimal_plan_for_group(
-    group, travel: TravelMatrix, capacity: int, anchor: int = 0, *, _deadline: float | None = None
+    group, travel: TravelMatrix, capacity: int, *, _deadline: float | None = None
 ) -> RoutePlan | None:
     """Minimum-duration plan serving all requests of ``group`` together.
 
     Exhausts every pickup/dropoff interleaving that respects precedence,
     scheduling each stop at the earliest feasible time at or after the
-    request's departure time (and at or after ``anchor`` for the first
-    stop).  Ties fall to less driving, then to a fixed stop order.  A
-    branch is cut once a bound read from the shortest-path ``closure``
-    shows that a pending pickup or any arrival must miss its window, or
-    that the plan must last longer than the best one found: each pending
-    request is picked up no sooner than ``max(now + short[loc][origin],
+    request's departure time.  Ties fall to less driving, then to a fixed
+    stop order.  A branch is cut once a bound read from the shortest-path
+    ``closure`` shows that a pending pickup or any arrival must miss its
+    window, or that the plan must last longer than the best one found: each
+    pending request is picked up no sooner than ``max(now + short[loc][origin],
     t_r)`` and arrives ``short[origin][destination]`` later, and each
     riding one arrives no sooner than ``now + short[loc][destination]``.
     The duration cut is strict, so ties still reach the tie-break.
@@ -316,18 +316,16 @@ def optimal_plan_for_group(
     try:
         if _deadline is not None and time.monotonic() > _deadline:
             raise _DeadlinePassed
-        for req in info:  # the first stop: no approach leg, floored at the anchor
-            rid, origin, _, t_r, latest_pickup, _, _ = req
-            t = max(anchor, t_r)
-            if t <= latest_pickup:
-                dfs([(0, rid)], origin, t, t, [r for r in info if r is not req], [req], 0)
+        for req in info:  # the first stop: no approach leg
+            rid, origin, _, t_r, _, _, _ = req
+            dfs([(0, rid)], origin, t_r, t_r, [r for r in info if r is not req], [req], 0)
     finally:
         dfs = None  # the closure refers to itself; break the cycle for refcounting
     if best is None:
         return None
     by_id = {r.id: r for r in reqs}
     specs = [(by_id[rid], PICKUP if code == 0 else DROPOFF) for code, rid in best[2]]
-    stops = _schedule(specs, travel, capacity, start_time=anchor)
+    stops = _schedule(specs, travel, capacity)
     if stops is None:
         raise InfeasibleError("group schedule vanished on replay")  # pragma: no cover
     return RoutePlan(stops)
@@ -363,7 +361,6 @@ def solve_batch_exact(
     travel: TravelMatrix,
     capacity: int,
     *,
-    max_batch_requests: int = 12,
     time_limit_ms: int | None = None,
 ) -> BatchResult:
     """Optimal set partitioning of a batch into shared route plans.
@@ -385,9 +382,9 @@ def solve_batch_exact(
     reqs = sorted(batch, key=lambda r: r.id)
     if not reqs:
         return BatchResult((), True)
-    if len(reqs) > max_batch_requests:
+    if len(reqs) > MAX_BATCH_REQUESTS:
         raise GuardExceededError(
-            f"batch of {len(reqs)} requests exceeds the guard of {max_batch_requests}; use a shorter batch length"
+            f"batch of {len(reqs)} requests exceeds the guard of {MAX_BATCH_REQUESTS}; use a shorter batch length"
         )
     _check_locations(reqs, travel)
     deadline = time.monotonic() + time_limit_ms / 1000.0 if time_limit_ms is not None else None
@@ -486,7 +483,6 @@ def run_proposed(
     time_limit_ms: int | None = None,
     chain_policy: CostPolicy | None = None,
     threads: int = 1,
-    max_batch_requests: int = 12,
     _method: str = "proposed",
 ) -> DarpSolution:
     """Batch-split pipeline: exact batches, then exact chaining across them.
@@ -508,13 +504,7 @@ def run_proposed(
     batch_list = [buckets[k] for k in sorted(buckets)]
 
     def solve_one(batch):
-        return solve_batch_exact(
-            batch,
-            instance.travel,
-            instance.capacity,
-            max_batch_requests=max_batch_requests,
-            time_limit_ms=time_limit_ms,
-        )
+        return solve_batch_exact(batch, instance.travel, instance.capacity, time_limit_ms=time_limit_ms)
 
     if threads > 1 and len(batch_list) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -41,18 +41,23 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def save_json(path, obj) -> None:
-    Path(path).write_bytes(canonical_json_bytes(obj))
+    try:
+        Path(path).write_bytes(canonical_json_bytes(obj))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def load_json(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: nested too deeply to parse") from exc
 
 
 def _require(data, key, context):
@@ -380,15 +385,14 @@ def histogram_csv_text(pairs) -> str:
 
 def write_metrics_files(directory, solution: DarpSolution, metrics: Metrics, comp_time_ms: int) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "metrics.csv").write_text(
-        metrics_csv_text(
-            [(solution.method, solution.batch_len, metrics.total_cost, metrics.used_vehicles, comp_time_ms)]
-        ),
-        encoding="utf-8",
-    )
-    (directory / "occupancy.csv").write_text(histogram_csv_text(metrics.occupancy), encoding="utf-8")
-    (directory / "delay.csv").write_text(histogram_csv_text(metrics.delays), encoding="utf-8")
+    row = (solution.method, solution.batch_len, metrics.total_cost, metrics.used_vehicles, comp_time_ms)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "metrics.csv").write_text(metrics_csv_text([row]), encoding="utf-8")
+        (directory / "occupancy.csv").write_text(histogram_csv_text(metrics.occupancy), encoding="utf-8")
+        (directory / "delay.csv").write_text(histogram_csv_text(metrics.delays), encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write metrics to {directory}: {exc}") from exc
 
 
 # -- seeded random generation ------------------------------------------------

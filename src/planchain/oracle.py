@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flownet import NO_EDGE
+from .flownet import NO_EDGE, build_network
 from .errors import GuardExceededError, InfeasibleError, InputError
 from . import model
 from .model import ChainingInstance, Plan, VariantRef, Vehicle
-from .variantgen import Connection, GenerationResult, total_delay_ticks
+from .variantgen import Connection, GenerationResult, generate_exhaustive
 
 BRUTE_FORCE_MAX_PLANS = 9
 FULL_VARIANT_GUARD_TICKS = 200
@@ -281,21 +281,18 @@ def fleet_min_matching(instance: ChainingInstance) -> int:
     return n - size
 
 
-def full_variant_optimal(instance: ChainingInstance, guard_ticks: int = FULL_VARIANT_GUARD_TICKS) -> int | None:
+def full_variant_optimal(instance: ChainingInstance) -> int | None:
     """Optimal objective over every integer-delay variant, or None.
 
     Ground truth for the minimal generator: the exhaustive variant set
     makes the network formulation exact for any per-connection cost rule.
+    Guarded to ``FULL_VARIANT_GUARD_TICKS`` delay ticks.
     """
-    from .chainsolve import solve_chaining
+    from .chainsolve import solve_network
 
-    ticks = total_delay_ticks(instance)
-    if ticks > guard_ticks:
-        raise GuardExceededError(
-            f"full variant enumeration needs {ticks} delay ticks, guard is {guard_ticks}"
-        )
+    gen = generate_exhaustive(instance, guard_ticks=FULL_VARIANT_GUARD_TICKS)
     try:
-        return solve_chaining(instance, variants="exhaustive", exhaustive_guard_ticks=guard_ticks).objective
+        return solve_network(build_network(instance, gen)).objective
     except InfeasibleError:
         return None
 

@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
 from planchain.model import (
     ChainingInstance,
     Plan,
     TravelCost,
+    TravelCostWaitCapped,
+    TravelCostWaitPenalized,
     TravelMatrix,
     Vehicle,
 )
@@ -23,6 +27,35 @@ def make_e1(policy=None, vehicles=(E1_V1,)):
         travel=TravelMatrix(E1_MATRIX),
         policy=policy if policy is not None else TravelCost(),
     )
+
+
+WAITCAP_GAP_MATRIX = [[0, 1], [1, 0]]
+
+
+def waitcap_gap_instance():
+    """Minimal-delay generation misses the only cap-feasible chain here.
+
+    Delaying the first plan shifts enough wait off the second link to meet
+    the cap, but no connection ever requires that delay, so the minimal
+    variant set never contains it.
+    """
+    plans = (
+        Plan(1, 0, 0, 0, 0, 6),
+        Plan(2, 1, 1, 12, 13, 0),
+    )
+    vehicles = (Vehicle(1, 0, 0),)
+    return ChainingInstance(plans, vehicles, TravelMatrix(WAITCAP_GAP_MATRIX), TravelCostWaitCapped(6))
+
+
+def fractional_penalty_gap_instance():
+    """Per-link half-up rounding rewards shifting wait onto one link."""
+    travel = TravelMatrix([[0]])
+    plans = (
+        Plan(1, 0, 0, 1, 1, 1),
+        Plan(2, 0, 0, 2, 3, 0),
+    )
+    vehicles = (Vehicle(1, 0, 0),)
+    return ChainingInstance(plans, vehicles, travel, TravelCostWaitPenalized(Fraction(1, 2)))
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from planchain import variantgen
-from planchain.chainsolve import solve_chaining, validate_chains
+from planchain.chainsolve import policy_needs_exhaustive_variants, solve_chaining, validate_chains
 from planchain.darp import (
     evaluate_metrics,
     insertion_heuristic,
@@ -69,9 +69,9 @@ def _chain_params(seed: int, policy, **overrides) -> ChainGenParams:
     return ChainGenParams(**base)
 
 
-def _solve_or_none(instance, **kwargs):
+def _solve_or_none(instance):
     try:
-        return solve_chaining(instance, **kwargs)
+        return solve_chaining(instance)
     except InfeasibleError:
         return None
 
@@ -121,7 +121,8 @@ def test_criterion_2_minimal_variants_are_complete():
     for i in range(100):
         policy = TravelCost() if i % 2 == 0 else FleetSize()
         instance = chain_instance_from_params(_chain_params(2000 + i, policy))
-        got = _solve_or_none(instance, variants="minimal")
+        assert not policy_needs_exhaustive_variants(policy)
+        got = _solve_or_none(instance)
         objective = got.objective if got is not None else None
         full = oracle.full_variant_optimal(instance)
         assert objective == full, (2000 + i, objective, full)

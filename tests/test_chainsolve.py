@@ -23,7 +23,7 @@ from planchain.model import (
     Vehicle,
 )
 
-from conftest import make_e1
+from conftest import fractional_penalty_gap_instance, make_e1, waitcap_gap_instance
 
 
 def test_e1_travel_cost():
@@ -158,21 +158,33 @@ def test_validator_flags_bad_chains():
     assert "objective_mismatch" in {i.code for i in ok.issues}
 
 
-def test_bound_monotonicity_and_incumbent_validity():
+def test_bound_monotonicity_and_incumbent_validity(monkeypatch):
+    # a child relaxation starts from its parent's state, which names the
+    # parent's value, the child's bound until it is solved
+    solved = []  # (state, value) of every relaxation, kept alive so that identity is meaningful
+    trace = []  # (parent value, child value) of every child relaxation
+
+    def traced(network, window=None, start=None):
+        assignment = solve_mcf(network, window, start)
+        if start is not None:
+            trace.append((next(value for state, value in solved if state is start), assignment.total_cost))
+        solved.append((assignment.state, assignment.total_cost))
+        return assignment
+
+    monkeypatch.setattr(chainsolve, "solve_mcf", traced)
     checked = 0
     for seed in range(60):
         inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=5, vehicles=3))
-        trace: list = []
         try:
-            solution = solve_chaining(inst, _bound_trace=trace)
+            solution = solve_chaining(inst)
         except InfeasibleError:
             continue
-        for parent_bound, child_bound in trace:
-            assert child_bound >= parent_bound
         report = validate_chains(inst, solution.chains, solution.objective)
         assert report.ok, report.issues
         checked += 1
-    assert checked > 20
+    assert checked > 20 and trace
+    for parent_bound, child_bound in trace:
+        assert child_bound >= parent_bound
 
 
 def test_variant_consistency_in_solutions():
@@ -216,51 +228,26 @@ def test_vehicle_count_bound_and_fleet_objective():
         assert solution.objective == len(solution.chains)
 
 
-WAITCAP_GAP_MATRIX = [[0, 1], [1, 0]]
-
-
-def waitcap_gap_instance():
-    """Minimal-delay generation misses the only cap-feasible chain here.
-
-    Delaying the first plan shifts enough wait off the second link to meet
-    the cap, but no connection ever requires that delay, so the minimal
-    variant set never contains it.
-    """
-    plans = (
-        Plan(1, 0, 0, 0, 0, 6),
-        Plan(2, 1, 1, 12, 13, 0),
-    )
-    vehicles = (Vehicle(1, 0, 0),)
-    return ChainingInstance(plans, vehicles, TravelMatrix(WAITCAP_GAP_MATRIX), TravelCostWaitCapped(6))
+def solve_on_minimal_variants(inst):
+    return chainsolve.solve_network(build_network(inst, variantgen.generate(inst)))
 
 
 def test_wait_cap_needs_exhaustive_variants():
     inst = waitcap_gap_instance()
     with pytest.raises(InfeasibleError):
-        solve_chaining(inst, variants="minimal")
-    solution = solve_chaining(inst)  # auto dispatches to exhaustive
+        solve_on_minimal_variants(inst)
+    solution = solve_chaining(inst)  # dispatched to exhaustive variants
     assert solution.objective == 1
     assert validate_chains(inst, solution.chains, solution.objective).ok
     assert oracle.brute_force_optimal(inst).objective == 1
 
 
-def fractional_penalty_gap_instance():
-    """Per-link half-up rounding rewards shifting wait onto one link."""
-    travel = TravelMatrix([[0]])
-    plans = (
-        Plan(1, 0, 0, 1, 1, 1),
-        Plan(2, 0, 0, 2, 3, 0),
-    )
-    vehicles = (Vehicle(1, 0, 0),)
-    return ChainingInstance(plans, vehicles, travel, TravelCostWaitPenalized(Fraction(1, 2)))
-
-
 def test_fractional_penalty_needs_exhaustive_variants():
     inst = fractional_penalty_gap_instance()
-    minimal = solve_chaining(inst, variants="minimal")
+    minimal = solve_on_minimal_variants(inst)
     assert minimal.objective == 2  # waits (1, 1) round to 1 + 1
-    auto = solve_chaining(inst)
-    assert auto.objective == 1  # waits (2, 0) round to 1 + 0
+    solution = solve_chaining(inst)
+    assert solution.objective == 1  # waits (2, 0) round to 1 + 0
     assert oracle.brute_force_optimal(inst).objective == 1
 
 
@@ -370,8 +357,8 @@ POLICIES = st.one_of(
     policy=POLICIES,
 )
 def test_solver_agrees_with_brute_force_on_random_instances(seed, plans, vehicles, locations, horizon, d_max, policy):
-    # the default variant source and the exhaustive one, whatever the policy;
-    # the longer horizon keeps more of the larger instances feasible
+    # the solver's own variant source and the exhaustive one, whatever the
+    # policy; the longer horizon keeps more of the larger instances feasible
     inst = chain_instance_from_params(
         ChainGenParams(
             seed=seed,
@@ -384,11 +371,11 @@ def test_solver_agrees_with_brute_force_on_random_instances(seed, plans, vehicle
         )
     )
     expected = oracle.brute_force_optimal(inst).objective
-    for variants in ("auto", "exhaustive"):
-        try:
-            solution = solve_chaining(inst, variants=variants)
-        except InfeasibleError:
-            assert expected is None
-            continue
-        assert solution.objective == expected
-        assert validate_chains(inst, solution.chains, solution.objective).ok
+    assert oracle.full_variant_optimal(inst) == expected
+    try:
+        solution = solve_chaining(inst)
+    except InfeasibleError:
+        assert expected is None
+        return
+    assert solution.objective == expected
+    assert validate_chains(inst, solution.chains, solution.objective).ok

@@ -61,12 +61,6 @@ def test_group_capacity_guard():
         optimal_plan_for_group(rs, LINE, 2)
 
 
-def test_anchor_floors_the_first_stop():
-    r = Request(1, 0, 2, 0, 5)
-    plan = optimal_plan_for_group([r], LINE, 4, anchor=3)
-    assert plan.stops[0].time == 3
-
-
 @pytest.mark.parametrize("pair", [(-1, 2), (0, -1), (3, 2), (0, 3)])
 def test_group_and_batch_searches_range_check_request_locations(pair):
     # the searches index a plain table, where -1 would silently wrap
@@ -80,7 +74,7 @@ def test_group_and_batch_searches_range_check_request_locations(pair):
         solve_batch_exact(group, LINE, 4)
 
 
-def _brute_force_group_plan(group, travel, capacity, anchor):
+def _brute_force_group_plan(group, travel, capacity):
     """Best (duration, driving, stop sequence) over every precedence-respecting order."""
     by_id = {r.id: r for r in group}
     best = None
@@ -88,7 +82,7 @@ def _brute_force_group_plan(group, travel, capacity, anchor):
         if any(order.index((0, rid)) > order.index((1, rid)) for rid in by_id):
             continue
         specs = [(by_id[rid], "pickup" if code == 0 else "dropoff") for code, rid in order]
-        stops = darp._schedule(specs, travel, capacity, start_time=anchor)
+        stops = darp._schedule(specs, travel, capacity)
         if stops is None:
             continue
         driving = sum(travel.duration(a.location, b.location) for a, b in zip(stops, stops[1:]))
@@ -110,14 +104,13 @@ def test_group_search_matches_brute_force_over_stop_orders():
             travel = TravelMatrix([[0 if a == b else rng.choice((0, 1, 2, 5)) for b in range(size)] for a in range(size)])
         kinds[travel.is_metric] += 1
         group = [
-            Request(rid, rng.randrange(size), rng.randrange(size), rng.randint(0, 8), rng.randint(0, 6))
+            Request(rid, rng.randrange(size), rng.randrange(size), rng.randint(0, 8), rng.randint(0, 3))
             for rid in rng.sample(range(10), rng.randint(1, 3))
         ]
         capacity = rng.randint(len(group), 4)
-        anchor = rng.randint(0, 4)
-        expected = _brute_force_group_plan(group, travel, capacity, anchor)
+        expected = _brute_force_group_plan(group, travel, capacity)
         outcomes[expected is None] += 1
-        assert optimal_plan_for_group(group, travel, capacity, anchor) == expected, (travel.rows(), group, anchor)
+        assert optimal_plan_for_group(group, travel, capacity) == expected, (travel.rows(), group)
     assert min(kinds.values()) > 50 and min(outcomes.values()) > 50, (kinds, outcomes)
 
 
@@ -130,7 +123,7 @@ def test_group_search_bounds_with_the_closure_on_a_non_metric_matrix():
     assert not travel.is_metric and travel.closure[0][2] == 2
     group = [Request(1, 0, 1, 0, 0), Request(2, 2, 0, 0, 2)]
     plan = optimal_plan_for_group(group, travel, 2)
-    assert plan == _brute_force_group_plan(group, travel, 2, 0)
+    assert plan == _brute_force_group_plan(group, travel, 2)
     assert [(s.request_id, s.kind, s.time) for s in plan.stops] == [
         (1, "pickup", 0),
         (1, "dropoff", 1),
@@ -141,24 +134,43 @@ def test_group_search_bounds_with_the_closure_on_a_non_metric_matrix():
 
 def test_batch_search_leaves_no_garbage_cycles(monkeypatch):
     # the recursive searches free their state by reference counting alone,
-    # also when a deadline interrupts a group search deep in its recursion
+    # also when a deadline interrupts a group search deep in its recursion;
+    # a fake clock, read once per search node, advances 2**-19 s per read,
+    # and the limit is put halfway through the six-request group search, as
+    # counted on a run whose limit never passes
     inst = darp_instance_from_params(DarpGenParams(seed=3, requests=7, horizon=15, capacity=4))
     travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
+    rs = [Request(i, 2, i % 2, 0, 30) for i in range(6)]
     clock = SimpleNamespace(reads=0)
 
     def monotonic():
         clock.reads += 1
         return clock.reads * 2.0**-19
 
+    searches = []  # (size, first read, reads after it) per group searched
+    search = darp.optimal_plan_for_group
+
+    def recorded(group, *args, **kwargs):
+        first = clock.reads
+        try:
+            return search(group, *args, **kwargs)
+        finally:
+            searches.append((len(group), first, clock.reads))
+
+    monkeypatch.setattr(darp, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(darp, "optimal_plan_for_group", recorded)
+    assert solve_batch_exact(rs, travel, 6, time_limit_ms=10**9).proven_optimal
+    size, first, end = searches[-1]
+    assert size == 6 and end - first > 1000
     gc.collect()
     gc.disable()
     try:
         result = solve_batch_exact(list(inst.requests), inst.travel, 4)
         assert result.proven_optimal and len(result.plans) < 7
-        monkeypatch.setattr(darp, "time", SimpleNamespace(monotonic=monotonic))
-        rs = [Request(i, 2, i % 2, 0, 30) for i in range(6)]
-        assert not solve_batch_exact(rs, travel, 6, time_limit_ms=200).proven_optimal
-        assert clock.reads > 100_000  # stopped inside the six-request search
+        clock.reads = 0
+        time_limit_ms = (first + (end - first) // 2) * 2.0**-19 * 1000
+        assert not solve_batch_exact(rs, travel, 6, time_limit_ms=time_limit_ms).proven_optimal
+        assert searches[-1][0] == 6 and clock.reads < end  # stopped inside the six-request search
         assert gc.collect() == 0
     finally:
         gc.enable()

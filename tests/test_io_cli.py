@@ -1,22 +1,27 @@
+import copy
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planchain
 from planchain import instances as io
+from planchain import oracle
 from planchain.cli import main
 from planchain.chainsolve import solve_chaining
 from planchain.darp import run_proposed
 from planchain.errors import InputError
 from planchain.model import TravelCostWaitCapped, TravelCostWaitPenalized
 
-from conftest import make_e1
+from conftest import fractional_penalty_gap_instance, make_e1, waitcap_gap_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -194,6 +199,53 @@ def test_loaders_reject_malformed_sections(kind, mutation):
         load(doc)
 
 
+def _field_paths(doc, prefix=()):
+    """The path of ``doc`` itself and of every field and list item inside it."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _field_paths(value, prefix + (key,))
+
+
+FUZZ_LOADERS = {
+    "chain-matrix": (lambda: _instance_doc("chain", "matrix"), io.chain_instance_from_dict),
+    "chain-grid": (lambda: _instance_doc("chain", "grid"), io.chain_instance_from_dict),
+    "darp-matrix": (lambda: _instance_doc("darp", "matrix"), io.darp_instance_from_dict),
+    "darp-grid": (lambda: _instance_doc("darp", "grid"), io.darp_instance_from_dict),
+    "chain-solution": (lambda: _solution_doc("chain-solution"), io.chain_solution_chains_from_dict),
+    "darp-solution": (lambda: _solution_doc("darp-solution"), io.darp_solution_from_dict),
+}
+FUZZ_DOCS = {kind: make() for kind, (make, _) in FUZZ_LOADERS.items()}
+# values of the wrong type or out of range for any field
+FUZZ_VALUES = (
+    None, True, -1, 0, 2**60, 2**63, -(2**63) - 1, 2**70, 1.5, float("nan"), "", "7", "cost", [], [[]], [0], {}, {"kind": 3}
+)
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(FUZZ_LOADERS)))
+def test_loaders_raise_only_input_error_when_one_field_changes(data, kind):
+    # one field (or list item, or the whole document) replaced or deleted
+    doc = copy.deepcopy(FUZZ_DOCS[kind])
+    path = data.draw(st.sampled_from(list(_field_paths(doc))))
+    value = data.draw(st.sampled_from((DELETE,) + FUZZ_VALUES) if path else st.sampled_from(FUZZ_VALUES))
+    if path:
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    else:
+        doc = value
+    try:
+        FUZZ_LOADERS[kind][1](doc)
+    except InputError:
+        pass
+
+
 def test_cli_rejects_malformed_instance(tmp_path, capsys):
     doc = _instance_doc("chain", "matrix")
     doc["travel"]["matrix"][0][1] = 2**63
@@ -228,14 +280,17 @@ def test_cli_fences_the_wait_penalty(tmp_path, capsys):
 
 
 def test_cli_fences_the_wait_penalty_on_the_exhaustive_path(tmp_path, capsys):
-    # the penalty is about 1 per tick, but 2 * p * wait leaves int64
+    # the penalty is about 1 per tick, but 2 * p * wait leaves int64; a
+    # fractional penalty sends the solve to exhaustive variants
     alpha = f"{2**62 + 1}/{2**62}"
     out = tmp_path / "x.json"
-    for variants in ("exhaustive", "auto"):
-        args = ["chain", "solve", "--instance", str(DATA / "e1.chain.json"), "--policy", f"cost-waitpen:{alpha}"]
-        assert main(args + ["--variants", variants, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("input error: wait penalty")
-        assert not out.exists()
+    args = ["chain", "solve", "--instance", str(DATA / "e1.chain.json"), "--policy", f"cost-waitpen:{alpha}"]
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("input error: wait penalty")
+    assert not out.exists()
+    instance = io.load_instance(DATA / "e1.chain.json").with_policy(io.policy_from_cli(f"cost-waitpen:{alpha}"))
+    with pytest.raises(InputError, match="wait penalty"):
+        oracle.full_variant_optimal(instance)
 
 
 def test_policy_round_trip_and_cli_syntax():
@@ -299,6 +354,19 @@ def test_cli_chain_solve_infeasible(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("make", [waitcap_gap_instance, fractional_penalty_gap_instance])
+def test_cli_solves_the_variant_gap_instances_exactly(tmp_path, make):
+    # minimal variants miss the optimum 1 on both; the CLI has no way to ask for them
+    path, out = tmp_path / "gap.json", tmp_path / "x.json"
+    io.save_instance(path, make())
+    args = ["chain", "solve", "--instance", str(path), "--out", str(out)]
+    assert main(args) == 0
+    assert json.loads(out.read_text())["objective"] == 1
+    with pytest.raises(SystemExit) as exited:
+        main(args + ["--variants", "minimal"])
+    assert exited.value.code == 2
+
+
 def test_cli_exit_codes(tmp_path):
     missing = main(["chain", "solve", "--instance", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.json")])
     assert missing == 2
@@ -339,6 +407,54 @@ def test_cli_gen_and_darp_run(tmp_path):
         assert main(["darp", "run", "--instance", str(inst_path), "--method", method, "--out", str(out)]) == 0
 
     assert main(["darp", "run", "--instance", str(inst_path), "--method", "proposed", "--out", str(out)]) == 2
+
+
+def test_cli_rejects_a_non_utf8_instance(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "caf\xe9"}')
+    assert main(["chain", "solve", "--instance", str(path), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(path) in err
+
+
+def test_cli_rejects_a_deeply_nested_instance(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["chain", "solve", "--instance", str(path), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(path) in err
+
+
+def test_cli_rejects_outputs_in_a_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["chain", "solve", "--instance", str(DATA / "e1.chain.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(out) in err
+    inst_path = tmp_path / "darp.json"
+    assert main(["gen", "darp", "--seed", "5", "--requests", "6", "--fleet-size", "6", "--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    args = ["darp", "run", "--instance", str(inst_path), "--method", "ih", "--out", str(tmp_path / "s.json")]
+    assert main(args + ["--metrics-dir", str(blocker / "metrics")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(blocker / "metrics") in err
+
+
+def _readme_cli_commands():
+    """The ``planchain ...`` lines of the README's CLI block, continuations joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in lines if line.startswith("planchain ")]
+
+
+def test_readme_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_cli_wrong_instance_kind(tmp_path):

@@ -20,9 +20,9 @@ from planchain.model import (
 from conftest import make_e1
 
 
-def solver_objective(inst, **kwargs):
+def solver_objective(inst):
     try:
-        return solve_chaining(inst, **kwargs).objective
+        return solve_chaining(inst).objective
     except InfeasibleError:
         return None
 
@@ -108,7 +108,7 @@ def test_chained_delay_propagation_matches_full_enumeration():
     p2 = Plan(2, 1, 0, 5, 9, 4)   # needs p1's propagated delay on top
     v = Vehicle(1, 1, 1)          # arrives at p1's origin at t=3 -> p1@3
     inst = ChainingInstance((p1, p2), (v,), travel, TravelCost())
-    alg = solver_objective(inst, variants="minimal")
+    alg = solver_objective(inst)  # minimal variants under this policy
     full = oracle.full_variant_optimal(inst)
     assert alg == full == 2
     assert oracle.brute_force_optimal(inst).objective == 2
