@@ -320,14 +320,14 @@ def validate_chains(instance: ChainingInstance, chains, claimed_objective: int |
                 continue
             plan_counts[pid] += 1
             plan = instance.plan(pid)
-            ref = VariantRef(pid, delay)
             if not (0 <= delay <= plan.d_max):
                 issues.append(
                     ValidationIssue(ci, li, "delay_out_of_range", f"plan {pid}: delay {delay} outside [0, {plan.d_max}]")
                 )
                 costable = False
-                prev = ref
+                prev = None
                 continue
+            ref = VariantRef(pid, delay)
             if prev is None:
                 costable = False
                 prev = ref

@@ -7,8 +7,10 @@ Every solution written to disk is validated first.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from pathlib import Path
 
 from .errors import GuardExceededError, InfeasibleError, InputError, PlanChainError
 from .model import ChainingInstance
@@ -83,7 +85,27 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_output(path, *, makes_dirs: bool = False) -> None:
+    """Raise ``InputError`` unless ``path`` can be written later.
+
+    A file needs a writable directory above it; a directory that the
+    writer creates with its parents (``makes_dirs``) needs its nearest
+    existing ancestor to be one.  Checked before loading and solving, so
+    a bad output path fails at once and leaves no partial output behind.
+    """
+    path = Path(path)
+    if makes_dirs:
+        folder = next(p for p in (path, *path.parents) if p.exists())
+    elif path.is_dir():
+        raise InputError(f"cannot write {path}: it is a directory")
+    else:
+        folder = path.parent
+    if not folder.is_dir() or not os.access(folder, os.W_OK | os.X_OK):
+        raise InputError(f"cannot write {path}: {folder} is not a writable directory")
+
+
 def _cmd_chain_solve(args) -> int:
+    _check_output(args.out)
     instance = io.load_instance(args.instance)
     if not isinstance(instance, ChainingInstance):
         raise InputError(f"{args.instance} is not a chaining instance")
@@ -116,6 +138,9 @@ def _cmd_chain_oracle(args) -> int:
 
 
 def _cmd_darp_run(args) -> int:
+    _check_output(args.out)
+    if args.metrics_dir:
+        _check_output(args.metrics_dir, makes_dirs=True)
     instance = io.load_instance(args.instance)
     if isinstance(instance, ChainingInstance):
         raise InputError(f"{args.instance} is not a DARP instance")

@@ -205,16 +205,6 @@ def _stop_times(specs, table, capacity: int, start_loc=None, start_time: int = 0
     return times
 
 
-def _schedule(specs, travel: TravelMatrix, capacity: int, *, start_loc=None, start_time=0):
-    """The stops of ``specs`` at their ``_stop_times``, or None when infeasible."""
-    times = _stop_times(specs, travel.table, capacity, start_loc, start_time)
-    if times is None:
-        return None
-    return tuple(
-        Stop(req.id, kind, req.origin if kind == PICKUP else req.destination, t) for (req, kind), t in zip(specs, times)
-    )
-
-
 class _DeadlinePassed(Exception):
     """A group search ran past its batch's deadline."""
 
@@ -231,9 +221,7 @@ def _check_locations(reqs, travel: TravelMatrix) -> None:
             raise InputError(f"request {r.id}: locations ({r.origin}, {r.destination}) outside {size}x{size} matrix")
 
 
-def optimal_plan_for_group(
-    group, travel: TravelMatrix, capacity: int, *, _deadline: float | None = None
-) -> RoutePlan | None:
+def optimal_plan_for_group(group, travel: TravelMatrix, capacity: int) -> RoutePlan | None:
     """Minimum-duration plan serving all requests of ``group`` together.
 
     Exhausts every pickup/dropoff interleaving that respects precedence,
@@ -246,8 +234,6 @@ def optimal_plan_for_group(
     t_r)`` and arrives ``short[origin][destination]`` later, and each
     riding one arrives no sooner than ``now + short[loc][destination]``.
     The duration cut is strict, so ties still reach the tie-break.
-    ``_deadline`` (a ``time.monotonic`` value) aborts the search with
-    ``_DeadlinePassed``; ``solve_batch_exact`` passes its own.
     """
     reqs = sorted(group, key=lambda r: r.id)
     if len(reqs) > capacity:
@@ -255,10 +241,22 @@ def optimal_plan_for_group(
     if not reqs:
         return None
     _check_locations(reqs, travel)
+    found = _search_group(reqs, travel, None)
+    return None if found is None else _route_plan(found[2])
+
+
+def _search_group(reqs, travel: TravelMatrix, deadline: float | None):
+    """``optimal_plan_for_group``'s search: (duration, driving, stops) or None.
+
+    ``reqs`` are sorted by id, location-checked and at most the capacity,
+    so the onboard count never binds.  Each stop is (0 for a pickup or 1
+    for a dropoff, request id, time, location); a stop's time and location
+    follow from the stops before it, so comparing these tuples orders stop
+    sequences as comparing (code, id) pairs would.  ``deadline`` (a
+    ``time.monotonic`` value) aborts the search with ``_DeadlinePassed``.
+    """
     table, short = travel.table, travel.closure
-    # (id, origin, destination, t_r, latest pickup, latest arrival, shortest
-    # ride) per request; the capacity guard above means the onboard count
-    # never binds
+    # (id, origin, destination, t_r, latest pickup, latest arrival, shortest ride)
     info = [
         (r.id, r.origin, r.destination, r.t_r, r.latest_pickup, r.latest_arrival(travel), short[r.origin][r.destination])
         for r in reqs
@@ -267,7 +265,7 @@ def optimal_plan_for_group(
 
     def dfs(seq, loc, now, first, pending, riding, driving):
         nonlocal best
-        if _deadline is not None and time.monotonic() > _deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise _DeadlinePassed
         if not pending and not riding:
             key = (now - first, driving, tuple(seq))
@@ -304,31 +302,29 @@ def optimal_plan_for_group(
                 t = t_r
             if t <= latest_pickup:
                 rest = [r for r in pending if r is not req]
-                dfs(seq + [(0, rid)], origin, t, first, rest, riding + [req], driving + leg)
+                dfs(seq + [(0, rid, t, origin)], origin, t, first, rest, riding + [req], driving + leg)
         for req in riding:
             rid, _, destination, _, _, latest_arrival, _ = req
             leg = row[destination]
             t = now + leg
             if t <= latest_arrival:
                 rest = [r for r in riding if r is not req]
-                dfs(seq + [(1, rid)], destination, t, first, pending, rest, driving + leg)
+                dfs(seq + [(1, rid, t, destination)], destination, t, first, pending, rest, driving + leg)
 
     try:
-        if _deadline is not None and time.monotonic() > _deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise _DeadlinePassed
         for req in info:  # the first stop: no approach leg
             rid, origin, _, t_r, _, _, _ = req
-            dfs([(0, rid)], origin, t_r, t_r, [r for r in info if r is not req], [req], 0)
+            dfs([(0, rid, t_r, origin)], origin, t_r, t_r, [r for r in info if r is not req], [req], 0)
     finally:
         dfs = None  # the closure refers to itself; break the cycle for refcounting
-    if best is None:
-        return None
-    by_id = {r.id: r for r in reqs}
-    specs = [(by_id[rid], PICKUP if code == 0 else DROPOFF) for code, rid in best[2]]
-    stops = _schedule(specs, travel, capacity)
-    if stops is None:
-        raise InfeasibleError("group schedule vanished on replay")  # pragma: no cover
-    return RoutePlan(stops)
+    return best
+
+
+def _route_plan(stops) -> RoutePlan:
+    """The ``RoutePlan`` of ``_search_group``'s stop tuples."""
+    return RoutePlan(tuple(Stop(rid, PICKUP if code == 0 else DROPOFF, loc, t) for code, rid, t, loc in stops))
 
 
 @dataclass(frozen=True)
@@ -338,7 +334,7 @@ class BatchResult:
 
 
 def _best_partition(s: int, groups_by_low, memo: dict) -> tuple:
-    """(total duration, group count, group ids, plans) of the best partition of bitmask ``s``.
+    """(total duration, group count, group ids, group stops) of the best partition of bitmask ``s``.
 
     Its first group holds ``s``'s lowest request, so prepending keeps the
     group ids sorted.  ``memo`` maps the masks already solved, 0 included;
@@ -346,10 +342,10 @@ def _best_partition(s: int, groups_by_low, memo: dict) -> tuple:
     """
     entry = memo.get(s)
     if entry is None:
-        for mask, duration, ids, plan in groups_by_low[s & -s]:
+        for mask, duration, ids, stops in groups_by_low[s & -s]:
             if mask & s == mask:
                 rest = _best_partition(s ^ mask, groups_by_low, memo)
-                cand = (rest[0] + duration, rest[1] + 1, (ids,) + rest[2], (plan,) + rest[3])
+                cand = (rest[0] + duration, rest[1] + 1, (ids,) + rest[2], (stops,) + rest[3])
                 if entry is None or cand[:3] < entry[:3]:
                     entry = cand
         memo[s] = entry
@@ -365,7 +361,8 @@ def solve_batch_exact(
 ) -> BatchResult:
     """Optimal set partitioning of a batch into shared route plans.
 
-    Feasible groups are enumerated bottom-up, each with its optimal plan.
+    Feasible groups are enumerated bottom-up, each with its optimal stops;
+    only the chosen groups become ``RoutePlan``s.
     On a metric travel matrix a group is skipped when a one-smaller subset
     already failed: dropping a request's stops then never makes another
     stop later.  Without the triangle inequality a detour can arrive
@@ -390,7 +387,7 @@ def solve_batch_exact(
     deadline = time.monotonic() + time_limit_ms / 1000.0 if time_limit_ms is not None else None
     timed_out = False
     prune = travel.is_metric
-    feasible: dict[frozenset[int], RoutePlan] = {}
+    feasible: dict[frozenset[int], tuple] = {}  # group ids -> (duration, driving, stops)
     for size in range(1, min(capacity, len(reqs)) + 1):
         for combo in combinations(reqs, size):
             ids = frozenset(r.id for r in combo)
@@ -398,21 +395,22 @@ def solve_batch_exact(
                 continue
             # singletons are always built, so every request set has a partition
             try:
-                plan = optimal_plan_for_group(combo, travel, capacity, _deadline=deadline if size > 1 else None)
+                found = _search_group(combo, travel, deadline if size > 1 else None)
             except _DeadlinePassed:
                 timed_out = True
                 break
-            if plan is not None:
-                feasible[ids] = plan
+            if found is not None:
+                feasible[ids] = found
         if timed_out:
             break
 
     bit = {r.id: 1 << k for k, r in enumerate(reqs)}
     groups_by_low = {b: [] for b in bit.values()}
-    for ids, plan in feasible.items():
+    for ids, (duration, _, stops) in feasible.items():
         mask = sum(bit[rid] for rid in ids)
-        groups_by_low[mask & -mask].append((mask, plan.total_duration, tuple(sorted(ids)), plan))
-    plans = _best_partition((1 << len(reqs)) - 1, groups_by_low, {0: (0, 0, (), ())})[3]
+        groups_by_low[mask & -mask].append((mask, duration, tuple(sorted(ids)), stops))
+    chosen = _best_partition((1 << len(reqs)) - 1, groups_by_low, {0: (0, 0, (), ())})[3]
+    plans = [_route_plan(stops) for stops in chosen]
     ordered = tuple(sorted(plans, key=lambda p: (p.first_time, p.request_ids())))
     return BatchResult(ordered, not timed_out)
 
@@ -560,18 +558,18 @@ def insertion_heuristic(instance: DarpInstance) -> DarpSolution:
     """
     if isinstance(instance.fleet, AutoFleet):
         raise InputError("the insertion heuristic needs an explicit fleet")
-    travel, capacity = instance.travel, instance.capacity
-    table = travel.table  # DarpInstance checked every location
-    specs_by_vehicle: dict[int, list] = {}
-    duration_by_vehicle: dict[int, int] = {}
+    capacity = instance.capacity
+    table = instance.travel.table  # DarpInstance checked every location
+    route_by_vehicle: dict[int, tuple[list, list[int]]] = {}  # vehicle id -> (stop specs, stop times)
     vehicle_by_id = {v.id: v for v in instance.fleet}
 
     # trials need only stop times; Stop objects are built once per route
     for req in sorted(instance.requests, key=lambda r: (r.t_r, r.id)):
         best = None
-        for vid in sorted(specs_by_vehicle):
+        for vid in sorted(route_by_vehicle):
             vehicle = vehicle_by_id[vid]
-            specs = specs_by_vehicle[vid]
+            specs, route = route_by_vehicle[vid]
+            duration = route[-1] - route[0]
             for i in range(len(specs) + 1):
                 for j in range(i + 1, len(specs) + 2):
                     trial = list(specs)
@@ -580,7 +578,7 @@ def insertion_heuristic(instance: DarpInstance) -> DarpSolution:
                     times = _stop_times(trial, table, capacity, vehicle.start_location, vehicle.t_st)
                     if times is None:
                         continue
-                    cand = (times[-1] - times[0] - duration_by_vehicle[vid], vid, i, j)
+                    cand = (times[-1] - times[0] - duration, vid, i, j)
                     if best is None or cand < best[0]:
                         best = (cand, trial, times)
         if best is not None:
@@ -588,7 +586,7 @@ def insertion_heuristic(instance: DarpInstance) -> DarpSolution:
         else:
             trial = [(req, PICKUP), (req, DROPOFF)]
             for v in sorted(instance.fleet, key=lambda v: (table[v.start_location][req.origin], v.id)):
-                if v.id in specs_by_vehicle:
+                if v.id in route_by_vehicle:
                     continue
                 times = _stop_times(trial, table, capacity, v.start_location, v.t_st)
                 if times is not None:
@@ -596,16 +594,14 @@ def insertion_heuristic(instance: DarpInstance) -> DarpSolution:
                     break
             else:
                 raise InfeasibleError(f"fleet exhausted: request {req.id} fits no vehicle")
-        specs_by_vehicle[vid] = trial
-        duration_by_vehicle[vid] = times[-1] - times[0]
+        route_by_vehicle[vid] = (trial, times)
 
     routes = []
-    for vid in sorted(specs_by_vehicle):
-        vehicle = vehicle_by_id[vid]
-        stops = _schedule(
-            specs_by_vehicle[vid], travel, capacity, start_loc=vehicle.start_location, start_time=vehicle.t_st
+    for vid, (specs, times) in sorted(route_by_vehicle.items()):
+        stops = tuple(
+            Stop(r.id, kind, r.origin if kind == PICKUP else r.destination, t) for (r, kind), t in zip(specs, times)
         )
-        routes.append((vehicle, RoutePlan(stops)))
+        routes.append((vehicle_by_id[vid], RoutePlan(stops)))
     return _solution_from_routes("ih", None, routes, instance)
 
 

@@ -387,19 +387,13 @@ def connection_wait(instance: ChainingInstance, a: Endpoint, b: Plan | VariantRe
     return origin_time(instance, b) - ready_time(instance, a) - travel_time(instance, a, b)
 
 
-def connection_cost(
-    instance: ChainingInstance,
-    a: Endpoint,
-    b: Plan | VariantRef,
-    policy: CostPolicy | None = None,
-) -> Cost | None:
-    """Cost of the connection under ``policy``; ``None`` means forbidden.
+def connection_cost(instance: ChainingInstance, a: Endpoint, b: Plan | VariantRef) -> Cost | None:
+    """Cost of the connection under the instance's policy; ``None`` means forbidden.
 
     Forbidden connections are materialized by omitting the edge from the
     network, never by a sentinel "infinite" cost.
     """
-    if policy is None:
-        policy = instance.policy
+    policy = instance.policy
     if not connection_feasible(instance, a, b):
         raise InputError("connection_cost called on an infeasible connection")
     if isinstance(policy, FleetSize):

@@ -16,8 +16,8 @@ arithmetic.  Each generator joins its per-block arrays once into
 emission order, which is origin order and then target order.  Minimal
 generation needs no deduplication of connections, as each origin is
 probed once, each variant queued once, and a probe reaches each target
-plan at most once.  ``planchain.oracle`` keeps the scalar twins that the
-differential tests compare against, order included.
+plan at most once.  The tests keep scalar twins of both generators
+(``tests/scalar_twins.py``) and compare against them, order included.
 """
 
 from __future__ import annotations
@@ -131,8 +131,9 @@ class _ProbeTables:
     An origin is a column of the assignment matrix, a plan index or n + a
     vehicle index, at a delay.  ``probe`` evaluates a block of origins
     against every other plan in one 2-D pass, with exactly the scalar
-    semantics of ``oracle.try_connect`` (minimal delays, the
-    degenerate-tie ordering, policy costs with forbidden waits dropped);
+    semantics of ``model.minimal_target_delay`` and ``model.connection_cost``
+    (minimal delays, the degenerate-tie ordering, policy costs with
+    forbidden waits dropped);
     ``probe_variants`` evaluates a block against every integer-delay
     variant, which ``all_variants`` lays out once as flat arrays, with
     those of ``model.connection_feasible`` and ``model.connection_cost``.

@@ -1,0 +1,164 @@
+"""Scalar twins of the vectorized code, for the differential tests.
+
+``generate_reference`` and ``generate_exhaustive_reference`` mirror the
+variant generators with one model-layer call per origin/target pair
+(through ``try_connect`` for the minimal one), and pin their output,
+connection order included.  ``assignment_matrix_reference`` builds the
+relaxation's cost matrix from the edge view, as the node-level twin of
+the solver's row-level one.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
+
+import numpy as np
+
+from planchain import model
+from planchain.errors import InputError
+from planchain.flownet import NO_EDGE
+from planchain.model import ChainingInstance, Plan, VariantRef, Vehicle
+from planchain.variantgen import Connection, GenerationResult
+
+
+@dataclass(frozen=True)
+class Direct:
+    """The target plan can follow without being delayed."""
+
+    connection: Connection | None
+
+
+@dataclass(frozen=True)
+class NewVariant:
+    """The target plan must be delayed; carries the fresh variant."""
+
+    variant: VariantRef
+    connection: Connection | None
+
+
+@dataclass(frozen=True)
+class Infeasible:
+    """No delay within the target's budget makes the connection work."""
+
+
+ConnectOutcome = Direct | NewVariant | Infeasible
+
+
+def try_connect(instance: ChainingInstance, a: Vehicle | VariantRef, b: Plan) -> ConnectOutcome:
+    """Attempt to connect origin ``a`` to plan ``b``, delaying ``b`` if needed.
+
+    The produced delay is the minimum feasible one.  ``connection`` is
+    ``None`` when the cost policy forbids the edge; the variant itself is
+    still reported so callers can keep probing from it.
+    """
+    if isinstance(a, VariantRef) and a.plan_id == b.id:
+        raise InputError(f"cannot connect plan {b.id} to its own variant")
+    delay = model.minimal_target_delay(instance, a, b)
+    if delay is None:
+        return Infeasible()
+    target = VariantRef(b.id, delay)
+    cost = model.connection_cost(instance, a, target)
+    connection = None if cost is None else Connection(a, target, cost)
+    if delay == 0:
+        return Direct(connection)
+    return NewVariant(target, connection)
+
+
+def generate_reference(instance: ChainingInstance, *, queue_lifo: bool = False) -> GenerationResult:
+    """Plain scalar minimal generation via ``try_connect``; twin of ``variantgen.generate``."""
+    variants: dict[VariantRef, None] = {}
+    connections: dict[tuple, Connection] = {}
+    queue: deque[VariantRef] = deque()
+
+    def record(outcome: ConnectOutcome) -> None:
+        if isinstance(outcome, Infeasible):
+            return
+        if isinstance(outcome, NewVariant) and outcome.variant not in variants:
+            variants[outcome.variant] = None
+            queue.append(outcome.variant)
+        conn = outcome.connection
+        if conn is None:
+            return
+        origin = conn.origin
+        okey = ("v", origin.id) if isinstance(origin, Vehicle) else ("p", origin.plan_id, origin.delay)
+        connections.setdefault((okey, conn.target.plan_id, conn.target.delay), conn)
+
+    for a in instance.plans:
+        origin = VariantRef(a.id, 0)
+        for b in instance.plans:
+            if b.id != a.id:
+                record(try_connect(instance, origin, b))
+    for v in instance.vehicles:
+        for b in instance.plans:
+            record(try_connect(instance, v, b))
+    while queue:
+        phi = queue.pop() if queue_lifo else queue.popleft()
+        for p in instance.plans:
+            if p.id != phi.plan_id:
+                record(try_connect(instance, phi, p))
+    return GenerationResult(tuple(variants), tuple(connections.values()))
+
+
+def generate_exhaustive_reference(instance: ChainingInstance) -> GenerationResult:
+    """Plain scalar exhaustive generation; twin of ``variantgen.generate_exhaustive``.
+
+    Emits the connections in the same order: origins by (plan id, delay),
+    then vehicles by id, each against targets by (plan id, delay).
+    """
+    variants: list[VariantRef] = []
+    all_refs: list[VariantRef] = []
+    for p in instance.plans:
+        for d in range(p.d_max + 1):
+            ref = VariantRef(p.id, d)
+            all_refs.append(ref)
+            if d > 0:
+                variants.append(ref)
+    connections: list[Connection] = []
+    for origin in [*all_refs, *instance.vehicles]:
+        for target in all_refs:
+            if not isinstance(origin, Vehicle) and origin.plan_id == target.plan_id:
+                continue
+            if not model.connection_feasible(instance, origin, target):
+                continue
+            cost = model.connection_cost(instance, origin, target)
+            if cost is not None:
+                connections.append(Connection(origin, target, cost))
+    return GenerationResult(tuple(variants), tuple(connections))
+
+
+def assignment_matrix_reference(net, window):
+    """``solve_mcf``'s cost matrix, the connection edge per cell (-1: none), flat, and the cut nodes.
+
+    Edge-level twin of the row rule: each variant outside its plan's
+    ``window`` has both structural edges closed, and so does a plan without
+    variants (its source and sink edge) when the window leaves out delay 0.
+    A closed edge cuts the nodes past it on its structural path from the
+    source or to the sink, and a connection at a cut node is unusable.
+    """
+    n, m = len(net.plan_ids), len(net.plan_ids) + len(net.instance.vehicles)
+    tail, head, cost = net.edges.T
+    off = np.zeros(len(net.edges), dtype=bool)
+    for i, (p, d) in enumerate(zip(net.variant_plan.tolist(), net.variant_delay.tolist())):
+        if not window[0][p] <= d <= window[1][p]:
+            off[net.left_struct.start + i] = off[net.right_struct.start + i] = True
+    for i, pid in enumerate(net.plan_ids.tolist()):
+        if not net.routed_delays[pid] and not window[0][i] <= 0 <= window[1][i]:
+            off[i] = off[net.right_struct.stop + i] = True
+    cut = np.zeros(net.node_count, dtype=bool)
+    start, stop = net.connection_edges.start, net.connection_edges.stop
+    down, block, up = slice(0, start), slice(start, stop), slice(stop, None)
+    for _ in range(2):  # structural paths have at most two edges
+        cut[head[down]] = off[down] | cut[tail[down]]
+        cut[tail[up]] = off[up] | cut[head[up]]
+    usable = ~off[block] & ~cut[tail[block]] & ~cut[head[block]]
+    # the usable connections by cell, then cost, then edge: each cell's first wins
+    conns = net.connections
+    cell = conns.target * m + conns.origin
+    order = np.lexsort((np.arange(len(cell)), cost[block], cell))
+    order = order[usable[order]]
+    first = order[np.diff(cell[order], prepend=-1) != 0]
+    matrix, edge_at = np.full(n * m, NO_EDGE, dtype=np.int64), np.full(n * m, -1, dtype=np.int64)
+    matrix[cell[first]] = cost[start + first]
+    edge_at[cell[first]] = start + first
+    return matrix.reshape(n, m), edge_at, cut

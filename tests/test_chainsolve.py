@@ -152,10 +152,74 @@ def test_validator_flags_bad_chains():
     assert "plan_multiplicity" in {i.code for i in report.issues}
     report = validate_chains(inst, [(1, [(1, 0)])])
     assert "plan_multiplicity" in {i.code for i in report.issues}  # plan 2 missing
-    report = validate_chains(inst, [(1, [(1, 0), (2, 5)])])
-    assert "delay_out_of_range" in {i.code for i in report.issues}
+    for delay in (5, -1):
+        report = validate_chains(inst, [(1, [(1, 0), (2, delay)])])
+        assert "delay_out_of_range" in {i.code for i in report.issues}
+        report = validate_chains(inst, [(1, [(2, delay), (1, 0)])])
+        assert [i.code for i in report.issues] == ["delay_out_of_range"] and report.recomputed_objective is None
     ok = validate_chains(inst, [(1, [(1, 0), (2, 1)])], claimed_objective=3)
     assert "objective_mismatch" in {i.code for i in ok.issues}
+
+
+def _solved_covers():
+    """(instance, chains as id pairs, objective) of a few solved instances, over every policy."""
+    covers = []
+    for policy in (TravelCost(), FleetSize(), TravelCostWaitCapped(8), TravelCostWaitPenalized(Fraction(1, 2))):
+        for seed in range(40):
+            inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=6, vehicles=3, horizon=120, policy=policy))
+            try:
+                solution = solve_chaining(inst)
+            except InfeasibleError:
+                continue
+            chains = [(c.vehicle.id, [(e.plan_id, e.delay) for e in c.elements]) for c in solution.chains]
+            covers.append((inst, chains, solution.objective))
+            if sum(other.policy == policy for other, _, _ in covers) == 2:
+                break
+    return covers
+
+
+SOLVED_COVERS = _solved_covers()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data(), field=st.sampled_from(("vehicle", "plan", "delay", "objective")))
+def test_validator_reports_every_rule_a_single_field_mutation_breaks(data, field):
+    # one vehicle id, plan id, delay or the claimed objective of a solved
+    # cover is replaced; the validator must never raise, and it must name
+    # the broken rule whenever the new value breaks one
+    inst, chains, objective = data.draw(st.sampled_from(SOLVED_COVERS))
+    chains = [(vid, list(elems)) for vid, elems in chains]
+    value = data.draw(st.integers(-3, 12) | st.sampled_from((-(2**70), 2**70)))
+    ci = data.draw(st.integers(0, len(chains) - 1))
+    vid, elems = chains[ci]
+    li = data.draw(st.integers(0, len(elems) - 1))
+    pid, delay = elems[li]
+    claimed, expected = objective, None
+    if field == "vehicle":
+        chains[ci] = (value, elems)
+        if value not in {v.id for v in inst.vehicles}:
+            expected = "unknown_vehicle"
+        elif value in {other for j, (other, _) in enumerate(chains) if j != ci}:
+            expected = "vehicle_reused"
+    elif field == "plan":
+        elems[li] = (value, delay)
+        if value not in {p.id for p in inst.plans}:
+            expected = "unknown_plan"
+        elif value != pid:
+            expected = "plan_multiplicity"
+    elif field == "delay":
+        elems[li] = (pid, value)
+        if not 0 <= value <= inst.plan(pid).d_max:
+            expected = "delay_out_of_range"
+    else:
+        claimed = objective + value
+        if value:
+            expected = "objective_mismatch"
+    report = validate_chains(inst, chains, claimed)
+    if expected is not None:
+        assert expected in {i.code for i in report.issues}, (field, value, report.issues)
+    elif (field, value) in (("vehicle", vid), ("plan", pid), ("delay", delay), ("objective", 0)):
+        assert report.ok, report.issues
 
 
 def test_bound_monotonicity_and_incumbent_validity(monkeypatch):

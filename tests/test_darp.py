@@ -82,13 +82,14 @@ def _brute_force_group_plan(group, travel, capacity):
         if any(order.index((0, rid)) > order.index((1, rid)) for rid in by_id):
             continue
         specs = [(by_id[rid], "pickup" if code == 0 else "dropoff") for code, rid in order]
-        stops = darp._schedule(specs, travel, capacity)
-        if stops is None:
+        times = darp._stop_times(specs, travel.table, capacity)
+        if times is None:
             continue
+        stops = [Stop(r.id, kind, r.origin if kind == "pickup" else r.destination, t) for (r, kind), t in zip(specs, times)]
         driving = sum(travel.duration(a.location, b.location) for a, b in zip(stops, stops[1:]))
         key = (stops[-1].time - stops[0].time, driving, order)
         if best is None or key < best[0]:
-            best = (key, RoutePlan(stops))
+            best = (key, RoutePlan(tuple(stops)))
     return None if best is None else best[1]
 
 
@@ -148,7 +149,7 @@ def test_batch_search_leaves_no_garbage_cycles(monkeypatch):
         return clock.reads * 2.0**-19
 
     searches = []  # (size, first read, reads after it) per group searched
-    search = darp.optimal_plan_for_group
+    search = darp._search_group
 
     def recorded(group, *args, **kwargs):
         first = clock.reads
@@ -158,7 +159,7 @@ def test_batch_search_leaves_no_garbage_cycles(monkeypatch):
             searches.append((len(group), first, clock.reads))
 
     monkeypatch.setattr(darp, "time", SimpleNamespace(monotonic=monotonic))
-    monkeypatch.setattr(darp, "optimal_plan_for_group", recorded)
+    monkeypatch.setattr(darp, "_search_group", recorded)
     assert solve_batch_exact(rs, travel, 6, time_limit_ms=10**9).proven_optimal
     size, first, end = searches[-1]
     assert size == 6 and end - first > 1000
@@ -186,6 +187,20 @@ def test_group_search_ignores_changes_to_copies_of_the_rows():
         row[:] = [0] * len(row)
     assert optimal_plan_for_group([req], travel, 4) == plan
     assert solve_batch_exact([req], travel, 4).plans == (plan,)
+
+
+def test_batch_exact_builds_route_plans_only_for_the_chosen_groups(monkeypatch):
+    built = []
+
+    def counted(stops):
+        built.append(RoutePlan(stops))
+        return built[-1]
+
+    monkeypatch.setattr(darp, "RoutePlan", counted)
+    inst = darp_instance_from_params(DarpGenParams(seed=3, requests=7, horizon=15, capacity=4))
+    result = solve_batch_exact(list(inst.requests), inst.travel, 4)
+    assert 1 < len(result.plans) < 7
+    assert sorted(map(id, built)) == sorted(map(id, result.plans))
 
 
 def test_batch_exact_prefers_sharing():
@@ -235,7 +250,7 @@ def test_batch_time_limit_interrupts_a_group_search(monkeypatch):
         return now
 
     searches = []  # (size, first read, reads after it) per group searched
-    search = darp.optimal_plan_for_group
+    search = darp._search_group
 
     def recorded(group, *args, **kwargs):
         first = clock.reads
@@ -245,7 +260,7 @@ def test_batch_time_limit_interrupts_a_group_search(monkeypatch):
             searches.append((len(group), first, clock.reads))
 
     monkeypatch.setattr(darp, "time", SimpleNamespace(monotonic=monotonic))
-    monkeypatch.setattr(darp, "optimal_plan_for_group", recorded)
+    monkeypatch.setattr(darp, "_search_group", recorded)
     travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
     rs = [Request(i, 2, i % 2, 0, 30) for i in range(6)]
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planchain
+from planchain import cli
 from planchain import instances as io
 from planchain import oracle
 from planchain.cli import main
@@ -425,20 +426,33 @@ def test_cli_rejects_a_deeply_nested_instance(tmp_path, capsys):
     assert err.startswith("input error: ") and str(path) in err
 
 
-def test_cli_rejects_outputs_in_a_missing_directory(tmp_path, capsys):
-    out = tmp_path / "missing" / "x.json"
-    assert main(["chain", "solve", "--instance", str(DATA / "e1.chain.json"), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error: ") and str(out) in err
+def test_cli_rejects_outputs_in_a_missing_directory(tmp_path, capsys, monkeypatch):
+    # the output paths are checked before the instance is loaded or solved
     inst_path = tmp_path / "darp.json"
     assert main(["gen", "darp", "--seed", "5", "--requests", "6", "--fleet-size", "6", "--out", str(inst_path)]) == 0
     capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("solver called")
+
+    for name in ("solve_chaining", "insertion_heuristic", "run_proposed", "run_single_batch"):
+        monkeypatch.setattr(cli, name, never)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["chain", "solve", "--instance", str(DATA / "e1.chain.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and str(out) in err
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
-    args = ["darp", "run", "--instance", str(inst_path), "--method", "ih", "--out", str(tmp_path / "s.json")]
-    assert main(args + ["--metrics-dir", str(blocker / "metrics")]) == 2
+    args = ["darp", "run", "--instance", str(inst_path), "--out", str(tmp_path / "s.json")]
+    for method in ("ih", "proposed", "single-batch"):
+        assert main(args + ["--method", method, "--batch-secs", "5", "--metrics-dir", str(blocker / "metrics")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and str(blocker / "metrics") in err
+    assert not (tmp_path / "s.json").exists()
+    out = blocker / "s.json"
+    assert main(["darp", "run", "--instance", str(inst_path), "--method", "ih", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: ") and str(blocker / "metrics") in err
+    assert err.startswith("input error: ") and str(out) in err
 
 
 def _readme_cli_commands():

@@ -173,9 +173,10 @@ def test_feasibility_monotone_in_target_delay():
 
 
 def test_connection_costs(e1):
-    assert model.connection_cost(e1, E1_V1, VariantRef(1, 0), FleetSize()) == 1
-    assert model.connection_cost(e1, E1_P1, VariantRef(2, 1), FleetSize()) == 0
-    assert model.connection_cost(e1, E1_P1, VariantRef(2, 1), TravelCost()) == 2
+    fleet = e1.with_policy(FleetSize())
+    assert model.connection_cost(fleet, E1_V1, VariantRef(1, 0)) == 1
+    assert model.connection_cost(fleet, E1_P1, VariantRef(2, 1)) == 0
+    assert model.connection_cost(e1.with_policy(TravelCost()), E1_P1, VariantRef(2, 1)) == 2
     # wait of (p1 -> p2@1) is 12 - 10 - 2 = 0
     assert model.connection_wait(e1, E1_P1, VariantRef(2, 1)) == 0
     assert model.connection_wait(e1, E1_V1, VariantRef(1, 0)) == 5
@@ -201,8 +202,8 @@ def test_wait_penalty_rounds_half_up():
     b = Plan(2, 1, 1, 10, 12, 0)  # wait 7
     inst = ChainingInstance((a, b), (), travel, TravelCostWaitPenalized(Fraction(1, 2)))
     assert model.connection_cost(inst, a, b) == 1 + 4  # 3.5 rounds up
-    assert model.connection_cost(inst, a, b, TravelCostWaitPenalized(Fraction(2))) == 1 + 14
-    assert model.connection_cost(inst, a, b, TravelCostWaitPenalized(Fraction(0))) == 1
+    assert model.connection_cost(inst.with_policy(TravelCostWaitPenalized(Fraction(2))), a, b) == 1 + 14
+    assert model.connection_cost(inst.with_policy(TravelCostWaitPenalized(Fraction(0))), a, b) == 1
 
 
 def test_costs_are_nonnegative_ints_across_policies():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from planchain import model, oracle, variantgen
+from planchain import model, variantgen
 from planchain.errors import GuardExceededError, InputError
 from planchain.model import (
     ChainingInstance,
@@ -18,6 +18,7 @@ from planchain.model import (
 )
 from planchain.instances import ChainGenParams, chain_instance_from_params
 
+import scalar_twins
 from conftest import E1_P1, E1_P2, E1_V1
 
 
@@ -32,20 +33,20 @@ def conn_keys(result):
 
 
 def test_try_connect_examples(e1):
-    out = oracle.try_connect(e1, VariantRef(1, 0), E1_P2)
-    assert isinstance(out, oracle.NewVariant)
+    out = scalar_twins.try_connect(e1, VariantRef(1, 0), E1_P2)
+    assert isinstance(out, scalar_twins.NewVariant)
     assert out.variant == VariantRef(2, 1)
     assert out.connection.cost == 2
 
-    out = oracle.try_connect(e1, E1_V1, E1_P1)
-    assert isinstance(out, oracle.Direct)
+    out = scalar_twins.try_connect(e1, E1_V1, E1_P1)
+    assert isinstance(out, scalar_twins.Direct)
     assert out.connection.target == VariantRef(1, 0)
 
-    out = oracle.try_connect(e1, VariantRef(2, 0), E1_P1)
-    assert isinstance(out, oracle.Infeasible)
+    out = scalar_twins.try_connect(e1, VariantRef(2, 0), E1_P1)
+    assert isinstance(out, scalar_twins.Infeasible)
 
     with pytest.raises(InputError):
-        oracle.try_connect(e1, VariantRef(2, 1), E1_P2)
+        scalar_twins.try_connect(e1, VariantRef(2, 1), E1_P2)
 
 
 def test_generate_e1(e1):
@@ -87,7 +88,7 @@ def test_queue_discipline_does_not_matter():
     for seed in range(25):
         inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=6, vehicles=2))
         fifo = variantgen.generate(inst)
-        lifo = oracle.generate_reference(inst, queue_lifo=True)
+        lifo = scalar_twins.generate_reference(inst, queue_lifo=True)
         assert set(fifo.variants) == set(lifo.variants)
         assert conn_keys(fifo) == conn_keys(lifo)
 
@@ -154,7 +155,7 @@ def test_vectorized_generation_matches_scalar_reference():
         for inst in cases:
             # dataclass equality compares variants and connections in order:
             # connection order fixes edge ids and so the equal-cost tie-breaks
-            assert variantgen.generate(inst) == oracle.generate_reference(inst)
+            assert variantgen.generate(inst) == scalar_twins.generate_reference(inst)
 
 
 def test_generated_connections_never_repeat_a_key():
@@ -198,7 +199,7 @@ def test_exhaustive_generation_matches_scalar_reference():
             cases.append(_zero_travel_instance(500 + 10 * pi + seed, policy))
         for inst in cases:
             # dataclass equality compares the tuples, so the order must match too
-            assert variantgen.generate_exhaustive(inst) == oracle.generate_exhaustive_reference(inst)
+            assert variantgen.generate_exhaustive(inst) == scalar_twins.generate_exhaustive_reference(inst)
 
 
 def test_exhaustive_generation_orders_simultaneous_plans():
@@ -206,7 +207,7 @@ def test_exhaustive_generation_orders_simultaneous_plans():
     first, second = Plan(1, 0, 1, 5, 5, 1), Plan(2, 1, 0, 5, 5, 1)
     inst = ChainingInstance((second, first), (), travel, TravelCost())
     result = variantgen.generate_exhaustive(inst)
-    assert result == oracle.generate_exhaustive_reference(inst)
+    assert result == scalar_twins.generate_exhaustive_reference(inst)
     pairs = {((c.origin.plan_id, c.origin.delay), (c.target.plan_id, c.target.delay)) for c in result.connections}
     # zero gap and zero travel: only the (t_or, id)-earlier plan may lead
     assert ((1, 0), (2, 0)) in pairs and ((2, 0), (1, 0)) not in pairs
@@ -252,8 +253,8 @@ def test_generation_is_independent_of_the_block_size(monkeypatch, rows):
     for inst in cases:
         n, ticks = len(inst.plans), variantgen.total_delay_ticks(inst)
         for width, run, reference in (
-            (n, variantgen.generate, oracle.generate_reference),
-            (n + ticks, variantgen.generate_exhaustive, oracle.generate_exhaustive_reference),
+            (n, variantgen.generate, scalar_twins.generate_reference),
+            (n + ticks, variantgen.generate_exhaustive, scalar_twins.generate_exhaustive_reference),
         ):
             cells = default_cells if rows is None else 1 if rows == 1 else rows * width
             monkeypatch.setattr(variantgen, "_BLOCK_CELLS", cells)
