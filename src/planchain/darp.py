@@ -165,42 +165,31 @@ def _latest_for_stop(stop: Stop, request: Request, travel: TravelMatrix) -> int:
     return request.latest_arrival(travel)
 
 
-def _stop_times(specs, table, capacity: int, start_loc=None, start_time: int = 0) -> list[int] | None:
-    """Earliest-feasible stop times for an ordered (request, kind) list.
+def _stop_times(specs, table, capacity: int, loc: int, t: int) -> list[int] | None:
+    """Earliest-feasible stop times for ordered (code, row) specs from ``loc`` at tick ``t``.
 
-    Pickups never start before their request's departure time; with a
-    vehicle (``start_loc``) the first arrival includes the approach leg.
-    Returns None when a window, the capacity or the precedence breaks.
-    ``table`` is a ``TravelMatrix.table`` that every location was checked
-    against.
+    Code 0 picks up and code 1 drops off the request of a ``_request_rows``
+    row; each dropoff follows its pickup, and no pickup starts before its
+    request's departure time.  Returns None when a window or the capacity
+    breaks.  ``table`` is a ``TravelMatrix.table`` checked for every row.
     """
     times: list[int] = []
     onboard = 0
-    picked: set[int] = set()
-    loc = start_loc
-    t = start_time
-    for req, kind in specs:
-        if kind == PICKUP:
-            nxt = req.origin
-            if loc is not None:
-                t += table[loc][nxt]
-            if t < req.t_r:
-                t = req.t_r
-            if req.id in picked:
-                return None
-            picked.add(req.id)
+    for code, (_, origin, destination, t_r, latest_pickup, latest_arrival, _) in specs:
+        if code == 0:
+            t += table[loc][origin]
+            if t < t_r:
+                t = t_r
             onboard += 1
-            if onboard > capacity or t > req.t_r + req.max_delay:
+            if onboard > capacity or t > latest_pickup:
                 return None
+            loc = origin
         else:
-            if req.id not in picked:
-                return None
-            nxt = req.destination
-            t += table[loc][nxt]
+            t += table[loc][destination]
             onboard -= 1
-            if t > req.t_r + table[req.origin][nxt] + req.max_delay:
+            if t > latest_arrival:
                 return None
-        loc = nxt
+            loc = destination
         times.append(t)
     return times
 
@@ -209,16 +198,22 @@ class _DeadlinePassed(Exception):
     """A group search ran past its batch's deadline."""
 
 
-def _check_locations(reqs, travel: TravelMatrix) -> None:
-    """Raise ``InputError`` unless every request location lies in ``travel``.
+def _request_rows(reqs, travel: TravelMatrix) -> list[tuple]:
+    """One row per request: (id, origin, destination, t_r, latest pickup, latest arrival, shortest ride).
 
-    The searches index ``travel.table`` without a range check, where a
-    negative location would silently wrap, so each entry point checks once.
+    The shortest ride is read from ``travel.closure``.  Raises
+    ``InputError`` unless every location lies in ``travel``: the searches
+    index ``travel.table`` without a range check, where a negative location
+    would silently wrap, so each entry point builds its rows once.
     """
-    size = travel.size
+    size, short = travel.size, travel.closure
+    rows = []
     for r in reqs:
         if not (0 <= r.origin < size and 0 <= r.destination < size):
             raise InputError(f"request {r.id}: locations ({r.origin}, {r.destination}) outside {size}x{size} matrix")
+        ride = short[r.origin][r.destination]
+        rows.append((r.id, r.origin, r.destination, r.t_r, r.latest_pickup, r.latest_arrival(travel), ride))
+    return rows
 
 
 def optimal_plan_for_group(group, travel: TravelMatrix, capacity: int) -> RoutePlan | None:
@@ -240,15 +235,14 @@ def optimal_plan_for_group(group, travel: TravelMatrix, capacity: int) -> RouteP
         raise GuardExceededError(f"group of {len(reqs)} exceeds capacity {capacity}")
     if not reqs:
         return None
-    _check_locations(reqs, travel)
-    found = _search_group(reqs, travel, None)
+    found = _search_group(_request_rows(reqs, travel), travel, None)
     return None if found is None else _route_plan(found[2])
 
 
-def _search_group(reqs, travel: TravelMatrix, deadline: float | None):
+def _search_group(rows, travel: TravelMatrix, deadline: float | None):
     """``optimal_plan_for_group``'s search: (duration, driving, stops) or None.
 
-    ``reqs`` are sorted by id, location-checked and at most the capacity,
+    ``rows`` are ``_request_rows`` rows sorted by id, at most the capacity,
     so the onboard count never binds.  Each stop is (0 for a pickup or 1
     for a dropoff, request id, time, location); a stop's time and location
     follow from the stops before it, so comparing these tuples orders stop
@@ -256,11 +250,6 @@ def _search_group(reqs, travel: TravelMatrix, deadline: float | None):
     ``time.monotonic`` value) aborts the search with ``_DeadlinePassed``.
     """
     table, short = travel.table, travel.closure
-    # (id, origin, destination, t_r, latest pickup, latest arrival, shortest ride)
-    info = [
-        (r.id, r.origin, r.destination, r.t_r, r.latest_pickup, r.latest_arrival(travel), short[r.origin][r.destination])
-        for r in reqs
-    ]
     best: tuple | None = None
 
     def dfs(seq, loc, now, first, pending, riding, driving):
@@ -314,9 +303,9 @@ def _search_group(reqs, travel: TravelMatrix, deadline: float | None):
     try:
         if deadline is not None and time.monotonic() > deadline:
             raise _DeadlinePassed
-        for req in info:  # the first stop: no approach leg
+        for req in rows:  # the first stop: no approach leg
             rid, origin, _, t_r, _, _, _ = req
-            dfs([(0, rid, t_r, origin)], origin, t_r, t_r, [r for r in info if r is not req], [req], 0)
+            dfs([(0, rid, t_r, origin)], origin, t_r, t_r, [r for r in rows if r is not req], [req], 0)
     finally:
         dfs = None  # the closure refers to itself; break the cycle for refcounting
     return best
@@ -361,8 +350,9 @@ def solve_batch_exact(
 ) -> BatchResult:
     """Optimal set partitioning of a batch into shared route plans.
 
-    Feasible groups are enumerated bottom-up, each with its optimal stops;
-    only the chosen groups become ``RoutePlan``s.
+    Feasible groups are enumerated bottom-up as bitmasks over the
+    id-sorted batch, each with its optimal stops, searched on request rows
+    built once per batch; only the chosen groups become ``RoutePlan``s.
     On a metric travel matrix a group is skipped when a one-smaller subset
     already failed: dropping a request's stops then never makes another
     stop later.  Without the triangle inequality a detour can arrive
@@ -383,33 +373,28 @@ def solve_batch_exact(
         raise GuardExceededError(
             f"batch of {len(reqs)} requests exceeds the guard of {MAX_BATCH_REQUESTS}; use a shorter batch length"
         )
-    _check_locations(reqs, travel)
+    rows = _request_rows(reqs, travel)
+    n = len(rows)
     deadline = time.monotonic() + time_limit_ms / 1000.0 if time_limit_ms is not None else None
     timed_out = False
     prune = travel.is_metric
-    feasible: dict[frozenset[int], tuple] = {}  # group ids -> (duration, driving, stops)
-    for size in range(1, min(capacity, len(reqs)) + 1):
-        for combo in combinations(reqs, size):
-            ids = frozenset(r.id for r in combo)
-            if size > 1 and prune and any(ids - {rid} not in feasible for rid in ids):
-                continue
-            # singletons are always built, so every request set has a partition
-            try:
-                found = _search_group(combo, travel, deadline if size > 1 else None)
-            except _DeadlinePassed:
-                timed_out = True
-                break
-            if found is not None:
-                feasible[ids] = found
-        if timed_out:
+    built: set[int] = set()
+    groups_by_low = {1 << k: [] for k in range(n)}  # lowest bit -> [(mask, duration, ids, stops)]
+    for combo in (c for size in range(1, min(capacity, n) + 1) for c in combinations(range(n), size)):
+        mask = sum(1 << k for k in combo)
+        if len(combo) > 1 and prune and any(mask ^ 1 << k not in built for k in combo):
+            continue
+        # singletons are always built, so every request set has a partition
+        try:
+            found = _search_group([rows[k] for k in combo], travel, deadline if len(combo) > 1 else None)
+        except _DeadlinePassed:
+            timed_out = True
             break
+        if found is not None:
+            built.add(mask)
+            groups_by_low[1 << combo[0]].append((mask, found[0], tuple(rows[k][0] for k in combo), found[2]))
 
-    bit = {r.id: 1 << k for k, r in enumerate(reqs)}
-    groups_by_low = {b: [] for b in bit.values()}
-    for ids, (duration, _, stops) in feasible.items():
-        mask = sum(bit[rid] for rid in ids)
-        groups_by_low[mask & -mask].append((mask, duration, tuple(sorted(ids)), stops))
-    chosen = _best_partition((1 << len(reqs)) - 1, groups_by_low, {0: (0, 0, (), ())})[3]
+    chosen = _best_partition((1 << n) - 1, groups_by_low, {0: (0, 0, (), ())})[3]
     plans = [_route_plan(stops) for stops in chosen]
     ordered = tuple(sorted(plans, key=lambda p: (p.first_time, p.request_ids())))
     return BatchResult(ordered, not timed_out)
@@ -554,27 +539,27 @@ def insertion_heuristic(instance: DarpInstance) -> DarpSolution:
     pickup/dropoff position pair in every opened vehicle's route, and the
     smallest plan-duration increase wins (ties: lowest vehicle id, then
     earliest positions).  Only when no insertion fits is a vehicle opened,
-    the nearest feasible unused one; an exhausted fleet raises.
+    the nearest feasible unused one; an exhausted fleet raises.  A trial
+    reschedules its (code, row) specs with ``_stop_times``; the kept stop
+    times become routes through ``_route_plan``.
     """
     if isinstance(instance.fleet, AutoFleet):
         raise InputError("the insertion heuristic needs an explicit fleet")
     capacity = instance.capacity
     table = instance.travel.table  # DarpInstance checked every location
-    route_by_vehicle: dict[int, tuple[list, list[int]]] = {}  # vehicle id -> (stop specs, stop times)
+    route_by_vehicle: dict[int, tuple[list, list[int]]] = {}  # vehicle id -> ((code, row) specs, stop times)
     vehicle_by_id = {v.id: v for v in instance.fleet}
 
-    # trials need only stop times; Stop objects are built once per route
-    for req in sorted(instance.requests, key=lambda r: (r.t_r, r.id)):
+    for row in _request_rows(sorted(instance.requests, key=lambda r: (r.t_r, r.id)), instance.travel):
         best = None
-        for vid in sorted(route_by_vehicle):
+        for vid, (specs, route) in sorted(route_by_vehicle.items()):
             vehicle = vehicle_by_id[vid]
-            specs, route = route_by_vehicle[vid]
             duration = route[-1] - route[0]
             for i in range(len(specs) + 1):
                 for j in range(i + 1, len(specs) + 2):
                     trial = list(specs)
-                    trial.insert(i, (req, PICKUP))
-                    trial.insert(j, (req, DROPOFF))
+                    trial.insert(i, (0, row))
+                    trial.insert(j, (1, row))
                     times = _stop_times(trial, table, capacity, vehicle.start_location, vehicle.t_st)
                     if times is None:
                         continue
@@ -584,24 +569,22 @@ def insertion_heuristic(instance: DarpInstance) -> DarpSolution:
         if best is not None:
             (_, vid, _, _), trial, times = best
         else:
-            trial = [(req, PICKUP), (req, DROPOFF)]
-            for v in sorted(instance.fleet, key=lambda v: (table[v.start_location][req.origin], v.id)):
-                if v.id in route_by_vehicle:
-                    continue
+            trial = [(0, row), (1, row)]
+            unused = (v for v in instance.fleet if v.id not in route_by_vehicle)
+            for v in sorted(unused, key=lambda v: (table[v.start_location][row[1]], v.id)):
                 times = _stop_times(trial, table, capacity, v.start_location, v.t_st)
                 if times is not None:
                     vid = v.id
                     break
             else:
-                raise InfeasibleError(f"fleet exhausted: request {req.id} fits no vehicle")
+                raise InfeasibleError(f"fleet exhausted: request {row[0]} fits no vehicle")
         route_by_vehicle[vid] = (trial, times)
 
-    routes = []
-    for vid, (specs, times) in sorted(route_by_vehicle.items()):
-        stops = tuple(
-            Stop(r.id, kind, r.origin if kind == PICKUP else r.destination, t) for (r, kind), t in zip(specs, times)
-        )
-        routes.append((vehicle_by_id[vid], RoutePlan(stops)))
+    # a pickup (code 0) stops at its row's origin, a dropoff (code 1) at its destination
+    routes = [
+        (vehicle_by_id[vid], _route_plan((code, row[0], t, row[1 + code]) for (code, row), t in zip(specs, times)))
+        for vid, (specs, times) in sorted(route_by_vehicle.items())
+    ]
     return _solution_from_routes("ih", None, routes, instance)
 
 

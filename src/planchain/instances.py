@@ -482,7 +482,6 @@ class DarpGenParams:
     delay_range: tuple[int, int] = (0, 15)
     capacity: int = 4
     fleet_size: int | None = None  # None selects the auto fleet
-    grid_size: int = 10
 
     def __post_init__(self) -> None:
         if min(self.requests, self.locations, self.horizon) < 0 or self.capacity < 1:
@@ -492,8 +491,9 @@ class DarpGenParams:
 
 
 def generate_darp_instance(params: DarpGenParams) -> dict:
+    """A random DARP instance document; its locations lie on a 10 x 10 Manhattan grid."""
     rng = random.Random(params.seed)
-    coords = [(rng.randrange(params.grid_size), rng.randrange(params.grid_size)) for _ in range(params.locations)]
+    coords = [(rng.randrange(10), rng.randrange(10)) for _ in range(params.locations)]
     requests = []
     for i in range(1, params.requests + 1):
         origin = rng.randrange(params.locations)

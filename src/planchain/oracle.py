@@ -43,42 +43,22 @@ class OracleResult:
 
 
 def _link_tables(instance: ChainingInstance):
-    """Temporal feasibility and policy cost for every delayed endpoint pair."""
-    plans = instance.plans
-    n = len(plans)
-    d1 = [p.d_max + 1 for p in plans]
-    feas = [[None] * n for _ in range(n)]
-    cost = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            ftab = [[False] * d1[b] for _ in range(d1[a])]
-            ctab = [[None] * d1[b] for _ in range(d1[a])]
-            for da in range(d1[a]):
-                origin = VariantRef(plans[a].id, da)
-                for db in range(d1[b]):
-                    target = VariantRef(plans[b].id, db)
-                    if model.connection_feasible(instance, origin, target):
-                        ftab[da][db] = True
-                        ctab[da][db] = model.connection_cost(instance, origin, target)
-            feas[a][b] = ftab
-            cost[a][b] = ctab
-    m = len(instance.vehicles)
-    vfeas = [[None] * n for _ in range(m)]
-    vcost = [[None] * n for _ in range(m)]
-    for vi, v in enumerate(instance.vehicles):
-        for b in range(n):
-            ftab = [False] * d1[b]
-            ctab = [None] * d1[b]
-            for db in range(d1[b]):
-                target = VariantRef(plans[b].id, db)
-                if model.connection_feasible(instance, v, target):
-                    ftab[db] = True
-                    ctab[db] = model.connection_cost(instance, v, target)
-            vfeas[vi][b] = ftab
-            vcost[vi][b] = ctab
-    return feas, cost, vfeas, vcost
+    """Policy cost of every delayed endpoint pair; None where the link is infeasible or forbidden.
+
+    ``cost[a][b][da][db]`` links plan ``a`` at delay ``da`` to plan ``b`` at
+    delay ``db``, and ``vcost[v][b][db]`` links vehicle ``v`` to plan ``b``.
+    """
+    n = len(instance.plans)
+    variants = [[VariantRef(p.id, d) for d in range(p.d_max + 1)] for p in instance.plans]
+
+    def costs(origin, b):
+        return [
+            model.connection_cost(instance, origin, t) if model.connection_feasible(instance, origin, t) else None
+            for t in variants[b]
+        ]
+
+    cost = [[None if a == b else [costs(ref, b) for ref in variants[a]] for b in range(n)] for a in range(n)]
+    return cost, [[costs(v, b) for b in range(n)] for v in instance.vehicles]
 
 
 def brute_force_optimal(instance: ChainingInstance) -> OracleResult:
@@ -91,7 +71,7 @@ def brute_force_optimal(instance: ChainingInstance) -> OracleResult:
         return OracleResult(0, (), 1)
     vehicles = instance.vehicles
     m = len(vehicles)
-    feas, cost, vfeas, vcost = _link_tables(instance)
+    cost, vcost = _link_tables(instance)
     d1 = [p.d_max + 1 for p in plans]
     full = (1 << n) - 1
 
@@ -104,10 +84,9 @@ def brute_force_optimal(instance: ChainingInstance) -> OracleResult:
         ]
         for b in range(n):
             ctab = vcost[vi][b]
-            ftab = vfeas[vi][b]
             bucket = buckets[1 << b]
             for db in range(d1[b]):
-                if ftab[db] and ctab[db] is not None:
+                if ctab[db] is not None:
                     key = (b, db)
                     if key not in bucket or ctab[db] < bucket[key][0]:
                         bucket[key] = (ctab[db], None, None)

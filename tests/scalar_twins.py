@@ -5,7 +5,10 @@ variant generators with one model-layer call per origin/target pair
 (through ``try_connect`` for the minimal one), and pin their output,
 connection order included.  ``assignment_matrix_reference`` builds the
 relaxation's cost matrix from the edge view, as the node-level twin of
-the solver's row-level one.
+the solver's row-level one.  ``schedule_stops`` and
+``insertion_reference`` restate the DARP insertion heuristic over
+``Request`` fields and the range-checked ``TravelMatrix.duration``, so
+the DARP references share no scheduling code with ``planchain.darp``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from planchain import model
-from planchain.errors import InputError
+from planchain.darp import RoutePlan, Stop
+from planchain.errors import InfeasibleError, InputError
 from planchain.flownet import NO_EDGE
 from planchain.model import ChainingInstance, Plan, VariantRef, Vehicle
 from planchain.variantgen import Connection, GenerationResult
@@ -162,3 +166,70 @@ def assignment_matrix_reference(net, window):
     matrix[cell[first]] = cost[start + first]
     edge_at[cell[first]] = start + first
     return matrix.reshape(n, m), edge_at, cut
+
+
+def schedule_stops(order, travel, capacity: int, loc: int, t: int):
+    """Earliest stop times of (request, "pickup" | "dropoff") ``order`` leaving ``loc`` at tick ``t``, or None.
+
+    None when a pickup misses ``[t_r, latest_pickup]``, an arrival misses
+    ``latest_arrival`` or more than ``capacity`` requests ride at once.
+    """
+    times, onboard = [], 0
+    for req, kind in order:
+        if kind == "pickup":
+            t = max(t + travel.duration(loc, req.origin), req.t_r)
+            loc, onboard = req.origin, onboard + 1
+            if onboard > capacity or t > req.latest_pickup:
+                return None
+        else:
+            t += travel.duration(loc, req.destination)
+            loc, onboard = req.destination, onboard - 1
+            if t > req.latest_arrival(travel):
+                return None
+        times.append(t)
+    return times
+
+
+def insertion_reference(instance):
+    """(routes, objective) by ``darp.insertion_heuristic``'s rule; twin of it.
+
+    Requests in (t_r, id) order; every (opened vehicle, i, j) is tried, the
+    pickup going to position i and then the dropoff to position j of the
+    route; the least duration increase wins, ties by vehicle id, then i,
+    then j.  When no trial fits, the nearest unused vehicle by (approach,
+    id) that can serve the request alone is opened; ``InfeasibleError``
+    when none can.
+    """
+    travel, capacity = instance.travel, instance.capacity
+    fleet = {v.id: v for v in instance.fleet}
+    routes = {}  # vehicle id -> (order, times)
+    for req in sorted(instance.requests, key=lambda r: (r.t_r, r.id)):
+        trials = []  # (increase, vehicle id, i, j, order, times)
+        for vid, (order, times) in routes.items():
+            for i in range(len(order) + 1):
+                for j in range(i + 1, len(order) + 2):
+                    trial = order[:i] + [(req, "pickup")] + order[i:]
+                    trial = trial[:j] + [(req, "dropoff")] + trial[j:]
+                    new = schedule_stops(trial, travel, capacity, fleet[vid].start_location, fleet[vid].t_st)
+                    if new is not None:
+                        trials.append((new[-1] - new[0] - (times[-1] - times[0]), vid, i, j, trial, new))
+        if trials:
+            best = min(trials, key=lambda trial: trial[:4])
+            routes[best[1]] = best[4:]
+            continue
+        alone = [(req, "pickup"), (req, "dropoff")]
+        for v in sorted(instance.fleet, key=lambda v: (travel.duration(v.start_location, req.origin), v.id)):
+            times = None if v.id in routes else schedule_stops(alone, travel, capacity, v.start_location, v.t_st)
+            if times is not None:
+                routes[v.id] = (alone, times)
+                break
+        else:
+            raise InfeasibleError(f"fleet exhausted: request {req.id} fits no vehicle")
+    out, objective = [], 0
+    for vid in sorted(routes):
+        order, times = routes[vid]
+        locations = [fleet[vid].start_location] + [r.origin if k == "pickup" else r.destination for r, k in order]
+        objective += sum(travel.duration(a, b) for a, b in zip(locations, locations[1:]))
+        stops = tuple(Stop(r.id, k, loc, t) for (r, k), loc, t in zip(order, locations[1:], times))
+        out.append((fleet[vid], RoutePlan(stops)))
+    return tuple(out), objective

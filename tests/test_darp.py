@@ -1,10 +1,13 @@
 import gc
 import random
 import time
+from dataclasses import replace
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planchain import darp
 from planchain.darp import (
@@ -25,6 +28,8 @@ from planchain.darp import (
 from planchain.errors import GuardExceededError, InfeasibleError, InputError
 from planchain.instances import DarpGenParams, darp_instance_from_params
 from planchain.model import TICK_LIMIT, TravelMatrix, Vehicle
+
+from scalar_twins import insertion_reference, schedule_stops
 
 LINE = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
 
@@ -75,14 +80,18 @@ def test_group_and_batch_searches_range_check_request_locations(pair):
 
 
 def _brute_force_group_plan(group, travel, capacity):
-    """Best (duration, driving, stop sequence) over every precedence-respecting order."""
+    """Best (duration, driving, stop sequence) over every precedence-respecting order.
+
+    Each order is timed by the test-side ``schedule_stops``, starting at
+    the first pickup's origin at tick 0, so the first stop has no approach.
+    """
     by_id = {r.id: r for r in group}
     best = None
     for order in permutations([(code, r.id) for r in group for code in (0, 1)]):
         if any(order.index((0, rid)) > order.index((1, rid)) for rid in by_id):
             continue
         specs = [(by_id[rid], "pickup" if code == 0 else "dropoff") for code, rid in order]
-        times = darp._stop_times(specs, travel.table, capacity)
+        times = schedule_stops(specs, travel, capacity, specs[0][0].origin, 0)
         if times is None:
             continue
         stops = [Stop(r.id, kind, r.origin if kind == "pickup" else r.destination, t) for (r, kind), t in zip(specs, times)]
@@ -431,6 +440,41 @@ def test_insertion_heuristic_examples():
         insertion_heuristic(DarpInstance((), LINE, 4, AUTO_FLEET))
 
 
+def test_insertion_heuristic_matches_the_scalar_reference():
+    # small random instances, grid or explicit (63 of 200 non-metric),
+    # some with too few vehicles and some where the capacity binds; routes,
+    # objective and the exhausted-fleet error must all be the reference's
+    rng = random.Random(23)
+    kinds = {True: 0, False: 0}
+    outcomes = {"served": 0, "exhausted": 0}
+    for _ in range(200):
+        size = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            travel = TravelMatrix.from_coordinates([(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(size)])
+        else:
+            travel = TravelMatrix([[0 if a == b else rng.choice((0, 1, 2, 5)) for b in range(size)] for a in range(size)])
+        kinds[travel.is_metric] += 1
+        requests = [
+            Request(rid, rng.randrange(size), rng.randrange(size), rng.randint(0, 12), rng.randint(0, 6))
+            for rid in rng.sample(range(1, 20), rng.randint(1, 7))
+        ]
+        fleet = [Vehicle(vid, rng.randrange(size), rng.randint(0, 3)) for vid in rng.sample(range(1, 9), rng.randint(1, 4))]
+        inst = DarpInstance(tuple(requests), travel, rng.randint(1, 3), tuple(fleet))
+        try:
+            expected = insertion_reference(inst)
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError) as err:
+                insertion_heuristic(inst)
+            assert str(err.value) == str(exc)
+            outcomes["exhausted"] += 1
+            continue
+        solution = insertion_heuristic(inst)
+        assert (solution.routes, solution.objective) == expected, (travel.rows(), requests, fleet)
+        assert validate_darp_solution(inst, solution) == []
+        outcomes["served"] += 1
+    assert min(kinds.values()) > 50 and min(outcomes.values()) > 30, (kinds, outcomes)
+
+
 def test_plans_to_chaining_slacks():
     inst = DarpInstance((Request(1, 0, 2, 0, 5),), LINE, 4, AUTO_FLEET)
     plan = optimal_plan_for_group(list(inst.requests), LINE, 4)
@@ -571,6 +615,69 @@ def test_validator_catches_capacity_and_window_violations():
     )
     issues = validate_darp_solution(inst, late)
     assert any("pickup" in i for i in issues)
+
+
+def _solved_darp():
+    """(instance, solution) pairs from run_proposed and insertion_heuristic on small explicit fleets."""
+    solved = []
+    for seed in range(6):
+        inst = darp_instance_from_params(DarpGenParams(seed=seed, requests=6, fleet_size=6, horizon=20))
+        solved += [(inst, run_proposed(inst, 10)), (inst, insertion_heuristic(inst))]
+    return solved
+
+
+SOLVED_DARP = _solved_darp()
+MUTATED_FIELDS = ("request", "kind", "location", "early", "late", "vehicle", "objective")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data(), field=st.sampled_from(MUTATED_FIELDS))
+def test_darp_validator_reports_every_single_field_mutation(data, field):
+    # one field of a valid solution changes: a stop's request id (to an
+    # unknown one), kind, location or time (before the previous stop plus
+    # the leg, or past its window), a route's vehicle id (to a duplicate or
+    # one outside the fleet), or the objective; the validator must never
+    # raise, and it must report the change
+    inst, solution = data.draw(st.sampled_from(SOLVED_DARP))
+    travel, routes, objective = inst.travel, list(solution.routes), solution.objective
+    ri = data.draw(st.integers(0, len(routes) - 1))
+    vehicle, plan = routes[ri]
+    stops = list(plan.stops)
+    k = data.draw(st.integers(0, len(stops) - 1))
+    stop, req = stops[k], inst.request(stops[k].request_id)
+    step = data.draw(st.integers(1, 5) | st.just(2**70))
+    if field == "request":
+        ids = {r.id for r in inst.requests}
+        value = data.draw(st.integers(-3, 12).filter(lambda v: v not in ids) | st.sampled_from((-(2**70), 2**70)))
+        stops[k] = replace(stop, request_id=value)
+        expected = "unknown request"
+    elif field == "kind":
+        stops[k] = replace(stop, kind="dropoff" if stop.kind == "pickup" else "pickup")
+        expected = "dropped off before pickup" if stop.kind == "pickup" else "picked up more than once"
+    elif field == "location":
+        value = data.draw(st.sampled_from([loc for loc in range(travel.size) if loc != stop.location]))
+        stops[k] = replace(stop, location=value)
+        expected = "wrong location"
+    elif field == "early":
+        prev_loc, prev_time = (stops[k - 1].location, stops[k - 1].time) if k else (vehicle.start_location, vehicle.t_st)
+        stops[k] = replace(stop, time=prev_time + travel.duration(prev_loc, stop.location) - step)
+        expected = "arrives faster than travel time allows" if k else "cannot reach its first stop in time"
+    elif field == "late":
+        latest = req.latest_pickup + (0 if stop.kind == "pickup" else travel.duration(req.origin, req.destination))
+        stops[k] = replace(stop, time=latest + step)
+        expected = "pickup at" if stop.kind == "pickup" else "arrival at"
+    elif field == "vehicle":
+        others = [v.id for j, (v, _) in enumerate(routes) if j != ri]
+        outside = [vid for vid in range(-3, 13) if vid not in {v.id for v in inst.fleet}]
+        value = data.draw(st.sampled_from(others + outside))
+        vehicle = replace(vehicle, id=value)
+        expected = "appears in more than one route" if value in others else "is not part of the fleet"
+    else:
+        objective += data.draw(st.integers(-3, 3).filter(bool) | st.sampled_from((-(2**70), 2**70)))
+        expected = "objective"
+    routes[ri] = (vehicle, RoutePlan(tuple(stops)))
+    issues = validate_darp_solution(inst, replace(solution, routes=tuple(routes), objective=objective))
+    assert any(expected in issue for issue in issues), (field, expected, issues)
 
 
 def test_time_limited_batches_stay_feasible():

@@ -486,10 +486,36 @@ def test_cli_solution_files_are_deterministic(tmp_path):
         assert out1.read_bytes() == out2.read_bytes()
 
 
+SOLVE_EVERY_PATH = """
+import sys
+from fractions import Fraction
+import planchain as pc
+from planchain.chainsolve import policy_needs_exhaustive_variants
+from planchain.instances import ChainGenParams, DarpGenParams, chain_instance_from_params, darp_instance_from_params
+print('scipy' in sys.modules)
+exhaustive, nodes = set(), 0
+policies = (pc.TravelCost(), pc.FleetSize(), pc.TravelCostWaitCapped(40), pc.TravelCostWaitPenalized(Fraction(2, 3)))
+for policy in policies:
+    inst = chain_instance_from_params(ChainGenParams(seed=9, plans=8, vehicles=4, horizon=150, policy=policy))
+    solution = pc.solve_chaining(inst)
+    assert pc.validate_chains(inst, solution.chains, solution.objective).ok
+    exhaustive.add(policy_needs_exhaustive_variants(policy))
+    nodes = max(nodes, solution.stats.nodes_explored)
+darp = darp_instance_from_params(DarpGenParams(seed=4, requests=8, fleet_size=8))
+for solution in (pc.run_proposed(darp, 10), pc.run_single_batch(darp), pc.insertion_heuristic(darp)):
+    assert pc.validate_darp_solution(darp, solution) == []
+print(sorted(exhaustive), nodes > 1, 'scipy' in sys.modules)
+"""
+
+
 def test_package_import_leaves_scipy_out():
-    # scipy would add about 0.45 s to every fresh interpreter's set-up
+    # scipy would add about 0.45 s to every fresh interpreter's set-up and
+    # about 45 MB to its peak memory, so neither the import nor any solve
+    # path may load it: minimal and exhaustive chaining with branching,
+    # the three DARP methods and both validators
     src = str(Path(planchain.__file__).resolve().parent.parent)
-    code = "import sys, planchain; print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.split() == ["False"]
+    done = subprocess.run(
+        [sys.executable, "-c", SOLVE_EVERY_PATH], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert done.stdout.split("\n")[:2] == ["False", "[False, True] True False"]
