@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import GuardExceededError, InfeasibleError, InputError
 from .model import ChainingInstance, CostPolicy, Plan, TravelCost, TravelMatrix, Vehicle, check_range
@@ -175,7 +174,7 @@ def _stop_times(specs, table, capacity: int, loc: int, t: int) -> list[int] | No
     """
     times: list[int] = []
     onboard = 0
-    for code, (_, origin, destination, t_r, latest_pickup, latest_arrival, _) in specs:
+    for code, (_, origin, destination, t_r, latest_pickup, latest_arrival) in specs:
         if code == 0:
             t += table[loc][origin]
             if t < t_r:
@@ -194,125 +193,137 @@ def _stop_times(specs, table, capacity: int, loc: int, t: int) -> list[int] | No
     return times
 
 
-class _DeadlinePassed(Exception):
-    """A group search ran past its batch's deadline."""
-
-
 def _request_rows(reqs, travel: TravelMatrix) -> list[tuple]:
-    """One row per request: (id, origin, destination, t_r, latest pickup, latest arrival, shortest ride).
+    """One row per request: (id, origin, destination, t_r, latest pickup, latest arrival).
 
-    The shortest ride is read from ``travel.closure``.  Raises
-    ``InputError`` unless every location lies in ``travel``: the searches
-    index ``travel.table`` without a range check, where a negative location
-    would silently wrap, so each entry point builds its rows once.
+    Raises ``InputError`` unless every location lies in ``travel``: the
+    searches index ``travel.table`` without a range check, where a negative
+    location would silently wrap, so each entry point builds its rows once.
     """
-    size, short = travel.size, travel.closure
+    size = travel.size
     rows = []
     for r in reqs:
         if not (0 <= r.origin < size and 0 <= r.destination < size):
             raise InputError(f"request {r.id}: locations ({r.origin}, {r.destination}) outside {size}x{size} matrix")
-        ride = short[r.origin][r.destination]
-        rows.append((r.id, r.origin, r.destination, r.t_r, r.latest_pickup, r.latest_arrival(travel), ride))
+        rows.append((r.id, r.origin, r.destination, r.t_r, r.latest_pickup, r.latest_arrival(travel)))
     return rows
 
 
 def optimal_plan_for_group(group, travel: TravelMatrix, capacity: int) -> RoutePlan | None:
-    """Minimum-duration plan serving all requests of ``group`` together.
-
-    Exhausts every pickup/dropoff interleaving that respects precedence,
-    scheduling each stop at the earliest feasible time at or after the
-    request's departure time.  Ties fall to less driving, then to a fixed
-    stop order.  A branch is cut once a bound read from the shortest-path
-    ``closure`` shows that a pending pickup or any arrival must miss its
-    window, or that the plan must last longer than the best one found: each
-    pending request is picked up no sooner than ``max(now + short[loc][origin],
-    t_r)`` and arrives ``short[origin][destination]`` later, and each
-    riding one arrives no sooner than ``now + short[loc][destination]``.
-    The duration cut is strict, so ties still reach the tie-break.
-    """
+    """Minimum-duration plan serving all of ``group`` together, or None: its route in ``_search_batch``."""
     reqs = sorted(group, key=lambda r: r.id)
     if len(reqs) > capacity:
         raise GuardExceededError(f"group of {len(reqs)} exceeds capacity {capacity}")
-    if not reqs:
-        return None
-    found = _search_group(_request_rows(reqs, travel), travel, None)
+    found = _search_batch(_request_rows(reqs, travel), travel, capacity, None)[0].get((1 << len(reqs)) - 1)
     return None if found is None else _route_plan(found[2])
 
 
-def _search_group(rows, travel: TravelMatrix, deadline: float | None):
-    """``optimal_plan_for_group``'s search: (duration, driving, stops) or None.
+def _search_batch(rows, travel: TravelMatrix, capacity: int, deadline: float | None):
+    """Every feasible group's best route, by one label search: ({mask: (duration, driving, stops)}, finished).
 
-    ``rows`` are ``_request_rows`` rows sorted by id, at most the capacity,
-    so the onboard count never binds.  Each stop is (0 for a pickup or 1
-    for a dropoff, request id, time, location); a stop's time and location
-    follow from the stops before it, so comparing these tuples orders stop
-    sequences as comparing (code, id) pairs would.  ``deadline`` (a
-    ``time.monotonic`` value) aborts the search with ``_DeadlinePassed``.
+    ``rows`` are ``_request_rows`` rows sorted by id; a group is a bitmask
+    over them of at most ``capacity`` requests.  A label (now, first pickup
+    time, driving, stops) is a partial route at a state (picked mask,
+    onboard mask, location).  A stop is (0 for a pickup or 1 for a dropoff,
+    request id, time, location); the stops before it fix its time and
+    location, so stop tuples compare as their (code, id) pairs would.  A
+    route starts at its first request's departure time, each stop at its
+    earliest feasible tick; ``_next_stops`` cuts a stop that misses its
+    window or leaves a rider unable to arrive in time.  A label with nobody
+    on board is a route for its picked mask; each group keeps the least.
+
+    Labels grow one stop per level, so a state has all its labels before it
+    is expanded, and there A drops B when A.now <= B.now, A.first >=
+    B.first and (A.driving, A.stops) <= (B.driving, B.stops).  This is
+    exact: stop times are monotone, so every completion of B is feasible
+    from A and ends no later; from A's no earlier first pickup it lasts no
+    longer and drives no more, and stop tuples at one state have equal
+    length, so they compare by their prefix.  ``deadline`` (a
+    ``time.monotonic`` value) is read once per expanded state after the
+    single-request routes; once it passes, only the group sizes whose last
+    level finished are returned, with ``finished`` false.
     """
-    table, short = travel.table, travel.closure
-    best: tuple | None = None
+    n, most, full, table = len(rows), min(capacity, len(rows)), (1 << len(rows)) - 1, travel.table
+    steps_at: dict[int, list] = {}  # onboard << 1 | opened -> ``_next_stops``
+    known: dict[tuple, tuple] = {}  # one copy of each distinct step; most masks repeat them
+    groups: dict[int, tuple] = {}
+    # a state is the int picked | onboard << n | location << 2n
+    level = {
+        1 << k | 1 << k + n | origin << 2 * n: [(t_r, t_r, 0, ((0, rid, t_r, origin),))]
+        for k, (rid, origin, _, t_r, _, _) in enumerate(rows)
+    }
+    depth = 1  # stops per label in ``level``
+    while level:
+        nxt: dict[int, list] = {}
+        while level:
+            state, labels = level.popitem()  # frees each state's labels once it is expanded
+            picked, onboard = state & full, state >> n & full
+            opened = picked.bit_count() < most
+            if not (onboard or opened):
+                continue
+            if depth > 1 and deadline is not None and time.monotonic() > deadline:
+                return {mask: v for mask, v in groups.items() if 2 * mask.bit_count() <= depth}, False
+            steps = steps_at.get(onboard << 1 | opened)
+            if steps is None:
+                made = _next_stops(rows, travel, onboard, opened)
+                steps = steps_at[onboard << 1 | opened] = [known.setdefault(step, step) for step in made]
+            if opened:
+                steps = [step for step in steps if not picked & step[0]]
+            base, row = picked | onboard << n, table[state >> 2 * n]
+            for now, first, driving, stops in labels:
+                for _, to, earliest, latest, delta, closes, code, rid in steps:
+                    leg = row[to]
+                    t = now + leg if now + leg > earliest else earliest
+                    if t > latest:
+                        continue
+                    drv, seq = driving + leg, stops + ((code, rid, t, to),)
+                    if closes and ((best := groups.get(picked)) is None or (t - first, drv, seq) < best):
+                        groups[picked] = (t - first, drv, seq)
+                    kept = nxt.get(base + delta)
+                    if kept is None:
+                        nxt[base + delta] = [(t, first, drv, seq)]
+                        continue
+                    for o in kept:
+                        if o[0] <= t and o[1] >= first and (o[2] < drv or o[2] == drv and o[3] <= seq):
+                            break
+                    else:
+                        kept[:] = [o for o in kept if t > o[0] or first < o[1] or (drv, seq) >= (o[2], o[3])]
+                        kept.append((t, first, drv, seq))
+        level = nxt
+        depth += 1
+    return groups, True
 
-    def dfs(seq, loc, now, first, pending, riding, driving):
-        nonlocal best
-        if deadline is not None and time.monotonic() > deadline:
-            raise _DeadlinePassed
-        if not pending and not riding:
-            key = (now - first, driving, tuple(seq))
-            if best is None or key < best:
-                best = key
-            return
-        reach = short[loc]
-        end = now
-        for _, origin, _, t_r, latest_pickup, latest_arrival, ride in pending:
-            t = now + reach[origin]
-            if t < t_r:
-                t = t_r
-            if t > latest_pickup:
-                return
-            t += ride
-            if t > latest_arrival:
-                return
-            if t > end:
-                end = t
-        for _, _, destination, _, _, latest_arrival, _ in riding:
-            t = now + reach[destination]
-            if t > latest_arrival:
-                return
-            if t > end:
-                end = t
-        if best is not None and end - first > best[0]:
-            return
-        row = table[loc]
-        for req in pending:
-            rid, origin, _, t_r, latest_pickup, _, _ = req
-            leg = row[origin]
-            t = now + leg
-            if t < t_r:
-                t = t_r
-            if t <= latest_pickup:
-                rest = [r for r in pending if r is not req]
-                dfs(seq + [(0, rid, t, origin)], origin, t, first, rest, riding + [req], driving + leg)
-        for req in riding:
-            rid, _, destination, _, _, latest_arrival, _ = req
-            leg = row[destination]
-            t = now + leg
-            if t <= latest_arrival:
-                rest = [r for r in riding if r is not req]
-                dfs(seq + [(1, rid, t, destination)], destination, t, first, pending, rest, driving + leg)
 
-    try:
-        if deadline is not None and time.monotonic() > deadline:
-            raise _DeadlinePassed
-        for req in rows:  # the first stop: no approach leg
-            rid, origin, _, t_r, _, _, _ = req
-            dfs([(0, rid, t_r, origin)], origin, t_r, t_r, [r for r in rows if r is not req], [req], 0)
-    finally:
-        dfs = None  # the closure refers to itself; break the cycle for refcounting
-    return best
+def _next_stops(rows, travel: TravelMatrix, onboard: int, opened: bool) -> list[tuple]:
+    """``_search_batch``'s next stops with onboard mask ``onboard``: dropoffs, and pickups if ``opened``.
+
+    A step is (pickup bit or 0, location, earliest tick, latest tick, state
+    delta, whether it empties the vehicle, stop code, request id).  The
+    latest tick is the stop's window, lowered so that every rider can still
+    reach its destination over the ``closure`` (a pickup's own ride is no
+    longer than its direct leg, so its window covers it).
+    """
+    n, short = len(rows), travel.closure
+    riders = [(r[2], r[5]) for k, r in enumerate(rows) if onboard >> k & 1]
+    steps = []
+    for k, (rid, origin, destination, t_r, latest_pickup, latest_arrival) in enumerate(rows):
+        bit = 1 << k
+        if onboard & bit:
+            code, to, earliest, latest, delta = 1, destination, 0, latest_arrival, -(bit << n)
+        elif opened:
+            code, to, earliest, latest, delta = 0, origin, t_r, latest_pickup, bit | bit << n
+        else:
+            continue
+        reach = short[to]
+        for dest, arrival in riders:
+            if arrival - reach[dest] < latest:
+                latest = arrival - reach[dest]
+        steps.append((0 if code else bit, to, earliest, latest, delta + (to << 2 * n), onboard == bit, code, rid))
+    return steps
 
 
 def _route_plan(stops) -> RoutePlan:
-    """The ``RoutePlan`` of ``_search_group``'s stop tuples."""
+    """The ``RoutePlan`` of ``_search_batch``'s stop tuples."""
     return RoutePlan(tuple(Stop(rid, PICKUP if code == 0 else DROPOFF, loc, t) for code, rid, t, loc in stops))
 
 
@@ -350,21 +361,16 @@ def solve_batch_exact(
 ) -> BatchResult:
     """Optimal set partitioning of a batch into shared route plans.
 
-    Feasible groups are enumerated bottom-up as bitmasks over the
-    id-sorted batch, each with its optimal stops, searched on request rows
-    built once per batch; only the chosen groups become ``RoutePlan``s.
-    On a metric travel matrix a group is skipped when a one-smaller subset
-    already failed: dropping a request's stops then never makes another
-    stop later.  Without the triangle inequality a detour can arrive
-    sooner, so every group up to the capacity is searched.  A dynamic program
-    over the subsets reachable from the full batch then covers every
-    request with exactly one built group, minimizing total plan duration:
-    the best partition of a request set takes a group holding its lowest
-    request plus the best partition of the rest, memoized per subset.
-    Ties prefer fewer groups, then lexicographic group ids.  The time limit
-    stops only the group enumeration: the group search it interrupts and
-    all later ones are left out, the partition is still the best over the
-    groups built, and ``proven_optimal`` is false.
+    One ``_search_batch`` over the id-sorted batch finds every feasible
+    group, a bitmask with its optimal stops; only the chosen groups become
+    ``RoutePlan``s.  A dynamic program over the subsets reachable from the
+    full batch covers every request with exactly one group at the least
+    total plan duration: a request set's best partition takes a group
+    holding its lowest request plus the best partition of the rest,
+    memoized per subset.  Ties prefer fewer groups, then lexicographic
+    group ids.  The time limit stops only the search; the partition is
+    still the best over the groups it kept (single requests always), and
+    ``proven_optimal`` is false.
     """
     reqs = sorted(batch, key=lambda r: r.id)
     if not reqs:
@@ -374,30 +380,17 @@ def solve_batch_exact(
             f"batch of {len(reqs)} requests exceeds the guard of {MAX_BATCH_REQUESTS}; use a shorter batch length"
         )
     rows = _request_rows(reqs, travel)
-    n = len(rows)
     deadline = time.monotonic() + time_limit_ms / 1000.0 if time_limit_ms is not None else None
-    timed_out = False
-    prune = travel.is_metric
-    built: set[int] = set()
-    groups_by_low = {1 << k: [] for k in range(n)}  # lowest bit -> [(mask, duration, ids, stops)]
-    for combo in (c for size in range(1, min(capacity, n) + 1) for c in combinations(range(n), size)):
-        mask = sum(1 << k for k in combo)
-        if len(combo) > 1 and prune and any(mask ^ 1 << k not in built for k in combo):
-            continue
-        # singletons are always built, so every request set has a partition
-        try:
-            found = _search_group([rows[k] for k in combo], travel, deadline if len(combo) > 1 else None)
-        except _DeadlinePassed:
-            timed_out = True
-            break
-        if found is not None:
-            built.add(mask)
-            groups_by_low[1 << combo[0]].append((mask, found[0], tuple(rows[k][0] for k in combo), found[2]))
+    groups, finished = _search_batch(rows, travel, capacity, deadline)
+    groups_by_low = {1 << k: [] for k in range(len(rows))}  # lowest bit -> [(mask, duration, ids, stops)]
+    for mask, (duration, _, stops) in groups.items():
+        ids = tuple(row[0] for k, row in enumerate(rows) if mask >> k & 1)
+        groups_by_low[mask & -mask].append((mask, duration, ids, stops))
 
-    chosen = _best_partition((1 << n) - 1, groups_by_low, {0: (0, 0, (), ())})[3]
+    chosen = _best_partition((1 << len(rows)) - 1, groups_by_low, {0: (0, 0, (), ())})[3]
     plans = [_route_plan(stops) for stops in chosen]
     ordered = tuple(sorted(plans, key=lambda p: (p.first_time, p.request_ids())))
-    return BatchResult(ordered, not timed_out)
+    return BatchResult(ordered, finished)
 
 
 def plans_to_chaining(plans, instance: DarpInstance) -> tuple[tuple[Plan, ...], dict[int, RoutePlan]]:
@@ -592,10 +585,13 @@ def validate_darp_solution(instance: DarpInstance, solution: DarpSolution) -> li
     """Independent feasibility check of a DARP solution; returns violations.
 
     Every travel time comes from the range-checked ``TravelMatrix.duration``,
-    not from the table the solvers read.
+    not from the table the solvers read.  On a fixed fleet each route's
+    vehicle must equal the fleet's record for its id; an auto fleet's
+    vehicles are virtual, so only their routes are checked.
     """
     issues: list[str] = []
     travel = instance.travel
+    fleet = None if isinstance(instance.fleet, AutoFleet) else {v.id: v for v in instance.fleet}
     seen_vehicles: set[int] = set()
     service: dict[int, dict[str, int]] = {}
     driven = 0
@@ -604,8 +600,10 @@ def validate_darp_solution(instance: DarpInstance, solution: DarpSolution) -> li
         if vehicle.id in seen_vehicles:
             issues.append(f"vehicle {vehicle.id} appears in more than one route")
         seen_vehicles.add(vehicle.id)
-        if not isinstance(instance.fleet, AutoFleet) and vehicle.id not in {v.id for v in instance.fleet}:
+        if fleet is not None and vehicle.id not in fleet:
             issues.append(f"vehicle {vehicle.id} is not part of the fleet")
+        elif fleet is not None and fleet[vehicle.id] != vehicle:
+            issues.append(f"vehicle {vehicle.id}: start {vehicle.start_location} at {vehicle.t_st} is not the fleet's")
         if not plan.stops:
             issues.append(f"vehicle {vehicle.id}: empty route")
             continue

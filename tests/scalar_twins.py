@@ -9,6 +9,8 @@ the solver's row-level one.  ``schedule_stops`` and
 ``insertion_reference`` restate the DARP insertion heuristic over
 ``Request`` fields and the range-checked ``TravelMatrix.duration``, so
 the DARP references share no scheduling code with ``planchain.darp``.
+``group_search_reference`` searches one group depth first, as the
+oracle of ``darp._search_batch``'s label search over all groups.
 """
 
 from __future__ import annotations
@@ -233,3 +235,71 @@ def insertion_reference(instance):
         stops = tuple(Stop(r.id, k, loc, t) for (r, k), loc, t in zip(order, locations[1:], times))
         out.append((fleet[vid], RoutePlan(stops)))
     return tuple(out), objective
+
+
+def group_search_reference(rows, travel):
+    """Best (duration, driving, stops) of one group by depth-first search, or None.
+
+    ``rows`` are ``darp._request_rows`` rows sorted by id, at most the
+    capacity, so the onboard count never binds; each gains its shortest
+    ride from the ``closure``.  Each stop is (0 for a pickup or 1 for a
+    dropoff, request id, time, location).  A branch is cut once a bound
+    read from the shortest-path ``closure`` shows that a pending pickup or
+    any arrival must miss its window, or that the plan must last longer
+    than the best one found; the duration cut is strict, so ties still
+    reach the tie-break.
+    """
+    table, short = travel.table, travel.closure
+    rows = [row + (short[row[1]][row[2]],) for row in rows]
+    best: tuple | None = None
+
+    def dfs(seq, loc, now, first, pending, riding, driving):
+        nonlocal best
+        if not pending and not riding:
+            key = (now - first, driving, tuple(seq))
+            if best is None or key < best:
+                best = key
+            return
+        reach = short[loc]
+        end = now
+        for _, origin, _, t_r, latest_pickup, latest_arrival, ride in pending:
+            t = now + reach[origin]
+            if t < t_r:
+                t = t_r
+            if t > latest_pickup:
+                return
+            t += ride
+            if t > latest_arrival:
+                return
+            if t > end:
+                end = t
+        for _, _, destination, _, _, latest_arrival, _ in riding:
+            t = now + reach[destination]
+            if t > latest_arrival:
+                return
+            if t > end:
+                end = t
+        if best is not None and end - first > best[0]:
+            return
+        row = table[loc]
+        for req in pending:
+            rid, origin, _, t_r, latest_pickup, _, _ = req
+            leg = row[origin]
+            t = now + leg
+            if t < t_r:
+                t = t_r
+            if t <= latest_pickup:
+                rest = [r for r in pending if r is not req]
+                dfs(seq + [(0, rid, t, origin)], origin, t, first, rest, riding + [req], driving + leg)
+        for req in riding:
+            rid, _, destination, _, _, latest_arrival, _ = req
+            leg = row[destination]
+            t = now + leg
+            if t <= latest_arrival:
+                rest = [r for r in riding if r is not req]
+                dfs(seq + [(1, rid, t, destination)], destination, t, first, pending, rest, driving + leg)
+
+    for req in rows:  # the first stop: no approach leg
+        rid, origin, _, t_r, _, _, _ = req
+        dfs([(0, rid, t_r, origin)], origin, t_r, t_r, [r for r in rows if r is not req], [req], 0)
+    return best

@@ -29,7 +29,7 @@ from planchain.errors import GuardExceededError, InfeasibleError, InputError
 from planchain.instances import DarpGenParams, darp_instance_from_params
 from planchain.model import TICK_LIMIT, TravelMatrix, Vehicle
 
-from scalar_twins import insertion_reference, schedule_stops
+from scalar_twins import group_search_reference, insertion_reference, schedule_stops
 
 LINE = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
 
@@ -142,12 +142,41 @@ def test_group_search_bounds_with_the_closure_on_a_non_metric_matrix():
     ]
 
 
+def test_batch_search_matches_the_group_search_reference():
+    # every group of at most the capacity gets the reference search's
+    # (duration, driving, stops), or is missing exactly when that is None
+    rng = random.Random(18)
+    kinds = {True: 0, False: 0}
+    outcomes = {True: 0, False: 0}
+    for _ in range(200):
+        size = rng.randint(2, 6)
+        if rng.random() < 0.5:
+            travel = TravelMatrix.from_coordinates([(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(size)])
+        else:
+            travel = TravelMatrix([[0 if a == b else rng.choice((0, 1, 2, 5)) for b in range(size)] for a in range(size)])
+        kinds[travel.is_metric] += 1
+        reqs = [
+            Request(rid, rng.randrange(size), rng.randrange(size), rng.randint(0, 10), rng.randint(0, 8))
+            for rid in sorted(rng.sample(range(20), rng.randint(1, 8)))
+        ]
+        capacity = rng.randint(1, 6)
+        rows = darp._request_rows(reqs, travel)
+        groups, finished = darp._search_batch(rows, travel, capacity, None)
+        assert finished
+        assert all(mask.bit_count() <= capacity for mask in groups)
+        for mask in range(1, 1 << len(rows)):
+            if mask.bit_count() <= capacity:
+                expected = group_search_reference([row for k, row in enumerate(rows) if mask >> k & 1], travel)
+                assert groups.get(mask) == expected, (travel.rows(), reqs, capacity, mask)
+                outcomes[expected is None] += 1
+    assert min(kinds.values()) > 50 and min(outcomes.values()) > 1000, (kinds, outcomes)
+
+
 def test_batch_search_leaves_no_garbage_cycles(monkeypatch):
-    # the recursive searches free their state by reference counting alone,
-    # also when a deadline interrupts a group search deep in its recursion;
-    # a fake clock, read once per search node, advances 2**-19 s per read,
-    # and the limit is put halfway through the six-request group search, as
-    # counted on a run whose limit never passes
+    # the batch search frees its labels by reference counting alone, also
+    # when a deadline interrupts it; a fake clock advances 2**-19 s per
+    # read, and the limit is put at half the reads of a run whose limit
+    # never passes
     inst = darp_instance_from_params(DarpGenParams(seed=3, requests=7, horizon=15, capacity=4))
     travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
     rs = [Request(i, 2, i % 2, 0, 30) for i in range(6)]
@@ -157,30 +186,18 @@ def test_batch_search_leaves_no_garbage_cycles(monkeypatch):
         clock.reads += 1
         return clock.reads * 2.0**-19
 
-    searches = []  # (size, first read, reads after it) per group searched
-    search = darp._search_group
-
-    def recorded(group, *args, **kwargs):
-        first = clock.reads
-        try:
-            return search(group, *args, **kwargs)
-        finally:
-            searches.append((len(group), first, clock.reads))
-
     monkeypatch.setattr(darp, "time", SimpleNamespace(monotonic=monotonic))
-    monkeypatch.setattr(darp, "_search_group", recorded)
     assert solve_batch_exact(rs, travel, 6, time_limit_ms=10**9).proven_optimal
-    size, first, end = searches[-1]
-    assert size == 6 and end - first > 1000
+    reads = clock.reads
+    assert reads > 100
     gc.collect()
     gc.disable()
     try:
         result = solve_batch_exact(list(inst.requests), inst.travel, 4)
         assert result.proven_optimal and len(result.plans) < 7
         clock.reads = 0
-        time_limit_ms = (first + (end - first) // 2) * 2.0**-19 * 1000
-        assert not solve_batch_exact(rs, travel, 6, time_limit_ms=time_limit_ms).proven_optimal
-        assert searches[-1][0] == 6 and clock.reads < end  # stopped inside the six-request search
+        assert not solve_batch_exact(rs, travel, 6, time_limit_ms=reads // 2 * 2.0**-19 * 1000).proven_optimal
+        assert clock.reads < reads
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -234,8 +251,8 @@ def test_batch_exact_empty_and_guard():
 
 
 def test_batch_time_limit_covers_group_enumeration():
-    # 924 six-request groups, each a long exact search: the limit must stop
-    # the enumeration, not only the partition search after it
+    # 924 six-request groups with many stop orders each: the limit must
+    # stop the group search, not only the partition search after it
     travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
     rs = [Request(i, i % 2, 2, 0, 30) for i in range(12)]
     started = time.monotonic()
@@ -246,10 +263,9 @@ def test_batch_time_limit_covers_group_enumeration():
     assert served == list(range(12))
 
 
-def test_batch_time_limit_interrupts_a_group_search(monkeypatch):
-    # a fake clock, read once per search node, advances 2**-19 s per read on
-    # any host; the limit is put halfway through the six-request group
-    # search, as counted on a run whose limit never passes
+def test_batch_time_limit_interrupts_the_batch_search(monkeypatch):
+    # a fake clock advances 2**-19 s per read on any host; the limit is put
+    # at half the reads of a run whose limit never passes
     clock = SimpleNamespace(reads=0, late=0, deadline=None)
 
     def monotonic():
@@ -258,36 +274,24 @@ def test_batch_time_limit_interrupts_a_group_search(monkeypatch):
         clock.late += now > clock.deadline
         return now
 
-    searches = []  # (size, first read, reads after it) per group searched
-    search = darp._search_group
-
-    def recorded(group, *args, **kwargs):
-        first = clock.reads
-        try:
-            return search(group, *args, **kwargs)
-        finally:
-            searches.append((len(group), first, clock.reads))
-
     monkeypatch.setattr(darp, "time", SimpleNamespace(monotonic=monotonic))
-    monkeypatch.setattr(darp, "_search_group", recorded)
     travel = TravelMatrix([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
     rs = [Request(i, 2, i % 2, 0, 30) for i in range(6)]
 
     def run(time_limit_ms):
         clock.reads, clock.late, clock.deadline = 0, 0, time_limit_ms / 1000.0
-        searches.clear()
         return solve_batch_exact(rs, travel, 6, time_limit_ms=time_limit_ms)
 
     assert run(10**9).proven_optimal
-    size, first, end = searches[-1]
-    assert size == 6 and end - first > 1000
-    result = run((first + (end - first) // 2) * 2.0**-19 * 1000)
-    # the six-request search stops at its first read past the deadline
-    assert searches[-1][0] == 6 and clock.late == 1
+    reads = clock.reads
+    assert reads > 100
+    result = run(reads // 2 * 2.0**-19 * 1000)
+    # the search stops at its first read past the deadline
+    assert clock.late == 1 and clock.reads < reads
     assert result.proven_optimal is False
     served = sorted(rid for plan in result.plans for rid in plan.request_ids())
     assert served == list(range(6))
-    # the groups built before the limit still beat six singletons (total 15)
+    # the groups kept before the limit still beat six singletons (total 15)
     assert sum(plan.total_duration for plan in result.plans) < 15
 
 
@@ -321,20 +325,14 @@ def test_batch_ties_prefer_fewer_groups_then_lexicographic_ids():
     assert _partition_key(result.plans) == (6, 2, ((1,), (2, 3)))
 
 
-def _built_groups(reqs, travel, capacity, *, prune=True):
-    """Every group solve_batch_exact builds without a limit, with its plan.
-
-    With ``prune`` a group is built only when its one-smaller subsets
-    were, which is what solve_batch_exact does on a metric matrix.
-    """
+def _built_groups(reqs, travel, capacity):
+    """Every feasible group of at most ``capacity`` requests, with its plan."""
     built = {}
     for size in range(1, min(capacity, len(reqs)) + 1):
         for combo in combinations(reqs, size):
-            ids = frozenset(r.id for r in combo)
-            if size == 1 or not prune or all(ids - {rid} in built for rid in ids):
-                plan = optimal_plan_for_group(combo, travel, capacity)
-                if plan is not None:
-                    built[ids] = plan
+            plan = optimal_plan_for_group(combo, travel, capacity)
+            if plan is not None:
+                built[frozenset(r.id for r in combo)] = plan
     return built
 
 
@@ -394,7 +392,7 @@ def test_batch_partition_matches_brute_force_on_non_metric_matrices():
         for rid in range(rng.randint(1, 5)):
             origin, destination = rng.sample(range(size), 2)
             reqs.append(Request(rid, origin, destination, rng.randint(0, 6), rng.randint(0, 4)))
-        built = _built_groups(reqs, travel, capacity, prune=travel.is_metric)
+        built = _built_groups(reqs, travel, capacity)
         best = min(
             _partition_key([built[frozenset(block)] for block in partition])
             for partition in _set_partitions([r.id for r in reqs])
@@ -403,13 +401,6 @@ def test_batch_partition_matches_brute_force_on_non_metric_matrices():
         result = solve_batch_exact(reqs, travel, capacity)
         assert result.proven_optimal
         assert _partition_key(result.plans) == best, seed
-        if not travel.is_metric:
-            # no group is skipped, so no feasible grouping is missed
-            assert best == min(
-                _partition_key([optimal_plan_for_group(block, travel, capacity) for block in partition])
-                for partition in _set_partitions(reqs)
-                if all(len(block) <= capacity and optimal_plan_for_group(block, travel, capacity) for block in partition)
-            ), seed
     assert detours > 30
 
 
@@ -617,6 +608,17 @@ def test_validator_catches_capacity_and_window_violations():
     assert any("pickup" in i for i in issues)
 
 
+def test_validator_compares_route_vehicles_with_the_fleet():
+    # vehicle 1 waits at location 0; a route claiming it starts at 2 would
+    # serve the zero-delay request 2 -> 0 at tick 0, which it cannot reach
+    inst = DarpInstance((Request(1, 2, 0, 0, 0),), LINE, 4, (Vehicle(1, 0, 0),))
+    plan = RoutePlan((Stop(1, "pickup", 2, 0), Stop(1, "dropoff", 0, 4)))
+    moved = darp.DarpSolution("ih", None, ((Vehicle(1, 2, 0), plan),), 4, ((1, 0),))
+    assert any("is not the fleet's" in issue for issue in validate_darp_solution(inst, moved))
+    auto = DarpInstance(inst.requests, LINE, 4, AUTO_FLEET)
+    assert validate_darp_solution(auto, moved) == []
+
+
 def _solved_darp():
     """(instance, solution) pairs from run_proposed and insertion_heuristic on small explicit fleets."""
     solved = []
@@ -688,6 +690,14 @@ def test_time_limited_batches_stay_feasible():
     exact = run_proposed(inst, 10)
     assert exact.method == "proposed"
     assert exact.objective <= limited.objective
+
+
+def test_run_proposed_serves_1000_requests_in_12_tick_batches():
+    params = DarpGenParams(seed=12, requests=1000, locations=10, horizon=3300, capacity=4, fleet_size=1000)
+    inst = darp_instance_from_params(params)
+    solution = run_proposed(inst, 12)
+    assert validate_darp_solution(inst, solution) == []
+    assert (solution.method, solution.objective) == ("proposed", 5566)
 
 
 def test_threaded_batches_match_sequential():
