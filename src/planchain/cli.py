@@ -192,7 +192,7 @@ def _cmd_gen(args) -> int:
             fleet=args.fleet,
             policy=io.policy_from_cli(args.policy),
         )
-        io.save_json(args.out, io.generate_chain_instance(params))
+        generate, load = io.generate_chain_instance, io.chain_instance_from_dict
     else:
         params = io.DarpGenParams(
             seed=args.seed,
@@ -203,7 +203,10 @@ def _cmd_gen(args) -> int:
             capacity=args.capacity,
             fleet_size=args.fleet_size,
         )
-        io.save_json(args.out, io.generate_darp_instance(params))
+        generate, load = io.generate_darp_instance, io.darp_instance_from_dict
+    doc = generate(params)
+    load(doc)  # never write a document that the loader rejects
+    io.save_json(args.out, doc)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -11,7 +11,6 @@ heuristic provides the comparison baseline.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, InfeasibleError, InputError
@@ -470,6 +469,9 @@ def run_proposed(
     """
     if batch_len < 1:
         raise InputError("batch length must be at least one tick")
+    # batches run one after another; ``threads`` stays for the ``threads=1`` call in bench/workloads.py
+    if threads != 1:
+        raise InputError(f"threads must be 1, got {threads}")
     reqs = instance.requests
     if not reqs:
         return DarpSolution(_method, batch_len, (), 0, ())
@@ -479,14 +481,7 @@ def run_proposed(
         buckets.setdefault((r.t_r - t0) // batch_len, []).append(r)
     batch_list = [buckets[k] for k in sorted(buckets)]
 
-    def solve_one(batch):
-        return solve_batch_exact(batch, instance.travel, instance.capacity, time_limit_ms=time_limit_ms)
-
-    if threads > 1 and len(batch_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, batch_list))
-    else:
-        results = [solve_one(b) for b in batch_list]
+    results = [solve_batch_exact(b, instance.travel, instance.capacity, time_limit_ms=time_limit_ms) for b in batch_list]
 
     all_plans = [plan for res in results for plan in res.plans]
     label = _method if all(res.proven_optimal for res in results) else f"{_method}-lim"

@@ -5,9 +5,11 @@ location/time to a destination location/time and may be delayed uniformly
 by up to its delay budget.  A *vehicle* is a potential chain head with a
 start location and start time.  This module holds the shared primitives:
 travel-time lookups, connection feasibility, and connection costs under
-the supported cost policies.  Every other layer (variant generation, flow
-solver, oracles, DARP pipeline) builds on exactly these predicates, which
-keeps them mutually consistent.
+the supported cost policies.  Chain extraction, the chain validator and
+the oracles call these scalar predicates directly.  Variant generation,
+and through it the flow solver, evaluates them in bulk with
+``variantgen._ProbeTables``, their vectorized twin, which differential
+tests pin to them.
 
 All times are integer ticks at one-second resolution and all costs are
 non-negative integers, so there is no floating-point tolerance anywhere.
@@ -53,7 +55,8 @@ class TravelMatrix:
     """Dense, possibly asymmetric travel-time matrix in ticks.
 
     Entries must be non-negative with a zero diagonal.  The triangle
-    inequality is *not* assumed: code that needs it checks ``is_metric``.
+    inequality is *not* assumed: ``closure`` is ``table`` exactly when it
+    holds.
     """
 
     __slots__ = ("_closure", "_entries", "_metric", "_table")
@@ -70,7 +73,7 @@ class TravelMatrix:
             raise InputError("travel matrix diagonal must be zero")
         arr.setflags(write=False)
         self._entries = arr
-        self._metric: bool | None = None
+        self._metric = False  # True only when known without the closure pass
         self._table: tuple[tuple[int, ...], ...] | None = None
         self._closure: tuple[tuple[int, ...], ...] | None = None
 
@@ -103,17 +106,6 @@ class TravelMatrix:
         return self._entries
 
     @property
-    def is_metric(self) -> bool:
-        """True when d(a, c) <= d(a, b) + d(b, c) for all locations a, b, c.
-
-        That is, when ``closure`` equals the entries; decided with it on
-        first use and cached on the matrix.
-        """
-        if self._metric is None:
-            self.closure  # the closure pass decides it
-        return self._metric
-
-    @property
     def table(self) -> tuple[tuple[int, ...], ...]:
         """Read-only rows of Python ints: ``table[a][b] == duration(a, b)``.
 
@@ -131,20 +123,18 @@ class TravelMatrix:
         """Read-only rows of shortest-path times over any chain of legs.
 
         ``closure[a][b]`` is never above ``table[a][b]`` and is a lower
-        bound on every route from a to b; on a metric matrix it is
-        ``table`` itself.  The O(L^3) pass runs on first use, also decides
-        ``is_metric``, and is cached on the matrix.  Indexed unchecked, as
-        ``table`` is.
+        bound on every route from a to b; on a metric matrix (one where
+        d(a, c) <= d(a, b) + d(b, c) for all a, b, c) it is ``table``
+        itself.  The O(L^3) pass runs on first use, unless the matrix came
+        from grid coordinates, and is cached on the matrix.  Indexed
+        unchecked, as ``table`` is.
         """
         if self._closure is None:
-            if self._metric:
-                self._closure = self.table
-            else:
-                d = self._entries.copy()  # entries are below 2^60, so the sums cannot wrap
+            d = self._entries.copy()  # entries are below 2^60, so the sums cannot wrap
+            if not self._metric:  # grid matrices are known to be metric
                 for b in range(self.size):
                     np.minimum(d, d[:, [b]] + d[[b], :], out=d)
-                self._metric = bool(np.array_equal(d, self._entries))
-                self._closure = self.table if self._metric else tuple(map(tuple, d.tolist()))
+            self._closure = self.table if np.array_equal(d, self._entries) else tuple(map(tuple, d.tolist()))
         return self._closure
 
     def duration(self, a: LocationId, b: LocationId) -> Duration:
@@ -292,89 +282,62 @@ class ChainingInstance:
         except KeyError:
             raise InputError(f"unknown vehicle id {vehicle_id}") from None
 
-    def variant(self, plan_id: int, delay: Duration) -> VariantRef:
-        plan = self.plan(plan_id)
-        if not (0 <= delay <= plan.d_max):
-            raise InputError(f"plan {plan_id}: delay {delay} outside [0, {plan.d_max}]")
-        return VariantRef(plan_id, delay)
-
     def with_policy(self, policy: CostPolicy) -> "ChainingInstance":
         return ChainingInstance(self.plans, self.vehicles, self.travel, policy)
 
 
-def _as_variant(instance: ChainingInstance, x: Plan | VariantRef) -> VariantRef:
+def _shifted_plan(instance: ChainingInstance, x: Plan | VariantRef) -> tuple[Plan, Duration]:
     if isinstance(x, Plan):
-        instance.plan(x.id)
-        return VariantRef(x.id, 0)
-    instance.plan(x.plan_id)
-    return x
+        return instance.plan(x.id), 0
+    plan = instance.plan(x.plan_id)
+    if not 0 <= x.delay <= plan.d_max:
+        raise InputError(f"plan {plan.id}: delay {x.delay} outside [0, {plan.d_max}]")
+    return plan, x.delay
 
 
-def origin_time(instance: ChainingInstance, ref: Plan | VariantRef) -> TimePoint:
-    ref = _as_variant(instance, ref)
-    return instance.plan(ref.plan_id).t_or + ref.delay
+def _link(instance: ChainingInstance, a: Endpoint, b: Plan | VariantRef):
+    """Resolve both ends of the link ``a -> b`` against the instance.
 
-
-def destination_time(instance: ChainingInstance, ref: Plan | VariantRef) -> TimePoint:
-    ref = _as_variant(instance, ref)
-    return instance.plan(ref.plan_id).t_de + ref.delay
-
-
-def ready_time(instance: ChainingInstance, a: Endpoint) -> TimePoint:
-    """Earliest moment the chain can leave ``a`` toward a successor."""
+    Returns (a's plan or ``None`` for a vehicle, b's plan, b's delay, a's
+    ready time, travel ticks).  Delays never move locations, so a variant
+    exits and enters where its base plan does.  Raises ``InputError`` for
+    an unknown plan or vehicle, a delay outside its budget, or a plan
+    linked to one of its own variants.
+    """
+    plan_b, delay_b = _shifted_plan(instance, b)
     if isinstance(a, Vehicle):
-        return instance.vehicle(a.id).t_st
-    return destination_time(instance, a)
+        vehicle = instance.vehicle(a.id)
+        plan_a, ready, loc_a = None, vehicle.t_st, vehicle.start_location
+    else:
+        plan_a, delay_a = _shifted_plan(instance, a)
+        if plan_a.id == plan_b.id:
+            raise InputError(f"cannot connect plan {plan_b.id} to one of its own variants")
+        ready, loc_a = plan_a.t_de + delay_a, plan_a.destination_location
+    return plan_a, plan_b, delay_b, ready, instance.travel.duration(loc_a, plan_b.origin_location)
+
+
+def _fits(plan_a: Plan | None, plan_b: Plan, delay_b: Duration, ready: TimePoint, ftt: Duration) -> bool:
+    """True when ``plan_b`` at ``delay_b`` can start after ``ready`` plus ``ftt`` travel.
+
+    The temporal condition is travel time <= available gap.  When the gap
+    closes exactly at zero travel time, plan-to-plan links are additionally
+    ordered by (origin time, id), so that the link relation stays acyclic
+    even for degenerate simultaneous plans.
+    """
+    gap = plan_b.t_or + delay_b - ready
+    if ftt != gap:
+        return ftt < gap
+    return plan_a is None or ftt > 0 or (plan_a.t_or, plan_a.id) < (plan_b.t_or, plan_b.id)
 
 
 def travel_time(instance: ChainingInstance, a: Endpoint, b: Plan | VariantRef) -> Duration:
-    """Travel ticks from the exit point of ``a`` to the entry point of ``b``.
-
-    Delays never move locations, so variants look up the same matrix entry
-    as their base plans.
-    """
-    if isinstance(a, Vehicle):
-        loc_a = instance.vehicle(a.id).start_location
-    else:
-        loc_a = instance.plan(_as_variant(instance, a).plan_id).destination_location
-    loc_b = instance.plan(_as_variant(instance, b).plan_id).origin_location
-    return instance.travel.duration(loc_a, loc_b)
-
-
-def _order_key(plan: Plan) -> tuple[int, int]:
-    return (plan.t_or, plan.id)
-
-
-def _check_distinct_plans(a: Endpoint, b: VariantRef) -> None:
-    if not isinstance(a, Vehicle):
-        a_pid = a.id if isinstance(a, Plan) else a.plan_id
-        if a_pid == b.plan_id:
-            raise InputError(f"cannot connect plan {b.plan_id} to one of its own variants")
+    """Travel ticks from the exit point of ``a`` to the entry point of ``b``."""
+    return _link(instance, a, b)[4]
 
 
 def connection_feasible(instance: ChainingInstance, a: Endpoint, b: Plan | VariantRef) -> bool:
-    """True when ``b`` (at its delay) can directly follow ``a`` in a chain.
-
-    The temporal condition is travel time <= available gap.  When the gap
-    closes exactly at zero travel time, plan-to-plan connections are
-    additionally ordered by (origin time, id) so that the connection
-    relation stays acyclic even for degenerate simultaneous plans.
-    """
-    b = _as_variant(instance, b)
-    _check_distinct_plans(a, b)
-    if isinstance(a, VariantRef):
-        instance.variant(a.plan_id, a.delay)
-    instance.variant(b.plan_id, b.delay)
-    ftt = travel_time(instance, a, b)
-    ready = ready_time(instance, a)
-    start = origin_time(instance, b)
-    if ftt > start - ready:
-        return False
-    if not isinstance(a, Vehicle) and ready == start and ftt == 0:
-        plan_a = instance.plan(a.id if isinstance(a, Plan) else a.plan_id)
-        plan_b = instance.plan(b.plan_id)
-        return _order_key(plan_a) < _order_key(plan_b)
-    return True
+    """True when ``b`` (at its delay) can directly follow ``a`` in a chain."""
+    return _fits(*_link(instance, a, b))
 
 
 def connection_wait(instance: ChainingInstance, a: Endpoint, b: Plan | VariantRef) -> Duration:
@@ -383,8 +346,8 @@ def connection_wait(instance: ChainingInstance, a: Endpoint, b: Plan | VariantRe
     Vehicle origins wait from their start time, mirroring the feasibility
     condition; a vehicle idling before its first plan counts as waiting.
     """
-    b = _as_variant(instance, b)
-    return origin_time(instance, b) - ready_time(instance, a) - travel_time(instance, a, b)
+    _, plan_b, delay_b, ready, ftt = _link(instance, a, b)
+    return plan_b.t_or + delay_b - ready - ftt
 
 
 def connection_cost(instance: ChainingInstance, a: Endpoint, b: Plan | VariantRef) -> Cost | None:
@@ -393,15 +356,15 @@ def connection_cost(instance: ChainingInstance, a: Endpoint, b: Plan | VariantRe
     Forbidden connections are materialized by omitting the edge from the
     network, never by a sentinel "infinite" cost.
     """
-    policy = instance.policy
-    if not connection_feasible(instance, a, b):
+    plan_a, plan_b, delay_b, ready, ftt = link = _link(instance, a, b)
+    if not _fits(*link):
         raise InputError("connection_cost called on an infeasible connection")
+    policy = instance.policy
     if isinstance(policy, FleetSize):
-        return 1 if isinstance(a, Vehicle) else 0
-    ftt = travel_time(instance, a, b)
+        return 1 if plan_a is None else 0
     if isinstance(policy, TravelCost):
         return ftt
-    wait = connection_wait(instance, a, b)
+    wait = plan_b.t_or + delay_b - ready - ftt
     if isinstance(policy, TravelCostWaitCapped):
         return None if wait > policy.delta else ftt
     if isinstance(policy, TravelCostWaitPenalized):
@@ -412,19 +375,12 @@ def connection_cost(instance: ChainingInstance, a: Endpoint, b: Plan | VariantRe
 def minimal_target_delay(instance: ChainingInstance, a: Endpoint, b: Plan) -> Duration | None:
     """Smallest delay of ``b`` making the connection from ``a`` feasible.
 
-    Returns ``None`` when no delay within the budget works.  This is the
-    single source of truth for the variant generator and the oracles.
+    Returns ``None`` when no delay within the budget works.  The least
+    delay that closes the travel gap fits unless it meets the zero-gap tie
+    rule, and then one tick more does.
     """
-    _check_distinct_plans(a, VariantRef(b.id, 0))
-    ftt = travel_time(instance, a, b)
-    ready = ready_time(instance, a)
-    delay = max(ftt - (b.t_or - ready), 0)
-    if delay > b.d_max:
-        return None
-    if not isinstance(a, Vehicle) and ftt == 0 and ready == b.t_or + delay:
-        plan_a = instance.plan(a.id if isinstance(a, Plan) else a.plan_id)
-        if not _order_key(plan_a) < _order_key(b):
-            delay += 1
-            if delay > b.d_max:
-                return None
-    return delay
+    plan_a, plan_b, _, ready, ftt = _link(instance, a, b)
+    delay = max(ftt - (plan_b.t_or - ready), 0)
+    if not _fits(plan_a, plan_b, delay, ready, ftt):
+        delay += 1
+    return delay if delay <= plan_b.d_max else None

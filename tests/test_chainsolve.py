@@ -413,7 +413,7 @@ POLICIES = st.one_of(
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(
     seed=st.integers(0, 1 << 30),
-    plans=st.integers(0, 8),
+    plans=st.integers(0, 9),
     vehicles=st.integers(1, 4),
     locations=st.integers(3, 8),
     horizon=st.sampled_from((60, 120)),

@@ -185,19 +185,27 @@ def test_loaders_reject_malformed_sections(kind, mutation):
         edits = [([k for key in path for k in SECTIONS[kind].get(key, (key,))], value) for path, value in edits]
         load = io.chain_instance_from_dict if kind == "chain" else io.darp_instance_from_dict
     for path, value in edits:
-        if not path:
-            doc = value
-            continue
-        *parents, last = path
-        target = doc
-        for key in parents:
-            target = target[key]
-        if value is DELETE:
-            del target[last]
-        else:
-            target[last] = value
+        doc = _edited(doc, path, value)
     with pytest.raises(InputError):
         load(doc)
+
+
+def _edited(doc, path, value):
+    """``doc`` with the field at ``path`` set to ``value`` or deleted; an empty path replaces ``doc``.
+
+    The value is copied in, so that later edits inside it leave the shared one alone.
+    """
+    if not path:
+        return copy.deepcopy(value)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = copy.deepcopy(value)
+    return doc
 
 
 def _field_paths(doc, prefix=()):
@@ -224,23 +232,14 @@ FUZZ_VALUES = (
 
 
 @settings(derandomize=True, max_examples=1500, deadline=None)
-@given(data=st.data(), kind=st.sampled_from(sorted(FUZZ_LOADERS)))
-def test_loaders_raise_only_input_error_when_one_field_changes(data, kind):
-    # one field (or list item, or the whole document) replaced or deleted
+@given(data=st.data(), kind=st.sampled_from(sorted(FUZZ_LOADERS)), mutations=st.integers(1, 4))
+def test_loaders_raise_only_input_error_when_fields_change(data, kind, mutations):
+    # 1-4 fields (or list items, or the whole document) replaced or deleted in turn
     doc = copy.deepcopy(FUZZ_DOCS[kind])
-    path = data.draw(st.sampled_from(list(_field_paths(doc))))
-    value = data.draw(st.sampled_from((DELETE,) + FUZZ_VALUES) if path else st.sampled_from(FUZZ_VALUES))
-    if path:
-        *parents, last = path
-        target = doc
-        for key in parents:
-            target = target[key]
-        if value is DELETE:
-            del target[last]
-        else:
-            target[last] = value
-    else:
-        doc = value
+    for _ in range(mutations):
+        path = data.draw(st.sampled_from(list(_field_paths(doc))))
+        value = data.draw(st.sampled_from((DELETE,) + FUZZ_VALUES) if path else st.sampled_from(FUZZ_VALUES))
+        doc = _edited(doc, path, value)
     try:
         FUZZ_LOADERS[kind][1](doc)
     except InputError:
@@ -378,6 +377,18 @@ def test_cli_exit_codes(tmp_path):
     ])
     assert gen == 0
     assert main(["chain", "oracle", "--instance", str(tmp_path / "big.json")]) == 3
+
+
+@pytest.mark.parametrize(
+    "kind, range_flag, message",
+    [("chain", "--d-max-range=-5:-1", "plan 1: negative delay budget"),
+     ("darp", "--delay-range=-3:-1", "request 1: negative delay budget")],
+)
+def test_cli_gen_writes_no_document_the_loader_rejects(tmp_path, capsys, kind, range_flag, message):
+    out = tmp_path / "x.json"
+    assert main(["gen", kind, "--seed", "1", range_flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_oracle_on_e1(capsys):

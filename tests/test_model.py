@@ -53,19 +53,21 @@ def test_travel_matrix_table_is_lazy_read_only_and_apart_from_rows():
 
 
 def test_travel_matrix_knows_whether_it_is_metric():
+    # a metric matrix shares its closure with its table
     grid = TravelMatrix.from_coordinates([(0, 0), (3, 1), (1, 4)])
-    assert grid.is_metric
+    assert grid._metric and grid.closure is grid.table  # known without the pass
     line = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
-    assert line.is_metric and TravelMatrix([[0]]).is_metric
+    one = TravelMatrix([[0]])
+    assert not line._metric and line.closure is line.table and one.closure is one.table
     for via in range(3):
         # a -> via -> c takes 2 ticks, a -> c directly takes 5
         a, c = (k for k in range(3) if k != via)
         rows = [[0 if i == j else 1 for j in range(3)] for i in range(3)]
         rows[a][c] = 5
         shortcut = TravelMatrix(rows)
-        assert not shortcut.is_metric
-        assert shortcut._metric is False  # cached for later calls
-    assert TravelMatrix([[0, 1], [0, 0]]).is_metric  # asymmetric, still metric
+        assert shortcut.closure is not shortcut.table and shortcut.closure[a][c] == 2
+    asymmetric = TravelMatrix([[0, 1], [0, 0]])
+    assert asymmetric.closure is asymmetric.table  # asymmetric, still metric
 
 
 def test_closure_is_the_shortest_path_matrix():
@@ -86,8 +88,6 @@ def test_closure_is_the_shortest_path_matrix():
         if case % 2:  # a shortest-path matrix is metric, and asymmetric here too
             rows = floyd_warshall(rows).astype(np.int64).tolist()
         travel = TravelMatrix(rows)
-        if case % 3 == 0:
-            travel.is_metric  # decided first, or by the closure below
         closure = travel.closure
         assert np.array_equal(np.array(closure, dtype=np.int64).reshape(size, size), floyd_warshall(rows)), rows
         assert all(closure[a][b] <= rows[a][b] for a in range(size) for b in range(size))
@@ -95,8 +95,9 @@ def test_closure_is_the_shortest_path_matrix():
         assert travel.closure is closure  # cached
         with pytest.raises(TypeError):
             closure[0][0] = 1
-        assert travel.is_metric == (list(map(list, closure)) == rows)
-        kinds[travel.is_metric] += 1
+        metric = list(map(list, closure)) == rows
+        assert (closure is travel.table) == metric
+        kinds[metric] += 1
     assert min(kinds.values()) > 40, kinds
     grid = TravelMatrix.from_coordinates([(0, 0), (3, 1), (1, 4)])
     assert grid.closure is grid.table  # Manhattan distances need no pass
@@ -147,6 +148,28 @@ def test_travel_time_lookups(e1):
     assert model.travel_time(e1, E1_P1, VariantRef(2, 1)) == 2  # delay never moves locations
     with pytest.raises(InputError):
         model.travel_time(e1, Vehicle(99, 0, 0), E1_P1)
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (E1_P1, Plan(9, 0, 0, 0, 0, 0), "unknown plan id 9"),
+        (VariantRef(9, 0), E1_P2, "unknown plan id 9"),
+        (Vehicle(99, 0, 0), E1_P1, "unknown vehicle id 99"),
+        (E1_P1, VariantRef(2, 4), r"plan 2: delay 4 outside \[0, 3\]"),
+        (VariantRef(1, 1), E1_P2, r"plan 1: delay 1 outside \[0, 0\]"),
+        (VariantRef(2, 1), E1_P2, "cannot connect plan 2 to one of its own variants"),
+        (E1_P2, VariantRef(2, 0), "cannot connect plan 2 to one of its own variants"),
+    ],
+)
+def test_every_link_predicate_rejects_the_same_bad_ends(e1, a, b, message):
+    # every scalar predicate resolves its ends the same way
+    calls = [model.travel_time, model.connection_feasible, model.connection_wait, model.connection_cost]
+    if isinstance(b, Plan):  # it takes a base plan only
+        calls.append(model.minimal_target_delay)
+    for call in calls:
+        with pytest.raises(InputError, match=message):
+            call(e1, a, b)
 
 
 def test_connection_feasibility_examples(e1):
