@@ -155,7 +155,7 @@ def _cmd_darp_run(args) -> int:
     elif args.method == "single-batch":
         solution = run_single_batch(instance, time_limit_ms=args.time_limit_ms, chain_policy=chain_policy)
     else:
-        if not args.batch_secs:
+        if args.batch_secs is None:
             raise InputError("--batch-secs is required for the proposed method")
         solution = run_proposed(
             instance,

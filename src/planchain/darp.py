@@ -369,8 +369,11 @@ def solve_batch_exact(
     memoized per subset.  Ties prefer fewer groups, then lexicographic
     group ids.  The time limit stops only the search; the partition is
     still the best over the groups it kept (single requests always), and
-    ``proven_optimal`` is false.
+    ``proven_optimal`` is false.  A limit of 0 cuts every search at once; a
+    negative one raises ``InputError``.
     """
+    if time_limit_ms is not None and time_limit_ms < 0:
+        raise InputError(f"time limit must be non-negative, got {time_limit_ms} ms")
     reqs = sorted(batch, key=lambda r: r.id)
     if not reqs:
         return BatchResult((), True)
@@ -469,6 +472,8 @@ def run_proposed(
     """
     if batch_len < 1:
         raise InputError("batch length must be at least one tick")
+    if time_limit_ms is not None and time_limit_ms < 0:
+        raise InputError(f"time limit must be non-negative, got {time_limit_ms} ms")
     # batches run one after another; ``threads`` stays for the ``threads=1`` call in bench/workloads.py
     if threads != 1:
         raise InputError(f"threads must be 1, got {threads}")

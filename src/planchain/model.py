@@ -248,6 +248,8 @@ class ChainingInstance:
     policy: CostPolicy
 
     def __post_init__(self) -> None:
+        if not isinstance(self.policy, CostPolicy):
+            raise InputError(f"unknown cost policy {self.policy!r}")
         plans = tuple(sorted(self.plans, key=lambda p: p.id))
         vehicles = tuple(sorted(self.vehicles, key=lambda v: v.id))
         object.__setattr__(self, "plans", plans)
@@ -367,9 +369,8 @@ def connection_cost(instance: ChainingInstance, a: Endpoint, b: Plan | VariantRe
     wait = plan_b.t_or + delay_b - ready - ftt
     if isinstance(policy, TravelCostWaitCapped):
         return None if wait > policy.delta else ftt
-    if isinstance(policy, TravelCostWaitPenalized):
-        return ftt + int((policy.alpha * wait + Fraction(1, 2)).__floor__())
-    raise InputError(f"unknown cost policy {policy!r}")
+    # a wait penalty, the last kind ``ChainingInstance`` admits
+    return ftt + int((policy.alpha * wait + Fraction(1, 2)).__floor__())
 
 
 def minimal_target_delay(instance: ChainingInstance, a: Endpoint, b: Plan) -> Duration | None:

@@ -7,17 +7,21 @@ drains.  The exhaustive generator enumerates every integer delay; it backs
 the optimality cross-checks and the cost policies whose connection costs
 depend on the chosen delays.
 
-Both evaluate a block of origins per numpy pass through ``_ProbeTables``:
-origins by plans for the minimal generator, origins by every variant of
-every plan for the exhaustive one, at most ``_BLOCK_CELLS`` cells a pass.
-The tables also hold the one fence on the wait penalty's int64
-arithmetic.  Each generator joins its per-block arrays once into
-``Connections``: int64 columns that the flow network reads directly, in
-emission order, which is origin order and then target order.  Minimal
-generation needs no deduplication of connections, as each origin is
-probed once, each variant queued once, and a probe reaches each target
-plan at most once.  The tests keep scalar twins of both generators
-(``tests/scalar_twins.py``) and compare against them, order included.
+Both probe a block of origins per numpy pass through ``_ProbeTables``,
+against every plan at the minimal delay, at most ``_BLOCK_CELLS`` cells a
+pass; the tables are the one numpy copy of the timing and tie rules
+(``model._fits``) and of the fence on the wait penalty's int64
+arithmetic.  The exhaustive generator widens each hit to every later
+delay of its target, which is exact: delaying the target only widens the
+gap, so a link fits from its minimal delay up to ``d_max``, one tick more
+wait per tick, and at no earlier delay.  Each generator joins its
+per-block arrays once into ``Connections``: int64 columns that the flow
+network reads directly, in emission order, which is origin order and
+then target order.  Minimal generation needs no deduplication of
+connections, as each origin is probed once, each variant queued once,
+and a probe reaches each target plan at most once.  The tests keep
+scalar twins of both generators (``tests/scalar_twins.py``) and compare
+against them, order included.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 
 from .errors import GuardExceededError, InputError
 from .model import ChainingInstance, Cost, VariantRef, Vehicle
+from .model import FleetSize, TravelCost, TravelCostWaitCapped, TravelCostWaitPenalized
 
 
 @dataclass(frozen=True)
@@ -125,28 +130,29 @@ def _blocks(count: int, width: int):
     return (slice(s, s + step) for s in range(0, count, step))
 
 
+def _ramps(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., k - 1 for each k in ``lengths``, concatenated."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
 class _ProbeTables:
-    """Vectorized feasibility/cost evaluation of a block of origins.
+    """Vectorized timing and cost of the links out of a block of origins.
 
     An origin is a column of the assignment matrix, a plan index or n + a
-    vehicle index, at a delay.  ``probe`` evaluates a block of origins
-    against every other plan in one 2-D pass, with exactly the scalar
-    semantics of ``model.minimal_target_delay`` and ``model.connection_cost``
-    (minimal delays, the degenerate-tie ordering, policy costs with
-    forbidden waits dropped);
-    ``probe_variants`` evaluates a block against every integer-delay
-    variant, which ``all_variants`` lays out once as flat arrays, with
-    those of ``model.connection_feasible`` and ``model.connection_cost``.
-    Both return the hits in row-major order: by origin, then by target.
-    Differential tests pin both equivalences.
+    vehicle index, at a delay.  ``probe`` gives a block of origins each
+    other plan's minimal feasible delay in one 2-D pass, exactly as
+    ``model.minimal_target_delay`` does (tie rule included), and
+    ``_policy_cost`` prices links as ``model.connection_cost`` does.  Both
+    generators build on these two alone: exhaustive generation widens each
+    minimal-delay hit to every later delay instead of testing every
+    variant.  Differential tests pin both generators to scalar twins.
     """
 
-    def __init__(self, instance: ChainingInstance, *, all_variants: bool = False):
+    def __init__(self, instance: ChainingInstance):
         plans, vehicles = instance.plans, instance.vehicles
         self.n = n = len(plans)
         self.t_or = np.array([p.t_or for p in plans], dtype=np.int64)
         self.d_max = np.array([p.d_max for p in plans], dtype=np.int64)
-        self.orig = np.array([p.origin_location for p in plans], dtype=np.intp)
         self.ids = np.array([p.id for p in plans], dtype=np.int64)
         # position of each plan in (t_or, id) order, the tie rule's key
         self.rank = np.empty(n, dtype=np.int64)
@@ -160,37 +166,23 @@ class _ProbeTables:
         )
         self.plan = np.concatenate([np.arange(n), no_plan])
         self.origin_rank = np.concatenate([self.rank, no_plan])
-        if all_variants:
-            # variants in (plan, delay) order; plan i owns the slice
-            # first[i]:first[i + 1]
-            counts = self.d_max + 1
-            first = np.concatenate(([0], np.cumsum(counts)))
-            self.var_plan = np.repeat(np.arange(n), counts)
-            self.var_delay = np.arange(first[-1], dtype=np.int64) - first[self.var_plan]
-            self.var_start = self.t_or[self.var_plan] + self.var_delay
-            self.var_rank = self.rank[self.var_plan]
-        # travel time from each location to each target's origin location
-        self.to_target = instance.travel.array[:, self.orig[self.var_plan] if all_variants else self.orig]
-        policy = instance.policy
-        self.kind = type(policy).__name__
-        self.delta = getattr(policy, "delta", None)
-        alpha = getattr(policy, "alpha", None)
-        self.alpha_num = alpha.numerator if alpha is not None else None
-        self.alpha_den = alpha.denominator if alpha is not None else None
-        if alpha is not None:
+        # travel time from each location to each plan's origin location
+        self.to_target = instance.travel.array[:, np.array([p.origin_location for p in plans], dtype=np.intp)]
+        self.policy = policy = instance.policy
+        if isinstance(policy, TravelCostWaitPenalized):
             # _policy_cost evaluates 2*p*wait + q and 2*q in int64; no wait exceeds
             # the latest delayed start, as every ready time is non-negative
-            max_wait = max((plan.t_or + plan.d_max for plan in plans), default=0)
-            if 2 * self.alpha_num * max(max_wait, 1) + 2 * self.alpha_den > np.iinfo(np.int64).max:
+            alpha, max_wait = policy.alpha, max((plan.t_or + plan.d_max for plan in plans), default=0)
+            if 2 * alpha.numerator * max(max_wait, 1) + 2 * alpha.denominator > np.iinfo(np.int64).max:
                 raise InputError(f"wait penalty {alpha} on waits of up to {max_wait} ticks exceeds the int64 range")
 
     def probe(self, origin: np.ndarray, origin_delay: np.ndarray):
         """Evaluate a block of origins against every other plan at the minimal delay.
 
-        Returns (row, col, delay, keep, cost): each time-feasible pair as the
+        Returns (row, col, delay, ftt, wait): each time-feasible pair as the
         origin's position in the block and the target plan index, by row and
-        then column, with its minimal delay; the mask of those the policy
-        allows (None when it allows all) and the allowed costs.
+        then column, with its minimal delay, travel and wait.  The policy is
+        not applied.
         """
         ftt = self.to_target[self.location[origin]]
         ready = (self.ready[origin] + origin_delay)[:, None]
@@ -205,28 +197,7 @@ class _ProbeTables:
         hit = np.flatnonzero(ok)
         row, col = np.divmod(hit, self.n)
         delay, ftt = delay.ravel()[hit], ftt.ravel()[hit]
-        keep, cost = self._policy_cost(ftt, self.t_or[col] + delay - ready[row, 0] - ftt, origin[row] >= self.n)
-        return row, col, delay, keep, cost
-
-    def probe_variants(self, origin: np.ndarray, origin_delay: np.ndarray):
-        """Evaluate a block of origins against every variant of every other plan.
-
-        Returns (row, col, cost): each connection as the origin's position in
-        the block and the target variant's index, by row and then column,
-        with its policy cost.
-        """
-        ftt = self.to_target[self.location[origin]]
-        gap = self.var_start - (self.ready[origin] + origin_delay)[:, None]
-        ok = ftt <= gap
-        # a connection with no slack (hence zero travel) needs the origin's
-        # plan first in (t_or, id) order; a plan never follows itself
-        ok &= (gap != 0) | (self.var_rank >= self.origin_rank[origin][:, None])
-        ok &= self.var_plan != self.plan[origin][:, None]
-        hit = np.flatnonzero(ok)
-        row, col = np.divmod(hit, len(self.var_plan))
-        ftt = ftt.ravel()[hit]
-        keep, cost = self._policy_cost(ftt, gap.ravel()[hit] - ftt, origin[row] >= self.n)
-        return (row, col, cost) if keep is None else (row[keep], col[keep], cost)
+        return row, col, delay, ftt, self.t_or[col] + delay - ready[row, 0] - ftt
 
     def _policy_cost(self, ftt, wait, vehicle):
         """Costs of time-feasible connections with travel ``ftt`` and ``wait``.
@@ -235,15 +206,16 @@ class _ProbeTables:
         cost): ``keep`` masks the connections the policy allows (None when
         it allows all) and ``cost`` holds their costs.
         """
-        if self.kind == "FleetSize":
+        policy = self.policy
+        if isinstance(policy, FleetSize):
             return None, vehicle.astype(np.int64)
-        if self.kind == "TravelCost":
+        if isinstance(policy, TravelCost):
             return None, ftt
-        if self.kind == "TravelCostWaitCapped":
-            keep = wait <= self.delta
+        if isinstance(policy, TravelCostWaitCapped):
+            keep = wait <= policy.delta
             return keep, ftt[keep]
-        # half-up rounding in exact integer arithmetic
-        p, q = self.alpha_num, self.alpha_den
+        # a wait penalty, rounded half-up in exact integer arithmetic
+        p, q = policy.alpha.numerator, policy.alpha.denominator
         return None, ftt + (2 * p * wait + q) // (2 * q)
 
 
@@ -273,13 +245,14 @@ def generate(instance: ChainingInstance) -> GenerationResult:
         queued: list[tuple[int, int]] = []
         for block in _blocks(len(origin), len(plans)):
             o, od = origin[block], origin_delay[block]
-            row, col, delay, keep, cost = tables.probe(o, od)
+            row, col, delay, ftt, wait = tables.probe(o, od)
             # a policy-forbidden minimal connection still creates its variant
             late = delay.nonzero()[0]
             for ref in zip(col[late].tolist(), delay[late].tolist()):
                 if ref not in found:
                     found[ref] = None
                     queued.append(ref)
+            keep, cost = tables._policy_cost(ftt, wait, o[row] >= len(plans))
             if keep is not None:
                 row, col, delay = row[keep], col[keep], delay[keep]
             parts.append((o[row], od[row], col, delay, cost))
@@ -300,27 +273,38 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
     Exact for any per-connection cost rule, at the price of a variant per
     tick of delay budget; the guard keeps that enumerable.  Origins come in
     a fixed order, every variant by (plan id, delay) and then every vehicle
-    by id, and a block of them takes one vectorized pass over all target
-    variants, which emits each origin's connections in the same (plan id,
-    delay) order.
+    by id.  A block of them is probed at the minimal delay and each hit is
+    widened to every later delay of its target plan, which emits each
+    origin's connections in (plan id, delay) order.  Blocks are sized by
+    the variant count, so a block's widened links stay within
+    ``_BLOCK_CELLS`` as its probe cells do.
     """
     ticks = total_delay_ticks(instance)
     if ticks > guard_ticks:
         raise GuardExceededError(
             f"exhaustive variant enumeration needs {ticks} delay ticks, guard is {guard_ticks}"
         )
-    tables = _ProbeTables(instance, all_variants=True)
+    tables = _ProbeTables(instance)
     n, n_veh = len(instance.plans), len(instance.vehicles)
-    origin = np.concatenate([tables.var_plan, n + np.arange(n_veh)])
-    origin_delay = np.concatenate([tables.var_delay, np.zeros(n_veh, dtype=np.int64)])
-    parts = []  # per block: origin position, target variant, cost
-    for block in _blocks(len(origin), len(tables.var_plan)):
-        row, col, cost = tables.probe_variants(origin[block], origin_delay[block])
-        parts.append((row + block.start, col, cost))
-    at, hit, cost = [_column(part) for part in zip(*parts)] or [_column(())] * 3
-    connections = Connections(
-        instance, origin[at], origin_delay[at], tables.var_plan[hit], tables.var_delay[hit], cost
-    )
-    late = np.flatnonzero(tables.var_delay)
-    variants = tuple(map(VariantRef, tables.ids[tables.var_plan[late]].tolist(), tables.var_delay[late].tolist()))
-    return GenerationResult(variants, connections)
+    # every variant in (plan, delay) order, then every vehicle
+    var_plan = np.repeat(np.arange(n), tables.d_max + 1)
+    var_delay = _ramps(tables.d_max + 1)
+    origin = np.concatenate([var_plan, n + np.arange(n_veh)])
+    origin_delay = np.concatenate([var_delay, np.zeros(n_veh, dtype=np.int64)])
+    parts = []  # per block: origin, origin delay, target, target delay, cost columns
+    for block in _blocks(len(origin), len(var_plan)):
+        o, od = origin[block], origin_delay[block]
+        row, col, delay, ftt, wait = tables.probe(o, od)
+        # widen each hit to delays d0..d_max of its target, a tick more wait per tick
+        width = tables.d_max[col] - delay + 1
+        step = _ramps(width)
+        row, col, ftt = (np.repeat(a, width) for a in (row, col, ftt))
+        delay, wait = np.repeat(delay, width) + step, np.repeat(wait, width) + step
+        keep, cost = tables._policy_cost(ftt, wait, o[row] >= n)
+        if keep is not None:
+            row, col, delay = row[keep], col[keep], delay[keep]
+        parts.append((o[row], od[row], col, delay, cost))
+    columns = [_column(part) for part in zip(*parts)] or [_column(())] * 5
+    late = np.flatnonzero(var_delay)
+    variants = tuple(map(VariantRef, tables.ids[var_plan[late]].tolist(), var_delay[late].tolist()))
+    return GenerationResult(variants, Connections(instance, *columns))

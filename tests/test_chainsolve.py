@@ -148,6 +148,8 @@ def test_validator_flags_bad_chains():
     assert "link_infeasible" in codes
     report = validate_chains(inst, [(1, [(1, 0)]), (1, [(2, 1)])])
     assert "vehicle_reused" in {i.code for i in report.issues}
+    report = validate_chains(inst, [(1, [])])
+    assert [i.message for i in report.issues if i.code == "empty_chain"] == ["chain 0 serves no plan"]
     report = validate_chains(inst, [(1, [(1, 0), (2, 1), (1, 0)])])
     assert "plan_multiplicity" in {i.code for i in report.issues}
     report = validate_chains(inst, [(1, [(1, 0)])])

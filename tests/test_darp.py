@@ -302,6 +302,15 @@ def test_batch_without_a_group_search_is_proven_under_a_zero_limit():
     assert not solve_batch_exact(pair, LINE, 2, time_limit_ms=0).proven_optimal
 
 
+def test_negative_time_limits_are_rejected():
+    with pytest.raises(InputError, match="time limit must be non-negative, got -5 ms"):
+        solve_batch_exact([Request(1, 0, 2, 0, 5)], LINE, 4, time_limit_ms=-5)
+    empty = DarpInstance((), LINE, 4, AUTO_FLEET)
+    with pytest.raises(InputError, match="time limit must be non-negative, got -1 ms"):
+        run_proposed(empty, 10, time_limit_ms=-1)
+    assert run_proposed(empty, 10, time_limit_ms=0).routes == ()
+
+
 def _partition_key(plans):
     return (
         sum(plan.total_duration for plan in plans),

@@ -382,12 +382,68 @@ def test_cli_exit_codes(tmp_path):
 @pytest.mark.parametrize(
     "kind, range_flag, message",
     [("chain", "--d-max-range=-5:-1", "plan 1: negative delay budget"),
-     ("darp", "--delay-range=-3:-1", "request 1: negative delay budget")],
+     ("darp", "--delay-range=-3:-1", "request 1: negative delay budget"),
+     ("chain", "--d-max-range=a:b", "bad range 'a:b', expected lo:hi"),
+     ("darp", "--delay-range=5:1", "bad range '5:1': lo > hi")],
 )
 def test_cli_gen_writes_no_document_the_loader_rejects(tmp_path, capsys, kind, range_flag, message):
     out = tmp_path / "x.json"
     assert main(["gen", kind, "--seed", "1", range_flag, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+# case -> (instance kind, instance edits, command line, message); "{path}"
+# stands for the edited instance's file
+CLI_INPUT_ERRORS = {
+    "bad-wait-cap": ("chain", [], ["chain", "solve", "--policy", "cost-waitcap:x"], "bad wait cap in 'cost-waitcap:x'"),
+    "bad-wait-penalty": (
+        "chain", [], ["chain", "solve", "--policy", "cost-waitpen:1/0"], "bad wait penalty in 'cost-waitpen:1/0'"
+    ),
+    "policy-bad-wait-penalty": (
+        "chain", [(("policy",), {"kind": "cost-waitpen", "alpha": "1/0"})], ["chain", "solve"],
+        "policy: bad wait penalty '1/0'",
+    ),
+    "policy-unknown-kind": (
+        "chain", [(("policy",), {"kind": "speed"})], ["chain", "solve"], "policy: unknown kind 'speed'"
+    ),
+    "fleet-unknown-mode": (
+        "darp", [(("fleet", "mode"), "fixed")], ["darp", "run", "--method", "ih"], "fleet: unknown mode 'fixed'"
+    ),
+    "top-level-list": ("chain", [((), [])], ["chain", "solve"], "{path}: top level must be an object"),
+    "plans-and-requests": (
+        "chain", [(("requests",), [])], ["chain", "solve"], "{path}: exactly one of 'plans' or 'requests' may be present"
+    ),
+    "unknown-schema": ("chain", [(("schema",), "other")], ["chain", "solve"], "{path}: unknown schema 'other'"),
+    "duplicate-request-id": (
+        "darp", [(("requests", 1, "id"), 1)], ["darp", "run", "--method", "ih"], "duplicate request id 1"
+    ),
+    "duplicate-vehicle-id": (
+        "darp", [(("fleet", "vehicles", 1, "id"), 1)], ["darp", "run", "--method", "ih"], "duplicate vehicle id 1"
+    ),
+    "zero-batch-length": (
+        "darp", [], ["darp", "run", "--method", "proposed", "--batch-secs", "0"], "batch length must be at least one tick"
+    ),
+    "negative-time-limit": (
+        "darp", [], ["darp", "run", "--method", "proposed", "--batch-secs", "10", "--time-limit-ms", "-5"],
+        "time limit must be non-negative, got -5 ms",
+    ),
+    "negative-time-limit-single-batch": (
+        "darp", [], ["darp", "run", "--method", "single-batch", "--time-limit-ms", "-5"],
+        "time limit must be non-negative, got -5 ms",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_INPUT_ERRORS))
+def test_cli_reports_input_errors_by_message(tmp_path, capsys, case):
+    kind, edits, command, message = CLI_INPUT_ERRORS[case]
+    doc, path, out = _instance_doc(kind, "matrix"), tmp_path / "instance.json", tmp_path / "x.json"
+    for field, value in edits:
+        doc = _edited(doc, field, value)
+    io.save_json(path, doc)
+    assert main(command + ["--instance", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message.format(path=path)}\n"
     assert not out.exists()
 
 

@@ -207,6 +207,15 @@ def test_connection_costs(e1):
         model.connection_cost(e1, E1_P1, VariantRef(2, 0))
 
 
+@pytest.mark.parametrize("policy", [None, "cost", object(), Fraction(1, 2)])
+def test_instance_rejects_what_is_not_a_cost_policy(e1, policy):
+    # both generators and connection_cost can then trust the policy's kind
+    with pytest.raises(InputError, match="unknown cost policy"):
+        ChainingInstance(e1.plans, e1.vehicles, e1.travel, policy)
+    with pytest.raises(InputError, match="unknown cost policy"):
+        e1.with_policy(policy)
+
+
 def test_wait_cap_boundary():
     # wait 7 with cap 5 is forbidden; wait exactly at the cap is allowed
     travel = TravelMatrix([[0, 1], [1, 0]])

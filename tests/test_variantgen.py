@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planchain import model, variantgen
 from planchain.errors import GuardExceededError, InputError
@@ -202,6 +204,42 @@ def test_exhaustive_generation_matches_scalar_reference():
             assert variantgen.generate_exhaustive(inst) == scalar_twins.generate_exhaustive_reference(inst)
 
 
+DRAWN_POLICIES = st.one_of(
+    st.just(TravelCost()),
+    st.just(FleetSize()),
+    st.integers(0, 2).map(TravelCostWaitCapped),
+    st.sampled_from((Fraction(2, 3), Fraction(1, 2), Fraction(2))).map(TravelCostWaitPenalized),
+)
+
+
+@st.composite
+def drawn_instances(draw):
+    """0-7 plans with budgets of 0-6 ticks and 0-3 vehicles on 3 locations.
+
+    Start times fall in a few ticks, and the travel matrix is free half of
+    the time, so simultaneous zero-travel plans meet the tie rule.
+    """
+    if draw(st.booleans()):
+        travel = [[0] * 3 for _ in range(3)]
+    else:
+        travel = [[0 if a == b else draw(st.integers(0, 4)) for b in range(3)] for a in range(3)]
+    ids = draw(st.lists(st.integers(1, 40), max_size=7, unique=True))
+    plans = []
+    for pid in ids:
+        t_or = draw(st.integers(0, 6))
+        o, d = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        plans.append(Plan(pid, o, d, t_or, t_or + draw(st.integers(0, 3)), draw(st.integers(0, 6))))
+    count = draw(st.integers(0, 3))
+    vehicles = [Vehicle(vid, draw(st.integers(0, 2)), draw(st.integers(0, 4))) for vid in range(count)]
+    return ChainingInstance(tuple(plans), tuple(vehicles), TravelMatrix(travel), draw(DRAWN_POLICIES))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(inst=drawn_instances())
+def test_exhaustive_generation_matches_scalar_reference_on_drawn_instances(inst):
+    assert variantgen.generate_exhaustive(inst) == scalar_twins.generate_exhaustive_reference(inst)
+
+
 def test_exhaustive_generation_orders_simultaneous_plans():
     travel = TravelMatrix([[0, 0], [0, 0]])
     first, second = Plan(1, 0, 1, 5, 5, 1), Plan(2, 1, 0, 5, 5, 1)
@@ -238,17 +276,19 @@ def test_generation_is_independent_of_the_block_size(monkeypatch, rows):
     cases = _block_boundary_cases()
     assert any(not inst.vehicles and inst.plans for inst in cases)
     assert any(inst.vehicles and not inst.plans for inst in cases)
-    blocks = []  # origins per probe
-    probe, probe_variants = variantgen._ProbeTables.probe, variantgen._ProbeTables.probe_variants
+    blocks, links = [], []  # origins per probe, links per pricing
+    probe, price = variantgen._ProbeTables.probe, variantgen._ProbeTables._policy_cost
 
-    def counted(method):
-        def wrapper(self, origin, origin_delay):
-            blocks.append(len(origin))
-            return method(self, origin, origin_delay)
-        return wrapper
+    def counted_probe(self, origin, origin_delay):
+        blocks.append(len(origin))
+        return probe(self, origin, origin_delay)
 
-    monkeypatch.setattr(variantgen._ProbeTables, "probe", counted(probe))
-    monkeypatch.setattr(variantgen._ProbeTables, "probe_variants", counted(probe_variants))
+    def counted_price(self, ftt, wait, vehicle):
+        links.append(len(ftt))
+        return price(self, ftt, wait, vehicle)
+
+    monkeypatch.setattr(variantgen._ProbeTables, "probe", counted_probe)
+    monkeypatch.setattr(variantgen._ProbeTables, "_policy_cost", counted_price)
     default_cells = variantgen._BLOCK_CELLS
     for inst in cases:
         n, ticks = len(inst.plans), variantgen.total_delay_ticks(inst)
@@ -258,7 +298,11 @@ def test_generation_is_independent_of_the_block_size(monkeypatch, rows):
         ):
             cells = default_cells if rows is None else 1 if rows == 1 else rows * width
             monkeypatch.setattr(variantgen, "_BLOCK_CELLS", cells)
+            links.clear()
             assert run(inst) == reference(inst)
+            # a block's links, widened to every later delay, stay within its
+            # cells (one origin's row is the smallest block)
+            assert max(links, default=0) <= max(cells, width)
     if rows is not None:
         assert max(blocks) == rows
     else:
