@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, InfeasibleError, InputError
-from .model import ChainingInstance, CostPolicy, Plan, TravelCost, TravelMatrix, Vehicle, check_range
+from .model import ChainingInstance, CostPolicy, Plan, TravelCost, TravelMatrix, Vehicle, check_range, index_records
 from .chainsolve import solve_chaining
 
 PICKUP = "pickup"
@@ -71,29 +71,14 @@ class DarpInstance:
     fleet: tuple[Vehicle, ...] | AutoFleet
 
     def __post_init__(self) -> None:
-        requests = tuple(sorted(self.requests, key=lambda r: r.id))
-        object.__setattr__(self, "requests", requests)
         if self.capacity < 1:
             raise InputError("vehicle capacity must be at least 1")
-        request_map = {}
-        for r in requests:
-            if r.id in request_map:
-                raise InputError(f"duplicate request id {r.id}")
-            request_map[r.id] = r
-            for loc in (r.origin, r.destination):
-                if not (0 <= loc < self.travel.size):
-                    raise InputError(f"request {r.id}: location {loc} outside travel matrix")
+        size = self.travel.size
+        requests, request_map = index_records(self.requests, "request", ("origin", "destination"), size)
+        object.__setattr__(self, "requests", requests)
         object.__setattr__(self, "_request_map", request_map)
         if not isinstance(self.fleet, AutoFleet):
-            fleet = tuple(sorted(self.fleet, key=lambda v: v.id))
-            object.__setattr__(self, "fleet", fleet)
-            vids = set()
-            for v in fleet:
-                if v.id in vids:
-                    raise InputError(f"duplicate vehicle id {v.id}")
-                vids.add(v.id)
-                if not (0 <= v.start_location < self.travel.size):
-                    raise InputError(f"vehicle {v.id}: location {v.start_location} outside travel matrix")
+            object.__setattr__(self, "fleet", index_records(self.fleet, "vehicle", ("start_location",), size)[0])
 
     def request(self, rid: int) -> Request:
         try:

@@ -5,13 +5,18 @@ serialized canonically (sorted keys, two-space indent, trailing newline)
 so identical inputs produce byte-identical files.  The travel section is
 either an explicit matrix or a grid section (integer coordinates with a
 Manhattan metric scaled by ``ticks_per_unit``).
+
+The four key tuples ``_PLAN_KEYS``, ``_VEHICLE_KEYS``, ``_REQUEST_KEYS``
+and ``_STOP_KEYS`` are the file schema of the records: each names a
+record's fields in its constructor's order.  The readers, the writers and
+both seeded generators build or read every record through them.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +32,7 @@ from .model import (
     TravelMatrix,
     Vehicle,
 )
-from .darp import AUTO_FLEET, AutoFleet, DarpInstance, DarpSolution, Metrics, Request, RoutePlan, Stop
+from .darp import AUTO_FLEET, DROPOFF, PICKUP, AutoFleet, DarpInstance, DarpSolution, Metrics, Request, RoutePlan, Stop
 from .chainsolve import ChainSolution
 
 CHAIN_INSTANCE_SCHEMA = "planchain.chain-instance.v1"
@@ -56,6 +61,8 @@ def load_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise InputError(f"{path}: an integer has too many digits to parse") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: nested too deeply to parse") from exc
 
@@ -100,7 +107,16 @@ def _record(cls, data, context, keys):
     return cls(rid, *_int_fields(data, keys[1:], f"{context} {rid}"))
 
 
+def _doc(keys, values) -> dict:
+    """A record's file object: ``values`` in its constructor's order, under its ``keys``."""
+    return dict(zip(keys, values, strict=True))
+
+
+# the file keys of each record kind, in its constructor's argument order
+_PLAN_KEYS = ("id", "origin", "destination", "t_or", "t_de", "d_max")
 _VEHICLE_KEYS = ("id", "location", "t_st")
+_REQUEST_KEYS = ("id", "origin", "destination", "t_r", "max_delay")
+_STOP_KEYS = ("request", "kind", "location", "time")
 
 
 # -- cost policies ----------------------------------------------------------
@@ -117,6 +133,21 @@ def policy_to_dict(policy: CostPolicy) -> dict:
     raise InputError(f"unknown policy {policy!r}")
 
 
+_MAX_PENALTY_EXPONENT = 100  # Fraction("1e10000000") takes seconds to build its power of ten
+
+
+def _wait_penalty(text: str) -> TravelCostWaitPenalized:
+    """The wait penalty written as ``text``, a fraction or a decimal.
+
+    Raises ``ValueError`` or ``ZeroDivisionError`` on malformed text or an
+    exponent beyond ``_MAX_PENALTY_EXPONENT``, before ``Fraction`` parses it.
+    """
+    _, exp_mark, exponent = text.lower().partition("e")
+    if exp_mark and abs(int(exponent)) > _MAX_PENALTY_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {_MAX_PENALTY_EXPONENT}")
+    return TravelCostWaitPenalized(Fraction(text))
+
+
 def policy_from_dict(data) -> CostPolicy:
     kind = _require(data, "kind", "policy")
     if kind == "fleet":
@@ -128,7 +159,7 @@ def policy_from_dict(data) -> CostPolicy:
     if kind == "cost-waitpen":
         raw = _require(data, "alpha", "policy")
         try:
-            return TravelCostWaitPenalized(Fraction(str(raw)))
+            return _wait_penalty(str(raw))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"policy: bad wait penalty {raw!r}") from exc
     raise InputError(f"policy: unknown kind {kind!r}")
@@ -147,7 +178,7 @@ def policy_from_cli(text: str) -> CostPolicy:
             raise InputError(f"bad wait cap in {text!r}") from exc
     if text.startswith("cost-waitpen:"):
         try:
-            return TravelCostWaitPenalized(Fraction(text.split(":", 1)[1]))
+            return _wait_penalty(text.split(":", 1)[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad wait penalty in {text!r}") from exc
     raise InputError(f"unknown policy {text!r} (expected fleet | cost | cost-waitcap:D | cost-waitpen:A)")
@@ -182,20 +213,8 @@ def chain_instance_to_dict(instance: ChainingInstance) -> dict:
         "schema": CHAIN_INSTANCE_SCHEMA,
         "locations": {"count": instance.travel.size},
         "travel": _travel_to_dict(instance.travel),
-        "plans": [
-            {
-                "id": p.id,
-                "origin": p.origin_location,
-                "destination": p.destination_location,
-                "t_or": p.t_or,
-                "t_de": p.t_de,
-                "d_max": p.d_max,
-            }
-            for p in instance.plans
-        ],
-        "vehicles": [
-            {"id": v.id, "location": v.start_location, "t_st": v.t_st} for v in instance.vehicles
-        ],
+        "plans": [_doc(_PLAN_KEYS, astuple(p)) for p in instance.plans],
+        "vehicles": [_doc(_VEHICLE_KEYS, astuple(v)) for v in instance.vehicles],
         "policy": policy_to_dict(instance.policy),
     }
 
@@ -205,8 +224,7 @@ def chain_instance_from_dict(data) -> ChainingInstance:
         raise InputError(f"expected schema {CHAIN_INSTANCE_SCHEMA}, got {data['schema']!r}")
     count = _int_field(_require(data, "locations", "instance"), "count", "locations")
     travel = _travel_from_dict(_require(data, "travel", "instance"), count)
-    plan_keys = ("id", "origin", "destination", "t_or", "t_de", "d_max")
-    plans = tuple(_record(Plan, p, "plan", plan_keys) for p in _list_field(data, "plans", "instance"))
+    plans = tuple(_record(Plan, p, "plan", _PLAN_KEYS) for p in _list_field(data, "plans", "instance"))
     vehicles = tuple(_record(Vehicle, v, "vehicle", _VEHICLE_KEYS) for v in _list_field(data, "vehicles", "instance"))
     policy = policy_from_dict(data.get("policy", {"kind": "cost"}))
     return ChainingInstance(plans, vehicles, travel, policy)
@@ -218,26 +236,12 @@ def darp_instance_to_dict(instance: DarpInstance) -> dict:
     if isinstance(instance.fleet, AutoFleet):
         fleet = {"mode": "auto"}
     else:
-        fleet = {
-            "mode": "explicit",
-            "vehicles": [
-                {"id": v.id, "location": v.start_location, "t_st": v.t_st} for v in instance.fleet
-            ],
-        }
+        fleet = {"mode": "explicit", "vehicles": [_doc(_VEHICLE_KEYS, astuple(v)) for v in instance.fleet]}
     return {
         "schema": DARP_INSTANCE_SCHEMA,
         "locations": {"count": instance.travel.size},
         "travel": _travel_to_dict(instance.travel),
-        "requests": [
-            {
-                "id": r.id,
-                "origin": r.origin,
-                "destination": r.destination,
-                "t_r": r.t_r,
-                "max_delay": r.max_delay,
-            }
-            for r in instance.requests
-        ],
+        "requests": [_doc(_REQUEST_KEYS, astuple(r)) for r in instance.requests],
         "capacity": instance.capacity,
         "fleet": fleet,
     }
@@ -248,8 +252,7 @@ def darp_instance_from_dict(data) -> DarpInstance:
         raise InputError(f"expected schema {DARP_INSTANCE_SCHEMA}, got {data['schema']!r}")
     count = _int_field(_require(data, "locations", "instance"), "count", "locations")
     travel = _travel_from_dict(_require(data, "travel", "instance"), count)
-    request_keys = ("id", "origin", "destination", "t_r", "max_delay")
-    requests = tuple(_record(Request, r, "request", request_keys) for r in _list_field(data, "requests", "instance"))
+    requests = tuple(_record(Request, r, "request", _REQUEST_KEYS) for r in _list_field(data, "requests", "instance"))
     fleet_data = _require(data, "fleet", "instance")
     mode = _require(fleet_data, "mode", "fleet")
     if mode == "auto":
@@ -329,11 +332,8 @@ def darp_solution_to_dict(solution: DarpSolution) -> dict:
         "objective": solution.objective,
         "routes": [
             {
-                "vehicle": {"id": v.id, "location": v.start_location, "t_st": v.t_st},
-                "stops": [
-                    {"request": s.request_id, "kind": s.kind, "location": s.location, "time": s.time}
-                    for s in plan.stops
-                ],
+                "vehicle": _doc(_VEHICLE_KEYS, astuple(v)),
+                "stops": [_doc(_STOP_KEYS, astuple(s)) for s in plan.stops],
             }
             for v, plan in solution.routes
         ],
@@ -342,10 +342,12 @@ def darp_solution_to_dict(solution: DarpSolution) -> dict:
 
 
 def _stop_from_dict(s) -> Stop:
-    request, location, time = _int_fields(s, ("request", "location", "time"), "stop")
-    if _require(s, "kind", "stop") not in ("pickup", "dropoff"):
-        raise InputError(f"stop: field 'kind' must be 'pickup' or 'dropoff', got {s['kind']!r}")
-    return Stop(request, s["kind"], location, time)
+    request_key, kind_key, *int_keys = _STOP_KEYS
+    request, location, time = _int_fields(s, (request_key, *int_keys), "stop")
+    kind = _require(s, kind_key, "stop")
+    if kind not in (PICKUP, DROPOFF):
+        raise InputError(f"stop: field '{kind_key}' must be '{PICKUP}' or '{DROPOFF}', got {kind!r}")
+    return Stop(request, kind, location, time)
 
 
 def darp_solution_from_dict(data) -> DarpSolution:
@@ -434,35 +436,20 @@ def generate_chain_instance(params: ChainGenParams) -> dict:
         dest = rng.randrange(params.locations)
         t_or = rng.randint(min(params.t_or_min, params.horizon), params.horizon)
         t_de = t_or + travel.duration(origin, dest) + rng.randint(*params.extra_duration_range)
-        plans.append(
-            {
-                "id": i,
-                "origin": origin,
-                "destination": dest,
-                "t_or": t_or,
-                "t_de": t_de,
-                "d_max": rng.randint(*params.d_max_range),
-            }
-        )
-    vehicles = []
+        plans.append((i, origin, dest, t_or, t_de, rng.randint(*params.d_max_range)))
     if params.fleet == "dedicated":
-        for i, p in enumerate(plans, start=1):
-            vehicles.append({"id": i, "location": p["origin"], "t_st": 0})
+        vehicles = [(pid, origin, 0) for pid, origin, *_ in plans]
     else:
-        for i in range(1, params.vehicles + 1):
-            vehicles.append(
-                {
-                    "id": i,
-                    "location": rng.randrange(params.locations),
-                    "t_st": rng.randrange(params.t_st_max + 1),
-                }
-            )
+        vehicles = [
+            (i, rng.randrange(params.locations), rng.randrange(params.t_st_max + 1))
+            for i in range(1, params.vehicles + 1)
+        ]
     return {
         "schema": CHAIN_INSTANCE_SCHEMA,
         "locations": {"count": params.locations},
         "travel": {"grid": {"coordinates": [list(c) for c in coords], "ticks_per_unit": 1}},
-        "plans": plans,
-        "vehicles": vehicles,
+        "plans": [_doc(_PLAN_KEYS, p) for p in plans],
+        "vehicles": [_doc(_VEHICLE_KEYS, v) for v in vehicles],
         "policy": policy_to_dict(params.policy),
     }
 
@@ -501,32 +488,22 @@ def generate_darp_instance(params: DarpGenParams) -> dict:
         if params.locations > 1:
             while dest == origin:
                 dest = rng.randrange(params.locations)
-        requests.append(
-            {
-                "id": i,
-                "origin": origin,
-                "destination": dest,
-                "t_r": rng.randrange(params.horizon + 1),
-                "max_delay": rng.randint(*params.delay_range),
-            }
-        )
+        requests.append((i, origin, dest, rng.randrange(params.horizon + 1), rng.randint(*params.delay_range)))
     if params.fleet_size is None:
         fleet = {"mode": "auto"}
     else:
         # vehicles idle where demand appears: one per request origin, extras random
-        vehicles = []
-        for i in range(1, params.fleet_size + 1):
-            if i <= len(requests):
-                loc = requests[i - 1]["origin"]
-            else:
-                loc = rng.randrange(params.locations)
-            vehicles.append({"id": i, "location": loc, "t_st": 0})
-        fleet = {"mode": "explicit", "vehicles": vehicles}
+        origins = [origin for _, origin, *_ in requests]
+        vehicles = [
+            (i, origins[i - 1] if i <= len(origins) else rng.randrange(params.locations), 0)
+            for i in range(1, params.fleet_size + 1)
+        ]
+        fleet = {"mode": "explicit", "vehicles": [_doc(_VEHICLE_KEYS, v) for v in vehicles]}
     return {
         "schema": DARP_INSTANCE_SCHEMA,
         "locations": {"count": params.locations},
         "travel": {"grid": {"coordinates": [list(c) for c in coords], "ticks_per_unit": 1}},
-        "requests": requests,
+        "requests": [_doc(_REQUEST_KEYS, r) for r in requests],
         "capacity": params.capacity,
         "fleet": fleet,
     }

@@ -231,11 +231,35 @@ class TravelCostWaitPenalized:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha < 0:
             raise InputError("wait penalty must be non-negative")
+        # no digits in the message: str() refuses integers of over 4300 digits
+        if max(self.alpha.numerator, self.alpha.denominator) > np.iinfo(np.int64).max:
+            raise InputError("wait penalty numerator or denominator outside the int64 range")
 
 
 CostPolicy = FleetSize | TravelCost | TravelCostWaitCapped | TravelCostWaitPenalized
 
 Endpoint = Plan | Vehicle | VariantRef
+
+
+def index_records(records, kind: str, locations: tuple[str, ...], size: int) -> tuple[tuple, dict]:
+    """Sort ``records`` by id and map each id to its record.
+
+    Checks each record in id order: its id must be new (else ``duplicate
+    {kind} id N``), and each of its ``locations`` attributes must index
+    the travel matrix of ``size`` locations (else ``{kind} N: location L
+    outside travel matrix``).  Returns the sorted tuple and the id map.
+    """
+    ordered = tuple(sorted(records, key=lambda r: r.id))
+    by_id = {}
+    for record in ordered:
+        if record.id in by_id:
+            raise InputError(f"duplicate {kind} id {record.id}")
+        for name in locations:
+            loc = getattr(record, name)
+            if not 0 <= loc < size:
+                raise InputError(f"{kind} {record.id}: location {loc} outside travel matrix")
+        by_id[record.id] = record
+    return ordered, by_id
 
 
 @dataclass(frozen=True)
@@ -250,25 +274,11 @@ class ChainingInstance:
     def __post_init__(self) -> None:
         if not isinstance(self.policy, CostPolicy):
             raise InputError(f"unknown cost policy {self.policy!r}")
-        plans = tuple(sorted(self.plans, key=lambda p: p.id))
-        vehicles = tuple(sorted(self.vehicles, key=lambda v: v.id))
+        size = self.travel.size
+        plans, plan_map = index_records(self.plans, "plan", ("origin_location", "destination_location"), size)
+        vehicles, vehicle_map = index_records(self.vehicles, "vehicle", ("start_location",), size)
         object.__setattr__(self, "plans", plans)
         object.__setattr__(self, "vehicles", vehicles)
-        plan_map = {}
-        for p in plans:
-            if p.id in plan_map:
-                raise InputError(f"duplicate plan id {p.id}")
-            for loc in (p.origin_location, p.destination_location):
-                if not (0 <= loc < self.travel.size):
-                    raise InputError(f"plan {p.id}: location {loc} outside travel matrix")
-            plan_map[p.id] = p
-        vehicle_map = {}
-        for v in vehicles:
-            if v.id in vehicle_map:
-                raise InputError(f"duplicate vehicle id {v.id}")
-            if not (0 <= v.start_location < self.travel.size):
-                raise InputError(f"vehicle {v.id}: location {v.start_location} outside travel matrix")
-            vehicle_map[v.id] = v
         object.__setattr__(self, "_plan_map", plan_map)
         object.__setattr__(self, "_vehicle_map", vehicle_map)
 

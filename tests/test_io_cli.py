@@ -1,10 +1,12 @@
 import copy
+import hashlib
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,9 +20,9 @@ from planchain import instances as io
 from planchain import oracle
 from planchain.cli import main
 from planchain.chainsolve import solve_chaining
-from planchain.darp import run_proposed
+from planchain.darp import AUTO_FLEET, DarpInstance, DarpSolution, Request, RoutePlan, Stop, run_proposed
 from planchain.errors import InputError
-from planchain.model import TravelCostWaitCapped, TravelCostWaitPenalized
+from planchain.model import TravelCostWaitCapped, TravelCostWaitPenalized, TravelMatrix, Vehicle
 
 from conftest import fractional_penalty_gap_instance, make_e1, waitcap_gap_instance
 
@@ -31,6 +33,59 @@ def test_e1_golden_file_round_trip():
     loaded = io.load_instance(DATA / "e1.chain.json")
     assert loaded == make_e1()
     assert io.canonical_json_bytes(io.chain_instance_to_dict(loaded)) == (DATA / "e1.chain.json").read_bytes()
+
+
+# the DARP golden files: every field of a record differs from the others,
+# so a file key that moves to another field changes what loads; the
+# solution is the insertion heuristic's on the explicit fleet
+D1_FLEET = (Vehicle(1, 0, 2), Vehicle(2, 1, 3))
+D1_IH_SOLUTION = DarpSolution(
+    "ih",
+    None,
+    ((D1_FLEET[0], RoutePlan((
+        Stop(1, "pickup", 0, 3), Stop(1, "dropoff", 2, 7), Stop(2, "pickup", 1, 9), Stop(2, "dropoff", 0, 11)
+    ))),),
+    8,
+    ((1, 0), (2, 2)),
+)
+
+
+def make_d1(fleet):
+    travel = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
+    return DarpInstance((Request(1, 0, 2, 3, 5), Request(2, 1, 0, 7, 4)), travel, 2, fleet)
+
+
+@pytest.mark.parametrize(
+    "name, expected, load, dump",
+    [
+        ("d1.darp.json", make_d1(D1_FLEET), io.load_instance, io.darp_instance_to_dict),
+        ("d1-auto.darp.json", make_d1(AUTO_FLEET), io.load_instance, io.darp_instance_to_dict),
+        (
+            "d1-ih.solution.json", D1_IH_SOLUTION,
+            lambda path: io.darp_solution_from_dict(io.load_json(path)), io.darp_solution_to_dict,
+        ),
+    ],
+)
+def test_darp_golden_files_round_trip(name, expected, load, dump):
+    assert load(DATA / name) == expected
+    assert io.canonical_json_bytes(dump(expected)) == (DATA / name).read_bytes()
+
+
+# a change to a generator's draw order changes these bytes
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["gen", "chain", "--seed", "9"], "47d5814040539783c028565a7683a295b28d01f60f1b95d79dc117c90bd53268"),
+        (
+            ["gen", "darp", "--seed", "4", "--fleet-size", "6"],
+            "cd0ed6bfe42f7be82cd8d5761e8043ea0582ae70738cdc0cedbe6dfddd80dcad",
+        ),
+    ],
+)
+def test_cli_gen_output_is_pinned(tmp_path, argv, digest):
+    out = tmp_path / "gen.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_instance_save_load_identity(tmp_path):
@@ -421,6 +476,42 @@ CLI_INPUT_ERRORS = {
     "duplicate-vehicle-id": (
         "darp", [(("fleet", "vehicles", 1, "id"), 1)], ["darp", "run", "--method", "ih"], "duplicate vehicle id 1"
     ),
+    "duplicate-plan-id": ("chain", [(("plans", 1, "id"), 1)], ["chain", "solve"], "duplicate plan id 1"),
+    "duplicate-chain-vehicle-id": (
+        "chain", [(("vehicles",), [{"id": 1, "location": 0, "t_st": 0}, {"id": 1, "location": 1, "t_st": 4}])],
+        ["chain", "solve"], "duplicate vehicle id 1",
+    ),
+    "plan-location-outside": (
+        "chain", [(("plans", 1, "destination"), 3)], ["chain", "solve"], "plan 2: location 3 outside travel matrix"
+    ),
+    "chain-vehicle-location-outside": (
+        "chain", [(("vehicles", 0, "location"), -1)], ["chain", "solve"],
+        "vehicle 1: location -1 outside travel matrix",
+    ),
+    "request-location-outside": (
+        "darp", [(("requests", 2, "origin"), 3)], ["darp", "run", "--method", "ih"],
+        "request 3: location 3 outside travel matrix",
+    ),
+    "fleet-vehicle-location-outside": (
+        "darp", [(("fleet", "vehicles", 1, "location"), -1)], ["darp", "run", "--method", "ih"],
+        "vehicle 2: location -1 outside travel matrix",
+    ),
+    # a decimal exponent this large took seconds, or never ended, in ``Fraction``
+    "huge-exponent-wait-penalty": (
+        "chain", [], ["chain", "solve", "--policy", "cost-waitpen:1e5000"], "bad wait penalty in 'cost-waitpen:1e5000'"
+    ),
+    "policy-huge-exponent-wait-penalty": (
+        "chain", [(("policy",), {"kind": "cost-waitpen", "alpha": "1e5000"})], ["chain", "solve"],
+        "policy: bad wait penalty '1e5000'",
+    ),
+    "huger-exponent-wait-penalty": (
+        "chain", [], ["chain", "solve", "--policy", "cost-waitpen:1e10000000"],
+        "bad wait penalty in 'cost-waitpen:1e10000000'",
+    ),
+    "policy-negative-huger-exponent-wait-penalty": (
+        "chain", [(("policy",), {"kind": "cost-waitpen", "alpha": "1e-10000000"})], ["chain", "solve"],
+        "policy: bad wait penalty '1e-10000000'",
+    ),
     "zero-batch-length": (
         "darp", [], ["darp", "run", "--method", "proposed", "--batch-secs", "0"], "batch length must be at least one tick"
     ),
@@ -445,6 +536,27 @@ def test_cli_reports_input_errors_by_message(tmp_path, capsys, case):
     assert main(command + ["--instance", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"input error: {message.format(path=path)}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", [case for case in sorted(CLI_INPUT_ERRORS) if "exponent" in case])
+def test_cli_refuses_a_huge_penalty_exponent_within_a_second(tmp_path, capsys, case):
+    started = time.perf_counter()
+    test_cli_reports_input_errors_by_message(tmp_path, capsys, case)
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("alpha", [Fraction(2**63), Fraction(1, 2**63), Fraction(10**5000 + 1, 10**5000)])
+def test_wait_penalty_beyond_int64_is_an_input_error_without_digits(alpha):
+    with pytest.raises(InputError, match="^wait penalty numerator or denominator outside the int64 range$"):
+        TravelCostWaitPenalized(alpha)
+
+
+def test_cli_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
+    text = (DATA / "e1.chain.json").read_text(encoding="utf-8").replace('"t_st": 0', '"t_st": 1' + "0" * 5000)
+    path = tmp_path / "digits.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["chain", "solve", "--instance", str(path), "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == f"input error: {path}: an integer has too many digits to parse\n"
 
 
 def test_cli_oracle_on_e1(capsys):
