@@ -10,7 +10,9 @@ narrower window), so best-first search with integral costs prunes exactly.
 
 A node holds its window and the connection rows its relaxation chose, not
 edge flows: mismatches, the branching plan and the chains are read from
-the rows' columns.
+the rows' columns.  A row out of a vehicle is its class's row, so the
+chains take each chosen row's vehicle from its matrix column, which the
+node's Hungarian state holds.
 
 A child's relaxation is warm-started from its parent's Hungarian state.  A
 child only narrows a window, so its assignment costs only rise and the
@@ -173,33 +175,41 @@ def _split_window(window: np.ndarray, i: int, a: int, b: int) -> tuple[np.ndarra
     return low, high
 
 
-def extract_chains(network: FlowNetwork, rows) -> tuple[Chain, ...]:
+def _columns(state: HungarianState) -> np.ndarray:
+    """The assigned origin columns, in the order of the rows ``solve_mcf`` chose."""
+    return (state.owner >= 0).nonzero()[0]
+
+
+def extract_chains(network: FlowNetwork, rows, cols) -> tuple[Chain, ...]:
     """Walk from each vehicle through the chosen connection rows.
 
-    Each chain is a vehicle followed by the plan variants it serves.  Rows
-    that enter a plan or leave an origin twice, break variant consistency or
-    miss a plan raise ``InternalSolverError`` (unreachable from the solver).
+    Row ``rows[i]`` is taken out of origin column ``cols[i]``: a vehicle
+    reads its class's rows in its own column.  Each chain is a vehicle
+    followed by the plan variants it serves.  Rows that enter a plan or
+    leave an origin twice, break variant consistency or miss a plan raise
+    ``InternalSolverError`` (unreachable from the solver).
     """
     conns, instance = network.connections, network.instance
-    origins, targets = conns.origin[rows].tolist(), conns.target[rows].tolist()
+    origins, targets = cols.tolist(), conns.target[rows].tolist()
     if len(set(targets)) < len(targets) or len(set(origins)) < len(origins):
         raise InternalSolverError("a plan is entered, or an origin left, by two connections")
     mismatches = _find_mismatches(network, rows)
     if mismatches:
         pid = network.plan_ids[mismatches[0][0]]
         raise InternalSolverError(f"plan {pid} leaves as a different variant than it arrived")
-    successor = dict(zip(origins, rows.tolist()))  # origin column -> row out of it
+    # origin column -> the target, its delay and the cost of the row out of it
+    successor = dict(zip(origins, zip(targets, conns.target_delay[rows].tolist(), conns.cost[rows].tolist())))
     chains = []
     for j, vehicle in enumerate(instance.vehicles):
         elements, costs, waits, prev = [], [], [], vehicle
-        r = successor.get(len(instance.plans) + j)
-        while r is not None:  # no cycle: every plan is entered once
-            conn = conns[r]
-            elements.append(conn.target)
-            costs.append(conn.cost)
-            waits.append(model.connection_wait(instance, prev, conn.target))
-            prev = conn.target
-            r = successor.get(int(conns.target[r]))
+        link = successor.get(len(instance.plans) + j)
+        while link is not None:  # no cycle: every plan is entered once
+            target = VariantRef(instance.plans[link[0]].id, link[1])
+            elements.append(target)
+            costs.append(link[2])
+            waits.append(model.connection_wait(instance, prev, target))
+            prev = target
+            link = successor.get(link[0])
         if elements:
             chains.append(Chain(vehicle, tuple(elements), tuple(costs), tuple(waits)))
     if sum(len(c.elements) for c in chains) != len(instance.plans):
@@ -231,7 +241,8 @@ def solve_network(network: FlowNetwork) -> ChainSolution:
     """
     root = solve_mcf(network)
     if not network.variant_delay.size:
-        return ChainSolution(extract_chains(network, root.rows), root.total_cost, SolverStats(0, 1))
+        chains = extract_chains(network, root.rows, _columns(root.state))
+        return ChainSolution(chains, root.total_cost, SolverStats(0, 1))
 
     relaxations, nodes_explored = 1, 0
     counter = itertools.count()
@@ -269,7 +280,7 @@ def solve_network(network: FlowNetwork) -> ChainSolution:
             heapq.heappush(heap, (child.bound, -child.depth, 1, next(counter), child))
     if incumbent is None:
         raise InfeasibleError("no variant-consistent chain cover exists")
-    chains = extract_chains(network, incumbent.rows)
+    chains = extract_chains(network, incumbent.rows, _columns(incumbent.state))
     return ChainSolution(chains, incumbent.bound, SolverStats(nodes_explored, relaxations))
 
 

@@ -19,10 +19,18 @@ sends at most one, so ``solve_mcf`` collapses the network into a
 target-by-origin cost matrix and solves it with the Hungarian method.  It
 reads only the connection rows, each one source-to-sink path of at most
 five edges.  Branch-and-bound restricts a relaxation by a delay window per
-plan, which closes the variant nodes outside it.  The edge list, and a
-solution's edge flows and node potentials (the Hungarian duals spread over
-the nodes, which certify the flow through ``residual_is_optimal``), are
-built on first read.
+plan, which closes the variant nodes outside it.
+
+Generated connections hold one set of rows per vehicle class (vehicles
+with one start location and ``t_st``): the network sorts and filters only
+those, fills each class's matrix column from them and copies that column
+to every member vehicle's, so the assignment sees one column per vehicle.
+A chosen connection is therefore a matrix column and a class row.  The
+edge list numbers one connection edge per vehicle, through the
+per-vehicle view of the rows (``Connections.per_vehicle``); it, and a
+solution's edge flows and node potentials (the Hungarian duals spread
+over the nodes, which certify the flow through ``residual_is_optimal``),
+are built on first read.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ class HungarianState(NamedTuple):
 class FlowAssignment:
     """A solve's chosen connection ``rows``, with its edge flows and potentials on first read.
 
+    ``rows`` are class rows, one per assigned matrix column in column order
+    (the columns ``state.owner >= 0`` marks); a vehicle's row is its class's.
     ``state`` is the Hungarian state (to warm-start a restricted re-solve)
     and ``window`` the delay window it was solved under.  ``flows`` is int64
     per edge, 0 or 1, and ``potentials`` int64 per node.
@@ -67,7 +77,7 @@ class FlowAssignment:
 
     @cached_property
     def flows(self) -> np.ndarray:
-        return self.network._flows(self.rows)
+        return self.network._flows(self.rows, (self.state.owner >= 0).nonzero()[0])
 
     @cached_property
     def potentials(self) -> np.ndarray:
@@ -90,30 +100,38 @@ class FlowInfeasibleError(InfeasibleError):
 class FlowNetwork:
     """A chaining network: connection rows for the solver, an edge list on demand.
 
-    Nodes are numbered source, left plans, left variants, vehicles, right
-    variants, right plans, sink; plans and vehicles in instance order and
-    variants by plan, then delay.  Edges are numbered source-side
-    structural edges (source to left plans, source to vehicles, left plan
-    to left variant), then the connections in generation order, then
-    sink-side structural edges (right variant to right plan, right plan to
-    sink).  Connection row ``r`` is edge ``connection_edges[r]``, and its
-    path runs from source edge ``connections.origin[r]`` (an origin's column
-    numbers its source edge) through variant edges ``end_left[origin_end[r]]``
-    and ``end_right[target_end[r]]`` to the sink edge of plan
-    ``connections.target[r]``.  ``origin_end`` and ``target_end`` index the
-    sorted (plan index, delay) endpoints ``end_plan``, ``end_delay``, whose
-    variant edges are ``edge_count`` (absent) where the plan has no variants;
-    a vehicle origin's index is the last slot of ``end_left``, one past the
-    endpoints.  The edge list ``edges`` is built on first access.
+    ``connections`` holds class rows: a generator keeps one vehicle's rows
+    per class, and a hand-built list makes every vehicle its own class.
+    Row ``r`` (a class row) has its origin and target endpoints at
+    ``origin_end[r]`` and ``target_end[r]``, which index the sorted (plan
+    index, delay) endpoints ``end_plan``, ``end_delay``; a vehicle origin's
+    index is the last slot of ``end_left``, one past the endpoints.
 
-    Connection row ``r`` fills matrix cell ``cell[r] = target * m + origin``
-    of the n x m assignment matrix (m = n + vehicles).  ``cell_order`` lists
-    the rows by cell, then cost, then row, as one stable sort of the int64
-    key ``cell * span + (cost - low)``, where ``low`` is the lowest cost and
-    ``span = max_cost - low + 1``.  The key is below ``n * m * span``, so a
-    network with ``n * m * span >= 2**63`` is refused with ``InputError``,
-    as is one whose costs break the relaxation's ``4 * n * max_cost <
-    NO_EDGE`` fence.
+    Row ``r`` fills matrix cell ``cell[r] = target * m + origin`` of the n x
+    m assignment matrix (m = n + vehicles), and a member vehicle's column
+    is a copy of its class representative's (``connections.column_class``).
+    ``cell_order`` lists the rows by cell, then cost, then row, as one
+    stable sort of the int64 key ``cell * span + (cost - low)``, where
+    ``low`` is the lowest cost and ``span = max_cost - low + 1``.  The key
+    is below ``n * m * span``, so a network with ``n * m * span >= 2**63``
+    is refused with ``InputError``, as is one with a negative cost or with
+    costs that break the relaxation's ``4 * n * max_cost < NO_EDGE`` fence.
+
+    The edge list is numbered over the per-vehicle rows
+    (``connections.per_vehicle``, which maps back through
+    ``connections.class_row``).  Nodes are numbered source, left plans,
+    left variants, vehicles, right variants, right plans, sink; plans and
+    vehicles in instance order and variants by plan, then delay.  Edges are
+    numbered source-side structural edges (source to left plans, source to
+    vehicles, left plan to left variant), then the per-vehicle connections
+    in generation order, then sink-side structural edges (right variant to
+    right plan, right plan to sink).  Per-vehicle row ``p`` is edge
+    ``connection_edges[p]``, and its path runs from the source edge of its
+    origin column (a column numbers its source edge) through variant edges
+    ``end_left[origin_end[r]]`` and ``end_right[target_end[r]]`` of its class
+    row ``r`` to the sink edge of its target plan; a variant edge is
+    ``edge_count`` (absent) where the plan has no variants.  The edge list
+    ``edges`` is built on first access.
     """
 
     def __init__(self, instance: ChainingInstance, gen: GenerationResult):
@@ -161,16 +179,20 @@ class FlowNetwork:
         if missing.size:
             r = missing[0]
             raise InputError(f"connection endpoint {(int(self.plan_ids[plan[r]]), int(delay[r]))} has no node")
-        self.origin_end = np.full(len(conns), len(ends), dtype=np.int64)  # a vehicle's: the last slot
+        self.origin_end = np.full(len(conns.cost), len(ends), dtype=np.int64)  # a vehicle's: the last slot
         self.origin_end[from_plan] = at[: len(from_plan)]
         self.target_end = at[len(from_plan) :].copy()  # not a view that keeps the origins' half alive
-        self.max_cost = int(conns.cost.max()) if len(conns) else 0
-        low = int(conns.cost.min()) if len(conns) else 0
+        self.max_cost = int(conns.cost.max()) if len(conns.cost) else 0
+        low = int(conns.cost.min()) if len(conns.cost) else 0
         span, m = self.max_cost - low + 1, n + n_veh
-        # checked in Python ints: an assignment through real cells must cost
-        # less than one through a no-edge cell, and the duals and search
-        # distances, which stay within n * max cost of 0 and of NO_EDGE, need
-        # headroom below the sentinels (the argument is in ``_hungarian``)
+        # checked in Python ints: the empty start state and the infeasibility
+        # fence need costs of at least 0, an assignment through real cells
+        # must cost less than one through a no-edge cell, and the duals and
+        # search distances, which stay within n * max cost of 0 and of
+        # NO_EDGE, need headroom below the sentinels (the argument is in
+        # ``_hungarian``)
+        if low < 0:
+            raise InputError(f"connection cost {low} is negative")
         if 4 * n * self.max_cost >= NO_EDGE:
             raise InputError(
                 f"connection cost {self.max_cost} over {n} plans exceeds the exact integer range of the relaxation"
@@ -195,8 +217,8 @@ class FlowNetwork:
         n, n_veh, k, vp = len(self.plan_ids), len(self.instance.vehicles), len(self.variant_plan), self.variant_plan
         right = 1 + n + k + n_veh  # the first right-side node
         # left variant edge n + n_veh + i heads node 1 + n + i; right variant edge i tails node right + i
-        conns = self.connections
-        origin_edge, target_edge = self.end_left[self.origin_end], self.end_right[self.target_end]
+        conns, row = self.connections.per_vehicle, self.connections.class_row
+        origin_edge, target_edge = self.end_left[self.origin_end[row]], self.end_right[self.target_end[row]]
         routed = (origin_edge < self.edge_count, target_edge < self.edge_count)
         conn_tail = 1 + np.where(routed[0], origin_edge - n_veh, conns.origin + k * (conns.origin >= n))
         conn_head = right + np.where(routed[1], target_edge - self.right_struct.start, k + conns.target)
@@ -209,12 +231,12 @@ class FlowNetwork:
         edges.setflags(write=False)
         return edges
 
-    def _flows(self, rows: np.ndarray) -> np.ndarray:
-        """Edge flows of the chosen rows: each row's path carries one unit."""
+    def _flows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Edge flows of the chosen class ``rows``, read in origin columns ``cols``: each path carries one unit."""
         conns, first, sinks = self.connections, self.connection_edges.start, self.right_struct.stop
         flows = np.zeros(self.edge_count + 1, dtype=np.int64)
         variant_edges = [self.end_left[self.origin_end[rows]], self.end_right[self.target_end[rows]]]
-        flows[np.concatenate([conns.origin[rows], *variant_edges, first + rows])] = 1
+        flows[np.concatenate([cols, *variant_edges, first + conns.per_vehicle_rows(rows, cols)])] = 1
         flows[sinks + conns.target[rows]] = 1
         flows = flows[:-1]
         flows.setflags(write=False)
@@ -258,8 +280,10 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     only once the path is found: each scanned column and its row by how far
     short of the path's end the search reached it.
 
-    ``start`` must be dual feasible for ``cost`` and is kept as far as it
-    stays optimal: an assigned row whose cell is no longer tight (it got
+    ``start`` must be dual feasible for ``cost``.  That is checked, raising
+    ``ValueError``, for every start but the empty one, whose row duals the
+    cold solve replaces at once.  The start is kept as far as it stays
+    optimal: an assigned row whose cell is no longer tight (it got
     dearer or unusable) is freed, and only free rows are searched.  From the
     state of a solve on cheaper costs this is the dynamic Hungarian method
     (Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27, 2007).  From the empty
@@ -319,10 +343,11 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     n, m = cost.shape
     owner = np.concatenate((start.owner, [-1]))  # column m roots every search
     u, v = start.u.copy(), start.v.copy()
-    if (v > 0).any() or (cost - v < u[:, None]).any():
-        raise ValueError("the start state is not dual feasible for this cost matrix")
     cols = (owner >= 0).nonzero()[0]
-    if len(cols) or u.any() or v.any():  # free the rows whose cells are no longer tight
+    if len(cols) or u.any() or v.any():  # check the start, then free the rows whose cells are no longer tight
+        step = max(1, (1 << 15) // max(m, 1))  # rows per check, so that its temporaries stay small
+        if (v > 0).any() or any((cost[r : r + step] - v < u[r : r + step, None]).any() for r in range(0, n, step)):
+            raise ValueError("the start state is not dual feasible for this cost matrix")
         rows = owner[cols]
         owner[cols[cost[rows, cols] != u[rows] + v[cols]]] = -1
     else:  # the empty state: reduce the rows, then give each row in turn its first free tight column
@@ -420,9 +445,12 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
 
 
 def _assignment_matrix(net: FlowNetwork, window):
-    """The target-by-origin cost matrix, and the connection row per cell (-1: none), flat.
+    """The target-by-origin cost matrix; the usable cells of the class rows and the row that fills each.
 
-    A cell without a usable row costs ``NO_EDGE``.  A row is usable when its
+    The cells are flat (``target * m + origin column``), ascending, and
+    name only the columns the class rows carry: a member vehicle's column
+    is a copy of its class's (``Connections.column_class``).  A cell
+    without a usable row costs ``NO_EDGE``.  A row is usable when its
     target delay, and its origin delay if the origin is a plan, lie in that
     plan's window ``[window[0, i], window[1, i]]``; None opens every delay.
     """
@@ -436,10 +464,13 @@ def _assignment_matrix(net: FlowNetwork, window):
     lead = np.ones(len(cells), dtype=bool)  # the first row of each cell
     lead[1:] = cells[1:] != cells[:-1]
     rows, cells = order[lead], cells[lead]
-    matrix, row_at = np.full(n * m, NO_EDGE, dtype=np.int64), np.full(n * m, -1, dtype=np.int64)
+    matrix = np.full(n * m, NO_EDGE, dtype=np.int64)
     matrix[cells] = conns.cost[rows]
-    row_at[cells] = rows
-    return matrix.reshape(n, m), row_at
+    matrix, member = matrix.reshape(n, m), conns.members
+    if member.size:
+        member = n + member
+        matrix[:, member] = matrix[:, conns.column_class[member]]
+    return matrix, cells, rows
 
 
 def solve_mcf(
@@ -452,9 +483,11 @@ def solve_mcf(
     most one unit, so the flow is a rectangular assignment of target plans
     to origins (Dantzig & Fulkerson 1954).  Each cell of the n x (n + V)
     cost matrix keeps the cheapest usable connection of its pair, and equal
-    costs go to the lowest edge id.  The result holds the chosen connection
-    rows; its flows and the node potentials made from the Hungarian duals,
-    which ``residual_is_optimal`` certifies, are derived when read.
+    costs go to the lowest edge id; a member vehicle's column is its class
+    column.  The result holds the chosen class rows, named with their
+    columns by ``state.owner``; its flows and the node potentials made from
+    the Hungarian duals, which ``residual_is_optimal`` certifies, are
+    derived when read.
 
     ``window`` is an int64 array of shape (2, n): plan index ``i`` may only
     be entered and left at a delay in ``[window[0, i], window[1, i]]``, which
@@ -477,7 +510,7 @@ def solve_mcf(
     """
     net, n = network, len(network.plan_ids)
     m = n + len(net.instance.vehicles)
-    matrix, row_at = _assignment_matrix(net, window)
+    matrix, cells, class_rows = _assignment_matrix(net, window)
     starved = (matrix == NO_EDGE).all(axis=1).nonzero()[0]
     if starved.size:
         raise FlowInfeasibleError(int(net.plan_ids[starved[0]]))
@@ -488,7 +521,8 @@ def solve_mcf(
     for part in state:
         part.setflags(write=False)
     assigned = (state.owner >= 0).nonzero()[0]
-    rows = row_at[state.owner[assigned] * m + assigned]
+    cell = state.owner[assigned] * m + net.connections.column_class[assigned]
+    rows = class_rows[cells.searchsorted(cell)]
     rows.setflags(write=False)
     return FlowAssignment(net, window, rows, state, sum(net.connections.cost[rows].tolist()))
 

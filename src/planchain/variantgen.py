@@ -19,15 +19,23 @@ per-block arrays once into ``Connections``: int64 columns that the flow
 network reads directly, in emission order, which is origin order and
 then target order.  Minimal generation needs no deduplication of
 connections, as each origin is probed once, each variant queued once,
-and a probe reaches each target plan at most once.  The tests keep
-scalar twins of both generators (``tests/scalar_twins.py``) and compare
-against them, order included.
+and a probe reaches each target plan at most once.
+
+Vehicles with one start location and ``t_st`` form a class: they have
+the same links at the same costs.  Both generators probe only the lowest
+index of each class and keep its rows once, as class rows.  Reading
+``Connections`` as a sequence sees the per-vehicle rows instead, each
+class row once for every member vehicle, in the order of a generation
+that probed every vehicle; that view is built only when read.  The tests
+keep scalar twins of both generators (``tests/scalar_twins.py``), which
+probe every vehicle, and compare against them, order included.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,21 +58,37 @@ class Connection:
 
 
 class Connections(Sequence):
-    """Connections as int64 columns; a ``Connection`` is built per row read.
+    """Connections as int64 columns, one row per vehicle class; a ``Connection`` is built per row read.
 
     Row ``r`` links origin ``origin[r]`` (a plan index, or n + a vehicle
     index) at ``origin_delay[r]`` to plan index ``target[r]`` at
     ``target_delay[r]`` for ``cost[r]``; indices are instance positions.
+
+    Vehicles that share a start location and ``t_st`` have the same links
+    at the same costs, so a generator keeps the rows of one vehicle per
+    class.  ``vehicle_col[j]`` is the origin column that vehicle ``j``'s
+    class rows carry, n + the lowest index in its class; None when every
+    vehicle is its own class, as in a hand-built list.  Reading the rows as
+    a sequence (``len``, indexing, iteration, ``==``) sees ``per_vehicle``,
+    every class row repeated for each member vehicle.
     """
 
-    def __init__(self, instance: ChainingInstance, origin, origin_delay, target, target_delay, cost):
-        self.instance = instance
+    def __init__(self, instance: ChainingInstance, origin, origin_delay, target, target_delay, cost, vehicle_col=None):
+        self.instance, self.vehicle_col = instance, vehicle_col
         self.columns = (origin, origin_delay, target, target_delay, cost)
         self.origin, self.origin_delay, self.target, self.target_delay, self.cost = self.columns
+        # the origin column whose rows each origin column reads (its own, or a
+        # member vehicle's representative's), and the member vehicles' indices
+        n = len(instance.plans)
+        self.column_class = np.arange(n + len(instance.vehicles))
+        self.members = np.zeros(0, dtype=np.int64)
+        if vehicle_col is not None:
+            self.members = (vehicle_col != self.column_class[n:]).nonzero()[0]
+            self.column_class[n:] = vehicle_col
 
     @classmethod
     def of(cls, instance: ChainingInstance, connections: Sequence[Connection]) -> Connections:
-        """``connections`` as columns over ``instance``.
+        """``connections`` as columns over ``instance``, each vehicle its own class.
 
         Columns made for it pass through; others are range-checked in Python
         ints first.  An endpoint outside the instance raises ``InputError``.
@@ -73,12 +97,12 @@ class Connections(Sequence):
             return connections
         n = len(instance.plans)
         plan_col = {p.id: i for i, p in enumerate(instance.plans)}
-        vehicle_col = {v.id: n + j for j, v in enumerate(instance.vehicles)}
+        vehicle_at = {v.id: n + j for j, v in enumerate(instance.vehicles)}
         rows = []
         for c in connections:
             o, t = c.origin, c.target
             try:
-                origin = (vehicle_col[o.id], 0) if type(o) is Vehicle else (plan_col[o.plan_id], o.delay)
+                origin = (vehicle_at[o.id], 0) if type(o) is Vehicle else (plan_col[o.plan_id], o.delay)
                 row = (*origin, plan_col[t.plan_id], t.delay, c.cost)
             except KeyError as exc:
                 raise InputError(f"connection endpoint {exc.args[0]} is not in the instance") from None
@@ -87,19 +111,78 @@ class Connections(Sequence):
             rows.append(row)
         return cls(instance, *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
 
+    @cached_property
+    def _view(self) -> tuple[np.ndarray, np.ndarray]:
+        """The class row and the origin column of each per-vehicle row, in per-vehicle order.
+
+        That is the order of a generation that probed every vehicle: each
+        class row stays in place, and a member vehicle's copies of its class
+        rows, in order, follow the last class row of any vehicle before it,
+        members in vehicle order.  In generated rows, where the vehicles'
+        rows are one run in representative order, that puts each vehicle's
+        rows after those of every vehicle before it.
+        """
+        n, rows, member = len(self.instance.plans), np.arange(len(self.cost)), self.members
+        if not member.size:
+            return rows, self.origin
+        vehicle_rows = (self.origin >= n).nonzero()[0]
+        classes = self.origin[vehicle_rows] - n
+        by_class = vehicle_rows[np.argsort(classes, kind="stable")]  # each class's rows, in row order
+        count = np.bincount(classes, minlength=len(self.vehicle_col))  # class rows per representative
+        start = np.cumsum(count) - count
+        last = np.full(len(count), -1, dtype=np.int64)
+        has = count > 0
+        last[has] = by_class[(start + count - 1)[has]]
+        cls = self.vehicle_col[member] - n
+        width = count[cls]
+        copies = by_class[np.repeat(start[cls], width) + _ramps(width)]
+        at = np.repeat(np.maximum.accumulate(last)[member - 1] + 1, width)  # vehicle 0 leads its class
+        return np.insert(rows, at, copies), np.insert(self.origin, at, np.repeat(n + member, width))
+
+    @property
+    def class_row(self) -> np.ndarray:
+        """The class row of each ``per_vehicle`` row."""
+        return self._view[0]
+
+    @cached_property
+    def per_vehicle(self) -> Connections:
+        """These connections with each class row repeated for every member vehicle, each vehicle its own class.
+
+        Built on first read, in the order ``_view`` describes; the solver
+        never reads it.
+        """
+        if not self.members.size:
+            return self
+        row, origin = self._view
+        return Connections(self.instance, origin, *(col[row] for col in self.columns[1:]))
+
+    def per_vehicle_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The ``per_vehicle`` row of class row ``rows[i]`` read in origin column ``cols[i]``."""
+        if not self.members.size:
+            return rows
+        m = len(self.instance.plans) + len(self.instance.vehicles)
+        key = self.class_row * m + self.per_vehicle.origin  # unique: one copy per row and vehicle
+        order = np.argsort(key)
+        return order[np.searchsorted(key, rows * m + cols, sorter=order)]
+
     def _connection(self, o: int, od: int, t: int, td: int, cost: int) -> Connection:
         plans = self.instance.plans
         origin = VariantRef(plans[o].id, od) if o < len(plans) else self.instance.vehicles[o - len(plans)]
         return Connection(origin, VariantRef(plans[t].id, td), cost)
 
     def __len__(self) -> int:
-        return len(self.cost)
+        """The per-vehicle row count, without building ``per_vehicle``: each row once per column reading it."""
+        if not self.members.size:
+            return len(self.cost)
+        return int(np.bincount(self.column_class)[self.origin].sum())
 
     def __getitem__(self, r: int) -> Connection:
-        return self._connection(*(int(col[r]) for col in self.columns))
+        view = self.per_vehicle
+        return view._connection(*(int(col[r]) for col in view.columns))
 
     def __iter__(self):
-        return map(self._connection, *(col.tolist() for col in self.columns))
+        view = self.per_vehicle
+        return map(view._connection, *(col.tolist() for col in view.columns))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and len(self) == len(other) and tuple(self) == tuple(other)
@@ -133,6 +216,20 @@ def _blocks(count: int, width: int):
 def _ramps(lengths: np.ndarray) -> np.ndarray:
     """0, 1, ..., k - 1 for each k in ``lengths``, concatenated."""
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _vehicle_classes(instance: ChainingInstance) -> tuple[np.ndarray, np.ndarray | None]:
+    """The vehicle origin columns to probe, one per class, and ``Connections.vehicle_col``.
+
+    A class is the vehicles with one start location and ``t_st``; its
+    lowest instance index represents it.  ``vehicle_col`` is None when every
+    class has one vehicle.
+    """
+    n, lead = len(instance.plans), {}
+    col = [n + lead.setdefault((v.start_location, v.t_st), j) for j, v in enumerate(instance.vehicles)]
+    if len(lead) == len(col):
+        return np.arange(n, n + len(col)), None
+    return n + np.array(list(lead.values()), dtype=np.int64), np.array(col, dtype=np.int64)
 
 
 class _ProbeTables:
@@ -237,9 +334,10 @@ def generate(instance: ChainingInstance) -> GenerationResult:
     """
     plans = instance.plans
     tables = _ProbeTables(instance)
+    vehicles, vehicle_col = _vehicle_classes(instance)
     found: dict[tuple[int, int], None] = {}  # (plan index, delay) of each variant, in discovery order
     parts = []  # per block: origin, origin delay, target, target delay, cost columns
-    origin = np.arange(len(plans) + len(instance.vehicles))
+    origin = np.concatenate([np.arange(len(plans)), vehicles])
     origin_delay = np.zeros(len(origin), dtype=np.int64)
     while len(origin):
         queued: list[tuple[int, int]] = []
@@ -259,7 +357,7 @@ def generate(instance: ChainingInstance) -> GenerationResult:
         origin, origin_delay = np.array(queued, dtype=np.int64).reshape(-1, 2).T
 
     columns = [_column(part) for part in zip(*parts)] or [_column(())] * 5
-    connections = Connections(instance, *columns)
+    connections = Connections(instance, *columns, vehicle_col)
     return GenerationResult(tuple(VariantRef(plans[i].id, d) for i, d in found), connections)
 
 
@@ -285,12 +383,12 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
             f"exhaustive variant enumeration needs {ticks} delay ticks, guard is {guard_ticks}"
         )
     tables = _ProbeTables(instance)
-    n, n_veh = len(instance.plans), len(instance.vehicles)
-    # every variant in (plan, delay) order, then every vehicle
+    n, (vehicles, vehicle_col) = len(instance.plans), _vehicle_classes(instance)
+    # every variant in (plan, delay) order, then a vehicle per class
     var_plan = np.repeat(np.arange(n), tables.d_max + 1)
     var_delay = _ramps(tables.d_max + 1)
-    origin = np.concatenate([var_plan, n + np.arange(n_veh)])
-    origin_delay = np.concatenate([var_delay, np.zeros(n_veh, dtype=np.int64)])
+    origin = np.concatenate([var_plan, vehicles])
+    origin_delay = np.concatenate([var_delay, np.zeros(len(vehicles), dtype=np.int64)])
     parts = []  # per block: origin, origin delay, target, target delay, cost columns
     for block in _blocks(len(origin), len(var_plan)):
         o, od = origin[block], origin_delay[block]
@@ -307,4 +405,4 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
     columns = [_column(part) for part in zip(*parts)] or [_column(())] * 5
     late = np.flatnonzero(var_delay)
     variants = tuple(map(VariantRef, tables.ids[var_plan[late]].tolist(), var_delay[late].tolist()))
-    return GenerationResult(variants, Connections(instance, *columns))
+    return GenerationResult(variants, Connections(instance, *columns, vehicle_col))

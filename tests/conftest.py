@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from planchain.instances import ChainGenParams, chain_instance_from_params
 from planchain.model import (
     ChainingInstance,
+    FleetSize,
     Plan,
     TravelCost,
     TravelCostWaitCapped,
@@ -61,3 +64,30 @@ def fractional_penalty_gap_instance():
 @pytest.fixture
 def e1():
     return make_e1()
+
+
+SHARED_CLASS_POLICIES = (
+    TravelCost(),
+    FleetSize(),
+    TravelCostWaitCapped(4),
+    TravelCostWaitPenalized(Fraction(2, 3)),
+)
+
+
+def shared_class_instance(seed):
+    """A random instance whose vehicles share classes: 2-4 start locations, every ``t_st`` 0.
+
+    Vehicles with one start location and ``t_st`` are interchangeable, and
+    generation keeps one vehicle's connections per class.
+    """
+    rng = random.Random(seed)
+    params = ChainGenParams(
+        seed=seed,
+        plans=rng.randint(3, 7),
+        vehicles=rng.randint(2, 5),
+        locations=rng.randint(2, 4),
+        t_st_max=0,
+        d_max_range=(0, 6),
+        policy=SHARED_CLASS_POLICIES[seed % len(SHARED_CLASS_POLICIES)],
+    )
+    return chain_instance_from_params(params)

@@ -140,9 +140,12 @@ def assignment_matrix_reference(net, window):
     ``window`` has both structural edges closed, and so does a plan without
     variants (its source and sink edge) when the window leaves out delay 0.
     A closed edge cuts the nodes past it on its structural path from the
-    source or to the sink, and a connection at a cut node is unusable.
+    source or to the sink, and a connection at a cut node is unusable.  A
+    connection's cell comes from its edge's nodes: the column of its left
+    node (a plan, a variant's plan or a vehicle) and the plan of its right one.
     """
-    n, m = len(net.plan_ids), len(net.plan_ids) + len(net.instance.vehicles)
+    n, k, v = len(net.plan_ids), len(net.variant_plan), len(net.instance.vehicles)
+    m = n + v
     tail, head, cost = net.edges.T
     off = np.zeros(len(net.edges), dtype=bool)
     for i, (p, d) in enumerate(zip(net.variant_plan.tolist(), net.variant_delay.tolist())):
@@ -159,8 +162,9 @@ def assignment_matrix_reference(net, window):
         cut[tail[up]] = off[up] | cut[head[up]]
     usable = ~off[block] & ~cut[tail[block]] & ~cut[head[block]]
     # the usable connections by cell, then cost, then edge: each cell's first wins
-    conns = net.connections
-    cell = conns.target * m + conns.origin
+    column = np.concatenate([[-1], np.arange(n), net.variant_plan, n + np.arange(v)])  # per left-side node
+    plan = np.concatenate([net.variant_plan, np.arange(n)])  # per right-side node, from 1 + n + k + v
+    cell = plan[head[block] - (1 + n + k + v)] * m + column[tail[block]]
     order = np.lexsort((np.arange(len(cell)), cost[block], cell))
     order = order[usable[order]]
     first = order[np.diff(cell[order], prepend=-1) != 0]

@@ -23,7 +23,7 @@ from planchain.model import (
     Vehicle,
 )
 
-from conftest import fractional_penalty_gap_instance, make_e1, waitcap_gap_instance
+from conftest import fractional_penalty_gap_instance, make_e1, shared_class_instance, waitcap_gap_instance
 
 
 def test_e1_travel_cost():
@@ -445,3 +445,29 @@ def test_solver_agrees_with_brute_force_on_random_instances(seed, plans, vehicle
         return
     assert solution.objective == expected
     assert validate_chains(inst, solution.chains, solution.objective).ok
+
+
+def test_shared_vehicle_classes_agree_with_the_brute_force_oracle(monkeypatch):
+    # two vehicles of one class can both head chains: each chosen connection
+    # is named by its matrix column, so both chains come out, each with its
+    # own vehicle; the solve never builds the per-vehicle view
+    built = []
+    build = chainsolve.build_network
+    monkeypatch.setattr(chainsolve, "build_network", lambda *args: built.append(build(*args)) or built[-1])
+    solved = shared = 0
+    for seed in range(300):
+        inst = shared_class_instance(seed)
+        expected = oracle.brute_force_optimal(inst).objective
+        try:
+            solution = solve_chaining(inst)
+        except InfeasibleError:
+            assert expected is None
+            continue
+        assert solution.objective == expected
+        assert validate_chains(inst, solution.chains, solution.objective).ok
+        net = built[-1]
+        assert "_view" not in vars(net.connections) and "edges" not in vars(net)
+        classes = [(c.vehicle.start_location, c.vehicle.t_st) for c in solution.chains]
+        shared += len(set(classes)) < len(classes)
+        solved += 1
+    assert solved >= 160 and shared >= 60, (solved, shared)

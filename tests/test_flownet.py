@@ -25,7 +25,7 @@ from planchain.model import (
 )
 from planchain.variantgen import Connection, GenerationResult
 
-from conftest import make_e1
+from conftest import make_e1, shared_class_instance
 from scalar_twins import assignment_matrix_reference
 
 
@@ -80,9 +80,29 @@ def test_parallel_edges_prefer_cheaper():
         assert assignment.flows[orig_edge] == int(not duplicate_carries)
 
 
+def per_vehicle_matrix(net, window):
+    """``_assignment_matrix``'s cost matrix, and the per-vehicle row that fills each cell (-1: none), flat.
+
+    A cell reads the row of its class cell, as ``solve_mcf`` does.
+    """
+    matrix, cells, rows = flownet._assignment_matrix(net, window)
+    n, m = matrix.shape
+    target, col = np.divmod(np.arange(n * m), m)
+    key = target * m + net.connections.column_class[col]
+    at = np.searchsorted(cells, key)
+    found = at < len(cells)
+    found[found] = cells[at[found]] == key[found]
+    row_at = np.full(n * m, -1)
+    row_at[found] = net.connections.per_vehicle_rows(rows[at[found]], col[found])
+    return matrix, row_at
+
+
 def test_generated_columns_build_the_hand_built_network():
-    # generated columns and the same Connection objects, converted one by
-    # one, must number every edge and order every matrix cell alike
+    # generated class rows and the same Connection objects, converted one by
+    # one (each vehicle its own class), must number every edge alike, order
+    # the cells of every class's leading vehicle alike and fill every matrix
+    # cell with the same connection
+    merged = 0
     for seed in range(30):
         policy = (TravelCost(), FleetSize())[seed % 2]
         inst = chain_instance_from_params(
@@ -92,8 +112,14 @@ def test_generated_columns_build_the_hand_built_network():
             fast = build_network(inst, gen)
             slow = build_network(inst, GenerationResult(gen.variants, tuple(gen.connections)))
             assert fast.edges.tolist() == slow.edges.tolist()
-            assert fast.cell_order.tolist() == slow.cell_order.tolist()
+            conns, order = fast.connections, fast.cell_order
+            led = slow.cell_order[~np.isin(slow.connections.origin[slow.cell_order], len(inst.plans) + conns.members)]
+            assert conns.per_vehicle_rows(order, conns.origin[order]).tolist() == led.tolist()
+            for a, b in zip(per_vehicle_matrix(fast, None), per_vehicle_matrix(slow, None)):
+                assert a.tolist() == b.tolist()
             assert list(fast.connections) == list(gen.connections)
+            merged += len(conns.cost) < len(conns)
+    assert merged >= 2
 
 
 def test_connection_without_a_node_is_rejected():
@@ -124,6 +150,18 @@ def test_huge_connection_cost_is_rejected():
     assert solve_mcf(build_network(inst, GenerationResult(gen.variants, (*gen.connections, largest)))).total_cost == 2
 
 
+def test_negative_connection_cost_is_rejected():
+    # the empty start state and the infeasibility fence need costs of at least 0
+    inst = make_e1()
+    gen = variantgen.generate(inst)
+    link = gen.connections[0]
+    negative = Connection(link.origin, link.target, -5)
+    with pytest.raises(InputError, match="^connection cost -5 is negative$"):
+        build_network(inst, GenerationResult(gen.variants, (*gen.connections, negative)))
+    zero = Connection(link.origin, link.target, 0)
+    assert solve_mcf(build_network(inst, GenerationResult(gen.variants, (*gen.connections, zero)))).total_cost == 0
+
+
 def _lexsorted_cells(net):
     conns = net.connections
     cell = conns.target * (len(net.plan_ids) + len(net.instance.vehicles)) + conns.origin
@@ -131,49 +169,43 @@ def _lexsorted_cells(net):
 
 
 def test_cell_order_is_the_lexsort_by_cell_cost_and_row():
-    # hand-built connection lists: each generated link again, and again, at
-    # tied, cheaper, dearer and negative costs, in shuffled order
+    # hand-built connection lists: each generated link 9 dearer, and again,
+    # and again, at tied, cheaper, dearer and 9 cheaper costs, in shuffled
+    # order; no cost falls below 0
     rng = random.Random(5)
     for seed in range(40):
         inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=5, vehicles=2, d_max_range=(0, 6)))
         gen = variantgen.generate(inst)
-        links = list(gen.connections)
+        links = [Connection(c.origin, c.target, c.cost + 9) for c in gen.connections]
         links += [Connection(c.origin, c.target, c.cost + rng.choice((-9, -1, 0, 0, 1, 7))) for c in links * 2]
         rng.shuffle(links)
         net = build_network(inst, GenerationResult(gen.variants, tuple(links)))
         assert net.cell_order.tolist() == _lexsorted_cells(net)
-        assert len(set(net.cell.tolist())) < len(links) and (net.connections.cost < 0).any()
+        assert len(set(net.cell.tolist())) < len(links) and (net.connections.cost < 9).any()
 
 
 def test_cell_order_key_range_is_fenced():
-    # the key cell * span + (cost - low) must stay below 2**63 on n x m cells:
-    # two plans by four origin columns admit a span of up to 2**60 - 1
-    inst = make_e1(vehicles=(Vehicle(1, 0, 0), Vehicle(2, 1, 0)))
+    # the key cell * span + (cost - low) must stay below 2**63 on n x m cells.
+    # Costs are at least 0 and, on two plans, below 2**57 (the cost fence),
+    # so the key reaches 2**63 only on many cells: 2 x 64 cells admit a span
+    # of up to 2**56 - 1.  With all costs far above 0 the key must count
+    # costs from the lowest, or the last cells wrap past 2**63
+    inst = make_e1(vehicles=[Vehicle(j, 0, 0) for j in range(1, 63)])
     gen = variantgen.generate(inst)
-    link = gen.connections[0]
-    top = max(c.cost for c in gen.connections)
-    for span, admitted in (((1 << 60) - 1, True), (1 << 60, False), (1 << 63, False)):
-        low = Connection(link.origin, link.target, top - span + 1)
-        extended = GenerationResult(gen.variants, (*gen.connections, low))
+    top = (1 << 57) - 1
+    for span, admitted in (((1 << 56) - 1, True), (1 << 56, False), (1 << 57, False)):
+        links = [Connection(c.origin, c.target, top - r % 3) for r, c in enumerate(gen.connections)]
+        links[0] = Connection(links[0].origin, links[0].target, top - span + 1)
+        links.append(Connection(links[-1].origin, links[-1].target, top))  # into the last cell
+        extended = GenerationResult(gen.variants, tuple(links))
         if admitted:
             net = build_network(inst, extended)
             assert int(net.connections.cost.max()) - int(net.connections.cost.min()) + 1 == span
-            assert len(net.plan_ids) * (len(net.plan_ids) + 2) * span == (1 << 63) - 8
+            assert net.cell[-1] == 2 * 64 - 1 and len(net.plan_ids) * 64 * span == (1 << 63) - 128
             assert net.cell_order.tolist() == _lexsorted_cells(net)
         else:
             with pytest.raises(InputError, match="cell order"):
                 build_network(inst, extended)
-    # all costs far above 0 and the widest admitted span on 2 x 64 cells:
-    # the key must count costs from the lowest, or the last cells wrap past 2**63
-    inst = make_e1(vehicles=[Vehicle(j, 0, 0) for j in range(1, 63)])
-    gen = variantgen.generate(inst)
-    top, span = (1 << 57) - 1, (1 << 56) - 1
-    links = [Connection(c.origin, c.target, top - r % 3) for r, c in enumerate(gen.connections)]
-    links[0] = Connection(links[0].origin, links[0].target, top - span + 1)
-    links.append(Connection(links[-1].origin, links[-1].target, top))  # into the last cell
-    net = build_network(inst, GenerationResult(gen.variants, tuple(links)))
-    assert net.cell[-1] == 2 * 64 - 1 and len(net.plan_ids) * 64 * span == (1 << 63) - 128
-    assert net.cell_order.tolist() == _lexsorted_cells(net)
 
 
 def test_e1_solve_and_active_edges():
@@ -249,7 +281,7 @@ def test_matching_agreement_on_zero_delay_fleet_instances():
         )
         net = build_network(inst, variantgen.generate(inst))
         assignment = solve_mcf(net)
-        from_vehicle = np.flatnonzero(net.connections.origin >= len(inst.plans))
+        from_vehicle = np.flatnonzero(net.connections.per_vehicle.origin >= len(inst.plans))
         vehicle_edges = assignment.flows[net.connection_edges.start + from_vehicle].sum()
         assert vehicle_edges == len(inst.plans) - (len(inst.plans) - oracle.fleet_min_matching(inst))
 
@@ -382,7 +414,7 @@ def test_row_matrix_matches_the_edge_level_reference():
         assert unrestricted.tolist() == flownet._assignment_matrix(net, open_window(net))[0].tolist()
         for _ in range(2):
             window = random_window(net, rng)
-            matrix, row_at = flownet._assignment_matrix(net, window)
+            matrix, row_at = per_vehicle_matrix(net, window)
             reference, edge_at, cut = assignment_matrix_reference(net, window)
             assert matrix.tolist() == reference.tolist()
             assert np.where(row_at >= 0, row_at + net.connection_edges.start, -1).tolist() == edge_at.tolist()
@@ -538,3 +570,43 @@ def test_only_the_empty_state_is_pre_assigned():
     # a partial start keeps row 0 on column 1; row 1's search ends at the lowest free column of its level
     start = empty_state(2, 3)._replace(owner=np.array([-1, 0, -1], dtype=np.int64))
     assert flownet._hungarian(cost, 10, np.arange(2), start).owner.tolist() == [1, 0, -1]
+
+
+def test_row_matrix_matches_the_edge_level_reference_on_shared_vehicle_classes():
+    # the matrix fills a class's column from its representative's rows and
+    # copies it to every member; read from the per-vehicle edges, the
+    # reference must find the same cost and connection in every cell
+    rng = random.Random(31)
+    copied = 0
+    for seed in range(80):
+        inst = shared_class_instance(seed)
+        gen = (variantgen.generate, variantgen.generate_exhaustive)[seed % 2](inst)
+        net = build_network(inst, gen)
+        member = len(inst.plans) + net.connections.members
+        for window in (None, random_window(net, rng), random_window(net, rng)):
+            matrix, row_at = per_vehicle_matrix(net, window)
+            reference, edge_at, _ = assignment_matrix_reference(net, open_window(net) if window is None else window)
+            assert matrix.tolist() == reference.tolist()
+            assert np.where(row_at >= 0, row_at + net.connection_edges.start, -1).tolist() == edge_at.tolist()
+            assert (matrix[:, member] == matrix[:, net.connections.column_class[member]]).all()
+            copied += int((matrix[:, member] != flownet.NO_EDGE).sum())
+    assert copied >= 500
+
+
+def test_hand_built_connections_are_never_merged_into_classes():
+    # two vehicles at one place and time, each given its own link by hand:
+    # a hand-built list keeps every vehicle its own class, so vehicle 2
+    # keeps the only link into plan 2 and both plans are covered
+    travel = TravelMatrix([[0, 30], [30, 0]])
+    plans = (Plan(1, 0, 0, 0, 5, 0), Plan(2, 1, 1, 40, 45, 0))
+    vehicles = (Vehicle(1, 0, 0), Vehicle(2, 0, 0))
+    inst = ChainingInstance(plans, vehicles, travel, TravelCost())
+    assert variantgen.generate(inst).connections.vehicle_col is not None  # generation merges them
+    links = (Connection(vehicles[0], VariantRef(1, 0), 0), Connection(vehicles[1], VariantRef(2, 0), 30))
+    net = build_network(inst, GenerationResult((), links))
+    assert net.connections.vehicle_col is None and not net.connections.members.size
+    matrix = flownet._assignment_matrix(net, None)[0]
+    assert matrix[:, 2:].tolist() == [[0, flownet.NO_EDGE], [flownet.NO_EDGE, 30]]
+    solution = chainsolve.solve_network(net)
+    assert solution.objective == 30
+    assert [(c.vehicle.id, c.elements) for c in solution.chains] == [(1, (VariantRef(1, 0),)), (2, (VariantRef(2, 0),))]

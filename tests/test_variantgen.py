@@ -21,7 +21,7 @@ from planchain.model import (
 from planchain.instances import ChainGenParams, chain_instance_from_params
 
 import scalar_twins
-from conftest import E1_P1, E1_P2, E1_V1
+from conftest import E1_P1, E1_P2, E1_V1, shared_class_instance
 
 
 def conn_keys(result):
@@ -307,3 +307,28 @@ def test_generation_is_independent_of_the_block_size(monkeypatch, rows):
         assert max(blocks) == rows
     else:
         assert max(blocks) > 3
+
+
+def test_shared_vehicle_classes_match_the_scalar_references():
+    # one vehicle per (start location, t_st) class is probed and its rows kept
+    # once; the per-vehicle view must still equal the scalar twins, which
+    # probe every vehicle, order included
+    merged = 0
+    for seed in range(60):
+        inst = shared_class_instance(seed)
+        n = len(inst.plans)
+        for run, reference in (
+            (variantgen.generate, scalar_twins.generate_reference),
+            (variantgen.generate_exhaustive, scalar_twins.generate_exhaustive_reference),
+        ):
+            result = run(inst)
+            assert result == reference(inst)
+            conns = result.connections
+            if conns.vehicle_col is None:
+                continue
+            # rows out of vehicles name class representatives only, each the lowest index of its class
+            keys = [(v.start_location, v.t_st) for v in inst.vehicles]
+            assert conns.vehicle_col.tolist() == [n + keys.index(key) for key in keys]
+            assert set(conns.origin[conns.origin >= n].tolist()) <= set(conns.vehicle_col.tolist())
+            merged += len(conns.cost) < len(conns)
+    assert merged >= 60
