@@ -19,18 +19,21 @@ sends at most one, so ``solve_mcf`` collapses the network into a
 target-by-origin cost matrix and solves it with the Hungarian method.  It
 reads only the connection rows, each one source-to-sink path of at most
 five edges.  Branch-and-bound restricts a relaxation by a delay window per
-plan, which closes the variant nodes outside it.
+plan, which closes the variant nodes outside it: a row is usable when its
+own target delay, and its origin delay if the origin is a plan, lie in
+those plans' windows.
 
 Generated connections hold one set of rows per vehicle class (vehicles
 with one start location and ``t_st``): the network sorts and filters only
 those, fills each class's matrix column from them and copies that column
 to every member vehicle's, so the assignment sees one column per vehicle.
 A chosen connection is therefore a matrix column and a class row.  The
-edge list numbers one connection edge per vehicle, through the
+edge view (node and edge numbering, each row's variant endpoints, the
+edge list) numbers one connection edge per vehicle, through the
 per-vehicle view of the rows (``Connections.per_vehicle``); it, and a
 solution's edge flows and node potentials (the Hungarian duals spread
 over the nodes, which certify the flow through ``residual_is_optimal``),
-are built on first read.
+are built on first read.  A solve builds none of them.
 """
 
 from __future__ import annotations
@@ -97,15 +100,21 @@ class FlowInfeasibleError(InfeasibleError):
             super().__init__(f"no assignment of origins covers every plan (found while assigning plan {plan_id})")
 
 
+# the edge view's numbering, built on first read by ``FlowNetwork._number_edges``
+_EDGE_VIEW = frozenset(
+    "end_plan end_delay end_left end_right origin_end target_end"
+    " source_id sink_id node_count connection_edges left_struct right_struct edge_count".split()
+)
+
+
 class FlowNetwork:
     """A chaining network: connection rows for the solver, an edge list on demand.
 
     ``connections`` holds class rows: a generator keeps one vehicle's rows
     per class, and a hand-built list makes every vehicle its own class.
-    Row ``r`` (a class row) has its origin and target endpoints at
-    ``origin_end[r]`` and ``target_end[r]``, which index the sorted (plan
-    index, delay) endpoints ``end_plan``, ``end_delay``; a vehicle origin's
-    index is the last slot of ``end_left``, one past the endpoints.
+    ``Connections.of`` has checked that every delayed endpoint is one of
+    the generation's variants, which ``routed_delays``, ``variant_plan``
+    and ``variant_delay`` list with each such plan's explicit delay 0.
 
     Row ``r`` fills matrix cell ``cell[r] = target * m + origin`` of the n x
     m assignment matrix (m = n + vehicles), and a member vehicle's column
@@ -116,29 +125,34 @@ class FlowNetwork:
     is below ``n * m * span``, so a network with ``n * m * span >= 2**63``
     is refused with ``InputError``, as is one with a negative cost or with
     costs that break the relaxation's ``4 * n * max_cost < NO_EDGE`` fence.
+    That, and the rows' own delays, is all a solve reads.
 
-    The edge list is numbered over the per-vehicle rows
-    (``connections.per_vehicle``, which maps back through
-    ``connections.class_row``).  Nodes are numbered source, left plans,
-    left variants, vehicles, right variants, right plans, sink; plans and
-    vehicles in instance order and variants by plan, then delay.  Edges are
-    numbered source-side structural edges (source to left plans, source to
-    vehicles, left plan to left variant), then the per-vehicle connections
-    in generation order, then sink-side structural edges (right variant to
-    right plan, right plan to sink).  Per-vehicle row ``p`` is edge
-    ``connection_edges[p]``, and its path runs from the source edge of its
-    origin column (a column numbers its source edge) through variant edges
-    ``end_left[origin_end[r]]`` and ``end_right[target_end[r]]`` of its class
-    row ``r`` to the sink edge of its target plan; a variant edge is
-    ``edge_count`` (absent) where the plan has no variants.  The edge list
-    ``edges`` is built on first access.
+    The edge view is numbered on first read of any of its attributes
+    (``_EDGE_VIEW``), over the per-vehicle rows (``connections.per_vehicle``,
+    which maps back through ``connections.class_row``).  Nodes are numbered
+    source, left plans, left variants, vehicles, right variants, right
+    plans, sink; plans and vehicles in instance order and variants by plan,
+    then delay.  Edges are numbered source-side structural edges (source to
+    left plans, source to vehicles, left plan to left variant), then the
+    per-vehicle connections in generation order, then sink-side structural
+    edges (right variant to right plan, right plan to sink).  Per-vehicle
+    row ``p`` is edge ``connection_edges[p]``.  Class row ``r`` has its
+    origin and target endpoints at ``origin_end[r]`` and ``target_end[r]``,
+    which index the sorted (plan index, delay) endpoints ``end_plan``,
+    ``end_delay``; a vehicle origin's index is the last slot of
+    ``end_left``, one past the endpoints.  A row's path runs from the source
+    edge of its origin column (a column numbers its source edge) through
+    variant edges ``end_left[origin_end[r]]`` and ``end_right[target_end[r]]``
+    to the sink edge of its target plan; a variant edge is ``edge_count``
+    (absent) where the plan has no variants.  The edge list ``edges`` is
+    built on first access.
     """
 
     def __init__(self, instance: ChainingInstance, gen: GenerationResult):
         plans = instance.plans
         n, n_veh = len(plans), len(instance.vehicles)
         self.instance = instance
-        self.connections = conns = Connections.of(instance, gen.connections)
+        self.connections = conns = Connections.of(instance, gen.connections, gen.variants)
         routed: dict[int, list[int]] = {}  # plan id -> 0 and its delays, ascending
         for v in sorted(gen.variants, key=lambda v: (v.plan_id, v.delay)):
             routed.setdefault(v.plan_id, [0]).append(v.delay)
@@ -147,41 +161,6 @@ class FlowNetwork:
         self.plan_ids = np.array([p.id for p in plans], dtype=np.int64)
         self.variant_plan = np.searchsorted(self.plan_ids, [pid for pid, _ in keys])  # plan index
         self.variant_delay = np.array([d for _, d in keys], dtype=np.int64)
-        k = len(keys)
-        self.source_id, self.sink_id = 0, 1 + 2 * n + 2 * k + n_veh
-        self.node_count = self.sink_id + 1
-        first, last = n + n_veh + k, n + n_veh + k + len(conns)
-        self.connection_edges = range(first, last)
-        self.left_struct, self.right_struct = slice(n + n_veh, first), slice(last, last + k)
-        self.edge_count = last + k + n
-
-        # every (plan index, delay) endpoint with a node pair, sorted, with its
-        # left and right variant edge: the variants, and each other plan at
-        # delay 0, whose "variant edges" are the absent edge ``edge_count``
-        lefts, rights = range(first - k, first), range(last, last + k)
-        ends = list(zip(self.variant_plan.tolist(), self.variant_delay.tolist(), lefts, rights))
-        ends += [(i, 0, self.edge_count, self.edge_count) for i, p in enumerate(plans) if not self.routed_delays[p.id]]
-        ends.sort()
-        end_plan, end_delay, end_left, end_right = np.array(ends, dtype=np.int64).reshape(-1, 4).T
-        self.end_plan, self.end_delay = end_plan, end_delay
-        self.end_left, self.end_right = np.append(end_left, self.edge_count), end_right
-
-        # each plan-side endpoint of a connection, origins then targets, found by
-        # one sorted search on (plan, rank of the delay): a key below n * (k + 2)
-        from_plan = (conns.origin < n).nonzero()[0]
-        plan = np.concatenate([conns.origin[from_plan], conns.target])
-        delay = np.concatenate([conns.origin_delay[from_plan], conns.target_delay])
-        values = np.array(sorted({end[1] for end in ends}), dtype=np.int64)
-        stride = len(values) + 1
-        end_key = end_plan * stride + np.searchsorted(values, end_delay)
-        at = np.searchsorted(end_key, plan * stride + np.searchsorted(values, delay), side="right") - 1
-        missing = ((end_plan[at] != plan) | (end_delay[at] != delay)).nonzero()[0]
-        if missing.size:
-            r = missing[0]
-            raise InputError(f"connection endpoint {(int(self.plan_ids[plan[r]]), int(delay[r]))} has no node")
-        self.origin_end = np.full(len(conns.cost), len(ends), dtype=np.int64)  # a vehicle's: the last slot
-        self.origin_end[from_plan] = at[: len(from_plan)]
-        self.target_end = at[len(from_plan) :].copy()  # not a view that keeps the origins' half alive
         self.max_cost = int(conns.cost.max()) if len(conns.cost) else 0
         low = int(conns.cost.min()) if len(conns.cost) else 0
         span, m = self.max_cost - low + 1, n + n_veh
@@ -210,6 +189,49 @@ class FlowNetwork:
         key = self.cell * span
         key += conns.cost - low
         self.cell_order = np.argsort(key, kind="stable")
+
+    def __getattr__(self, name: str):
+        """Number the edge view on the first read of any of its attributes (``_EDGE_VIEW``)."""
+        if name not in _EDGE_VIEW:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._number_edges()
+        return self.__dict__[name]
+
+    def _number_edges(self) -> None:
+        """The node and edge numbering of the class docstring, and each class row's variant endpoints."""
+        plans, conns = self.instance.plans, self.connections
+        n, n_veh, k = len(plans), len(self.instance.vehicles), len(self.variant_plan)
+        self.source_id, self.sink_id = 0, 1 + 2 * n + 2 * k + n_veh
+        self.node_count = self.sink_id + 1
+        first, last = n + n_veh + k, n + n_veh + k + len(conns)
+        self.connection_edges = range(first, last)
+        self.left_struct, self.right_struct = slice(n + n_veh, first), slice(last, last + k)
+        self.edge_count = last + k + n
+
+        # every (plan index, delay) endpoint with a node pair, sorted, with its
+        # left and right variant edge: the variants, and each other plan at
+        # delay 0, whose "variant edges" are the absent edge ``edge_count``
+        lefts, rights = range(first - k, first), range(last, last + k)
+        ends = list(zip(self.variant_plan.tolist(), self.variant_delay.tolist(), lefts, rights))
+        ends += [(i, 0, self.edge_count, self.edge_count) for i, p in enumerate(plans) if not self.routed_delays[p.id]]
+        ends.sort()
+        end_plan, end_delay, end_left, end_right = np.array(ends, dtype=np.int64).reshape(-1, 4).T
+        self.end_plan, self.end_delay = end_plan, end_delay
+        self.end_left, self.end_right = np.append(end_left, self.edge_count), end_right
+
+        # each plan-side endpoint of a connection, origins then targets, found by
+        # one sorted search on (plan, rank of the delay): a key below n * (k + 2).
+        # ``Connections.of`` has checked that every endpoint has a node
+        from_plan = (conns.origin < n).nonzero()[0]
+        plan = np.concatenate([conns.origin[from_plan], conns.target])
+        delay = np.concatenate([conns.origin_delay[from_plan], conns.target_delay])
+        values = np.array(sorted({end[1] for end in ends}), dtype=np.int64)
+        stride = len(values) + 1
+        end_key = end_plan * stride + np.searchsorted(values, end_delay)
+        at = np.searchsorted(end_key, plan * stride + np.searchsorted(values, delay), side="right") - 1
+        self.origin_end = np.full(len(conns.cost), len(ends), dtype=np.int64)  # a vehicle's: the last slot
+        self.origin_end[from_plan] = at[: len(from_plan)]
+        self.target_end = at[len(from_plan) :].copy()  # not a view that keeps the origins' half alive
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -385,10 +407,10 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
                     cur += d - int(u[rows])
                 else:  # the slack pseudo-row: zero costs, dual -mu
                     cur = (d + mu) - v
-            else:  # a level's rows as one block
-                cur = cost[rows] - v
-                cur -= (u[rows] - d)[:, None]
+            else:  # a level's rows as one block: each column's minimum, then its dual
+                cur = cost[rows] - (u[rows] - d)[:, None]
                 cur = cur.min(axis=0)
+                cur -= v
             closer = cur < dist
             np.putmask(dist, closer, cur)
             np.putmask(front, closer, cur)
@@ -453,13 +475,20 @@ def _assignment_matrix(net: FlowNetwork, window):
     without a usable row costs ``NO_EDGE``.  A row is usable when its
     target delay, and its origin delay if the origin is a plan, lie in that
     plan's window ``[window[0, i], window[1, i]]``; None opens every delay.
+    The test reads the rows' own delays, not the edge view's endpoints.
     """
     conns, order, n = net.connections, net.cell_order, len(net.plan_ids)
     m = n + len(net.instance.vehicles)
     if window is not None:
-        lo, hi = window[:, net.end_plan]
-        closed = np.append((net.end_delay < lo) | (net.end_delay > hi), False)  # then a vehicle origin's slot
-        order = order[~(closed[net.origin_end] | closed[net.target_end])[order]]
+        # a vehicle origin's column gets the window [0, 0]: its delay is always 0
+        lo, hi = np.concatenate((window, np.zeros((2, m - n), dtype=np.int64)), axis=1)
+        target, delay = conns.target, conns.target_delay
+        usable = lo[target] <= delay
+        usable &= delay <= hi[target]
+        origin, delay = conns.origin, conns.origin_delay
+        usable &= lo[origin] <= delay
+        usable &= delay <= hi[origin]
+        order = order[usable[order]]
     cells = net.cell[order]
     lead = np.ones(len(cells), dtype=bool)  # the first row of each cell
     lead[1:] = cells[1:] != cells[:-1]

@@ -63,6 +63,8 @@ class Connections(Sequence):
     Row ``r`` links origin ``origin[r]`` (a plan index, or n + a vehicle
     index) at ``origin_delay[r]`` to plan index ``target[r]`` at
     ``target_delay[r]`` for ``cost[r]``; indices are instance positions.
+    ``variants`` holds every delayed variant a row may name: a generator's
+    own variant tuple, or the tuple ``of`` checked the rows against.
 
     Vehicles that share a start location and ``t_st`` have the same links
     at the same costs, so a generator keeps the rows of one vehicle per
@@ -73,8 +75,10 @@ class Connections(Sequence):
     every class row repeated for each member vehicle.
     """
 
-    def __init__(self, instance: ChainingInstance, origin, origin_delay, target, target_delay, cost, vehicle_col=None):
-        self.instance, self.vehicle_col = instance, vehicle_col
+    def __init__(
+        self, instance: ChainingInstance, variants, origin, origin_delay, target, target_delay, cost, vehicle_col=None
+    ):
+        self.instance, self.variants, self.vehicle_col = instance, variants, vehicle_col
         self.columns = (origin, origin_delay, target, target_delay, cost)
         self.origin, self.origin_delay, self.target, self.target_delay, self.cost = self.columns
         # the origin column whose rows each origin column reads (its own, or a
@@ -87,15 +91,23 @@ class Connections(Sequence):
             self.column_class[n:] = vehicle_col
 
     @classmethod
-    def of(cls, instance: ChainingInstance, connections: Sequence[Connection]) -> Connections:
+    def of(cls, instance: ChainingInstance, connections: Sequence[Connection], variants) -> Connections:
         """``connections`` as columns over ``instance``, each vehicle its own class.
 
-        Columns made for it pass through; others are range-checked in Python
-        ints first.  An endpoint outside the instance raises ``InputError``.
+        Every delayed endpoint must be one of ``variants``, the delayed
+        variants with nodes.  Columns made for ``instance`` pass through once
+        ``variants`` holds theirs: no work when it is their own tuple, a set
+        test otherwise.  Others are checked one by one, and range-checked in
+        Python ints.  An endpoint outside the instance, or a delayed one
+        without a node, raises ``InputError``.
         """
         if isinstance(connections, Connections) and connections.instance is instance:
+            if connections.variants is not variants:
+                missing = sorted((v.plan_id, v.delay) for v in set(connections.variants).difference(variants))
+                if missing:
+                    raise InputError(f"connection endpoint {missing[0]} has no node")
             return connections
-        n = len(instance.plans)
+        n, nodes = len(instance.plans), set(variants)
         plan_col = {p.id: i for i, p in enumerate(instance.plans)}
         vehicle_at = {v.id: n + j for j, v in enumerate(instance.vehicles)}
         rows = []
@@ -106,10 +118,13 @@ class Connections(Sequence):
                 row = (*origin, plan_col[t.plan_id], t.delay, c.cost)
             except KeyError as exc:
                 raise InputError(f"connection endpoint {exc.args[0]} is not in the instance") from None
+            for ref in (t,) if type(o) is Vehicle else (o, t):
+                if ref.delay and ref not in nodes:
+                    raise InputError(f"connection endpoint {(ref.plan_id, ref.delay)} has no node")
             if not all(-(1 << 63) <= x < 1 << 63 for x in row):
                 raise InputError(f"connection {c} exceeds the int64 range")
             rows.append(row)
-        return cls(instance, *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+        return cls(instance, variants, *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
 
     @cached_property
     def _view(self) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +169,7 @@ class Connections(Sequence):
         if not self.members.size:
             return self
         row, origin = self._view
-        return Connections(self.instance, origin, *(col[row] for col in self.columns[1:]))
+        return Connections(self.instance, self.variants, origin, *(col[row] for col in self.columns[1:]))
 
     def per_vehicle_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The ``per_vehicle`` row of class row ``rows[i]`` read in origin column ``cols[i]``."""
@@ -357,8 +372,8 @@ def generate(instance: ChainingInstance) -> GenerationResult:
         origin, origin_delay = np.array(queued, dtype=np.int64).reshape(-1, 2).T
 
     columns = [_column(part) for part in zip(*parts)] or [_column(())] * 5
-    connections = Connections(instance, *columns, vehicle_col)
-    return GenerationResult(tuple(VariantRef(plans[i].id, d) for i, d in found), connections)
+    variants = tuple(VariantRef(plans[i].id, d) for i, d in found)
+    return GenerationResult(variants, Connections(instance, variants, *columns, vehicle_col))
 
 
 def total_delay_ticks(instance: ChainingInstance) -> int:
@@ -405,4 +420,4 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
     columns = [_column(part) for part in zip(*parts)] or [_column(())] * 5
     late = np.flatnonzero(var_delay)
     variants = tuple(map(VariantRef, tables.ids[var_plan[late]].tolist(), var_delay[late].tolist()))
-    return GenerationResult(variants, Connections(instance, *columns, vehicle_col))
+    return GenerationResult(variants, Connections(instance, variants, *columns, vehicle_col))

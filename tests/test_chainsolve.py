@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planchain import chainsolve, model, oracle, variantgen
+from planchain import chainsolve, flownet, model, oracle, variantgen
 from planchain.chainsolve import solve_chaining, validate_chains
 from planchain.errors import InfeasibleError
 from planchain.flownet import build_network, solve_mcf
@@ -467,7 +467,33 @@ def test_shared_vehicle_classes_agree_with_the_brute_force_oracle(monkeypatch):
         assert validate_chains(inst, solution.chains, solution.objective).ok
         net = built[-1]
         assert "_view" not in vars(net.connections) and "edges" not in vars(net)
+        assert not flownet._EDGE_VIEW & vars(net).keys()
         classes = [(c.vehicle.start_location, c.vehicle.t_st) for c in solution.chains]
         shared += len(set(classes)) < len(classes)
         solved += 1
     assert solved >= 160 and shared >= 60, (solved, shared)
+
+
+def test_solves_never_number_the_edge_view(monkeypatch):
+    # minimal and exhaustive generation, branching or not: a solve reads
+    # the rows' own delays and never builds the edge view's numbering
+    built = []
+    build = chainsolve.build_network
+    monkeypatch.setattr(chainsolve, "build_network", lambda *args: built.append(build(*args)) or built[-1])
+    exhaustive = branched = 0
+    for seed in range(60):
+        policy = (TravelCost(), TravelCostWaitCapped(20))[seed % 2]
+        inst = chain_instance_from_params(
+            ChainGenParams(seed=seed, plans=6, vehicles=3, d_max_range=(0, 12), policy=policy)
+        )
+        try:
+            solution = solve_chaining(inst)
+        except InfeasibleError:
+            continue
+        net = built[-1]
+        assert not flownet._EDGE_VIEW & vars(net).keys() and "edges" not in vars(net)
+        exhaustive += chainsolve.policy_needs_exhaustive_variants(policy)
+        branched += solution.stats.relaxations_solved > 1
+        # the numbering comes on first read, whole
+        assert net.edge_count == len(net.edges) and flownet._EDGE_VIEW <= vars(net).keys()
+    assert exhaustive >= 10 and branched >= 15, (exhaustive, branched)

@@ -136,6 +136,37 @@ def test_connection_without_a_node_is_rejected():
             build_network(inst, GenerationResult(gen.variants, (*gen.connections, stray)))
 
 
+def test_generated_connections_need_every_variant_of_their_generator():
+    # generated rows carry their generator's variant tuple, and the network
+    # checks that the variants it is given hold all of them: an equal tuple
+    # or a superset builds, any tuple without one of them is refused
+    dropped = 0
+    for seed in range(6):
+        inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=5, vehicles=2, d_max_range=(1, 6)))
+        for gen in (variantgen.generate(inst), variantgen.generate_exhaustive(inst)):
+            assert gen.connections.variants is gen.variants
+            extra = VariantRef(inst.plans[0].id, inst.plans[0].d_max + 1)
+            for variants in (tuple(list(gen.variants)), (*gen.variants, extra)):
+                assert build_network(inst, GenerationResult(variants, gen.connections)).connections is gen.connections
+            for drop, ref in enumerate(gen.variants):
+                fewer = gen.variants[:drop] + gen.variants[drop + 1 :]
+                with pytest.raises(InputError, match=re.escape(f"endpoint {(ref.plan_id, ref.delay)} has no node")):
+                    build_network(inst, GenerationResult(fewer, gen.connections))
+                dropped += 1
+    assert dropped >= 40, dropped
+
+
+def test_hand_built_delayed_origins_need_a_node():
+    # hand-built rows are checked one by one, at the origin as at the target
+    inst = make_e1()
+    gen = variantgen.generate(inst)
+    stray = Connection(VariantRef(2, 3), VariantRef(1, 0), 0)
+    with pytest.raises(InputError, match=re.escape("connection endpoint (2, 3) has no node")):
+        build_network(inst, GenerationResult(gen.variants, (*gen.connections, stray)))
+    known = Connection(VariantRef(2, 1), VariantRef(1, 0), 0)  # timing is not checked here
+    assert len(build_network(inst, GenerationResult(gen.variants, (*gen.connections, known))).cell) == 4
+
+
 def test_huge_connection_cost_is_rejected():
     inst = make_e1()
     gen = variantgen.generate(inst)
@@ -444,7 +475,7 @@ def test_branching_solve_never_builds_the_edge_view(monkeypatch):
     solution = chainsolve.solve_chaining(inst)
     assert (solution.stats.nodes_explored, solution.stats.relaxations_solved) == (2, 3)
     (net,) = built
-    assert "edges" not in vars(net)
+    assert "edges" not in vars(net) and not flownet._EDGE_VIEW & vars(net).keys()
     # built on first access, the view holds the edges an eager build made
     assert net.edges.tolist() == [
         [0, 1, 0], [0, 2, 0], [0, 3, 0], [0, 6, 0], [0, 7, 0], [3, 4, 0], [3, 5, 0],
