@@ -34,6 +34,12 @@ per-vehicle view of the rows (``Connections.per_vehicle``); it, and a
 solution's edge flows and node potentials (the Hungarian duals spread
 over the nodes, which certify the flow through ``residual_is_optimal``),
 are built on first read.  A solve builds none of them.
+
+A network holds one live assignment matrix, not one per relaxation: each
+relaxation moves it to its own window, and on a large network refills
+only the cells of the plans whose window changed.  So a network serves
+one relaxation at a time, and a matrix read from it holds only until the
+next one.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ from .variantgen import Connections, GenerationResult
 
 NO_EDGE = 1 << 60  # cost of a matrix cell without a usable connection
 _UNSEEN = 1 << 62  # distance of a column the search has not reached
+# class rows from which a network refills only the changed plans' cells of
+# its live matrix (``_assignment_matrix``): below them a full fill per
+# relaxation takes less time than a refill's fixed numpy calls (they broke
+# even at about 4,000 to 6,000 rows on generated 12- to 50-plan networks)
+_REFILL_ROWS = 4096
 
 
 class HungarianState(NamedTuple):
@@ -121,11 +132,13 @@ class FlowNetwork:
     is a copy of its class representative's (``connections.column_class``).
     ``cell_order`` lists the rows by cell, then cost, then row, as one
     stable sort of the int64 key ``cell * span + (cost - low)``, where
-    ``low`` is the lowest cost and ``span = max_cost - low + 1``.  The key
-    is below ``n * m * span``, so a network with ``n * m * span >= 2**63``
-    is refused with ``InputError``, as is one with a negative cost or with
-    costs that break the relaxation's ``4 * n * max_cost < NO_EDGE`` fence.
-    That, and the rows' own delays, is all a solve reads.
+    ``low`` is the lowest cost and ``span = max_cost - low + 1``, and
+    ``ordered_cells`` their cells in that order.  The key is below ``n * m
+    * span``, so a network with ``n * m * span >= 2**63`` is refused with
+    ``InputError``, as is one with a negative cost or with costs that break
+    the relaxation's ``4 * n * max_cost < NO_EDGE`` fence.  That, and the
+    rows' own delays, is all a solve reads; the network also keeps the
+    live matrix of its last relaxation (``_assignment_matrix``).
 
     The edge view is numbered on first read of any of its attributes
     (``_EDGE_VIEW``), over the per-vehicle rows (``connections.per_vehicle``,
@@ -185,10 +198,19 @@ class FlowNetwork:
         # matrix cell of each connection, and the connections sorted by
         # cell, then cost, then row (one stable sort of the fenced key):
         # the first usable one of a cell wins
-        self.cell = conns.target * m + conns.origin
-        key = self.cell * span
+        cell = self.cell
+        key = cell * span
         key += conns.cost - low
         self.cell_order = np.argsort(key, kind="stable")
+        del key
+        self.ordered_cells = cell[self.cell_order]
+        self._live = None  # the live assignment matrix (``_assignment_matrix``)
+
+    @property
+    def cell(self) -> np.ndarray:
+        """The matrix cell ``target * m + origin`` of each class row, in row order."""
+        conns = self.connections
+        return conns.target * len(conns.column_class) + conns.origin
 
     def __getattr__(self, name: str):
         """Number the edge view on the first read of any of its attributes (``_EDGE_VIEW``)."""
@@ -466,40 +488,117 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     return HungarianState(owner[:m], u, v)
 
 
-def _assignment_matrix(net: FlowNetwork, window):
-    """The target-by-origin cost matrix; the usable cells of the class rows and the row that fills each.
+def _usable(net: FlowNetwork, window: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Whether each class row of ``rows`` (all of them, in row order, by default) is usable under ``window``.
 
-    The cells are flat (``target * m + origin column``), ascending, and
-    name only the columns the class rows carry: a member vehicle's column
-    is a copy of its class's (``Connections.column_class``).  A cell
-    without a usable row costs ``NO_EDGE``.  A row is usable when its
-    target delay, and its origin delay if the origin is a plan, lie in that
-    plan's window ``[window[0, i], window[1, i]]``; None opens every delay.
-    The test reads the rows' own delays, not the edge view's endpoints.
+    A row is usable when its target delay, and its origin delay if the
+    origin is a plan, lie in that plan's window ``[window[0, i], window[1,
+    i]]``.  The test reads the rows' own delays, not the edge view's
+    endpoints.
     """
-    conns, order, n = net.connections, net.cell_order, len(net.plan_ids)
-    m = n + len(net.instance.vehicles)
+    conns, n = net.connections, len(net.plan_ids)
+    # a vehicle origin's column gets the window [0, 0]: its delay is always 0
+    lo, hi = np.concatenate((window, np.zeros((2, len(conns.column_class) - n), dtype=np.int64)), axis=1)
+    target, delay = conns.target[rows], conns.target_delay[rows]
+    usable = lo[target] <= delay
+    usable &= delay <= hi[target]
+    origin, delay = conns.origin[rows], conns.origin_delay[rows]
+    usable &= lo[origin] <= delay
+    usable &= delay <= hi[origin]
+    return usable
+
+
+def _fill(net: FlowNetwork, costs: np.ndarray, window, at=None) -> tuple[np.ndarray, np.ndarray]:
+    """Give each cell the cost of its first usable row (``_usable``); only the cells at cell-order positions ``at`` if given.
+
+    ``at`` covers whole cells, and ``costs`` is flat (``target * m + origin
+    column``); None opens every delay.  Returns the cells given a row,
+    ascending when every cell is filled, and those rows.
+    """
+    rows, cells = net.cell_order, net.ordered_cells
+    if at is not None:
+        rows, cells = rows[at], cells[at]
     if window is not None:
-        # a vehicle origin's column gets the window [0, 0]: its delay is always 0
-        lo, hi = np.concatenate((window, np.zeros((2, m - n), dtype=np.int64)), axis=1)
-        target, delay = conns.target, conns.target_delay
-        usable = lo[target] <= delay
-        usable &= delay <= hi[target]
-        origin, delay = conns.origin, conns.origin_delay
-        usable &= lo[origin] <= delay
-        usable &= delay <= hi[origin]
-        order = order[usable[order]]
-    cells = net.cell[order]
+        usable = _usable(net, window, rows) if at is not None else _usable(net, window)[rows]
+        keep = usable.nonzero()[0]
+        rows, cells = rows[keep], cells[keep]
     lead = np.ones(len(cells), dtype=bool)  # the first row of each cell
     lead[1:] = cells[1:] != cells[:-1]
-    rows, cells = order[lead], cells[lead]
-    matrix = np.full(n * m, NO_EDGE, dtype=np.int64)
-    matrix[cells] = conns.cost[rows]
-    matrix, member = matrix.reshape(n, m), conns.members
+    rows, cells = rows[lead], cells[lead]
+    costs[cells] = net.connections.cost[rows]
+    return cells, rows
+
+
+def _first_usable(net: FlowNetwork, window, cells: np.ndarray) -> np.ndarray:
+    """The class row that fills each of the usable flat ``cells``: the first of its cell's rows in cell order usable under ``window``."""
+    at = net.ordered_cells.searchsorted(cells)
+    if window is not None:
+        pending = np.arange(len(at))
+        while (pending := pending[~_usable(net, window, net.cell_order[at[pending]])]).size:
+            at[pending] += 1  # a usable cell has a usable row, so this stays inside the cell's rows
+    return net.cell_order[at]
+
+
+def _assignment_matrix(net: FlowNetwork, window):
+    """Move the network's live target-by-origin cost matrix to ``window``: the matrix, and the rows a full fill chose.
+
+    A cell without a usable row (``_fill``) costs ``NO_EDGE``, and a member
+    vehicle's column is a copy of its class's (``Connections.column_class``).
+    A call that fills every cell also returns the ascending class cells it
+    gave a row and those rows; a refill returns None, and
+    ``_first_usable`` finds a cell's row.
+
+    Every network keeps one live matrix, with the window it holds (None
+    for the open window ``[0, d_max]``; ``Connections.of`` has checked
+    that every row's delays lie in it).  The returned matrix is the live
+    one: it holds only until the next call on the network.  The first call
+    fills every cell, and so does every call on a network of fewer than
+    ``_REFILL_ROWS`` class rows.  A larger network finds the plans whose
+    window changed, resets their rows and plan columns to ``NO_EDGE`` and
+    refills those cells from the rows into or out of those plans alone: the
+    dynamic Hungarian method's rule of applying only the cost changes
+    (Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27, 2007).  Consecutive
+    relaxations mostly differ in one or two plans.  The live state reads
+    stale while it is refilled, so an interrupted refill starts the next
+    call afresh.
+    """
+    conns, n = net.connections, len(net.plan_ids)
+    m = len(conns.column_class)
+    live, net._live = net._live, None  # stale until the fill below has finished
+    if live is None or len(conns.cost) < _REFILL_ROWS:
+        costs = np.empty(n * m, dtype=np.int64) if live is None else live[0]
+        costs.fill(NO_EDGE)
+        filled = _fill(net, costs, window)
+        refilled = slice(None)
+    else:
+        costs, held = live
+        new, old = window, held
+        if new is None or old is None:
+            open_window = np.array([[0] * n, [p.d_max for p in net.instance.plans]], dtype=np.int64)
+            new, old = (open_window if w is None else w for w in (window, held))
+        changed = (new != old).any(axis=0)
+        plans = changed.nonzero()[0]
+        if not plans.size:
+            net._live = live
+            return costs.reshape(n, m), None
+        matrix = costs.reshape(n, m)
+        matrix[plans] = NO_EDGE
+        matrix[:, plans] = NO_EDGE
+        # the cell ranges of the rows into a changed plan (its matrix row) and
+        # out of one (its column's cell in every other plan's row)
+        start = np.concatenate((plans * m, ((np.flatnonzero(~changed) * m)[:, None] + plans).ravel()))
+        stop = start + 1
+        stop[: len(plans)] += m - 1
+        start, stop = net.ordered_cells.searchsorted(start), net.ordered_cells.searchsorted(stop)
+        width = stop - start
+        _fill(net, costs, window, np.repeat(start - (width.cumsum() - width), width) + np.arange(width.sum()))
+        filled, refilled = None, plans[:, None]
+    matrix, member = costs.reshape(n, m), conns.members
     if member.size:
         member = n + member
-        matrix[:, member] = matrix[:, conns.column_class[member]]
-    return matrix, cells, rows
+        matrix[refilled, member] = matrix[refilled, conns.column_class[member]]
+    net._live = (costs, None if window is None else window.copy())
+    return matrix, filled
 
 
 def solve_mcf(
@@ -518,10 +617,13 @@ def solve_mcf(
     the Hungarian duals, which ``residual_is_optimal`` certifies, are
     derived when read.
 
-    ``window`` is an int64 array of shape (2, n): plan index ``i`` may only
-    be entered and left at a delay in ``[window[0, i], window[1, i]]``, which
-    closes its variant nodes outside it.  Vehicles are never restricted, and
-    None leaves every delay open.
+    ``window`` is an integer array of shape (2, n): plan index ``i`` may
+    only be entered and left at a delay in ``[window[0, i], window[1, i]]``,
+    which closes its variant nodes outside it.  Vehicles are never
+    restricted, and None leaves every delay open.  Any other window raises
+    ``InputError`` before the network's live matrix moves.  The network
+    moves its one live matrix to ``window`` (``_assignment_matrix``), so it
+    serves one relaxation at a time.
 
     ``start`` warm-starts the solver from the ``state`` of an assignment
     solved on the same network under a window that contains ``window``.
@@ -539,7 +641,11 @@ def solve_mcf(
     """
     net, n = network, len(network.plan_ids)
     m = n + len(net.instance.vehicles)
-    matrix, cells, class_rows = _assignment_matrix(net, window)
+    if window is not None and not (
+        isinstance(window, np.ndarray) and window.dtype.kind in "iu" and window.shape == (2, n)
+    ):
+        raise InputError(f"a delay window must be an integer array of shape (2, {n})")
+    matrix, filled = _assignment_matrix(net, window)
     starved = (matrix == NO_EDGE).all(axis=1).nonzero()[0]
     if starved.size:
         raise FlowInfeasibleError(int(net.plan_ids[starved[0]]))
@@ -550,8 +656,8 @@ def solve_mcf(
     for part in state:
         part.setflags(write=False)
     assigned = (state.owner >= 0).nonzero()[0]
-    cell = state.owner[assigned] * m + net.connections.column_class[assigned]
-    rows = class_rows[cells.searchsorted(cell)]
+    cells = state.owner[assigned] * m + net.connections.column_class[assigned]
+    rows = filled[1][filled[0].searchsorted(cells)] if filled is not None else _first_usable(net, window, cells)
     rows.setflags(write=False)
     return FlowAssignment(net, window, rows, state, sum(net.connections.cost[rows].tolist()))
 

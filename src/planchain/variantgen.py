@@ -95,11 +95,12 @@ class Connections(Sequence):
         """``connections`` as columns over ``instance``, each vehicle its own class.
 
         Every delayed endpoint must be one of ``variants``, the delayed
-        variants with nodes.  Columns made for ``instance`` pass through once
+        variants with nodes, and every delay lie in ``[0, d_max]`` of its
+        plan.  Columns made for ``instance`` pass through once
         ``variants`` holds theirs: no work when it is their own tuple, a set
         test otherwise.  Others are checked one by one, and range-checked in
-        Python ints.  An endpoint outside the instance, or a delayed one
-        without a node, raises ``InputError``.
+        Python ints.  An endpoint outside the instance or its plan's delay
+        budget, or a delayed one without a node, raises ``InputError``.
         """
         if isinstance(connections, Connections) and connections.instance is instance:
             if connections.variants is not variants:
@@ -121,6 +122,8 @@ class Connections(Sequence):
             for ref in (t,) if type(o) is Vehicle else (o, t):
                 if ref.delay and ref not in nodes:
                     raise InputError(f"connection endpoint {(ref.plan_id, ref.delay)} has no node")
+                if not 0 <= ref.delay <= instance.plans[plan_col[ref.plan_id]].d_max:
+                    raise InputError(f"connection endpoint {(ref.plan_id, ref.delay)} lies outside its plan's delay budget")
             if not all(-(1 << 63) <= x < 1 << 63 for x in row):
                 raise InputError(f"connection {c} exceeds the int64 range")
             rows.append(row)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -163,8 +164,13 @@ def test_validator_flags_bad_chains():
     assert "objective_mismatch" in {i.code for i in ok.issues}
 
 
+@functools.cache
 def _solved_covers():
-    """(instance, chains as id pairs, objective) of a few solved instances, over every policy."""
+    """(instance, chains as id pairs, objective) of a few solved instances, over every policy.
+
+    Solved on first use, inside the test: a solver that never terminates
+    then hangs that test, not the collection of the whole module.
+    """
     covers = []
     for policy in (TravelCost(), FleetSize(), TravelCostWaitCapped(8), TravelCostWaitPenalized(Fraction(1, 2))):
         for seed in range(40):
@@ -180,16 +186,13 @@ def _solved_covers():
     return covers
 
 
-SOLVED_COVERS = _solved_covers()
-
-
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(data=st.data(), field=st.sampled_from(("vehicle", "plan", "delay", "objective")))
 def test_validator_reports_every_rule_a_single_field_mutation_breaks(data, field):
     # one vehicle id, plan id, delay or the claimed objective of a solved
     # cover is replaced; the validator must never raise, and it must name
     # the broken rule whenever the new value breaks one
-    inst, chains, objective = data.draw(st.sampled_from(SOLVED_COVERS))
+    inst, chains, objective = data.draw(st.sampled_from(_solved_covers()))
     chains = [(vid, list(elems)) for vid, elems in chains]
     value = data.draw(st.integers(-3, 12) | st.sampled_from((-(2**70), 2**70)))
     ci = data.draw(st.integers(0, len(chains) - 1))

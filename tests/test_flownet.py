@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from planchain.model import (
     FleetSize,
     Plan,
     TravelCost,
+    TravelCostWaitPenalized,
     TravelMatrix,
     VariantRef,
     Vehicle,
@@ -83,17 +85,15 @@ def test_parallel_edges_prefer_cheaper():
 def per_vehicle_matrix(net, window):
     """``_assignment_matrix``'s cost matrix, and the per-vehicle row that fills each cell (-1: none), flat.
 
-    A cell reads the row of its class cell, as ``solve_mcf`` does.
+    A usable cell reads the row of its class cell, found as ``solve_mcf`` finds it after a refill.
     """
-    matrix, cells, rows = flownet._assignment_matrix(net, window)
+    matrix = flownet._assignment_matrix(net, window)[0]
     n, m = matrix.shape
     target, col = np.divmod(np.arange(n * m), m)
-    key = target * m + net.connections.column_class[col]
-    at = np.searchsorted(cells, key)
-    found = at < len(cells)
-    found[found] = cells[at[found]] == key[found]
+    found = matrix.ravel() != flownet.NO_EDGE
+    rows = flownet._first_usable(net, window, (target * m + net.connections.column_class[col])[found])
     row_at = np.full(n * m, -1)
-    row_at[found] = net.connections.per_vehicle_rows(rows[at[found]], col[found])
+    row_at[found] = net.connections.per_vehicle_rows(rows, col[found])
     return matrix, row_at
 
 
@@ -165,6 +165,18 @@ def test_hand_built_delayed_origins_need_a_node():
         build_network(inst, GenerationResult(gen.variants, (*gen.connections, stray)))
     known = Connection(VariantRef(2, 1), VariantRef(1, 0), 0)  # timing is not checked here
     assert len(build_network(inst, GenerationResult(gen.variants, (*gen.connections, known))).cell) == 4
+
+
+def test_hand_built_delays_stay_within_the_delay_budget():
+    # the open window [0, d_max] stands for the unrestricted root, so a
+    # hand-built row may not name a delay past its plan's budget, even one
+    # whose variant has a node
+    inst = make_e1()  # plan 2 has d_max 3
+    gen = variantgen.generate(inst)
+    beyond = VariantRef(2, 4)
+    for stray in (Connection(beyond, VariantRef(1, 0), 0), Connection(inst.vehicles[0], beyond, 0)):
+        with pytest.raises(InputError, match=re.escape("connection endpoint (2, 4) lies outside its plan's delay budget")):
+            build_network(inst, GenerationResult((*gen.variants, beyond), (*gen.connections, stray)))
 
 
 def test_huge_connection_cost_is_rejected():
@@ -441,7 +453,7 @@ def test_row_matrix_matches_the_edge_level_reference():
         params = ChainGenParams(seed=seed, plans=rng.randint(1, 7), vehicles=rng.randint(1, 3), d_max_range=(0, 12))
         inst = chain_instance_from_params(params)
         net = build_network(inst, variantgen.generate(inst))
-        unrestricted = flownet._assignment_matrix(net, None)[0]
+        unrestricted = flownet._assignment_matrix(net, None)[0].copy()  # the live matrix moves with every window
         assert unrestricted.tolist() == flownet._assignment_matrix(net, open_window(net))[0].tolist()
         for _ in range(2):
             window = random_window(net, rng)
@@ -641,3 +653,145 @@ def test_hand_built_connections_are_never_merged_into_classes():
     solution = chainsolve.solve_network(net)
     assert solution.objective == 30
     assert [(c.vehicle.id, c.elements) for c in solution.chains] == [(1, (VariantRef(1, 0),)), (2, (VariantRef(2, 0),))]
+
+
+def fresh_matrix(net, window):
+    """``per_vehicle_matrix`` of a new network over ``net``'s rows, and the cells and rows its full fill chose."""
+    fresh = build_network(net.instance, GenerationResult(net.connections.variants, net.connections))
+    filled = flownet._assignment_matrix(fresh, window)[1]
+    return (*per_vehicle_matrix(fresh, window), filled)
+
+
+def assert_live_matrix_is_fresh(net, window, assignment=None):
+    """The live matrix, the row of every usable cell and ``assignment``'s chosen rows equal a fresh network's."""
+    matrix, row_at = per_vehicle_matrix(net, window)  # the window it holds: the live matrix as it is
+    fresh, fresh_row_at, (cells, rows) = fresh_matrix(net, window)
+    assert matrix.tolist() == fresh.tolist()
+    assert row_at.tolist() == fresh_row_at.tolist()
+    if assignment is not None:
+        cols = np.flatnonzero(assignment.state.owner >= 0)
+        m = matrix.shape[1]
+        chosen = rows[cells.searchsorted(assignment.state.owner[cols] * m + net.connections.column_class[cols])]
+        assert assignment.rows.tolist() == chosen.tolist()
+
+
+def hook_live_matrix_checks(monkeypatch, counts):
+    """Check the live matrix after every relaxation ``chainsolve`` runs; count the refills, and those with members."""
+    solve = chainsolve.solve_mcf
+
+    def checked(network, window=None, start=None):
+        refill = network._live is not None
+        assignment = None
+        try:
+            assignment = solve(network, window, start)
+        except FlowInfeasibleError:
+            counts["infeasible"] += 1
+            raise
+        finally:
+            assert_live_matrix_is_fresh(network, window, assignment)
+            counts["relaxations"] += 1
+            counts["refills"] += refill
+            counts["member_refills"] += refill and bool(network.connections.members.size)
+        return assignment
+
+    monkeypatch.setattr(chainsolve, "solve_mcf", checked)
+
+
+def test_live_matrix_follows_real_search_paths(monkeypatch):
+    # every network keeps a live matrix here, however small; after each
+    # relaxation of a branching search, the matrix and the rows the
+    # relaxation chose must equal those of a fresh network for that window
+    monkeypatch.setattr(flownet, "_REFILL_ROWS", 0)
+    counts = dict.fromkeys(("relaxations", "refills", "member_refills", "infeasible"), 0)
+    hook_live_matrix_checks(monkeypatch, counts)
+    for seed in range(60):
+        shared = shared_class_instance(seed)
+        plain = chain_instance_from_params(ChainGenParams(seed=seed, plans=6, vehicles=3, d_max_range=(0, 12)))
+        for inst, generator in ((shared, variantgen.generate), (shared, variantgen.generate_exhaustive),
+                                (plain, variantgen.generate), (plain, variantgen.generate_exhaustive)):
+            try:
+                chainsolve.solve_network(build_network(inst, generator(inst)))
+            except InfeasibleError:
+                pass
+    assert counts["refills"] >= 300 and counts["member_refills"] >= 150 and counts["infeasible"] >= 100, counts
+
+
+def test_live_matrix_follows_the_deep_twelve_plan_search(monkeypatch):
+    # the 12-plan search of ``test_deep_window_search_on_twelve_plans``, one network and 2,627 relaxations
+    monkeypatch.setattr(flownet, "_REFILL_ROWS", 0)
+    counts = dict.fromkeys(("relaxations", "refills", "member_refills", "infeasible"), 0)
+    hook_live_matrix_checks(monkeypatch, counts)
+    params = ChainGenParams(
+        seed=502, plans=12, vehicles=3, locations=8, horizon=220, d_max_range=(0, 10),
+        policy=TravelCostWaitPenalized(Fraction(2, 3)),
+    )
+    solution = chainsolve.solve_chaining(chain_instance_from_params(params))
+    assert solution.objective == 317
+    assert (solution.stats.nodes_explored, solution.stats.relaxations_solved) == (1314, 2627)
+    assert counts["relaxations"] == 2627 and counts["refills"] == 2626, counts
+
+
+@pytest.mark.parametrize("case", ["large", "shared"])
+def test_live_matrix_moves_through_repeated_widened_and_root_windows(monkeypatch, case):
+    # one window array, changed in place between calls as a caller may, is
+    # repeated, narrowed, widened and dropped for the root's None; the
+    # network must hold a copy of each window it fills, and below
+    # ``_REFILL_ROWS`` class rows fill every cell on every call
+    if case == "large":
+        params = ChainGenParams(
+            seed=502, plans=20, vehicles=5, locations=8, horizon=366, d_max_range=(0, 10),
+            policy=TravelCostWaitPenalized(Fraction(2, 3)),
+        )
+        insts = [chain_instance_from_params(params)]
+    else:
+        monkeypatch.setattr(flownet, "_REFILL_ROWS", 0)
+        insts = [shared_class_instance(seed) for seed in range(24)]
+    rng = random.Random(41)
+    moves = widened = 0
+    for inst in insts:
+        net = build_network(inst, variantgen.generate_exhaustive(inst))
+        assert len(net.connections.cost) >= flownet._REFILL_ROWS
+        window = open_window(net)
+        routed = [i for i, pid in enumerate(net.plan_ids.tolist()) if net.routed_delays[pid]] or [0]
+        for step in range(16):
+            previous = window.copy()
+            if step % 4 == 1:  # one plan held to a routed delay
+                i = rng.choice(routed)
+                window[:, i] = rng.choice(net.routed_delays[int(net.plan_ids[i])] or (0,))
+            elif step % 4 == 2:  # the same window again, then a plan widened back
+                assert_live_matrix_is_fresh(net, window)
+                i = int(np.flatnonzero((window != open_window(net)).any(axis=0))[0])
+                window[:, i] = open_window(net)[:, i]
+            elif step % 4 == 3:  # a jump: a random window over every plan
+                window[:] = random_window(net, rng)
+            target = None if step % 4 == 0 else window
+            flownet._assignment_matrix(net, target)
+            held = net._live[1]  # None holds the open window
+            assert held is not window
+            held, target_window = (open_window(net) if w is None else w for w in (held, target))
+            assert held.tolist() == target_window.tolist()
+            assert_live_matrix_is_fresh(net, target)
+            moves += 1
+            widened += bool((window[0] < previous[0]).any() or (window[1] > previous[1]).any())
+    assert moves >= 16 and widened >= moves // 4, (moves, widened)
+    small = build_e1_network()[1]
+    monkeypatch.setattr(flownet, "_REFILL_ROWS", len(small.connections.cost) + 1)
+    for _ in range(2):
+        assert flownet._assignment_matrix(small, open_window(small))[1] is not None
+
+
+def test_window_must_be_an_integer_array_of_two_rows_per_plan(monkeypatch):
+    # a malformed window is refused before the live matrix moves; a (2, 1)
+    # window would otherwise broadcast over both plans of e1
+    monkeypatch.setattr(flownet, "_REFILL_ROWS", 0)
+    _, net = build_e1_network()
+    good = force_variant(open_window(net), net, 2, 1)
+    assert solve_mcf(net, good).total_cost == 2
+    live = net._live
+    held = [part.copy() for part in live]
+    message = re.escape("a delay window must be an integer array of shape (2, 2)")
+    for bad in (good[:, :1], np.zeros((3, 2), dtype=np.int64), good.astype(float), good.tolist(), good > 0):
+        with pytest.raises(InputError, match=message):
+            solve_mcf(net, bad)
+        assert net._live is live and all((a == b).all() for a, b in zip(live, held))
+    assert solve_mcf(net, good.astype(np.int32)).total_cost == 2
