@@ -28,12 +28,11 @@ with one start location and ``t_st``): the network sorts and filters only
 those, fills each class's matrix column from them and copies that column
 to every member vehicle's, so the assignment sees one column per vehicle.
 A chosen connection is therefore a matrix column and a class row.  The
-edge view (node and edge numbering, each row's variant endpoints, the
-edge list) numbers one connection edge per vehicle, through the
-per-vehicle view of the rows (``Connections.per_vehicle``); it, and a
-solution's edge flows and node potentials (the Hungarian duals spread
-over the nodes, which certify the flow through ``residual_is_optimal``),
-are built on first read.  A solve builds none of them.
+edge view numbers one connection edge per vehicle, through the
+per-vehicle view of the rows (``Connections.per_vehicle``); it is
+derived on read, as are a solution's edge flows and node potentials
+(the Hungarian duals spread over the nodes, which certify the flow
+through ``residual_is_optimal``).  A solve reads none of them.
 
 A network holds one live assignment matrix, not one per relaxation: each
 relaxation moves it to its own window, and on a large network refills
@@ -111,13 +110,6 @@ class FlowInfeasibleError(InfeasibleError):
             super().__init__(f"no assignment of origins covers every plan (found while assigning plan {plan_id})")
 
 
-# the edge view's numbering, built on first read by ``FlowNetwork._number_edges``
-_EDGE_VIEW = frozenset(
-    "end_plan end_delay end_left end_right origin_end target_end"
-    " source_id sink_id node_count connection_edges left_struct right_struct edge_count".split()
-)
-
-
 class FlowNetwork:
     """A chaining network: connection rows for the solver, an edge list on demand.
 
@@ -140,25 +132,18 @@ class FlowNetwork:
     rows' own delays, is all a solve reads; the network also keeps the
     live matrix of its last relaxation (``_assignment_matrix``).
 
-    The edge view is numbered on first read of any of its attributes
-    (``_EDGE_VIEW``), over the per-vehicle rows (``connections.per_vehicle``,
-    which maps back through ``connections.class_row``).  Nodes are numbered
+    The edge view is derived on read from the per-vehicle rows
+    (``connections.per_vehicle``); no solve reads it.  Nodes are numbered
     source, left plans, left variants, vehicles, right variants, right
     plans, sink; plans and vehicles in instance order and variants by plan,
-    then delay.  Edges are numbered source-side structural edges (source to
-    left plans, source to vehicles, left plan to left variant), then the
-    per-vehicle connections in generation order, then sink-side structural
-    edges (right variant to right plan, right plan to sink).  Per-vehicle
-    row ``p`` is edge ``connection_edges[p]``.  Class row ``r`` has its
-    origin and target endpoints at ``origin_end[r]`` and ``target_end[r]``,
-    which index the sorted (plan index, delay) endpoints ``end_plan``,
-    ``end_delay``; a vehicle origin's index is the last slot of
-    ``end_left``, one past the endpoints.  A row's path runs from the source
-    edge of its origin column (a column numbers its source edge) through
-    variant edges ``end_left[origin_end[r]]`` and ``end_right[target_end[r]]``
-    to the sink edge of its target plan; a variant edge is ``edge_count``
-    (absent) where the plan has no variants.  The edge list ``edges`` is
-    built on first access.
+    then delay.  Edges are numbered source to left plans, source to
+    vehicles, ``left_struct`` (left plan to left variant),
+    ``connection_edges`` (the per-vehicle rows in order), ``right_struct``
+    (right variant to right plan), right plan to sink.  A row's path runs
+    from its origin column's source edge through variant edges
+    ``left_struct.start + i`` and ``right_struct.start + j`` to its target
+    plan's sink edge, where ``_variant_index`` gives its origin's variant
+    ``i`` and its target's ``j`` (-1, no edge, where there is none).
     """
 
     def __init__(self, instance: ChainingInstance, gen: GenerationResult):
@@ -212,60 +197,57 @@ class FlowNetwork:
         conns = self.connections
         return conns.target * len(conns.column_class) + conns.origin
 
-    def __getattr__(self, name: str):
-        """Number the edge view on the first read of any of its attributes (``_EDGE_VIEW``)."""
-        if name not in _EDGE_VIEW:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._number_edges()
-        return self.__dict__[name]
+    source_id = 0  # the edge view's numbering (class docstring), from here to ``edge_count``
 
-    def _number_edges(self) -> None:
-        """The node and edge numbering of the class docstring, and each class row's variant endpoints."""
-        plans, conns = self.instance.plans, self.connections
-        n, n_veh, k = len(plans), len(self.instance.vehicles), len(self.variant_plan)
-        self.source_id, self.sink_id = 0, 1 + 2 * n + 2 * k + n_veh
-        self.node_count = self.sink_id + 1
-        first, last = n + n_veh + k, n + n_veh + k + len(conns)
-        self.connection_edges = range(first, last)
-        self.left_struct, self.right_struct = slice(n + n_veh, first), slice(last, last + k)
-        self.edge_count = last + k + n
+    @property
+    def node_count(self) -> int:
+        return 2 + 2 * (len(self.plan_ids) + len(self.variant_plan)) + len(self.instance.vehicles)
 
-        # every (plan index, delay) endpoint with a node pair, sorted, with its
-        # left and right variant edge: the variants, and each other plan at
-        # delay 0, whose "variant edges" are the absent edge ``edge_count``
-        lefts, rights = range(first - k, first), range(last, last + k)
-        ends = list(zip(self.variant_plan.tolist(), self.variant_delay.tolist(), lefts, rights))
-        ends += [(i, 0, self.edge_count, self.edge_count) for i, p in enumerate(plans) if not self.routed_delays[p.id]]
-        ends.sort()
-        end_plan, end_delay, end_left, end_right = np.array(ends, dtype=np.int64).reshape(-1, 4).T
-        self.end_plan, self.end_delay = end_plan, end_delay
-        self.end_left, self.end_right = np.append(end_left, self.edge_count), end_right
+    @property
+    def sink_id(self) -> int:
+        return self.node_count - 1
 
-        # each plan-side endpoint of a connection, origins then targets, found by
-        # one sorted search on (plan, rank of the delay): a key below n * (k + 2).
-        # ``Connections.of`` has checked that every endpoint has a node
-        from_plan = (conns.origin < n).nonzero()[0]
-        plan = np.concatenate([conns.origin[from_plan], conns.target])
-        delay = np.concatenate([conns.origin_delay[from_plan], conns.target_delay])
-        values = np.array(sorted({end[1] for end in ends}), dtype=np.int64)
+    @property
+    def left_struct(self) -> slice:
+        start = len(self.plan_ids) + len(self.instance.vehicles)
+        return slice(start, start + len(self.variant_plan))
+
+    @property
+    def connection_edges(self) -> range:
+        return range(self.left_struct.stop, self.left_struct.stop + len(self.connections))
+
+    @property
+    def right_struct(self) -> slice:
+        return slice(self.connection_edges.stop, self.connection_edges.stop + len(self.variant_plan))
+
+    @property
+    def edge_count(self) -> int:
+        return self.right_struct.stop + len(self.plan_ids)
+
+    def _variant_index(self, plan: np.ndarray, delay: np.ndarray) -> np.ndarray:
+        """The variant of each (origin column, delay) endpoint, as an index into ``variant_plan``; -1 if it has none.
+
+        A vehicle and a plan without variants have none.  One sorted search
+        on (plan, rank of the delay), the variants' order; ``Connections.of``
+        has checked that every delayed endpoint is a variant.
+        """
+        values = np.unique(self.variant_delay)
         stride = len(values) + 1
-        end_key = end_plan * stride + np.searchsorted(values, end_delay)
-        at = np.searchsorted(end_key, plan * stride + np.searchsorted(values, delay), side="right") - 1
-        self.origin_end = np.full(len(conns.cost), len(ends), dtype=np.int64)  # a vehicle's: the last slot
-        self.origin_end[from_plan] = at[: len(from_plan)]
-        self.target_end = at[len(from_plan) :].copy()  # not a view that keeps the origins' half alive
+        key = self.variant_plan * stride + values.searchsorted(self.variant_delay)
+        want = plan * stride + values.searchsorted(delay)
+        return np.where(np.isin(want, key), key.searchsorted(want), -1)
 
     @cached_property
     def edges(self) -> np.ndarray:
         """Read-only int64 (tail, head, cost) per edge, numbered as in the class docstring."""
         n, n_veh, k, vp = len(self.plan_ids), len(self.instance.vehicles), len(self.variant_plan), self.variant_plan
         right = 1 + n + k + n_veh  # the first right-side node
-        # left variant edge n + n_veh + i heads node 1 + n + i; right variant edge i tails node right + i
-        conns, row = self.connections.per_vehicle, self.connections.class_row
-        origin_edge, target_edge = self.end_left[self.origin_end[row]], self.end_right[self.target_end[row]]
-        routed = (origin_edge < self.edge_count, target_edge < self.edge_count)
-        conn_tail = 1 + np.where(routed[0], origin_edge - n_veh, conns.origin + k * (conns.origin >= n))
-        conn_head = right + np.where(routed[1], target_edge - self.right_struct.start, k + conns.target)
+        conns = self.connections.per_vehicle
+        origin = self._variant_index(conns.origin, conns.origin_delay)
+        target = self._variant_index(conns.target, conns.target_delay)
+        # variant i's nodes: 1 + n + i and right + i; plan i's: 1 + i and right + k + i; a vehicle's: 1 + k + its column
+        conn_tail = 1 + np.where(origin >= 0, n + origin, conns.origin + k * (conns.origin >= n))
+        conn_head = right + np.where(target >= 0, target, k + conns.target)
         tail = np.concatenate([np.zeros(n + n_veh, dtype=np.int64), 1 + vp, conn_tail, right + np.arange(k + n)])
         down_head = [1 + np.arange(n), 1 + n + k + np.arange(n_veh), 1 + n + np.arange(k)]
         head = np.concatenate([*down_head, conn_head, right + k + vp, np.full(n, self.sink_id)])
@@ -277,12 +259,13 @@ class FlowNetwork:
 
     def _flows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Edge flows of the chosen class ``rows``, read in origin columns ``cols``: each path carries one unit."""
-        conns, first, sinks = self.connections, self.connection_edges.start, self.right_struct.stop
-        flows = np.zeros(self.edge_count + 1, dtype=np.int64)
-        variant_edges = [self.end_left[self.origin_end[rows]], self.end_right[self.target_end[rows]]]
-        flows[np.concatenate([cols, *variant_edges, first + conns.per_vehicle_rows(rows, cols)])] = 1
-        flows[sinks + conns.target[rows]] = 1
-        flows = flows[:-1]
+        conns, left, right = self.connections, self.left_struct, self.right_struct
+        origin = self._variant_index(conns.origin[rows], conns.origin_delay[rows])
+        target = self._variant_index(conns.target[rows], conns.target_delay[rows])
+        flows = np.zeros(self.edge_count, dtype=np.int64)
+        flows[np.concatenate([cols, left.start + origin[origin >= 0], right.start + target[target >= 0]])] = 1
+        flows[self.connection_edges.start + conns.per_vehicle_rows(rows, cols)] = 1
+        flows[right.stop + conns.target[rows]] = 1
         flows.setflags(write=False)
         return flows
 
@@ -371,18 +354,21 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     passes ``limit`` every assignment needs a no-edge cell:
     ``FlowInfeasibleError`` names the row being searched.  This holds for
     any dual-feasible start: the row reduction starts at the sum of the row
-    minima (past ``limit`` only when a row has no-edge cells alone, which is
-    reported as that row being unreachable), a parent's state at the
-    parent's optimum.  Taking a level at once changes neither: its ``d`` is
-    the distance a column-at-a-time search reaches next, and the fence is
-    tested on it before anything in the level is scanned.  The fence ``4 *
-    n * max cost < NO_EDGE`` in ``FlowNetwork`` keeps this exact in int64:
-    ``limit < NO_EDGE``, the row minima ``u`` start in ``[0, max cost]``,
-    and as every search stops before the dual objective passes ``limit``,
-    no dual moves further than ``limit`` from 0 and every distance stays
-    below ``NO_EDGE + 2 * limit < _UNSEEN``.  A block holds the same values
-    a column-at-a-time search computes one row at a time, so the same
-    bounds cover it.
+    minima, a parent's state at the parent's optimum.  Taking a level at
+    once changes neither: its ``d`` is the distance a column-at-a-time
+    search reaches next, and the fence is tested on it before anything in
+    the level is scanned.  A row of no-edge cells alone is reported before
+    any search, as the lowest such row being unreachable.  The cold solve
+    finds it as the first largest row minimum, the only way past ``limit``;
+    from a parent's state it has lost its assigned cell, which is no longer
+    tight (the parent's duals stay within ``limit`` of 0), so only the free
+    rows are tested.  The fence ``4 * n * max cost < NO_EDGE`` in
+    ``FlowNetwork`` keeps this exact in int64: ``limit < NO_EDGE``, the row
+    minima ``u`` start in ``[0, max cost]``, and as every search stops
+    before the dual objective passes ``limit``, no dual moves further than
+    ``limit`` from 0 and every distance stays below ``NO_EDGE + 2 * limit <
+    _UNSEEN``.  A block holds the same values a column-at-a-time search
+    computes one row at a time, so the same bounds cover it.
     """
     n, m = cost.shape
     owner = np.concatenate((start.owner, [-1]))  # column m roots every search
@@ -394,6 +380,9 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
             raise ValueError("the start state is not dual feasible for this cost matrix")
         rows = owner[cols]
         owner[cols[cost[rows, cols] != u[rows] + v[cols]]] = -1
+        for i in sorted(set(range(n)).difference(owner.tolist())):  # a starved row has lost its assigned cell
+            if cost[i].min() == NO_EDGE:
+                raise FlowInfeasibleError(int(row_ids[i]))
     else:  # the empty state: reduce the rows, then give each row in turn its first free tight column
         u = cost.min(axis=1, initial=NO_EDGE)
         if sum(u.tolist()) > limit:  # a row of no-edge cells
@@ -492,9 +481,7 @@ def _usable(net: FlowNetwork, window: np.ndarray, rows=slice(None)) -> np.ndarra
     """Whether each class row of ``rows`` (all of them, in row order, by default) is usable under ``window``.
 
     A row is usable when its target delay, and its origin delay if the
-    origin is a plan, lie in that plan's window ``[window[0, i], window[1,
-    i]]``.  The test reads the rows' own delays, not the edge view's
-    endpoints.
+    origin is a plan, lie in that plan's window ``[window[0, i], window[1, i]]``.
     """
     conns, n = net.connections, len(net.plan_ids)
     # a vehicle origin's column gets the window [0, 0]: its delay is always 0
@@ -646,9 +633,6 @@ def solve_mcf(
     ):
         raise InputError(f"a delay window must be an integer array of shape (2, {n})")
     matrix, filled = _assignment_matrix(net, window)
-    starved = (matrix == NO_EDGE).all(axis=1).nonzero()[0]
-    if starved.size:
-        raise FlowInfeasibleError(int(net.plan_ids[starved[0]]))
     if start is None:
         start = HungarianState(np.full(m, -1, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64))
 

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GuardExceededError, InputError
+from .errors import GuardExceededError, InputError, InternalSolverError
 from .model import ChainingInstance, Cost, VariantRef, Vehicle
 from .model import FleetSize, TravelCost, TravelCostWaitCapped, TravelCostWaitPenalized
 
@@ -68,11 +68,12 @@ class Connections(Sequence):
 
     Vehicles that share a start location and ``t_st`` have the same links
     at the same costs, so a generator keeps the rows of one vehicle per
-    class.  ``vehicle_col[j]`` is the origin column that vehicle ``j``'s
-    class rows carry, n + the lowest index in its class; None when every
-    vehicle is its own class, as in a hand-built list.  Reading the rows as
-    a sequence (``len``, indexing, iteration, ``==``) sees ``per_vehicle``,
-    every class row repeated for each member vehicle.
+    class, as one run of vehicle rows in representative order (``_view``
+    refuses any other).  ``vehicle_col[j]`` is the origin column that
+    vehicle ``j``'s class rows carry, n + the lowest index in its class;
+    None when every vehicle is its own class, as in a hand-built list.
+    Reading the rows as a sequence (``len``, indexing, iteration, ``==``)
+    sees ``per_vehicle``, every class row repeated for each member vehicle.
     """
 
     def __init__(
@@ -130,58 +131,53 @@ class Connections(Sequence):
         return cls(instance, variants, *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
 
     @cached_property
-    def _view(self) -> tuple[np.ndarray, np.ndarray]:
-        """The class row and the origin column of each per-vehicle row, in per-vehicle order.
+    def _view(self) -> tuple[int, int, np.ndarray, np.ndarray]:
+        """The per-vehicle layout: the vehicle rows' run ``lo:hi``, and each vehicle's row count and offset.
 
-        That is the order of a generation that probed every vehicle: each
-        class row stays in place, and a member vehicle's copies of its class
-        rows, in order, follow the last class row of any vehicle before it,
-        members in vehicle order.  In generated rows, where the vehicles'
-        rows are one run in representative order, that puts each vehicle's
-        rows after those of every vehicle before it.
+        The per-vehicle rows are the rows before the run, each vehicle's
+        class rows in vehicle order, then the rows after it; vehicle ``j``'s
+        copy of class row ``r`` is per-vehicle row ``r + offset[j]``.
+        Raises ``InternalSolverError`` when the vehicle rows are not one run
+        in representative order.
         """
-        n, rows, member = len(self.instance.plans), np.arange(len(self.cost)), self.members
-        if not member.size:
-            return rows, self.origin
-        vehicle_rows = (self.origin >= n).nonzero()[0]
-        classes = self.origin[vehicle_rows] - n
-        by_class = vehicle_rows[np.argsort(classes, kind="stable")]  # each class's rows, in row order
-        count = np.bincount(classes, minlength=len(self.vehicle_col))  # class rows per representative
-        start = np.cumsum(count) - count
-        last = np.full(len(count), -1, dtype=np.int64)
-        has = count > 0
-        last[has] = by_class[(start + count - 1)[has]]
-        cls = self.vehicle_col[member] - n
+        n = len(self.instance.plans)
+        run = (self.origin >= n).nonzero()[0]
+        lo, hi = (int(run[0]), int(run[-1]) + 1) if run.size else (0, 0)
+        rep = self.origin[lo:hi] - n
+        if hi - lo != run.size or (rep[1:] < rep[:-1]).any():
+            raise InternalSolverError("the vehicle rows are not one run in representative order")
+        count = np.bincount(rep, minlength=len(self.vehicle_col))  # class rows per representative
+        cls = self.vehicle_col - n
         width = count[cls]
-        copies = by_class[np.repeat(start[cls], width) + _ramps(width)]
-        at = np.repeat(np.maximum.accumulate(last)[member - 1] + 1, width)  # vehicle 0 leads its class
-        return np.insert(rows, at, copies), np.insert(self.origin, at, np.repeat(n + member, width))
-
-    @property
-    def class_row(self) -> np.ndarray:
-        """The class row of each ``per_vehicle`` row."""
-        return self._view[0]
+        return lo, hi, width, (np.cumsum(width) - width) - (np.cumsum(count) - count)[cls]
 
     @cached_property
     def per_vehicle(self) -> Connections:
         """These connections with each class row repeated for every member vehicle, each vehicle its own class.
 
-        Built on first read, in the order ``_view`` describes; the solver
-        never reads it.
+        Built on first read, in the order ``_view`` describes: the order of
+        a generation that probed every vehicle.  The solver never reads it.
         """
         if not self.members.size:
             return self
-        row, origin = self._view
+        lo, hi, width, offset = self._view
+        stop = lo + int(width.sum())
+        row = np.arange(len(self.cost) + stop - hi)  # the class row of each per-vehicle row
+        row[lo:stop] -= np.repeat(offset, width)
+        row[stop:] -= stop - hi
+        vehicles = np.repeat(len(self.instance.plans) + np.arange(len(width)), width)
+        origin = np.concatenate([self.origin[:lo], vehicles, self.origin[hi:]])
         return Connections(self.instance, self.variants, origin, *(col[row] for col in self.columns[1:]))
 
     def per_vehicle_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The ``per_vehicle`` row of class row ``rows[i]`` read in origin column ``cols[i]``."""
         if not self.members.size:
             return rows
-        m = len(self.instance.plans) + len(self.instance.vehicles)
-        key = self.class_row * m + self.per_vehicle.origin  # unique: one copy per row and vehicle
-        order = np.argsort(key)
-        return order[np.searchsorted(key, rows * m + cols, sorter=order)]
+        lo, hi, width, offset = self._view
+        shift = np.where(rows < hi, 0, int(width.sum()) - (hi - lo))
+        run = (lo <= rows) & (rows < hi)
+        shift[run] = offset[cols[run] - len(self.instance.plans)]
+        return rows + shift
 
     def _connection(self, o: int, od: int, t: int, td: int, cost: int) -> Connection:
         plans = self.instance.plans
@@ -190,8 +186,6 @@ class Connections(Sequence):
 
     def __len__(self) -> int:
         """The per-vehicle row count, without building ``per_vehicle``: each row once per column reading it."""
-        if not self.members.size:
-            return len(self.cost)
         return int(np.bincount(self.column_class)[self.origin].sum())
 
     def __getitem__(self, r: int) -> Connection:

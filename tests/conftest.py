@@ -1,8 +1,10 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
+from planchain import chainsolve, flownet
 from planchain.instances import ChainGenParams, chain_instance_from_params
 from planchain.model import (
     ChainingInstance,
@@ -91,3 +93,34 @@ def shared_class_instance(seed):
         policy=SHARED_CLASS_POLICIES[seed % len(SHARED_CLASS_POLICIES)],
     )
     return chain_instance_from_params(params)
+
+
+@contextmanager
+def solves_without_the_edge_view(monkeypatch):
+    """Yield the networks ``chainsolve`` builds inside, and check on exit that no solve read the edge view.
+
+    Inside, the edge view's variant index raises.  On exit, also by an
+    exception, every network holds only the attributes it had once built
+    (and ``_live``), and its connections hold only theirs: no per-vehicle
+    view.
+    """
+    built, held = [], []
+    build = chainsolve.build_network
+
+    def recorded(*args):
+        net = build(*args)
+        built.append(net)
+        held.append((set(vars(net)) | {"_live"}, set(vars(net.connections))))
+        return net
+
+    def unread(*args):
+        raise AssertionError("a solve read the edge view's variant index")
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(chainsolve, "build_network", recorded)
+            patch.setattr(flownet.FlowNetwork, "_variant_index", unread)
+            yield built
+    finally:  # infeasible solves too
+        for net, (net_keys, conn_keys) in zip(built, held):
+            assert set(vars(net)) == net_keys and set(vars(net.connections)) == conn_keys

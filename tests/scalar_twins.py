@@ -5,7 +5,8 @@ variant generators with one model-layer call per origin/target pair
 (through ``try_connect`` for the minimal one), and pin their output,
 connection order included.  ``assignment_matrix_reference`` builds the
 relaxation's cost matrix from the edge view, as the node-level twin of
-the solver's row-level one.  ``schedule_stops`` and
+the solver's row-level one, and ``per_vehicle_reference`` orders the
+per-vehicle rows of any class rows.  ``schedule_stops`` and
 ``insertion_reference`` restate the DARP insertion heuristic over
 ``Request`` fields and the range-checked ``TravelMatrix.duration``, so
 the DARP references share no scheduling code with ``planchain.darp``.
@@ -172,6 +173,32 @@ def assignment_matrix_reference(net, window):
     matrix[cell[first]] = cost[start + first]
     edge_at[cell[first]] = start + first
     return matrix.reshape(n, m), edge_at, cut
+
+
+def per_vehicle_reference(conns):
+    """The class row and the origin column of each per-vehicle row of ``conns``, for any row order.
+
+    The general rule: each class row stays in place, and a member vehicle's
+    copies of its class rows, in order, follow the last class row of any
+    vehicle before it, members in vehicle order.  ``Connections._view``
+    lays out only its generators' one run of vehicle rows.
+    """
+    n, rows, member = len(conns.instance.plans), np.arange(len(conns.cost)), conns.members
+    if not member.size:
+        return rows, conns.origin
+    vehicle_rows = (conns.origin >= n).nonzero()[0]
+    classes = conns.origin[vehicle_rows] - n
+    by_class = vehicle_rows[np.argsort(classes, kind="stable")]  # each class's rows, in row order
+    count = np.bincount(classes, minlength=len(conns.vehicle_col))  # class rows per representative
+    start = np.cumsum(count) - count
+    last = np.full(len(count), -1, dtype=np.int64)
+    has = count > 0
+    last[has] = by_class[(start + count - 1)[has]]
+    cls = conns.vehicle_col[member] - n
+    width = count[cls]
+    copies = by_class[np.repeat(start[cls], width) + np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)]
+    at = np.repeat(np.maximum.accumulate(last)[member - 1] + 1, width)  # vehicle 0 leads its class
+    return np.insert(rows, at, copies), np.insert(conns.origin, at, np.repeat(n + member, width))
 
 
 def schedule_stops(order, travel, capacity: int, loc: int, t: int):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planchain import chainsolve, flownet, model, oracle, variantgen
+from planchain import chainsolve, model, oracle, variantgen
 from planchain.chainsolve import solve_chaining, validate_chains
 from planchain.errors import InfeasibleError
 from planchain.flownet import build_network, solve_mcf
@@ -24,7 +24,13 @@ from planchain.model import (
     Vehicle,
 )
 
-from conftest import fractional_penalty_gap_instance, make_e1, shared_class_instance, waitcap_gap_instance
+from conftest import (
+    fractional_penalty_gap_instance,
+    make_e1,
+    shared_class_instance,
+    solves_without_the_edge_view,
+    waitcap_gap_instance,
+)
 
 
 def test_e1_travel_cost():
@@ -454,15 +460,13 @@ def test_shared_vehicle_classes_agree_with_the_brute_force_oracle(monkeypatch):
     # two vehicles of one class can both head chains: each chosen connection
     # is named by its matrix column, so both chains come out, each with its
     # own vehicle; the solve never builds the per-vehicle view
-    built = []
-    build = chainsolve.build_network
-    monkeypatch.setattr(chainsolve, "build_network", lambda *args: built.append(build(*args)) or built[-1])
     solved = shared = 0
     for seed in range(300):
         inst = shared_class_instance(seed)
         expected = oracle.brute_force_optimal(inst).objective
         try:
-            solution = solve_chaining(inst)
+            with solves_without_the_edge_view(monkeypatch) as built:
+                solution = solve_chaining(inst)
         except InfeasibleError:
             assert expected is None
             continue
@@ -470,7 +474,6 @@ def test_shared_vehicle_classes_agree_with_the_brute_force_oracle(monkeypatch):
         assert validate_chains(inst, solution.chains, solution.objective).ok
         net = built[-1]
         assert "_view" not in vars(net.connections) and "edges" not in vars(net)
-        assert not flownet._EDGE_VIEW & vars(net).keys()
         classes = [(c.vehicle.start_location, c.vehicle.t_st) for c in solution.chains]
         shared += len(set(classes)) < len(classes)
         solved += 1
@@ -479,10 +482,7 @@ def test_shared_vehicle_classes_agree_with_the_brute_force_oracle(monkeypatch):
 
 def test_solves_never_number_the_edge_view(monkeypatch):
     # minimal and exhaustive generation, branching or not: a solve reads
-    # the rows' own delays and never builds the edge view's numbering
-    built = []
-    build = chainsolve.build_network
-    monkeypatch.setattr(chainsolve, "build_network", lambda *args: built.append(build(*args)) or built[-1])
+    # the rows' own delays and never reads the edge view's numbering
     exhaustive = branched = 0
     for seed in range(60):
         policy = (TravelCost(), TravelCostWaitCapped(20))[seed % 2]
@@ -490,13 +490,14 @@ def test_solves_never_number_the_edge_view(monkeypatch):
             ChainGenParams(seed=seed, plans=6, vehicles=3, d_max_range=(0, 12), policy=policy)
         )
         try:
-            solution = solve_chaining(inst)
+            with solves_without_the_edge_view(monkeypatch) as built:
+                solution = solve_chaining(inst)
         except InfeasibleError:
             continue
         net = built[-1]
-        assert not flownet._EDGE_VIEW & vars(net).keys() and "edges" not in vars(net)
+        assert "edges" not in vars(net)
         exhaustive += chainsolve.policy_needs_exhaustive_variants(policy)
         branched += solution.stats.relaxations_solved > 1
-        # the numbering comes on first read, whole
-        assert net.edge_count == len(net.edges) and flownet._EDGE_VIEW <= vars(net).keys()
+        # the numbering comes on read, and counts the edges it numbers
+        assert net.edge_count == len(net.edges) and "edges" in vars(net)
     assert exhaustive >= 10 and branched >= 15, (exhaustive, branched)

@@ -27,7 +27,7 @@ from planchain.model import (
 )
 from planchain.variantgen import Connection, GenerationResult
 
-from conftest import make_e1, shared_class_instance
+from conftest import make_e1, shared_class_instance, solves_without_the_edge_view
 from scalar_twins import assignment_matrix_reference
 
 
@@ -354,6 +354,34 @@ def test_closed_window_names_the_starved_plan():
         solve_mcf(net, force_variant(window, net, 2, 0))
 
 
+def test_warm_starts_name_the_lowest_starved_plan(monkeypatch):
+    # an empty window starves its plan, and maybe the plans only it reaches:
+    # a warm start from the root frees every starved plan's row, and the solve
+    # names the lowest-id starved plan as unreachable, as a cold solve does
+    rng = random.Random(7)
+    warm = 0
+    for refill_rows in (0, flownet._REFILL_ROWS):  # refilled live matrices, and full fills
+        monkeypatch.setattr(flownet, "_REFILL_ROWS", refill_rows)
+        for seed in range(30):
+            inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=6, vehicles=4, d_max_range=(0, 12)))
+            net = build_network(inst, variantgen.generate(inst))
+            try:
+                root = solve_mcf(net)
+            except FlowInfeasibleError:
+                continue
+            for count in (1, 2):
+                window = open_window(net)
+                window[:, rng.sample(range(len(net.plan_ids)), count)] = [[1], [0]]
+                matrix = flownet._assignment_matrix(net, window)[0]
+                starved = net.plan_ids[(matrix == flownet.NO_EDGE).all(axis=1)].tolist()
+                for start in (root.state, None):
+                    with pytest.raises(FlowInfeasibleError, match="its right node is unreachable") as err:
+                        solve_mcf(net, window, start)
+                    assert err.value.plan_id == starved[0]
+                warm += 1
+    assert warm >= 80, warm
+
+
 def test_certificate_holds_with_forced_variants():
     feasible = 0
     for seed in range(120):
@@ -481,14 +509,12 @@ def test_row_matrix_matches_the_edge_level_reference():
 
 def test_branching_solve_never_builds_the_edge_view(monkeypatch):
     inst = chain_instance_from_params(ChainGenParams(seed=60, plans=3, vehicles=2, d_max_range=(0, 12)))
-    built = []
-    build = chainsolve.build_network
-    monkeypatch.setattr(chainsolve, "build_network", lambda *args: built.append(build(*args)) or built[-1])
-    solution = chainsolve.solve_chaining(inst)
+    with solves_without_the_edge_view(monkeypatch) as built:
+        solution = chainsolve.solve_chaining(inst)
     assert (solution.stats.nodes_explored, solution.stats.relaxations_solved) == (2, 3)
     (net,) = built
-    assert "edges" not in vars(net) and not flownet._EDGE_VIEW & vars(net).keys()
-    # built on first access, the view holds the edges an eager build made
+    assert "edges" not in vars(net)
+    # derived on first access, the view holds the edges an eager build made
     assert net.edges.tolist() == [
         [0, 1, 0], [0, 2, 0], [0, 3, 0], [0, 6, 0], [0, 7, 0], [3, 4, 0], [3, 5, 0],
         [1, 9, 0], [4, 10, 0], [6, 10, 16], [6, 11, 0], [6, 8, 16], [7, 10, 6], [7, 11, 14], [7, 8, 6],

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planchain import model, variantgen
-from planchain.errors import GuardExceededError, InputError
+from planchain.errors import GuardExceededError, InputError, InternalSolverError
 from planchain.model import (
     ChainingInstance,
     FleetSize,
@@ -332,3 +333,64 @@ def test_shared_vehicle_classes_match_the_scalar_references():
             assert set(conns.origin[conns.origin >= n].tolist()) <= set(conns.vehicle_col.tolist())
             merged += len(conns.cost) < len(conns)
     assert merged >= 60
+
+
+def assert_per_vehicle_view_is_the_reference(conns):
+    """``per_vehicle`` and ``per_vehicle_rows`` of every (class row, column) pair agree with the general rule."""
+    row, origin = scalar_twins.per_vehicle_reference(conns)
+    view = conns.per_vehicle
+    assert len(conns) == len(view.cost) == len(row)
+    assert view.origin.tolist() == origin.tolist()
+    for col, class_col in zip(view.columns[1:], conns.columns[1:]):
+        assert col.tolist() == class_col[row].tolist()
+    assert conns.per_vehicle_rows(row, origin).tolist() == list(range(len(row)))
+
+
+def test_per_vehicle_view_matches_the_general_rule():
+    # the generators emit the vehicle rows as one run, representatives in
+    # index order; the view's layout of that run must order every vehicle's
+    # copies as the general rule does, with the rows after the run shifted
+    travel = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
+    cases = {
+        "no vehicle links": (Vehicle(1, 0, 100), Vehicle(2, 0, 100)),
+        "a class without links": (Vehicle(1, 0, 0), Vehicle(2, 2, 100), Vehicle(3, 0, 0), Vehicle(4, 2, 100)),
+        "one class": (Vehicle(1, 0, 0), Vehicle(2, 0, 0), Vehicle(3, 0, 0)),
+        "interleaved classes": (Vehicle(1, 2, 0), Vehicle(2, 0, 0), Vehicle(3, 2, 0), Vehicle(4, 0, 0), Vehicle(5, 1, 0)),
+    }
+    instances = [ChainingInstance((E1_P1, E1_P2), vehicles, travel, TravelCost()) for vehicles in cases.values()]
+    instances += [shared_class_instance(seed) for seed in range(120)]
+    shared = linked = after = 0
+    for i, inst in enumerate(instances):
+        n = len(inst.plans)
+        for run in (variantgen.generate, variantgen.generate_exhaustive):
+            conns = run(inst).connections
+            assert conns.members.size or i >= len(cases)
+            assert_per_vehicle_view_is_the_reference(conns)
+            vehicle_rows = np.flatnonzero(conns.origin >= n)
+            shared += bool(conns.members.size)
+            linked += conns.members.size and vehicle_rows.size > 0
+            after += conns.members.size and vehicle_rows.size > 0 and vehicle_rows[-1] < len(conns.cost) - 1
+    first = instances[0]
+    assert not (variantgen.generate(first).connections.origin >= len(first.plans)).any()
+    assert shared >= 160 and linked >= 140 and after >= 30, (shared, linked, after)
+
+
+def test_per_vehicle_view_needs_one_run_of_vehicle_rows():
+    # class rows whose vehicle rows are split by a plan's, or list the
+    # representatives out of index order, are not a generator's: refused
+    travel = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
+    inst = ChainingInstance((E1_P1, E1_P2), (Vehicle(1, 0, 0), Vehicle(2, 2, 0), Vehicle(3, 0, 0)), travel, TravelCost())
+    vehicle_col = np.array([2, 3, 2])
+
+    def connections(origin, target):
+        zeros = np.zeros(len(origin), dtype=np.int64)
+        return variantgen.Connections(inst, (), np.array(origin), zeros, np.array(target), zeros, zeros + 1, vehicle_col)
+
+    one_run = connections([0, 2, 2, 3], [1, 0, 1, 1])
+    assert_per_vehicle_view_is_the_reference(one_run)
+    for origin, target in (([2, 0, 2], [0, 1, 1]), ([3, 2], [1, 0])):
+        split = connections(origin, target)
+        with pytest.raises(InternalSolverError, match="not one run"):
+            split.per_vehicle
+        with pytest.raises(InternalSolverError, match="not one run"):
+            split.per_vehicle_rows(np.array([0]), np.array([origin[0]]))
