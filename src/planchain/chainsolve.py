@@ -175,11 +175,6 @@ def _split_window(window: np.ndarray, i: int, a: int, b: int) -> tuple[np.ndarra
     return low, high
 
 
-def _columns(state: HungarianState) -> np.ndarray:
-    """The assigned origin columns, in the order of the rows ``solve_mcf`` chose."""
-    return (state.owner >= 0).nonzero()[0]
-
-
 def extract_chains(network: FlowNetwork, rows, cols) -> tuple[Chain, ...]:
     """Walk from each vehicle through the chosen connection rows.
 
@@ -241,7 +236,7 @@ def solve_network(network: FlowNetwork) -> ChainSolution:
     """
     root = solve_mcf(network)
     if not network.variant_delay.size:
-        chains = extract_chains(network, root.rows, _columns(root.state))
+        chains = extract_chains(network, root.rows, root.state.columns)
         return ChainSolution(chains, root.total_cost, SolverStats(0, 1))
 
     relaxations, nodes_explored = 1, 0
@@ -250,9 +245,8 @@ def solve_network(network: FlowNetwork) -> ChainSolution:
     # ahead of unsolved ones, then creation order; children enter the heap
     # unsolved and are relaxed only when popped, so an incumbent that
     # matches the parent bound prunes whole sibling sets without a solve
-    plans = network.instance.plans
-    window = np.array([[0] * len(plans), [p.d_max for p in plans]], dtype=np.int64)
-    heap = [(root.total_cost, 0, 0, next(counter), BranchNode(0, window, root.total_cost, root.rows, root.state))]
+    first = BranchNode(0, network.open_window, root.total_cost, root.rows, root.state)
+    heap = [(root.total_cost, 0, 0, next(counter), first)]
     incumbent: BranchNode | None = None
     while heap:
         _, _, _, _, node = heapq.heappop(heap)
@@ -280,7 +274,7 @@ def solve_network(network: FlowNetwork) -> ChainSolution:
             heapq.heappush(heap, (child.bound, -child.depth, 1, next(counter), child))
     if incumbent is None:
         raise InfeasibleError("no variant-consistent chain cover exists")
-    chains = extract_chains(network, incumbent.rows, _columns(incumbent.state))
+    chains = extract_chains(network, incumbent.rows, incumbent.state.columns)
     return ChainSolution(chains, incumbent.bound, SolverStats(nodes_explored, relaxations))
 
 

@@ -74,15 +74,20 @@ class HungarianState(NamedTuple):
     u: np.ndarray  # int64 per row
     v: np.ndarray  # int64 per column
 
+    @property
+    def columns(self) -> np.ndarray:
+        """The assigned columns, ascending: the order of the rows ``solve_mcf`` chose."""
+        return (self.owner >= 0).nonzero()[0]
+
 
 class FlowAssignment:
     """A solve's chosen connection ``rows``, with its edge flows and potentials on first read.
 
     ``rows`` are class rows, one per assigned matrix column in column order
-    (the columns ``state.owner >= 0`` marks); a vehicle's row is its class's.
-    ``state`` is the Hungarian state (to warm-start a restricted re-solve)
-    and ``window`` the delay window it was solved under.  ``flows`` is int64
-    per edge, 0 or 1, and ``potentials`` int64 per node.
+    (``state.columns``); a vehicle's row is its class's.  ``state`` is the
+    Hungarian state (to warm-start a restricted re-solve) and ``window``
+    the int64 delay window it was solved under.  ``flows`` is int64 per
+    edge, 0 or 1, and ``potentials`` int64 per node.
     """
 
     def __init__(self, network: FlowNetwork, window, rows: np.ndarray, state: HungarianState, total_cost: int):
@@ -90,7 +95,7 @@ class FlowAssignment:
 
     @cached_property
     def flows(self) -> np.ndarray:
-        return self.network._flows(self.rows, (self.state.owner >= 0).nonzero()[0])
+        return self.network._flows(self.rows, self.state.columns)
 
     @cached_property
     def potentials(self) -> np.ndarray:
@@ -117,7 +122,8 @@ class FlowNetwork:
     per class, and a hand-built list makes every vehicle its own class.
     ``Connections.of`` has checked that every delayed endpoint is one of
     the generation's variants, which ``routed_delays``, ``variant_plan``
-    and ``variant_delay`` list with each such plan's explicit delay 0.
+    and ``variant_delay`` list with each such plan's explicit delay 0, and
+    that every delay lies in ``open_window``, int64 ``[0, d_max]`` per plan.
 
     Row ``r`` fills matrix cell ``cell[r] = target * m + origin`` of the n x
     m assignment matrix (m = n + vehicles), and a member vehicle's column
@@ -159,6 +165,8 @@ class FlowNetwork:
         self.plan_ids = np.array([p.id for p in plans], dtype=np.int64)
         self.variant_plan = np.searchsorted(self.plan_ids, [pid for pid, _ in keys])  # plan index
         self.variant_delay = np.array([d for _, d in keys], dtype=np.int64)
+        self.open_window = np.array([[0] * n, [p.d_max for p in plans]], dtype=np.int64)
+        self.open_window.setflags(write=False)
         self.max_cost = int(conns.cost.max()) if len(conns.cost) else 0
         low = int(conns.cost.min()) if len(conns.cost) else 0
         span, m = self.max_cost - low + 1, n + n_veh
@@ -272,9 +280,7 @@ class FlowNetwork:
     def _potentials(self, state: HungarianState, window) -> np.ndarray:
         """-v on left nodes, u on right ones, +-NO_EDGE on the variant nodes ``window`` closes."""
         n, vp, delay, (u, v) = len(self.plan_ids), self.variant_plan, self.variant_delay, state[1:]
-        closed = np.zeros(len(delay), dtype=bool)
-        if window is not None:
-            closed = (delay < window[0, vp]) | (delay > window[1, vp])
+        closed = (delay < window[0, vp]) | (delay > window[1, vp])
         left = np.where(closed, NO_EDGE, -v[vp])
         right = np.where(closed, -NO_EDGE, u[vp])
         potentials = np.concatenate([[0], -v[:n], left, -v[n:], right, u, [u.max() if n else 0]])
@@ -309,10 +315,11 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
 
     ``start`` must be dual feasible for ``cost``.  That is checked, raising
     ``ValueError``, for every start but the empty one, whose row duals the
-    cold solve replaces at once.  The start is kept as far as it stays
-    optimal: an assigned row whose cell is no longer tight (it got
-    dearer or unusable) is freed, and only free rows are searched.  From the
-    state of a solve on cheaper costs this is the dynamic Hungarian method
+    cold solve replaces at once; an owner outside ``[-1, n)`` raises
+    ``InputError``.  The start is kept as far as it stays optimal: an
+    assigned row whose cell is no longer tight (it got dearer or unusable)
+    is freed, and only free rows are searched.  From the state of a solve
+    on cheaper costs this is the dynamic Hungarian method
     (Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27, 2007).  From the empty
     state (no owners, zero duals) it is the cold solve, which first does
     what Jonker & Volgenant's initialisation does, on rows: ``u`` becomes
@@ -371,8 +378,10 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     computes one row at a time, so the same bounds cover it.
     """
     n, m = cost.shape
-    owner = np.concatenate((start.owner, [-1]))  # column m roots every search
-    u, v = start.u.copy(), start.v.copy()
+    owner, owners = np.concatenate((start.owner, [-1])), start.owner.tolist()  # column m roots every search
+    if owners and (min(owners) < -1 or max(owners) >= n):
+        raise InputError(f"a warm start's owners must lie in [-1, {n})")
+    u, v = start.u.astype(np.int64), start.v.astype(np.int64)
     cols = (owner >= 0).nonzero()[0]
     if len(cols) or u.any() or v.any():  # check the start, then free the rows whose cells are no longer tight
         step = max(1, (1 << 15) // max(m, 1))  # rows per check, so that its temporaries stay small
@@ -380,7 +389,8 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
             raise ValueError("the start state is not dual feasible for this cost matrix")
         rows = owner[cols]
         owner[cols[cost[rows, cols] != u[rows] + v[cols]]] = -1
-        for i in sorted(set(range(n)).difference(owner.tolist())):  # a starved row has lost its assigned cell
+        free = sorted(set(range(n)).difference(owner.tolist()))  # the unassigned rows
+        for i in free:  # a starved row has lost its assigned cell
             if cost[i].min() == NO_EDGE:
                 raise FlowInfeasibleError(int(row_ids[i]))
     else:  # the empty state: reduce the rows, then give each row in turn its first free tight column
@@ -389,18 +399,19 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
             raise FlowInfeasibleError(int(row_ids[u.argmax()]))
         tight_rows, tight_cols = (cost == u[:, None]).nonzero()
         ends = np.searchsorted(tight_rows, np.arange(1, n + 1)).tolist()  # one past each row's tight cells
-        tight_cols, owner, first = tight_cols.tolist(), owner.tolist(), 0
+        tight_cols, owner, first = tight_cols.tolist(), owners + [-1], 0
         for i, end in enumerate(ends):
             for j in tight_cols[first:end]:
                 if owner[j] < 0:
                     owner[j] = i
                     break
             first = end
+        free = sorted(set(range(n)).difference(owner))
         owner = np.array(owner, dtype=np.int64)
     level = sum(u.tolist()) + sum(v.tolist())  # the dual objective
     slack, mu = m - n, 0
     way = np.empty(m, dtype=np.int64)  # the scan that reached each column, set as it is reached
-    for i in sorted(set(range(n)).difference(owner.tolist())):  # the unassigned rows
+    for i in free:
         slack_cols = ((owner[:m] < 0) & (v == mu)).nonzero()[0]
         pseudo = slack > 0 and len(slack_cols) == slack
         dist = np.full(m, _UNSEEN, dtype=np.int64)  # final once a column is scanned
@@ -516,13 +527,12 @@ def _fill(net: FlowNetwork, costs: np.ndarray, window, at=None) -> tuple[np.ndar
     return cells, rows
 
 
-def _first_usable(net: FlowNetwork, window, cells: np.ndarray) -> np.ndarray:
+def _first_usable(net: FlowNetwork, window: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """The class row that fills each of the usable flat ``cells``: the first of its cell's rows in cell order usable under ``window``."""
     at = net.ordered_cells.searchsorted(cells)
-    if window is not None:
-        pending = np.arange(len(at))
-        while (pending := pending[~_usable(net, window, net.cell_order[at[pending]])]).size:
-            at[pending] += 1  # a usable cell has a usable row, so this stays inside the cell's rows
+    pending = np.arange(len(at))
+    while (pending := pending[~_usable(net, window, net.cell_order[at[pending]])]).size:
+        at[pending] += 1  # a usable cell has a usable row, so this stays inside the cell's rows
     return net.cell_order[at]
 
 
@@ -535,22 +545,23 @@ def _assignment_matrix(net: FlowNetwork, window):
     gave a row and those rows; a refill returns None, and
     ``_first_usable`` finds a cell's row.
 
-    Every network keeps one live matrix, with the window it holds (None
-    for the open window ``[0, d_max]``; ``Connections.of`` has checked
-    that every row's delays lie in it).  The returned matrix is the live
-    one: it holds only until the next call on the network.  The first call
-    fills every cell, and so does every call on a network of fewer than
-    ``_REFILL_ROWS`` class rows.  A larger network finds the plans whose
-    window changed, resets their rows and plan columns to ``NO_EDGE`` and
-    refills those cells from the rows into or out of those plans alone: the
-    dynamic Hungarian method's rule of applying only the cost changes
-    (Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27, 2007).  Consecutive
-    relaxations mostly differ in one or two plans.  The live state reads
-    stale while it is refilled, so an interrupted refill starts the next
-    call afresh.
+    Every network keeps one live matrix, with the window it holds: a copy
+    of ``window``, or ``net.open_window`` for None, whose rows are all
+    usable (``Connections.of`` has checked their delays).  The returned
+    matrix is the live one: it holds only until the next call on the
+    network.  The first call fills every cell, and so does every call on a
+    network of fewer than ``_REFILL_ROWS`` class rows.  A larger network
+    finds the plans whose window changed, resets their rows and plan
+    columns to ``NO_EDGE`` and refills those cells from the rows into or
+    out of those plans alone: the dynamic Hungarian method's rule of
+    applying only the cost changes (Mills-Tettey, Stentz & Dias,
+    CMU-RI-TR-07-27, 2007).  Consecutive relaxations mostly differ in one
+    or two plans.  The live state reads stale while it is refilled, so an
+    interrupted refill starts the next call afresh.
     """
     conns, n = net.connections, len(net.plan_ids)
     m = len(conns.column_class)
+    held = net.open_window if window is None else window.copy()
     live, net._live = net._live, None  # stale until the fill below has finished
     if live is None or len(conns.cost) < _REFILL_ROWS:
         costs = np.empty(n * m, dtype=np.int64) if live is None else live[0]
@@ -558,12 +569,7 @@ def _assignment_matrix(net: FlowNetwork, window):
         filled = _fill(net, costs, window)
         refilled = slice(None)
     else:
-        costs, held = live
-        new, old = window, held
-        if new is None or old is None:
-            open_window = np.array([[0] * n, [p.d_max for p in net.instance.plans]], dtype=np.int64)
-            new, old = (open_window if w is None else w for w in (window, held))
-        changed = (new != old).any(axis=0)
+        costs, changed = live[0], (held != live[1]).any(axis=0)
         plans = changed.nonzero()[0]
         if not plans.size:
             net._live = live
@@ -584,7 +590,7 @@ def _assignment_matrix(net: FlowNetwork, window):
     if member.size:
         member = n + member
         matrix[refilled, member] = matrix[refilled, conns.column_class[member]]
-    net._live = (costs, None if window is None else window.copy())
+    net._live = (costs, held)
     return matrix, filled
 
 
@@ -600,17 +606,19 @@ def solve_mcf(
     cost matrix keeps the cheapest usable connection of its pair, and equal
     costs go to the lowest edge id; a member vehicle's column is its class
     column.  The result holds the chosen class rows, named with their
-    columns by ``state.owner``; its flows and the node potentials made from
+    columns by ``state.columns``; its flows and the node potentials made from
     the Hungarian duals, which ``residual_is_optimal`` certifies, are
     derived when read.
 
-    ``window`` is an integer array of shape (2, n): plan index ``i`` may
-    only be entered and left at a delay in ``[window[0, i], window[1, i]]``,
-    which closes its variant nodes outside it.  Vehicles are never
-    restricted, and None leaves every delay open.  Any other window raises
-    ``InputError`` before the network's live matrix moves.  The network
-    moves its one live matrix to ``window`` (``_assignment_matrix``), so it
-    serves one relaxation at a time.
+    ``window`` is an integer array of shape (2, n), taken as int64 here:
+    plan index ``i`` may only be entered and left at a delay in
+    ``[window[0, i], window[1, i]]``, which closes its variant nodes outside
+    it.  Vehicles are never restricted; None is the network's
+    ``open_window`` and tests no row.  Any other window (an unsigned one of
+    2**63 or more too), or a ``start`` that is not a ``HungarianState`` of
+    signed integer arrays shaped (m,), (n,), (m,), raises ``InputError``
+    before the network's one live matrix moves to ``window``
+    (``_assignment_matrix``), so a network serves one relaxation at a time.
 
     ``start`` warm-starts the solver from the ``state`` of an assignment
     solved on the same network under a window that contains ``window``.
@@ -628,18 +636,26 @@ def solve_mcf(
     """
     net, n = network, len(network.plan_ids)
     m = n + len(net.instance.vehicles)
-    if window is not None and not (
-        isinstance(window, np.ndarray) and window.dtype.kind in "iu" and window.shape == (2, n)
-    ):
-        raise InputError(f"a delay window must be an integer array of shape (2, {n})")
-    matrix, filled = _assignment_matrix(net, window)
+    if window is not None:
+        ok = isinstance(window, np.ndarray) and window.dtype.kind in "iu" and window.shape == (2, n)
+        if not ok or window.dtype.kind == "u" and window.max(initial=0) >= 1 << 63:
+            raise InputError(f"a delay window must be an integer array of shape (2, {n}) in the int64 range")
+        window = window.astype(np.int64, copy=False)
     if start is None:
         start = HungarianState(np.full(m, -1, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64))
+    elif not (
+        isinstance(start, HungarianState) and all(map(isinstance, start, [np.ndarray] * 3))
+        and start.owner.dtype.kind == start.u.dtype.kind == start.v.dtype.kind == "i"
+        and start.owner.shape == start.v.shape == (m,) and start.u.shape == (n,)
+    ):
+        raise InputError(f"a warm start must be a HungarianState of signed integer arrays of shapes ({m},), ({n},), ({m},)")
+    matrix, filled = _assignment_matrix(net, window)
+    window = net._live[1]  # the window the live matrix holds: a copy, or the open window for None
 
     state = _hungarian(matrix, n * net.max_cost, net.plan_ids, start)
     for part in state:
         part.setflags(write=False)
-    assigned = (state.owner >= 0).nonzero()[0]
+    assigned = state.columns
     cells = state.owner[assigned] * m + net.connections.column_class[assigned]
     rows = filled[1][filled[0].searchsorted(cells)] if filled is not None else _first_usable(net, window, cells)
     rows.setflags(write=False)

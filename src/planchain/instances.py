@@ -158,6 +158,8 @@ def policy_from_dict(data) -> CostPolicy:
         return TravelCostWaitCapped(_int_field(data, "delta", "policy"))
     if kind == "cost-waitpen":
         raw = _require(data, "alpha", "policy")
+        if type(raw) is int:  # str() and repr() refuse an integer of over 4300 digits
+            return TravelCostWaitPenalized(raw)
         try:
             return _wait_penalty(str(raw))
         except (ValueError, ZeroDivisionError) as exc:

@@ -83,7 +83,7 @@ class TravelMatrix:
         if ticks_per_unit < 0:
             raise InputError("ticks_per_unit must be non-negative")
         pts = _int64_array(list(coordinates), "grid coordinates")
-        if pts.size == 0:
+        if pts.shape == (0,):  # no points; points with no coordinates are all at distance 0
             return cls(np.zeros((0, 0), dtype=np.int64))
         if pts.ndim != 2:
             raise InputError("grid coordinates must be equal-length integer tuples")

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import GuardExceededError, InputError, InternalSolverError
 from .model import ChainingInstance, Cost, VariantRef, Vehicle
-from .model import FleetSize, TravelCost, TravelCostWaitCapped, TravelCostWaitPenalized
+from .model import FleetSize, TravelCostWaitCapped, TravelCostWaitPenalized
 
 
 @dataclass(frozen=True)
@@ -69,27 +69,21 @@ class Connections(Sequence):
     Vehicles that share a start location and ``t_st`` have the same links
     at the same costs, so a generator keeps the rows of one vehicle per
     class, as one run of vehicle rows in representative order (``_view``
-    refuses any other).  ``vehicle_col[j]`` is the origin column that
-    vehicle ``j``'s class rows carry, n + the lowest index in its class;
-    None when every vehicle is its own class, as in a hand-built list.
+    refuses any other).  ``column_class[j]`` is the origin column whose
+    rows origin column ``j`` reads: n + the lowest index in its class for a
+    vehicle, its own otherwise (a hand-built list makes every vehicle its
+    own class), and ``members`` are the vehicles that read another's.
     Reading the rows as a sequence (``len``, indexing, iteration, ``==``)
     sees ``per_vehicle``, every class row repeated for each member vehicle.
     """
 
     def __init__(
-        self, instance: ChainingInstance, variants, origin, origin_delay, target, target_delay, cost, vehicle_col=None
+        self, instance: ChainingInstance, variants, origin, origin_delay, target, target_delay, cost, column_class
     ):
-        self.instance, self.variants, self.vehicle_col = instance, variants, vehicle_col
+        self.instance, self.variants, self.column_class = instance, variants, column_class
         self.columns = (origin, origin_delay, target, target_delay, cost)
         self.origin, self.origin_delay, self.target, self.target_delay, self.cost = self.columns
-        # the origin column whose rows each origin column reads (its own, or a
-        # member vehicle's representative's), and the member vehicles' indices
-        n = len(instance.plans)
-        self.column_class = np.arange(n + len(instance.vehicles))
-        self.members = np.zeros(0, dtype=np.int64)
-        if vehicle_col is not None:
-            self.members = (vehicle_col != self.column_class[n:]).nonzero()[0]
-            self.column_class[n:] = vehicle_col
+        self.members = (column_class != np.arange(len(column_class))).nonzero()[0] - len(instance.plans)
 
     @classmethod
     def of(cls, instance: ChainingInstance, connections: Sequence[Connection], variants) -> Connections:
@@ -128,7 +122,8 @@ class Connections(Sequence):
             if not all(-(1 << 63) <= x < 1 << 63 for x in row):
                 raise InputError(f"connection {c} exceeds the int64 range")
             rows.append(row)
-        return cls(instance, variants, *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+        return cls(instance, variants, *columns, np.arange(n + len(instance.vehicles)))
 
     @cached_property
     def _view(self) -> tuple[int, int, np.ndarray, np.ndarray]:
@@ -146,8 +141,8 @@ class Connections(Sequence):
         rep = self.origin[lo:hi] - n
         if hi - lo != run.size or (rep[1:] < rep[:-1]).any():
             raise InternalSolverError("the vehicle rows are not one run in representative order")
-        count = np.bincount(rep, minlength=len(self.vehicle_col))  # class rows per representative
-        cls = self.vehicle_col - n
+        cls = self.column_class[n:] - n
+        count = np.bincount(rep, minlength=len(cls))  # class rows per representative
         width = count[cls]
         return lo, hi, width, (np.cumsum(width) - width) - (np.cumsum(count) - count)[cls]
 
@@ -167,7 +162,8 @@ class Connections(Sequence):
         row[stop:] -= stop - hi
         vehicles = np.repeat(len(self.instance.plans) + np.arange(len(width)), width)
         origin = np.concatenate([self.origin[:lo], vehicles, self.origin[hi:]])
-        return Connections(self.instance, self.variants, origin, *(col[row] for col in self.columns[1:]))
+        columns = (origin, *(col[row] for col in self.columns[1:]))
+        return Connections(self.instance, self.variants, *columns, np.arange(len(self.column_class)))
 
     def per_vehicle_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The ``per_vehicle`` row of class row ``rows[i]`` read in origin column ``cols[i]``."""
@@ -230,18 +226,15 @@ def _ramps(lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def _vehicle_classes(instance: ChainingInstance) -> tuple[np.ndarray, np.ndarray | None]:
-    """The vehicle origin columns to probe, one per class, and ``Connections.vehicle_col``.
+def _vehicle_classes(instance: ChainingInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The vehicle origin columns to probe, one per class, and ``Connections.column_class``.
 
     A class is the vehicles with one start location and ``t_st``; its
-    lowest instance index represents it.  ``vehicle_col`` is None when every
-    class has one vehicle.
+    lowest instance index represents it.
     """
     n, lead = len(instance.plans), {}
     col = [n + lead.setdefault((v.start_location, v.t_st), j) for j, v in enumerate(instance.vehicles)]
-    if len(lead) == len(col):
-        return np.arange(n, n + len(col)), None
-    return n + np.array(list(lead.values()), dtype=np.int64), np.array(col, dtype=np.int64)
+    return n + np.array(list(lead.values()), dtype=np.int64), np.array([*range(n), *col], dtype=np.int64)
 
 
 class _ProbeTables:
@@ -251,7 +244,7 @@ class _ProbeTables:
     vehicle index, at a delay.  ``probe`` gives a block of origins each
     other plan's minimal feasible delay in one 2-D pass, exactly as
     ``model.minimal_target_delay`` does (tie rule included), and
-    ``_policy_cost`` prices links as ``model.connection_cost`` does.  Both
+    ``price`` prices links as ``model.connection_cost`` does.  Both
     generators build on these two alone: exhaustive generation widens each
     minimal-delay hit to every later delay instead of testing every
     variant.  Differential tests pin both generators to scalar twins.
@@ -279,7 +272,7 @@ class _ProbeTables:
         self.to_target = instance.travel.array[:, np.array([p.origin_location for p in plans], dtype=np.intp)]
         self.policy = policy = instance.policy
         if isinstance(policy, TravelCostWaitPenalized):
-            # _policy_cost evaluates 2*p*wait + q and 2*q in int64; no wait exceeds
+            # price evaluates 2*p*wait + q and 2*q in int64; no wait exceeds
             # the latest delayed start, as every ready time is non-negative
             alpha, max_wait = policy.alpha, max((plan.t_or + plan.d_max for plan in plans), default=0)
             if 2 * alpha.numerator * max(max_wait, 1) + 2 * alpha.denominator > np.iinfo(np.int64).max:
@@ -308,24 +301,23 @@ class _ProbeTables:
         delay, ftt = delay.ravel()[hit], ftt.ravel()[hit]
         return row, col, delay, ftt, self.t_or[col] + delay - ready[row, 0] - ftt
 
-    def _policy_cost(self, ftt, wait, vehicle):
-        """Costs of time-feasible connections with travel ``ftt`` and ``wait``.
+    def price(self, origin, origin_delay, row, col, delay, ftt, wait):
+        """The links the policy allows among a block's origins' time-feasible ones (``probe``'s), as connection columns.
 
-        ``vehicle`` marks the connections out of a vehicle.  Returns (keep,
-        cost): ``keep`` masks the connections the policy allows (None when
-        it allows all) and ``cost`` holds their costs.
+        Returns their origin, origin delay, target, target delay and cost
+        columns, priced as ``model.connection_cost`` prices a link.
         """
         policy = self.policy
-        if isinstance(policy, FleetSize):
-            return None, vehicle.astype(np.int64)
-        if isinstance(policy, TravelCost):
-            return None, ftt
         if isinstance(policy, TravelCostWaitCapped):
             keep = wait <= policy.delta
-            return keep, ftt[keep]
-        # a wait penalty, rounded half-up in exact integer arithmetic
-        p, q = policy.alpha.numerator, policy.alpha.denominator
-        return None, ftt + (2 * p * wait + q) // (2 * q)
+            row, col, delay, ftt = row[keep], col[keep], delay[keep], ftt[keep]
+        origin, cost = origin[row], ftt
+        if isinstance(policy, FleetSize):
+            cost = (origin >= self.n).astype(np.int64)
+        elif isinstance(policy, TravelCostWaitPenalized):  # rounded half-up in exact integer arithmetic
+            p, q = policy.alpha.numerator, policy.alpha.denominator
+            cost = ftt + (2 * p * wait + q) // (2 * q)
+        return origin, origin_delay[row], col, delay, cost
 
 
 def generate(instance: ChainingInstance) -> GenerationResult:
@@ -346,7 +338,7 @@ def generate(instance: ChainingInstance) -> GenerationResult:
     """
     plans = instance.plans
     tables = _ProbeTables(instance)
-    vehicles, vehicle_col = _vehicle_classes(instance)
+    vehicles, column_class = _vehicle_classes(instance)
     found: dict[tuple[int, int], None] = {}  # (plan index, delay) of each variant, in discovery order
     parts = []  # per block: origin, origin delay, target, target delay, cost columns
     origin = np.concatenate([np.arange(len(plans)), vehicles])
@@ -362,15 +354,12 @@ def generate(instance: ChainingInstance) -> GenerationResult:
                 if ref not in found:
                     found[ref] = None
                     queued.append(ref)
-            keep, cost = tables._policy_cost(ftt, wait, o[row] >= len(plans))
-            if keep is not None:
-                row, col, delay = row[keep], col[keep], delay[keep]
-            parts.append((o[row], od[row], col, delay, cost))
+            parts.append(tables.price(o, od, row, col, delay, ftt, wait))
         origin, origin_delay = np.array(queued, dtype=np.int64).reshape(-1, 2).T
 
     columns = [_column(part) for part in zip(*parts)] or [_column(())] * 5
     variants = tuple(VariantRef(plans[i].id, d) for i, d in found)
-    return GenerationResult(variants, Connections(instance, variants, *columns, vehicle_col))
+    return GenerationResult(variants, Connections(instance, variants, *columns, column_class))
 
 
 def total_delay_ticks(instance: ChainingInstance) -> int:
@@ -395,7 +384,7 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
             f"exhaustive variant enumeration needs {ticks} delay ticks, guard is {guard_ticks}"
         )
     tables = _ProbeTables(instance)
-    n, (vehicles, vehicle_col) = len(instance.plans), _vehicle_classes(instance)
+    n, (vehicles, column_class) = len(instance.plans), _vehicle_classes(instance)
     # every variant in (plan, delay) order, then a vehicle per class
     var_plan = np.repeat(np.arange(n), tables.d_max + 1)
     var_delay = _ramps(tables.d_max + 1)
@@ -410,11 +399,8 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
         step = _ramps(width)
         row, col, ftt = (np.repeat(a, width) for a in (row, col, ftt))
         delay, wait = np.repeat(delay, width) + step, np.repeat(wait, width) + step
-        keep, cost = tables._policy_cost(ftt, wait, o[row] >= n)
-        if keep is not None:
-            row, col, delay = row[keep], col[keep], delay[keep]
-        parts.append((o[row], od[row], col, delay, cost))
+        parts.append(tables.price(o, od, row, col, delay, ftt, wait))
     columns = [_column(part) for part in zip(*parts)] or [_column(())] * 5
     late = np.flatnonzero(var_delay)
     variants = tuple(map(VariantRef, tables.ids[var_plan[late]].tolist(), var_delay[late].tolist()))
-    return GenerationResult(variants, Connections(instance, variants, *columns, vehicle_col))
+    return GenerationResult(variants, Connections(instance, variants, *columns, column_class))

@@ -189,12 +189,12 @@ def per_vehicle_reference(conns):
     vehicle_rows = (conns.origin >= n).nonzero()[0]
     classes = conns.origin[vehicle_rows] - n
     by_class = vehicle_rows[np.argsort(classes, kind="stable")]  # each class's rows, in row order
-    count = np.bincount(classes, minlength=len(conns.vehicle_col))  # class rows per representative
+    count = np.bincount(classes, minlength=len(conns.column_class) - n)  # class rows per representative
     start = np.cumsum(count) - count
     last = np.full(len(count), -1, dtype=np.int64)
     has = count > 0
     last[has] = by_class[(start + count - 1)[has]]
-    cls = conns.vehicle_col[member] - n
+    cls = conns.column_class[n + member] - n
     width = count[cls]
     copies = by_class[np.repeat(start[cls], width) + np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)]
     at = np.repeat(np.maximum.accumulate(last)[member - 1] + 1, width)  # vehicle 0 leads its class

@@ -85,13 +85,13 @@ def test_parallel_edges_prefer_cheaper():
 def per_vehicle_matrix(net, window):
     """``_assignment_matrix``'s cost matrix, and the per-vehicle row that fills each cell (-1: none), flat.
 
-    A usable cell reads the row of its class cell, found as ``solve_mcf`` finds it after a refill.
+    A usable cell reads the row of its class cell, found as ``solve_mcf`` finds it: under the window the live matrix holds.
     """
     matrix = flownet._assignment_matrix(net, window)[0]
     n, m = matrix.shape
     target, col = np.divmod(np.arange(n * m), m)
     found = matrix.ravel() != flownet.NO_EDGE
-    rows = flownet._first_usable(net, window, (target * m + net.connections.column_class[col])[found])
+    rows = flownet._first_usable(net, net._live[1], (target * m + net.connections.column_class[col])[found])
     row_at = np.full(n * m, -1)
     row_at[found] = net.connections.per_vehicle_rows(rows, col[found])
     return matrix, row_at
@@ -670,10 +670,10 @@ def test_hand_built_connections_are_never_merged_into_classes():
     plans = (Plan(1, 0, 0, 0, 5, 0), Plan(2, 1, 1, 40, 45, 0))
     vehicles = (Vehicle(1, 0, 0), Vehicle(2, 0, 0))
     inst = ChainingInstance(plans, vehicles, travel, TravelCost())
-    assert variantgen.generate(inst).connections.vehicle_col is not None  # generation merges them
+    assert variantgen.generate(inst).connections.members.tolist() == [1]  # generation merges them
     links = (Connection(vehicles[0], VariantRef(1, 0), 0), Connection(vehicles[1], VariantRef(2, 0), 30))
     net = build_network(inst, GenerationResult((), links))
-    assert net.connections.vehicle_col is None and not net.connections.members.size
+    assert net.connections.column_class.tolist() == [0, 1, 2, 3] and not net.connections.members.size
     matrix = flownet._assignment_matrix(net, None)[0]
     assert matrix[:, 2:].tolist() == [[0, flownet.NO_EDGE], [flownet.NO_EDGE, 30]]
     solution = chainsolve.solve_network(net)
@@ -792,10 +792,9 @@ def test_live_matrix_moves_through_repeated_widened_and_root_windows(monkeypatch
                 window[:] = random_window(net, rng)
             target = None if step % 4 == 0 else window
             flownet._assignment_matrix(net, target)
-            held = net._live[1]  # None holds the open window
-            assert held is not window
-            held, target_window = (open_window(net) if w is None else w for w in (held, target))
-            assert held.tolist() == target_window.tolist()
+            held = net._live[1]  # a copy of the window, or the network's open window for None
+            assert held is not window and held.dtype == np.int64
+            assert held.tolist() == (open_window(net) if target is None else target).tolist()
             assert_live_matrix_is_fresh(net, target)
             moves += 1
             widened += bool((window[0] < previous[0]).any() or (window[1] > previous[1]).any())
@@ -821,3 +820,65 @@ def test_window_must_be_an_integer_array_of_two_rows_per_plan(monkeypatch):
             solve_mcf(net, bad)
         assert net._live is live and all((a == b).all() for a, b in zip(live, held))
     assert solve_mcf(net, good.astype(np.int32)).total_cost == 2
+
+
+def test_window_is_compared_in_int64_whatever_its_integer_type():
+    # plan 2 has a variant at delay 2**53 + 1, which float64 rounds to the
+    # window's 2**53: the window must close it as int64 and as uint64 alike
+    late = 2**53 + 1
+    vehicle = Vehicle(1, 0, 0)
+    plans = (Plan(1, 0, 0, 0, 0, 0), Plan(2, 0, 0, 10, 10, late))
+    inst = ChainingInstance(plans, (vehicle,), TravelMatrix([[0]]), TravelCost())
+    links = (
+        Connection(vehicle, VariantRef(1, 0), 0),
+        Connection(VariantRef(1, 0), VariantRef(2, 0), 10),
+        Connection(VariantRef(1, 0), VariantRef(2, late), 1),
+    )
+    net = build_network(inst, GenerationResult((VariantRef(2, late),), links))
+    assert net.open_window.tolist() == [[0, 0], [0, late]] and not net.open_window.flags.writeable
+    assert solve_mcf(net).total_cost == solve_mcf(net, net.open_window).total_cost == 1
+    window = np.array([[0, 0], [0, 2**53]], dtype=np.int64)
+    for dtype in (np.int64, np.uint64, np.int64):
+        assignment = solve_mcf(net, window.astype(dtype))
+        assert assignment.total_cost == 10
+        assert assignment.rows.tolist() == [1, 0]  # by column: plan 1 -> plan 2 at delay 0, vehicle -> plan 1
+        assert assignment.window.dtype == np.int64
+    message = re.escape("a delay window must be an integer array of shape (2, 2) in the int64 range")
+    for bad in (2**63, 2**64 - 1):
+        with pytest.raises(InputError, match=message):
+            solve_mcf(net, np.array([[0, 0], [0, bad]], dtype=np.uint64))
+    assert solve_mcf(net, np.array([[0, 0], [0, 2**63 - 1]], dtype=np.uint64)).total_cost == 1
+
+
+def test_malformed_warm_starts_are_input_errors(monkeypatch):
+    # refused before the live matrix moves, each by its message; a well-formed
+    # start that is not dual feasible stays a ValueError
+    monkeypatch.setattr(flownet, "_REFILL_ROWS", 0)
+    _, net = build_e1_network()
+    state = solve_mcf(net).state
+    window = force_variant(open_window(net), net, 2, 1)
+    assert solve_mcf(net, window, state).total_cost == 2
+    live = net._live
+    held = [part.copy() for part in live]
+    shapes = re.escape("a warm start must be a HungarianState of signed integer arrays of shapes (3,), (2,), (3,)")
+    owners = re.escape("a warm start's owners must lie in [-1, 2)")
+    for bad, message in (
+        (tuple(state), shapes),
+        (state._replace(owner=state.owner[:2]), shapes),
+        (state._replace(u=np.zeros(5, dtype=np.int64)), shapes),
+        (state._replace(v=state.v.astype(float)), shapes),
+        (state._replace(owner=state.owner.astype(np.uint64)), shapes),
+        (state._replace(u=state.u.tolist()), shapes),
+        (state._replace(owner=np.array([5, -1, -1])), owners),
+        (state._replace(owner=np.array([0, -2, 1])), owners),
+        (flownet.HungarianState(np.array([-2, -1, -1]), np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64)), owners),
+    ):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            solve_mcf(net, window, bad)
+        if message == shapes:
+            assert net._live is live and all((a == b).all() for a, b in zip(live, held))
+    with pytest.raises(ValueError, match="not dual feasible"):
+        solve_mcf(net, window, state._replace(v=state.v + 1))
+    # narrower signed integer parts are taken as int64
+    narrow = flownet.HungarianState(*(part.astype(np.int32) for part in state))
+    assert solve_mcf(net, window, narrow).total_cost == 2

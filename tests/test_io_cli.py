@@ -551,6 +551,24 @@ def test_wait_penalty_beyond_int64_is_an_input_error_without_digits(alpha):
         TravelCostWaitPenalized(alpha)
 
 
+def test_integer_wait_penalty_past_the_digit_limit_is_an_input_error_without_digits():
+    # the penalty's own error message must not spell the integer out
+    for alpha, message in ((10**5000, "numerator or denominator outside the int64 range"), (-(10**5000), "must be non-negative")):
+        with pytest.raises(InputError, match=f"^wait penalty {message}$"):
+            io.policy_from_dict({"kind": "cost-waitpen", "alpha": alpha})
+    assert io.policy_from_dict({"kind": "cost-waitpen", "alpha": 3}) == TravelCostWaitPenalized(Fraction(3))
+
+
+def test_grid_points_without_coordinates_are_all_at_distance_zero():
+    # k points of dimension 0 give the k x k zero matrix; only no points give 0 x 0
+    doc = _instance_doc("chain", "grid")
+    doc["travel"]["grid"]["coordinates"] = [[], [], []]
+    inst = io.chain_instance_from_dict(doc)
+    assert inst.travel.array.tolist() == [[0] * 3] * 3
+    assert solve_chaining(inst).objective == 0
+    assert TravelMatrix.from_coordinates([]).size == 0
+
+
 def test_cli_rejects_an_integer_past_the_digit_limit(tmp_path, capsys):
     text = (DATA / "e1.chain.json").read_text(encoding="utf-8").replace('"t_st": 0', '"t_st": 1' + "0" * 5000)
     path = tmp_path / "digits.json"

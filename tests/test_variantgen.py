@@ -278,18 +278,18 @@ def test_generation_is_independent_of_the_block_size(monkeypatch, rows):
     assert any(not inst.vehicles and inst.plans for inst in cases)
     assert any(inst.vehicles and not inst.plans for inst in cases)
     blocks, links = [], []  # origins per probe, links per pricing
-    probe, price = variantgen._ProbeTables.probe, variantgen._ProbeTables._policy_cost
+    probe, price = variantgen._ProbeTables.probe, variantgen._ProbeTables.price
 
     def counted_probe(self, origin, origin_delay):
         blocks.append(len(origin))
         return probe(self, origin, origin_delay)
 
-    def counted_price(self, ftt, wait, vehicle):
-        links.append(len(ftt))
-        return price(self, ftt, wait, vehicle)
+    def counted_price(self, origin, origin_delay, row, *link):
+        links.append(len(row))
+        return price(self, origin, origin_delay, row, *link)
 
     monkeypatch.setattr(variantgen._ProbeTables, "probe", counted_probe)
-    monkeypatch.setattr(variantgen._ProbeTables, "_policy_cost", counted_price)
+    monkeypatch.setattr(variantgen._ProbeTables, "price", counted_price)
     default_cells = variantgen._BLOCK_CELLS
     for inst in cases:
         n, ticks = len(inst.plans), variantgen.total_delay_ticks(inst)
@@ -325,12 +325,10 @@ def test_shared_vehicle_classes_match_the_scalar_references():
             result = run(inst)
             assert result == reference(inst)
             conns = result.connections
-            if conns.vehicle_col is None:
-                continue
             # rows out of vehicles name class representatives only, each the lowest index of its class
             keys = [(v.start_location, v.t_st) for v in inst.vehicles]
-            assert conns.vehicle_col.tolist() == [n + keys.index(key) for key in keys]
-            assert set(conns.origin[conns.origin >= n].tolist()) <= set(conns.vehicle_col.tolist())
+            assert conns.column_class.tolist() == list(range(n)) + [n + keys.index(key) for key in keys]
+            assert set(conns.origin[conns.origin >= n].tolist()) <= set(conns.column_class[n:].tolist())
             merged += len(conns.cost) < len(conns)
     assert merged >= 60
 
@@ -380,11 +378,11 @@ def test_per_vehicle_view_needs_one_run_of_vehicle_rows():
     # representatives out of index order, are not a generator's: refused
     travel = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
     inst = ChainingInstance((E1_P1, E1_P2), (Vehicle(1, 0, 0), Vehicle(2, 2, 0), Vehicle(3, 0, 0)), travel, TravelCost())
-    vehicle_col = np.array([2, 3, 2])
+    column_class = np.array([0, 1, 2, 3, 2])
 
     def connections(origin, target):
         zeros = np.zeros(len(origin), dtype=np.int64)
-        return variantgen.Connections(inst, (), np.array(origin), zeros, np.array(target), zeros, zeros + 1, vehicle_col)
+        return variantgen.Connections(inst, (), np.array(origin), zeros, np.array(target), zeros, zeros + 1, column_class)
 
     one_run = connections([0, 2, 2, 3], [1, 0, 1, 1])
     assert_per_vehicle_view_is_the_reference(one_run)
