@@ -318,21 +318,24 @@ class BatchResult:
 
 
 def _best_partition(s: int, groups_by_low, memo: dict) -> tuple:
-    """(total duration, group count, group ids, group stops) of the best partition of bitmask ``s``.
+    """(total duration, group count, first group's ids, mask and stops) of the best partition of bitmask ``s``.
 
-    Its first group holds ``s``'s lowest request, so prepending keeps the
-    group ids sorted.  ``memo`` maps the masks already solved, 0 included;
-    only masks reachable from the first call are ever solved.
+    Its first group holds ``s``'s lowest request, so the groups' ids stay
+    sorted, and two partitions with different first groups differ in
+    those first ids: ``(total, count, ids)`` decides as the whole id
+    sequence would.  The rest of the partition is ``memo[s ^ mask]``'s.
+    ``memo`` maps the masks already solved, 0 included, and gains ``s``,
+    which it must not hold yet; only masks reachable from the first call
+    are ever solved.
     """
-    entry = memo.get(s)
-    if entry is None:
-        for mask, duration, ids, stops in groups_by_low[s & -s]:
-            if mask & s == mask:
-                rest = _best_partition(s ^ mask, groups_by_low, memo)
-                cand = (rest[0] + duration, rest[1] + 1, (ids,) + rest[2], (stops,) + rest[3])
-                if entry is None or cand[:3] < entry[:3]:
-                    entry = cand
-        memo[s] = entry
+    best = None
+    for mask, duration, ids, stops in groups_by_low[s & -s]:
+        if mask & s == mask:
+            rest = memo.get(s ^ mask) or _best_partition(s ^ mask, groups_by_low, memo)
+            key = (rest[0] + duration, rest[1] + 1, ids)
+            if best is None or key < best:
+                best, first = key, (mask, stops)
+    memo[s] = entry = (*best, *first)
     return entry
 
 
@@ -374,8 +377,13 @@ def solve_batch_exact(
         ids = tuple(row[0] for k, row in enumerate(rows) if mask >> k & 1)
         groups_by_low[mask & -mask].append((mask, duration, ids, stops))
 
-    chosen = _best_partition((1 << len(rows)) - 1, groups_by_low, {0: (0, 0, (), ())})[3]
-    plans = [_route_plan(stops) for stops in chosen]
+    s, memo = (1 << len(rows)) - 1, {0: (0, 0, (), 0, ())}
+    _best_partition(s, groups_by_low, memo)
+    plans = []
+    while s:  # follow the first groups' masks through the memo
+        *_, mask, stops = memo[s]
+        plans.append(_route_plan(stops))
+        s ^= mask
     ordered = tuple(sorted(plans, key=lambda p: (p.first_time, p.request_ids())))
     return BatchResult(ordered, finished)
 

@@ -124,6 +124,9 @@ class FlowNetwork:
     the generation's variants, which ``routed_delays``, ``variant_plan``
     and ``variant_delay`` list with each such plan's explicit delay 0, and
     that every delay lies in ``open_window``, int64 ``[0, d_max]`` per plan.
+    Variants other than a generator's own tuple are checked here: each must
+    be a distinct delay in ``[1, d_max]`` of an instance plan, else
+    ``InputError`` names it.
 
     Row ``r`` fills matrix cell ``cell[r] = target * m + origin`` of the n x
     m assignment matrix (m = n + vehicles), and a member vehicle's column
@@ -157,6 +160,17 @@ class FlowNetwork:
         n, n_veh = len(plans), len(instance.vehicles)
         self.instance = instance
         self.connections = conns = Connections.of(instance, gen.connections, gen.variants)
+        if conns is not gen.connections or conns.variants is not gen.variants:  # not a generator's own tuple
+            budget, seen = {p.id: p.d_max for p in plans}, set()
+            for v in gen.variants:
+                ref = (v.plan_id, v.delay)
+                if v.plan_id not in budget:
+                    raise InputError(f"variant {ref} is not in the instance")
+                if not 1 <= v.delay <= budget[v.plan_id]:
+                    raise InputError(f"variant {ref} has a delay outside [1, {budget[v.plan_id]}]")
+                if ref in seen:
+                    raise InputError(f"variant {ref} is repeated")
+                seen.add(ref)
         routed: dict[int, list[int]] = {}  # plan id -> 0 and its delays, ascending
         for v in sorted(gen.variants, key=lambda v: (v.plan_id, v.delay)):
             routed.setdefault(v.plan_id, [0]).append(v.delay)

@@ -14,7 +14,11 @@ pass; the tables are the one numpy copy of the timing and tie rules
 arithmetic.  The exhaustive generator widens each hit to every later
 delay of its target, which is exact: delaying the target only widens the
 gap, so a link fits from its minimal delay up to ``d_max``, one tick more
-wait per tick, and at no earlier delay.  Each generator joins its
+wait per tick, and at no earlier delay.  ``_ProbeTables.price`` does the
+widening: the wait cap clips each hit's width before a row is repeated,
+as a link over the cap at its minimal delay is over it at every later
+one, and each link is priced once, the travel and fleet costs per hit
+and the wait penalty per widened wait.  Each generator joins its
 per-block arrays once into ``Connections``: int64 columns that the flow
 network reads directly, in emission order, which is origin order and
 then target order.  Minimal generation needs no deduplication of
@@ -245,9 +249,10 @@ class _ProbeTables:
     other plan's minimal feasible delay in one 2-D pass, exactly as
     ``model.minimal_target_delay`` does (tie rule included), and
     ``price`` prices links as ``model.connection_cost`` does.  Both
-    generators build on these two alone: exhaustive generation widens each
-    minimal-delay hit to every later delay instead of testing every
-    variant.  Differential tests pin both generators to scalar twins.
+    generators build on these two alone: exhaustive generation hands
+    ``price`` each minimal-delay hit with its width, the delays up to its
+    target's ``d_max``, instead of testing every variant.  Differential
+    tests pin both generators to scalar twins.
     """
 
     def __init__(self, instance: ChainingInstance):
@@ -301,23 +306,42 @@ class _ProbeTables:
         delay, ftt = delay.ravel()[hit], ftt.ravel()[hit]
         return row, col, delay, ftt, self.t_or[col] + delay - ready[row, 0] - ftt
 
-    def price(self, origin, origin_delay, row, col, delay, ftt, wait):
+    def price(self, origin, origin_delay, row, col, delay, ftt, wait, width=None):
         """The links the policy allows among a block's origins' time-feasible ones (``probe``'s), as connection columns.
 
-        Returns their origin, origin delay, target, target delay and cost
-        columns, priced as ``model.connection_cost`` prices a link.
+        With ``width``, hit ``i`` stands for the links to its target at
+        delays ``delay[i]`` to ``delay[i] + width[i] - 1``, one tick more
+        wait per tick: exhaustive generation's widening.  The wait cap
+        clips each width before a row is repeated, as a link over the cap
+        at its minimal delay is over it at every later one.  Travel and
+        fleet costs are priced once per hit, the wait penalty per widened
+        wait.  Returns the origin, origin delay, target, target delay and
+        cost columns, priced as ``model.connection_cost`` prices a link.
         """
         policy = self.policy
         if isinstance(policy, TravelCostWaitCapped):
-            keep = wait <= policy.delta
-            row, col, delay, ftt = row[keep], col[keep], delay[keep], ftt[keep]
-        origin, cost = origin[row], ftt
+            room = policy.delta + 1 - wait  # the delays within the cap, from each hit's minimal one
+            if width is None:
+                keep = room > 0
+                row, col, delay, ftt = row[keep], col[keep], delay[keep], ftt[keep]
+            else:
+                width = np.clip(room, 0, width)
+        origin, origin_delay, cost = origin[row], origin_delay[row], ftt
         if isinstance(policy, FleetSize):
             cost = (origin >= self.n).astype(np.int64)
-        elif isinstance(policy, TravelCostWaitPenalized):  # rounded half-up in exact integer arithmetic
+        if width is not None:
+            # hit i's rows start at widened row start[i], each a tick later than the one before
+            start, lead = np.cumsum(width) - width, wait - delay
+            origin, origin_delay, col, cost, delay = (
+                np.repeat(a, width) for a in (origin, origin_delay, col, cost, delay - start)
+            )
+            delay += np.arange(len(delay))
+        if isinstance(policy, TravelCostWaitPenalized):  # rounded half-up in exact integer arithmetic
             p, q = policy.alpha.numerator, policy.alpha.denominator
-            cost = ftt + (2 * p * wait + q) // (2 * q)
-        return origin, origin_delay[row], col, delay, cost
+            if width is not None:  # a tick more wait per tick of delay
+                wait = np.repeat(lead, width) + delay
+            cost = cost + (2 * p * wait + q) // (2 * q)
+        return origin, origin_delay, col, delay, cost
 
 
 def generate(instance: ChainingInstance) -> GenerationResult:
@@ -372,11 +396,11 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
     Exact for any per-connection cost rule, at the price of a variant per
     tick of delay budget; the guard keeps that enumerable.  Origins come in
     a fixed order, every variant by (plan id, delay) and then every vehicle
-    by id.  A block of them is probed at the minimal delay and each hit is
-    widened to every later delay of its target plan, which emits each
-    origin's connections in (plan id, delay) order.  Blocks are sized by
-    the variant count, so a block's widened links stay within
-    ``_BLOCK_CELLS`` as its probe cells do.
+    by id.  A block of them is probed at the minimal delay and ``price``
+    widens each hit to every later delay of its target plan that the
+    policy allows, which emits each origin's connections in (plan id,
+    delay) order.  Blocks are sized by the variant count, so a block's
+    widened links stay within ``_BLOCK_CELLS`` as its probe cells do.
     """
     ticks = total_delay_ticks(instance)
     if ticks > guard_ticks:
@@ -394,12 +418,8 @@ def generate_exhaustive(instance: ChainingInstance, *, guard_ticks: int = 5000) 
     for block in _blocks(len(origin), len(var_plan)):
         o, od = origin[block], origin_delay[block]
         row, col, delay, ftt, wait = tables.probe(o, od)
-        # widen each hit to delays d0..d_max of its target, a tick more wait per tick
-        width = tables.d_max[col] - delay + 1
-        step = _ramps(width)
-        row, col, ftt = (np.repeat(a, width) for a in (row, col, ftt))
-        delay, wait = np.repeat(delay, width) + step, np.repeat(wait, width) + step
-        parts.append(tables.price(o, od, row, col, delay, ftt, wait))
+        # each hit widens to delays d0..d_max of its target
+        parts.append(tables.price(o, od, row, col, delay, ftt, wait, tables.d_max[col] - delay + 1))
     columns = [_column(part) for part in zip(*parts)] or [_column(())] * 5
     late = np.flatnonzero(var_delay)
     variants = tuple(map(VariantRef, tables.ids[var_plan[late]].tolist(), var_delay[late].tolist()))

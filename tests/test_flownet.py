@@ -140,20 +140,22 @@ def test_generated_connections_need_every_variant_of_their_generator():
     # generated rows carry their generator's variant tuple, and the network
     # checks that the variants it is given hold all of them: an equal tuple
     # or a superset builds, any tuple without one of them is refused
-    dropped = 0
+    dropped = supersets = 0
     for seed in range(6):
         inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=5, vehicles=2, d_max_range=(1, 6)))
         for gen in (variantgen.generate(inst), variantgen.generate_exhaustive(inst)):
             assert gen.connections.variants is gen.variants
-            extra = VariantRef(inst.plans[0].id, inst.plans[0].d_max + 1)
-            for variants in (tuple(list(gen.variants)), (*gen.variants, extra)):
+            unused = [VariantRef(p.id, d) for p in inst.plans for d in range(1, p.d_max + 1)]
+            extra = [v for v in unused if v not in gen.variants][:1]
+            supersets += len(extra)
+            for variants in (tuple(list(gen.variants)), (*gen.variants, *extra)):
                 assert build_network(inst, GenerationResult(variants, gen.connections)).connections is gen.connections
             for drop, ref in enumerate(gen.variants):
                 fewer = gen.variants[:drop] + gen.variants[drop + 1 :]
                 with pytest.raises(InputError, match=re.escape(f"endpoint {(ref.plan_id, ref.delay)} has no node")):
                     build_network(inst, GenerationResult(fewer, gen.connections))
                 dropped += 1
-    assert dropped >= 40, dropped
+    assert dropped >= 40 and supersets >= 4, (dropped, supersets)
 
 
 def test_hand_built_delayed_origins_need_a_node():
@@ -177,6 +179,26 @@ def test_hand_built_delays_stay_within_the_delay_budget():
     for stray in (Connection(beyond, VariantRef(1, 0), 0), Connection(inst.vehicles[0], beyond, 0)):
         with pytest.raises(InputError, match=re.escape("connection endpoint (2, 4) lies outside its plan's delay budget")):
             build_network(inst, GenerationResult((*gen.variants, beyond), (*gen.connections, stray)))
+
+
+@pytest.mark.parametrize(
+    "variant, message",
+    [
+        (VariantRef(2, 9), "variant (2, 9) has a delay outside [1, 3]"),  # past plan 2's d_max
+        (VariantRef(2, 0), "variant (2, 0) has a delay outside [1, 3]"),  # the base plan's own delay
+        (VariantRef(7, 1), "variant (7, 1) is not in the instance"),
+        (VariantRef(2, 1), "variant (2, 1) is repeated"),  # already generated
+    ],
+)
+def test_malformed_variant_lists_are_refused(variant, message):
+    # a variant list other than a generator's own tuple is checked at build,
+    # with generated rows and with the same rows built by hand
+    inst = make_e1()
+    gen = variantgen.generate(inst)
+    assert gen.variants == (VariantRef(2, 1),)
+    for connections in (gen.connections, tuple(gen.connections)):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build_network(inst, GenerationResult((*gen.variants, variant), connections))
 
 
 def test_huge_connection_cost_is_rejected():

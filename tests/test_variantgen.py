@@ -253,6 +253,33 @@ def test_exhaustive_generation_orders_simultaneous_plans():
     assert ((2, 0), (1, 1)) in pairs and ((1, 1), (2, 1)) in pairs and ((2, 1), (1, 1)) not in pairs
 
 
+@pytest.mark.parametrize(
+    "policy, links",
+    [
+        (TravelCostWaitCapped(0), []),
+        (TravelCostWaitCapped(3), [(0, 2)]),
+        (TravelCostWaitCapped(100), [(0, 2), (1, 2), (2, 2), (3, 2)]),
+        (TravelCostWaitPenalized(Fraction(1, 2)), [(0, 4), (1, 4), (2, 5), (3, 5)]),
+    ],
+)
+@pytest.mark.parametrize("cells", [None, 1])
+def test_exhaustive_widening_edges_match_the_scalar_reference(monkeypatch, policy, links, cells):
+    # plan 1 reaches plan 2 at delay 0 after 2 ticks of travel and 3 of wait,
+    # and plan 2 may start up to 3 ticks late: a cap of 0 keeps none of that
+    # link's widening, a cap of 3 (its minimal wait) one delay, a cap above
+    # every wait all of them, up to d_max; a penalty of 1/2 on the widened
+    # waits 3..6 rounds half-up across the steps at 1.5 and 2.5 ticks.  The
+    # vehicle reaches plan 2 with 10 ticks of wait.  Blocks of one cell
+    # probe one origin at a time; None keeps the default blocks
+    if cells is not None:
+        monkeypatch.setattr(variantgen, "_BLOCK_CELLS", cells)
+    plans = (Plan(1, 0, 1, 0, 5, 0), Plan(2, 0, 1, 10, 12, 3))
+    inst = ChainingInstance(plans, (Vehicle(1, 0, 0),), TravelMatrix([[0, 2], [2, 0]]), policy)
+    result = variantgen.generate_exhaustive(inst)
+    assert result == scalar_twins.generate_exhaustive_reference(inst)
+    assert [(c.target.delay, c.cost) for c in result.connections if c.origin == VariantRef(1, 0)] == links
+
+
 def _block_boundary_cases():
     policies = (TravelCost(), FleetSize(), TravelCostWaitCapped(4), TravelCostWaitPenalized(Fraction(2, 3)))
     cases = [ChainingInstance((), (), TravelMatrix([[0]]), TravelCost())]  # the empty instance
