@@ -339,6 +339,17 @@ def _best_partition(s: int, groups_by_low, memo: dict) -> tuple:
     return entry
 
 
+def _check_time_limit(time_limit_ms: int | None) -> None:
+    """Refuse a batch time limit outside ``[0, 2**63)`` ms; within it the deadline is a finite float of seconds."""
+    if time_limit_ms is None:
+        return
+    if time_limit_ms < 0:
+        raise InputError(f"time limit must be non-negative, got {time_limit_ms} ms")
+    # no digits in the message: str() refuses integers of over 4300 digits
+    if time_limit_ms >= 1 << 63:
+        raise InputError("time limit must be below 2^63 ms")
+
+
 def solve_batch_exact(
     batch,
     travel: TravelMatrix,
@@ -358,10 +369,9 @@ def solve_batch_exact(
     group ids.  The time limit stops only the search; the partition is
     still the best over the groups it kept (single requests always), and
     ``proven_optimal`` is false.  A limit of 0 cuts every search at once; a
-    negative one raises ``InputError``.
+    negative one, or one of 2**63 ms or more, raises ``InputError``.
     """
-    if time_limit_ms is not None and time_limit_ms < 0:
-        raise InputError(f"time limit must be non-negative, got {time_limit_ms} ms")
+    _check_time_limit(time_limit_ms)
     reqs = sorted(batch, key=lambda r: r.id)
     if not reqs:
         return BatchResult((), True)
@@ -465,8 +475,7 @@ def run_proposed(
     """
     if batch_len < 1:
         raise InputError("batch length must be at least one tick")
-    if time_limit_ms is not None and time_limit_ms < 0:
-        raise InputError(f"time limit must be non-negative, got {time_limit_ms} ms")
+    _check_time_limit(time_limit_ms)
     # batches run one after another; ``threads`` stays for the ``threads=1`` call in bench/workloads.py
     if threads != 1:
         raise InputError(f"threads must be 1, got {threads}")

@@ -23,6 +23,11 @@ plan, which closes the variant nodes outside it: a row is usable when its
 own target delay, and its origin delay if the origin is a plan, lie in
 those plans' windows.
 
+The Hungarian method has two kernels that return the same state, or raise
+the same error: a matrix of fewer than ``_LIST_CELLS`` cells is solved on
+Python lists, where numpy's fixed cost per call would outweigh the
+arithmetic, and a larger one on numpy arrays.
+
 Generated connections hold one set of rows per vehicle class (vehicles
 with one start location and ``t_st``): the network sorts and filters only
 those, fills each class's matrix column from them and copies that column
@@ -44,6 +49,8 @@ next one.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress, repeat
+from operator import eq, lt, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +66,12 @@ _UNSEEN = 1 << 62  # distance of a column the search has not reached
 # relaxation takes less time than a refill's fixed numpy calls (they broke
 # even at about 4,000 to 6,000 rows on generated 12- to 50-plan networks)
 _REFILL_ROWS = 4096
+# matrix cells below which ``_hungarian`` runs its list kernel: there the
+# numpy kernel's fixed cost per call outweighs its arithmetic (on a 2-core
+# host the list kernel took 22 against 35 us a call on chain-small-many's
+# matrices of at most 70 cells, 35 against 47 us on seed 502's 12 x 15, and
+# the two broke even at about 300 to 380 cells on random matrices)
+_LIST_CELLS = 256
 
 
 class HungarianState(NamedTuple):
@@ -390,7 +403,19 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     ``limit`` from 0 and every distance stays below ``NO_EDGE + 2 * limit <
     _UNSEEN``.  A block holds the same values a column-at-a-time search
     computes one row at a time, so the same bounds cover it.
+
+    Two kernels run these steps, in the same order and with the same ties,
+    so both return the same state or raise the same error with the same
+    message: a matrix of fewer than ``_LIST_CELLS`` cells is solved on
+    Python lists (``_hungarian_lists``), a larger one on numpy arrays
+    (``_hungarian_arrays``).
     """
+    kernel = _hungarian_lists if cost.size < _LIST_CELLS else _hungarian_arrays
+    return kernel(cost, limit, row_ids, start)
+
+
+def _hungarian_arrays(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> HungarianState:
+    """``_hungarian`` on numpy arrays: each scan and update is one call over a whole row, block or level."""
     n, m = cost.shape
     owner, owners = np.concatenate((start.owner, [-1])), start.owner.tolist()  # column m roots every search
     if owners and (min(owners) < -1 or max(owners) >= n):
@@ -500,6 +525,124 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
         u += mu
         v -= mu
     return HungarianState(owner[:m], u, v)
+
+
+def _hungarian_lists(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> HungarianState:
+    """``_hungarian`` on Python lists, step for step as ``_hungarian_arrays``, for matrices too small for numpy to pay.
+
+    Each step mirrors its array twin, down to the order of the checks, the
+    first column of a level that wins a tie and the gather-then-scatter of
+    the dual updates.  The start's dual-feasibility check is its one numpy
+    pass, and the results become int64 arrays.
+    """
+    n, m = cost.shape
+    c, owners = cost.tolist(), start.owner.tolist()
+    if owners and (min(owners) < -1 or max(owners) >= n):
+        raise InputError(f"a warm start's owners must lie in [-1, {n})")
+    owner, u, v = owners + [-1], start.u.tolist(), start.v.tolist()  # column m roots every search
+    if max(owners, default=-1) >= 0 or any(u) or any(v):  # check the start, then free the rows whose cells are no longer tight
+        if max(v, default=0) > 0 or (cost - start.v < start.u[:, None]).any():  # one numpy pass beats n * m list steps
+            raise ValueError("the start state is not dual feasible for this cost matrix")
+        for j, r in enumerate(owners):
+            if r >= 0 and c[r][j] != u[r] + v[j]:
+                owner[j] = -1
+        free = sorted(set(range(n)).difference(owner))  # the unassigned rows
+        for i in free:  # a starved row has lost its assigned cell
+            if min(c[i]) == NO_EDGE:
+                raise FlowInfeasibleError(int(row_ids[i]))
+    else:  # the empty state: reduce the rows, then give each row in turn its first free tight column
+        u = [min(row, default=NO_EDGE) for row in c]
+        if sum(u) > limit:  # a row of no-edge cells
+            raise FlowInfeasibleError(int(row_ids[u.index(max(u))]))
+        for i, (row, ui) in enumerate(zip(c, u)):
+            for j in compress(range(m), map(eq, row, repeat(ui))):
+                if owner[j] < 0:
+                    owner[j] = i
+                    break
+        free = sorted(set(range(n)).difference(owner))
+    level = sum(u) + sum(v)  # the dual objective
+    slack, mu = m - n, 0
+    way = [0] * m  # the scan that reached each column, set as it is reached
+    for i in free:
+        slack_cols = [j for j in range(m) if owner[j] < 0 and v[j] == mu]
+        pseudo = slack > 0 and len(slack_cols) == slack
+        dist = [_UNSEEN] * m  # final once a column is scanned
+        front = dist.copy()  # dist of the columns not scanned yet
+        scans = []  # (rows, the columns they hold, d) per scan
+        scanned: list[int] = []
+        entry = None  # distance at which the pseudo-row joined
+        owner[m] = i
+        rows, near, d = i, m, 0  # the rows to scan (-1: the pseudo-row), reached at d through the columns near
+        while True:
+            if type(rows) is int:
+                if rows >= 0:
+                    shift = d - u[rows]
+                    cur = [x - y + shift for x, y in zip(c[rows], v)]
+                else:  # the slack pseudo-row: zero costs, dual -mu
+                    cur = [d + mu - y for y in v]
+            else:  # a level's rows as one block: each column's minimum, then its dual
+                cur = None
+                for r in rows:
+                    shift = u[r] - d
+                    part = [x - shift for x in c[r]]
+                    cur = part if cur is None else list(map(min, cur, part))
+                cur = list(map(sub, cur, v))
+            k = len(scans)
+            for j in compress(range(m), map(lt, cur, dist)):
+                dist[j] = front[j] = cur[j]
+                way[j] = k
+            scans.append((rows, near, d))
+            d = min(front)
+            if level + d > limit:
+                raise FlowInfeasibleError(int(row_ids[i]), starved=False)
+            j = front.index(d)
+            if front.count(d) > 1:
+                near = [j for j, x in enumerate(front) if x == d]
+                held = [owner[j] for j in near]
+                open_cols = [j for j, r in zip(near, held) if r < 0]
+                if not open_cols:  # every column of the level is owned: scan their rows as one block
+                    for j in near:
+                        front[j] = _UNSEEN
+                    scanned += near
+                    rows = held
+                    continue
+                j = open_cols[0]
+            front[j] = _UNSEEN
+            r = owner[j]
+            if r >= 0:
+                scanned.append(j)
+                rows, near = r, j
+            elif pseudo and v[j] == mu:
+                for s in slack_cols:
+                    dist[s], front[s] = d, _UNSEEN
+                scanned += slack_cols
+                entry, pseudo = d, False
+                rows, near = -1, j
+            else:
+                break
+        held = [owner[j] for j in scanned]
+        # flip the path back to the root: each column to the row of the column it was reached through
+        while j != m:
+            rows, prev, at = scans[way[j]]
+            if type(rows) is not int:  # the first row of the block that reached j at dist[j]
+                want = dist[j] - at + v[j]
+                prev = next((p for r, p in zip(rows, prev) if c[r][j] - u[r] == want), prev[0])
+            owner[j] = owner[prev]
+            j = prev
+        gain = [d - dist[j] for j in scanned]
+        # each update reads every old dual before it writes one, as a numpy fancy-index update does
+        for j, x in [(j, v[j] - g) for j, g in zip(scanned, gain)]:
+            v[j] = x
+        for r, x in [(r, u[r] + g) for r, g in zip(held, gain) if r >= 0]:
+            u[r] = x
+        u[i] += d
+        if entry is not None:
+            mu -= d - entry
+        level += d
+    if mu:
+        u = [x + mu for x in u]
+        v = [x - mu for x in v]
+    return HungarianState(np.array(owner[:m], dtype=np.int64), np.array(u, dtype=np.int64), np.array(v, dtype=np.int64))
 
 
 def _usable(net: FlowNetwork, window: np.ndarray, rows=slice(None)) -> np.ndarray:

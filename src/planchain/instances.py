@@ -102,7 +102,16 @@ def _int_fields(data, keys, context) -> tuple[int, ...]:
 
 
 def _record(cls, data, context, keys):
-    """``cls`` of an object's integer fields ``keys``, the first of them its id, which names the rest."""
+    """``cls`` of an object's integer fields ``keys``, the first of them its id, which names the rest.
+
+    A dict whose fields are all present and plain ints is read in one pass;
+    any other object goes through the field-by-field checks, which name the
+    first field that fails.
+    """
+    if type(data) is dict:
+        values = [data.get(key) for key in keys]
+        if all(type(value) is int for value in values):
+            return cls(*values)
     rid = _int_field(data, keys[0], context)
     return cls(rid, *_int_fields(data, keys[1:], f"{context} {rid}"))
 

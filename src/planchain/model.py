@@ -212,13 +212,20 @@ class TravelCost:
 
 @dataclass(frozen=True)
 class TravelCostWaitCapped:
-    """Travel-time cost, but connections whose wait exceeds ``delta`` are dropped."""
+    """Travel-time cost, but connections whose wait exceeds ``delta`` are dropped.
+
+    ``delta`` lies in ``[0, TICK_LIMIT)``, so the int64 wait arithmetic of
+    variant generation cannot wrap; any other cap is an ``InputError``.
+    """
 
     delta: Duration
 
     def __post_init__(self) -> None:
         if self.delta < 0:
             raise InputError("wait cap must be non-negative")
+        # no digits in the message: str() refuses integers of over 4300 digits
+        if self.delta >= TICK_LIMIT:
+            raise InputError("wait cap must be below 2^60")
 
 
 @dataclass(frozen=True)

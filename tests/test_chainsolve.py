@@ -315,6 +315,9 @@ def test_wait_cap_needs_exhaustive_variants():
     assert solution.objective == 1
     assert validate_chains(inst, solution.chains, solution.objective).ok
     assert oracle.brute_force_optimal(inst).objective == 1
+    # the largest cap drops no link, so it solves as travel cost does
+    widest = inst.with_policy(TravelCostWaitCapped(model.TICK_LIMIT - 1))
+    assert solve_chaining(widest).objective == solve_chaining(inst.with_policy(TravelCost())).objective
 
 
 def test_fractional_penalty_needs_exhaustive_variants():

@@ -311,6 +311,17 @@ def test_negative_time_limits_are_rejected():
     assert run_proposed(empty, 10, time_limit_ms=0).routes == ()
 
 
+@pytest.mark.parametrize("limit", [2**63, 10**400])
+def test_time_limits_of_2_63_ms_or_more_are_rejected(limit):
+    # 10**400 ms used to reach the float deadline as an OverflowError
+    with pytest.raises(InputError, match=r"^time limit must be below 2\^63 ms$"):
+        solve_batch_exact([Request(1, 0, 2, 0, 5)], LINE, 4, time_limit_ms=limit)
+    empty = DarpInstance((), LINE, 4, AUTO_FLEET)
+    with pytest.raises(InputError, match=r"^time limit must be below 2\^63 ms$"):
+        run_proposed(empty, 10, time_limit_ms=limit)
+    assert solve_batch_exact([Request(1, 0, 2, 0, 5)], LINE, 4, time_limit_ms=2**63 - 1).proven_optimal
+
+
 def _partition_key(plans):
     return (
         sum(plan.total_duration for plan in plans),

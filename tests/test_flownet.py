@@ -580,7 +580,13 @@ def certified_cost(cost, state):
     return int(cost[rows, cols].sum())
 
 
-def test_kernel_matches_scipy_on_random_matrices():
+KERNELS = pytest.mark.parametrize(
+    "kernel", [flownet._hungarian_arrays, flownet._hungarian_lists], ids=["arrays", "lists"]
+)
+
+
+@KERNELS
+def test_kernel_matches_scipy_on_random_matrices(kernel):
     from scipy.optimize import linear_sum_assignment
 
     def scipy_optimum(cost):
@@ -593,7 +599,7 @@ def test_kernel_matches_scipy_on_random_matrices():
     def solve(cost, start):
         n, largest = cost.shape[0], int(cost[cost < flownet.NO_EDGE].max(initial=0))
         try:
-            return flownet._hungarian(cost, n * largest, np.arange(1, n + 1), start)
+            return kernel(cost, n * largest, np.arange(1, n + 1), start)
         except FlowInfeasibleError:
             return None
 
@@ -633,12 +639,13 @@ def test_kernel_matches_scipy_on_random_matrices():
     assert solved >= 200 and warm >= 600 and infeasible >= 15 and freed >= 100, (solved, warm, infeasible, freed)
 
 
-def test_resolving_from_an_optimal_state_changes_nothing():
+@KERNELS
+def test_resolving_from_an_optimal_state_changes_nothing(kernel):
     rng = np.random.default_rng(3)
     for n, m in ((0, 0), (1, 1), (4, 7), (9, 9), (40, 60)):
         cost = rng.integers(0, 5, (n, m))
-        state = flownet._hungarian(cost, 4 * n, np.arange(n), empty_state(n, m))
-        again = flownet._hungarian(cost, 4 * n, np.arange(n), state)
+        state = kernel(cost, 4 * n, np.arange(n), empty_state(n, m))
+        again = kernel(cost, 4 * n, np.arange(n), state)
         for part, same in zip(state, again):
             assert part.tolist() == same.tolist()
     _, net = build_e1_network()
@@ -648,19 +655,86 @@ def test_resolving_from_an_optimal_state_changes_nothing():
     assert second.rows.tolist() == first.rows.tolist()
 
 
-def test_only_the_empty_state_is_pre_assigned():
+@KERNELS
+def test_only_the_empty_state_is_pre_assigned(kernel):
     # from the empty state, each row in turn takes its first free tight column
     cost = np.array([[0, 0, 5], [0, 3, 0]], dtype=np.int64)
-    cold = flownet._hungarian(cost, 10, np.arange(2), empty_state(2, 3))
+    cold = kernel(cost, 10, np.arange(2), empty_state(2, 3))
     assert cold.owner.tolist() == [0, -1, 1]
     # a start with an assignment keeps its tight cells, even with zero duals
     start = empty_state(2, 3)._replace(owner=np.array([-1, 0, 1], dtype=np.int64))
-    warm = flownet._hungarian(cost, 10, np.arange(2), start)
+    warm = kernel(cost, 10, np.arange(2), start)
     assert warm.owner.tolist() == [-1, 0, 1]
     assert certified_cost(cost, warm) == certified_cost(cost, cold) == 0
     # a partial start keeps row 0 on column 1; row 1's search ends at the lowest free column of its level
     start = empty_state(2, 3)._replace(owner=np.array([-1, 0, -1], dtype=np.int64))
-    assert flownet._hungarian(cost, 10, np.arange(2), start).owner.tolist() == [1, 0, -1]
+    assert kernel(cost, 10, np.arange(2), start).owner.tolist() == [1, 0, -1]
+
+
+def test_list_and_array_kernels_agree():
+    # ``_hungarian`` picks a kernel by cell count alone, so both must give the
+    # same state, or raise the same error with the same message, on any input
+    seen = dict.fromkeys(
+        ("cold", "warm", "above cutoff", "freed v < 0", "starved", "fence", "owner range", "not dual feasible"), 0
+    )
+
+    def solve_both(cost, limit, start):
+        """The array kernel's state, or None where it raised; the list kernel must do exactly the same."""
+        outcomes = []
+        for kernel in (flownet._hungarian_arrays, flownet._hungarian_lists):
+            try:
+                state = kernel(cost, limit, np.arange(1, cost.shape[0] + 1), start)
+            except (FlowInfeasibleError, InputError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append(tuple((part.dtype, part.tolist()) for part in state))
+        assert outcomes[0] == outcomes[1], (cost, limit, start)
+        kind, message = outcomes[0][:2]
+        if kind is FlowInfeasibleError:
+            seen["starved" if "unreachable" in message else "fence"] += 1
+        elif kind is InputError:
+            seen["owner range"] += 1
+        elif kind is ValueError:
+            seen["not dual feasible"] += 1
+        else:
+            return flownet.HungarianState(*(np.array(values, dtype=dtype) for dtype, values in outcomes[0]))
+        return None
+
+    rng = np.random.default_rng(29)
+    side = int(flownet._LIST_CELLS**0.5) + 2  # square matrices of up to side**2 cells reach past the cutoff
+    for _ in range(400):
+        n = int(rng.integers(0, side + 1))
+        m = n + int(rng.integers(0, 4))
+        cost = rng.integers(0, int(rng.integers(1, 5)), (n, m))  # few distinct costs, so ties are common
+        cost[rng.random((n, m)) < rng.uniform(0, 0.5)] = flownet.NO_EDGE
+        limit = n * int(cost[cost < flownet.NO_EDGE].max(initial=0))
+        if rng.random() < 0.2:  # a fence below the optimum stops some search early
+            limit = int(rng.integers(0, limit + 1))
+        seen["above cutoff"] += cost.size >= flownet._LIST_CELLS
+        seen["cold"] += 1
+        state = solve_both(cost, limit, empty_state(n, m))
+        for _ in range(4):  # raise cells of the solved state, as a narrower window does, and re-solve warm
+            if state is None:
+                break
+            for bad in (
+                state._replace(owner=np.where(state.owner == 0, n, state.owner)),
+                state._replace(v=state.v + 1),
+                state._replace(u=state.u + 1),
+            ):
+                solve_both(cost, limit, bad)
+            raised = cost.copy()
+            bump = rng.random((n, m)) < 0.2
+            raised[bump] = np.minimum(raised[bump] + rng.integers(1, 3, (n, m))[bump], flownet.NO_EDGE)
+            raised[rng.random((n, m)) < 0.05] = flownet.NO_EDGE
+            if n and rng.random() < 0.05:
+                raised[rng.integers(n)] = flownet.NO_EDGE  # a starved row
+            assigned = np.flatnonzero(state.owner >= 0)
+            rows = state.owner[assigned]
+            untight = assigned[raised[rows, assigned] != state.u[rows] + state.v[assigned]]
+            seen["freed v < 0"] += int((state.v[untight] < 0).sum())
+            seen["warm"] += 1
+            cost, state = raised, solve_both(raised, limit, state)
+    assert min(seen.values()) >= 40 and seen["warm"] >= 800, seen
 
 
 def test_row_matrix_matches_the_edge_level_reference_on_shared_vehicle_classes():

@@ -523,6 +523,27 @@ CLI_INPUT_ERRORS = {
         "darp", [], ["darp", "run", "--method", "single-batch", "--time-limit-ms", "-5"],
         "time limit must be non-negative, got -5 ms",
     ),
+    # a limit past the float range once made the deadline an OverflowError traceback
+    "huge-time-limit": (
+        "darp", [], ["darp", "run", "--method", "proposed", "--batch-secs", "10", "--time-limit-ms", "9" * 400],
+        "time limit must be below 2^63 ms",
+    ),
+    "huge-time-limit-single-batch": (
+        "darp", [], ["darp", "run", "--method", "single-batch", "--time-limit-ms", str(2**63)],
+        "time limit must be below 2^63 ms",
+    ),
+    # a cap past int64 once made variant generation an OverflowError traceback
+    "huge-wait-cap": (
+        "chain", [], ["chain", "solve", "--policy", "cost-waitcap:99999999999999999999"], "wait cap must be below 2^60"
+    ),
+    "policy-huge-wait-cap": (
+        "chain", [(("policy",), {"kind": "cost-waitcap", "delta": 2**60})], ["chain", "solve"],
+        "wait cap must be below 2^60",
+    ),
+    "darp-huge-wait-cap": (
+        "darp", [], ["darp", "run", "--method", "proposed", "--batch-secs", "10", "--wait-cap", "99999999999999999999"],
+        "wait cap must be below 2^60",
+    ),
 }
 
 

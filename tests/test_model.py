@@ -119,6 +119,10 @@ def test_tick_limit_bounds_every_model_integer():
     for bad in (dict(id=limit), dict(id=-limit), dict(t_st=limit)):
         with pytest.raises(InputError):
             Vehicle(**{**dict(id=1, start_location=0, t_st=0), **bad})
+    TravelCostWaitCapped(limit - 1)
+    for delta, message in ((limit, "below 2\\^60"), (10**5000, "below 2\\^60"), (-1, "non-negative")):
+        with pytest.raises(InputError, match=f"^wait cap must be {message}$"):
+            TravelCostWaitCapped(delta)
 
 
 def test_plan_invariants():
