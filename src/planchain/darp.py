@@ -180,25 +180,42 @@ def _stop_times(specs, table, capacity: int, loc: int, t: int) -> list[int] | No
 def _request_rows(reqs, travel: TravelMatrix) -> list[tuple]:
     """One row per request: (id, origin, destination, t_r, latest pickup, latest arrival).
 
-    Raises ``InputError`` unless every location lies in ``travel``: the
-    searches index ``travel.table`` without a range check, where a negative
-    location would silently wrap, so each entry point builds its rows once.
+    Raises ``InputError`` on a repeated request id, or unless every
+    location lies in ``travel``: the searches index ``travel.table``
+    without a range check, where a negative location would silently wrap,
+    and would serve a repeated request twice, so each entry point builds
+    its rows once.
     """
     size = travel.size
-    rows = []
+    rows, seen = [], set()
     for r in reqs:
+        if r.id in seen:
+            raise InputError(f"duplicate request id {r.id}")
+        seen.add(r.id)
         if not (0 <= r.origin < size and 0 <= r.destination < size):
             raise InputError(f"request {r.id}: locations ({r.origin}, {r.destination}) outside {size}x{size} matrix")
         rows.append((r.id, r.origin, r.destination, r.t_r, r.latest_pickup, r.latest_arrival(travel)))
     return rows
 
 
+def _check_capacity(capacity: int) -> None:
+    if capacity < 1:
+        raise InputError("vehicle capacity must be at least 1")
+
+
 def optimal_plan_for_group(group, travel: TravelMatrix, capacity: int) -> RoutePlan | None:
-    """Minimum-duration plan serving all of ``group`` together, or None: its route in ``_search_batch``."""
-    reqs = sorted(group, key=lambda r: r.id)
-    if len(reqs) > capacity:
-        raise GuardExceededError(f"group of {len(reqs)} exceeds capacity {capacity}")
-    found = _search_batch(_request_rows(reqs, travel), travel, capacity, None)[0].get((1 << len(reqs)) - 1)
+    """Minimum-duration plan serving all of ``group`` together, or None: its route in ``_search_batch``.
+
+    A capacity below 1, an empty group or a repeated request id raises
+    ``InputError``; a group larger than the capacity, ``GuardExceededError``.
+    """
+    _check_capacity(capacity)
+    if not group:
+        raise InputError("a group needs at least one request")
+    rows = _request_rows(sorted(group, key=lambda r: r.id), travel)
+    if len(rows) > capacity:
+        raise GuardExceededError(f"group of {len(rows)} exceeds capacity {capacity}")
+    found = _search_batch(rows, travel, capacity, None)[0].get((1 << len(rows)) - 1)
     return None if found is None else _route_plan(found[2])
 
 
@@ -212,9 +229,16 @@ def _search_batch(rows, travel: TravelMatrix, capacity: int, deadline: float | N
     request id, time, location); the stops before it fix its time and
     location, so stop tuples compare as their (code, id) pairs would.  A
     route starts at its first request's departure time, each stop at its
-    earliest feasible tick; ``_next_stops`` cuts a stop that misses its
-    window or leaves a rider unable to arrive in time.  A label with nobody
-    on board is a route for its picked mask; each group keeps the least.
+    earliest feasible tick; a step of ``_mask_steps`` cuts a stop that
+    misses its window or leaves a rider unable to arrive in time.  A label
+    with nobody on board is a route for its picked mask; each group keeps
+    the least.
+
+    The steps of each (onboard, opened) pair are built once per batch from
+    one ``_step_table``, latest tick first.  A stop is no earlier than its
+    label's ``now`` (travel times are non-negative), so a label stops at the
+    first step whose latest tick it has passed; a step that picks up an
+    already picked request is skipped in place.
 
     Labels grow one stop per level, so a state has all its labels before it
     is expanded, and there A drops B when A.now <= B.now, A.first >=
@@ -222,13 +246,19 @@ def _search_batch(rows, travel: TravelMatrix, capacity: int, deadline: float | N
     exact: stop times are monotone, so every completion of B is feasible
     from A and ends no later; from A's no earlier first pickup it lasts no
     longer and drives no more, and stop tuples at one state have equal
-    length, so they compare by their prefix.  ``deadline`` (a
-    ``time.monotonic`` value) is read once per expanded state after the
-    single-request routes; once it passes, only the group sizes whose last
-    level finished are returned, with ``finished`` false.
+    length, so they compare by their prefix.  The step order cannot change
+    the result: this dominance is transitive, and ``(driving, stops)`` is
+    a total order (equal stops make equal labels), so each state keeps the
+    Pareto-minimal labels of its level in any insertion order, each group
+    the least of its routes, and the deadline cut below returns only the
+    levels that finished.  ``deadline`` (a ``time.monotonic`` value) is
+    read once per expanded state after the single-request routes; once it
+    passes, only the group sizes whose last level finished are returned,
+    with ``finished`` false.
     """
     n, most, full, table = len(rows), min(capacity, len(rows)), (1 << len(rows)) - 1, travel.table
-    steps_at: dict[int, list] = {}  # onboard << 1 | opened -> ``_next_stops``
+    step_table = _step_table(rows, travel)
+    steps_at: dict[int, list] = {}  # onboard << 1 | opened -> ``_mask_steps``
     known: dict[tuple, tuple] = {}  # one copy of each distinct step; most masks repeat them
     groups: dict[int, tuple] = {}
     # a state is the int picked | onboard << n | location << 2n
@@ -249,13 +279,15 @@ def _search_batch(rows, travel: TravelMatrix, capacity: int, deadline: float | N
                 return {mask: v for mask, v in groups.items() if 2 * mask.bit_count() <= depth}, False
             steps = steps_at.get(onboard << 1 | opened)
             if steps is None:
-                made = _next_stops(rows, travel, onboard, opened)
+                made = _mask_steps(step_table, onboard, opened)
                 steps = steps_at[onboard << 1 | opened] = [known.setdefault(step, step) for step in made]
-            if opened:
-                steps = [step for step in steps if not picked & step[0]]
             base, row = picked | onboard << n, table[state >> 2 * n]
             for now, first, driving, stops in labels:
-                for _, to, earliest, latest, delta, closes, code, rid in steps:
+                for bit, to, earliest, latest, delta, closes, code, rid in steps:
+                    if now > latest:
+                        break
+                    if picked & bit:
+                        continue
                     leg = row[to]
                     t = now + leg if now + leg > earliest else earliest
                     if t > latest:
@@ -278,31 +310,52 @@ def _search_batch(rows, travel: TravelMatrix, capacity: int, deadline: float | N
     return groups, True
 
 
-def _next_stops(rows, travel: TravelMatrix, onboard: int, opened: bool) -> list[tuple]:
+def _step_table(rows, travel: TravelMatrix) -> list[tuple]:
+    """Each row's (pickup, dropoff) step for ``_mask_steps``, built once per batch.
+
+    A step is (pickup bit or 0, location, earliest tick, own latest tick,
+    state delta, stop code, request id, cuts), where ``cuts[j]`` is the
+    latest tick at the step's location from which row j's rider can still
+    arrive in time: its latest arrival less the ``closure`` to its
+    destination.
+    """
+    n, short = len(rows), travel.closure
+
+    def cuts(to):
+        return [r[5] - short[to][r[2]] for r in rows]
+
+    table = []
+    for k, (rid, origin, destination, t_r, latest_pickup, latest_arrival) in enumerate(rows):
+        bit = 1 << k
+        pickup = (bit, origin, t_r, latest_pickup, bit | bit << n | origin << 2 * n, 0, rid, cuts(origin))
+        dropoff = (0, destination, 0, latest_arrival, (destination << 2 * n) - (bit << n), 1, rid, cuts(destination))
+        table.append((pickup, dropoff))
+    return table
+
+
+def _mask_steps(step_table, onboard: int, opened: bool) -> list[tuple]:
     """``_search_batch``'s next stops with onboard mask ``onboard``: dropoffs, and pickups if ``opened``.
 
     A step is (pickup bit or 0, location, earliest tick, latest tick, state
-    delta, whether it empties the vehicle, stop code, request id).  The
-    latest tick is the stop's window, lowered so that every rider can still
-    reach its destination over the ``closure`` (a pickup's own ride is no
-    longer than its direct leg, so its window covers it).
+    delta, whether it empties the vehicle, stop code, request id), sorted
+    by latest tick, latest first.  The latest tick is the stop's window,
+    lowered to every rider's cut in ``step_table`` (a pickup's own ride is
+    no longer than its direct leg, so its window covers it).
     """
-    n, short = len(rows), travel.closure
-    riders = [(r[2], r[5]) for k, r in enumerate(rows) if onboard >> k & 1]
+    riders = [k for k in range(len(step_table)) if onboard >> k & 1]
     steps = []
-    for k, (rid, origin, destination, t_r, latest_pickup, latest_arrival) in enumerate(rows):
-        bit = 1 << k
-        if onboard & bit:
-            code, to, earliest, latest, delta = 1, destination, 0, latest_arrival, -(bit << n)
+    for k, (pickup, dropoff) in enumerate(step_table):
+        if onboard >> k & 1:
+            pick, to, earliest, latest, delta, code, rid, cuts = dropoff
         elif opened:
-            code, to, earliest, latest, delta = 0, origin, t_r, latest_pickup, bit | bit << n
+            pick, to, earliest, latest, delta, code, rid, cuts = pickup
         else:
             continue
-        reach = short[to]
-        for dest, arrival in riders:
-            if arrival - reach[dest] < latest:
-                latest = arrival - reach[dest]
-        steps.append((0 if code else bit, to, earliest, latest, delta + (to << 2 * n), onboard == bit, code, rid))
+        for j in riders:
+            if cuts[j] < latest:
+                latest = cuts[j]
+        steps.append((pick, to, earliest, latest, delta, onboard == 1 << k, code, rid))
+    steps.sort(key=lambda step: -step[3])
     return steps
 
 
@@ -323,20 +376,21 @@ def _best_partition(s: int, groups_by_low, memo: dict) -> tuple:
     Its first group holds ``s``'s lowest request, so the groups' ids stay
     sorted, and two partitions with different first groups differ in
     those first ids: ``(total, count, ids)`` decides as the whole id
-    sequence would.  The rest of the partition is ``memo[s ^ mask]``'s.
-    ``memo`` maps the masks already solved, 0 included, and gains ``s``,
-    which it must not hold yet; only masks reachable from the first call
-    are ever solved.
+    sequence would.  A candidate is priced by its integer total first;
+    only a tie compares ``(count, ids)``.  The rest of the partition is
+    ``memo[s ^ mask]``'s.  ``memo`` maps the masks already solved, 0
+    included, and gains ``s``, which it must not hold yet; only masks
+    reachable from the first call are ever solved.
     """
     best = None
     for mask, duration, ids, stops in groups_by_low[s & -s]:
         if mask & s == mask:
             rest = memo.get(s ^ mask) or _best_partition(s ^ mask, groups_by_low, memo)
-            key = (rest[0] + duration, rest[1] + 1, ids)
-            if best is None or key < best:
-                best, first = key, (mask, stops)
-    memo[s] = entry = (*best, *first)
-    return entry
+            total = rest[0] + duration
+            if best is None or total < best[0] or total == best[0] and (rest[1] + 1, ids) < best[1:3]:
+                best = (total, rest[1] + 1, ids, mask, stops)
+    memo[s] = best
+    return best
 
 
 def _check_time_limit(time_limit_ms: int | None) -> None:
@@ -360,7 +414,8 @@ def solve_batch_exact(
     """Optimal set partitioning of a batch into shared route plans.
 
     One ``_search_batch`` over the id-sorted batch finds every feasible
-    group, a bitmask with its optimal stops; only the chosen groups become
+    group, a bitmask with its optimal stops; each group's ids are read
+    from its mask's bits, and only the chosen groups become
     ``RoutePlan``s.  A dynamic program over the subsets reachable from the
     full batch covers every request with exactly one group at the least
     total plan duration: a request set's best partition takes a group
@@ -369,8 +424,10 @@ def solve_batch_exact(
     group ids.  The time limit stops only the search; the partition is
     still the best over the groups it kept (single requests always), and
     ``proven_optimal`` is false.  A limit of 0 cuts every search at once; a
-    negative one, or one of 2**63 ms or more, raises ``InputError``.
+    negative one, or one of 2**63 ms or more, raises ``InputError``, as do
+    a capacity below 1 and a repeated request id.
     """
+    _check_capacity(capacity)
     _check_time_limit(time_limit_ms)
     reqs = sorted(batch, key=lambda r: r.id)
     if not reqs:
@@ -382,10 +439,14 @@ def solve_batch_exact(
     rows = _request_rows(reqs, travel)
     deadline = time.monotonic() + time_limit_ms / 1000.0 if time_limit_ms is not None else None
     groups, finished = _search_batch(rows, travel, capacity, deadline)
-    groups_by_low = {1 << k: [] for k in range(len(rows))}  # lowest bit -> [(mask, duration, ids, stops)]
+    id_of = {1 << k: row[0] for k, row in enumerate(rows)}  # a request's bit -> its id
+    groups_by_low = {bit: [] for bit in id_of}  # lowest bit -> [(mask, duration, ids, stops)]
     for mask, (duration, _, stops) in groups.items():
-        ids = tuple(row[0] for k, row in enumerate(rows) if mask >> k & 1)
-        groups_by_low[mask & -mask].append((mask, duration, ids, stops))
+        ids, rest = [], mask
+        while rest:
+            ids.append(id_of[rest & -rest])
+            rest &= rest - 1
+        groups_by_low[mask & -mask].append((mask, duration, tuple(ids), stops))
 
     s, memo = (1 << len(rows)) - 1, {0: (0, 0, (), 0, ())}
     _best_partition(s, groups_by_low, memo)

@@ -482,7 +482,7 @@ class DarpGenParams:
     fleet_size: int | None = None  # None selects the auto fleet
 
     def __post_init__(self) -> None:
-        if min(self.requests, self.locations, self.horizon) < 0 or self.capacity < 1:
+        if min(self.requests, self.locations, self.horizon, self.fleet_size or 0) < 0 or self.capacity < 1:
             raise InputError("generator counts must be non-negative and capacity positive")
         if self.locations == 0 and self.requests:
             raise InputError("cannot place requests without locations")

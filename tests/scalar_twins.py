@@ -11,7 +11,9 @@ per-vehicle rows of any class rows.  ``schedule_stops`` and
 ``Request`` fields and the range-checked ``TravelMatrix.duration``, so
 the DARP references share no scheduling code with ``planchain.darp``.
 ``group_search_reference`` searches one group depth first, as the
-oracle of ``darp._search_batch``'s label search over all groups.
+oracle of ``darp._search_batch``'s label search over all groups, and
+``next_stops_reference`` builds one mask's next stops row by row, as the
+twin of ``darp._mask_steps`` over the per-batch ``darp._step_table``.
 """
 
 from __future__ import annotations
@@ -334,3 +336,30 @@ def group_search_reference(rows, travel):
         rid, origin, _, t_r, _, _, _ = req
         dfs([(0, rid, t_r, origin)], origin, t_r, t_r, [r for r in rows if r is not req], [req], 0)
     return best
+
+
+def next_stops_reference(rows, travel, onboard, opened):
+    """``darp._mask_steps``'s steps for onboard mask ``onboard``, built from the rows alone, in row order.
+
+    A step is (pickup bit or 0, location, earliest tick, latest tick, state
+    delta, whether it empties the vehicle, stop code, request id).  The
+    latest tick is the stop's window, lowered so that every rider can still
+    reach its destination over the ``closure``.
+    """
+    n, short = len(rows), travel.closure
+    riders = [(r[2], r[5]) for k, r in enumerate(rows) if onboard >> k & 1]
+    steps = []
+    for k, (rid, origin, destination, t_r, latest_pickup, latest_arrival) in enumerate(rows):
+        bit = 1 << k
+        if onboard & bit:
+            code, to, earliest, latest, delta = 1, destination, 0, latest_arrival, -(bit << n)
+        elif opened:
+            code, to, earliest, latest, delta = 0, origin, t_r, latest_pickup, bit | bit << n
+        else:
+            continue
+        reach = short[to]
+        for dest, arrival in riders:
+            if arrival - reach[dest] < latest:
+                latest = arrival - reach[dest]
+        steps.append((0 if code else bit, to, earliest, latest, delta + (to << 2 * n), onboard == bit, code, rid))
+    return steps

@@ -29,7 +29,7 @@ from planchain.errors import GuardExceededError, InfeasibleError, InputError
 from planchain.instances import DarpGenParams, darp_instance_from_params
 from planchain.model import TICK_LIMIT, TravelMatrix, Vehicle
 
-from scalar_twins import group_search_reference, insertion_reference, schedule_stops
+from scalar_twins import group_search_reference, insertion_reference, next_stops_reference, schedule_stops
 
 LINE = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
 
@@ -172,6 +172,41 @@ def test_batch_search_matches_the_group_search_reference():
     assert min(kinds.values()) > 50 and min(outcomes.values()) > 1000, (kinds, outcomes)
 
 
+def _random_batches(rng, count):
+    """The (travel, requests, capacity) batches that ``test_batch_search_matches_the_group_search_reference`` draws."""
+    for _ in range(count):
+        size = rng.randint(2, 6)
+        if rng.random() < 0.5:
+            travel = TravelMatrix.from_coordinates([(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(size)])
+        else:
+            travel = TravelMatrix([[0 if a == b else rng.choice((0, 1, 2, 5)) for b in range(size)] for a in range(size)])
+        reqs = [
+            Request(rid, rng.randrange(size), rng.randrange(size), rng.randint(0, 10), rng.randint(0, 8))
+            for rid in sorted(rng.sample(range(20), rng.randint(1, 8)))
+        ]
+        yield travel, reqs, rng.randint(1, 6)
+
+
+def test_step_table_matches_the_row_by_row_steps():
+    # every (onboard, opened) step list the search can ask for holds the
+    # reference's steps, latest tick first, so that a label may stop at the
+    # first step whose latest tick it has passed
+    kinds = {True: 0, False: 0}
+    compared = 0
+    for travel, reqs, capacity in _random_batches(random.Random(18), 200):
+        kinds[travel.closure is travel.table] += 1
+        rows = darp._request_rows(reqs, travel)
+        table = darp._step_table(rows, travel)
+        for onboard in range(1 << len(rows)):
+            if onboard.bit_count() <= capacity:
+                for opened in (False, True):
+                    steps = darp._mask_steps(table, onboard, opened)
+                    assert sorted(steps) == sorted(next_stops_reference(rows, travel, onboard, opened))
+                    assert steps == sorted(steps, key=lambda step: -step[3])
+                    compared += len(steps)
+    assert min(kinds.values()) > 50 and compared > 10000, (kinds, compared)
+
+
 def test_batch_search_leaves_no_garbage_cycles(monkeypatch):
     # the batch search frees its labels by reference counting alone, also
     # when a deadline interrupts it; a fake clock advances 2**-19 s per
@@ -248,6 +283,25 @@ def test_batch_exact_empty_and_guard():
     rs = [Request(i, 0, 2, i, 5) for i in range(1, 15)]
     with pytest.raises(GuardExceededError):
         solve_batch_exact(rs, LINE, 4)
+
+
+def test_batch_and_group_searches_refuse_a_capacity_below_one():
+    rs = [Request(1, 0, 2, 0, 5), Request(2, 0, 2, 0, 5)]
+    for capacity in (0, -1):
+        with pytest.raises(InputError, match="^vehicle capacity must be at least 1$"):
+            solve_batch_exact(rs, LINE, capacity)
+        with pytest.raises(InputError, match="^vehicle capacity must be at least 1$"):
+            optimal_plan_for_group(rs[:1], LINE, capacity)
+
+
+def test_batch_and_group_searches_refuse_repeated_ids_and_empty_groups():
+    r = Request(1, 0, 2, 0, 5)
+    with pytest.raises(InputError, match="^duplicate request id 1$"):
+        solve_batch_exact([r, r], LINE, 4)
+    with pytest.raises(InputError, match="^duplicate request id 1$"):
+        optimal_plan_for_group([r, replace(r, t_r=1)], LINE, 4)
+    with pytest.raises(InputError, match="^a group needs at least one request$"):
+        optimal_plan_for_group([], LINE, 4)
 
 
 def test_batch_time_limit_covers_group_enumeration():

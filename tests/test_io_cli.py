@@ -439,7 +439,8 @@ def test_cli_exit_codes(tmp_path):
     [("chain", "--d-max-range=-5:-1", "plan 1: negative delay budget"),
      ("darp", "--delay-range=-3:-1", "request 1: negative delay budget"),
      ("chain", "--d-max-range=a:b", "bad range 'a:b', expected lo:hi"),
-     ("darp", "--delay-range=5:1", "bad range '5:1': lo > hi")],
+     ("darp", "--delay-range=5:1", "bad range '5:1': lo > hi"),
+     ("darp", "--fleet-size=-3", "generator counts must be non-negative and capacity positive")],
 )
 def test_cli_gen_writes_no_document_the_loader_rejects(tmp_path, capsys, kind, range_flag, message):
     out = tmp_path / "x.json"
