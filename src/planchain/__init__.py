@@ -33,7 +33,7 @@ from .chainsolve import (
     solve_chaining,
     validate_chains,
 )
-from .oracle import OracleResult, brute_force_optimal, fleet_min_matching, full_variant_optimal
+from .oracle import OracleResult, brute_force_optimal, fleet_min_matching
 from .darp import (
     AUTO_FLEET,
     DarpInstance,

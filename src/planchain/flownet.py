@@ -32,12 +32,12 @@ Generated connections hold one set of rows per vehicle class (vehicles
 with one start location and ``t_st``): the network sorts and filters only
 those, fills each class's matrix column from them and copies that column
 to every member vehicle's, so the assignment sees one column per vehicle.
-A chosen connection is therefore a matrix column and a class row.  The
-edge view numbers one connection edge per vehicle, through the
-per-vehicle view of the rows (``Connections.per_vehicle``); it is
-derived on read, as are a solution's edge flows and node potentials
-(the Hungarian duals spread over the nodes, which certify the flow
-through ``residual_is_optimal``).  A solve reads none of them.
+A chosen connection is therefore a matrix column and a class row, and
+the Hungarian duals certify the assignment per connection row: the tests
+check every usable row against them.  The edge view numbers one
+connection edge per vehicle, through the per-vehicle view of the rows
+(``Connections.per_vehicle``); it is derived on read, for the edge-list
+dump and an edge count, and no solve reads it.
 
 A network holds one live assignment matrix, not one per relaxation: each
 relaxation moves it to its own window, and on a large network refills
@@ -93,26 +93,19 @@ class HungarianState(NamedTuple):
         return (self.owner >= 0).nonzero()[0]
 
 
-class FlowAssignment:
-    """A solve's chosen connection ``rows``, with its edge flows and potentials on first read.
+class FlowAssignment(NamedTuple):
+    """A solve's chosen connection ``rows``, with the Hungarian state that certifies them.
 
     ``rows`` are class rows, one per assigned matrix column in column order
     (``state.columns``); a vehicle's row is its class's.  ``state`` is the
     Hungarian state (to warm-start a restricted re-solve) and ``window``
-    the int64 delay window it was solved under.  ``flows`` is int64 per
-    edge, 0 or 1, and ``potentials`` int64 per node.
+    the int64 delay window it was solved under.
     """
 
-    def __init__(self, network: FlowNetwork, window, rows: np.ndarray, state: HungarianState, total_cost: int):
-        self.network, self.window, self.rows, self.state, self.total_cost = network, window, rows, state, total_cost
-
-    @cached_property
-    def flows(self) -> np.ndarray:
-        return self.network._flows(self.rows, self.state.columns)
-
-    @cached_property
-    def potentials(self) -> np.ndarray:
-        return self.network._potentials(self.state, self.window)
+    rows: np.ndarray
+    state: HungarianState
+    window: np.ndarray
+    total_cost: int
 
 
 class FlowInfeasibleError(InfeasibleError):
@@ -155,7 +148,8 @@ class FlowNetwork:
     live matrix of its last relaxation (``_assignment_matrix``).
 
     The edge view is derived on read from the per-vehicle rows
-    (``connections.per_vehicle``); no solve reads it.  Nodes are numbered
+    (``connections.per_vehicle``) for the edge-list dump and an edge
+    count; no solve reads it.  Nodes are numbered
     source, left plans, left variants, vehicles, right variants, right
     plans, sink; plans and vehicles in instance order and variants by plan,
     then delay.  Edges are numbered source to left plans, source to
@@ -291,28 +285,6 @@ class FlowNetwork:
         edges = np.stack([tail, head, cost], axis=1)
         edges.setflags(write=False)
         return edges
-
-    def _flows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Edge flows of the chosen class ``rows``, read in origin columns ``cols``: each path carries one unit."""
-        conns, left, right = self.connections, self.left_struct, self.right_struct
-        origin = self._variant_index(conns.origin[rows], conns.origin_delay[rows])
-        target = self._variant_index(conns.target[rows], conns.target_delay[rows])
-        flows = np.zeros(self.edge_count, dtype=np.int64)
-        flows[np.concatenate([cols, left.start + origin[origin >= 0], right.start + target[target >= 0]])] = 1
-        flows[self.connection_edges.start + conns.per_vehicle_rows(rows, cols)] = 1
-        flows[right.stop + conns.target[rows]] = 1
-        flows.setflags(write=False)
-        return flows
-
-    def _potentials(self, state: HungarianState, window) -> np.ndarray:
-        """-v on left nodes, u on right ones, +-NO_EDGE on the variant nodes ``window`` closes."""
-        n, vp, delay, (u, v) = len(self.plan_ids), self.variant_plan, self.variant_delay, state[1:]
-        closed = (delay < window[0, vp]) | (delay > window[1, vp])
-        left = np.where(closed, NO_EDGE, -v[vp])
-        right = np.where(closed, -NO_EDGE, u[vp])
-        potentials = np.concatenate([[0], -v[:n], left, -v[n:], right, u, [u.max() if n else 0]])
-        potentials.setflags(write=False)
-        return potentials
 
     def edge_list_text(self) -> str:
         """Plain-text dump, one edge per line: tail head lower upper cost."""
@@ -763,9 +735,8 @@ def solve_mcf(
     cost matrix keeps the cheapest usable connection of its pair, and equal
     costs go to the lowest edge id; a member vehicle's column is its class
     column.  The result holds the chosen class rows, named with their
-    columns by ``state.columns``; its flows and the node potentials made from
-    the Hungarian duals, which ``residual_is_optimal`` certifies, are
-    derived when read.
+    columns by ``state.columns``, and the Hungarian state, whose duals
+    certify the assignment against every usable connection row.
 
     ``window`` is an integer array of shape (2, n), taken as int64 here:
     plan index ``i`` may only be entered and left at a delay in
@@ -816,43 +787,5 @@ def solve_mcf(
     cells = state.owner[assigned] * m + net.connections.column_class[assigned]
     rows = filled[1][filled[0].searchsorted(cells)] if filled is not None else _first_usable(net, window, cells)
     rows.setflags(write=False)
-    return FlowAssignment(net, window, rows, state, sum(net.connections.cost[rows].tolist()))
+    return FlowAssignment(rows, state, window, sum(net.connections.cost[rows].tolist()))
 
-
-def residual_is_optimal(network: FlowNetwork, flows, potentials) -> bool:
-    """Certificate check: no residual arc has a negative reduced cost.
-
-    The potentials carry the window the flow was solved under: a node at
-    ``NO_EDGE`` is closed from the source and one at ``-NO_EDGE`` from the
-    sink, so the edges into the first and out of the second are not in the
-    network.  A flow through a closed node fails on its connection edge,
-    whose reduced cost is about ``NO_EDGE``.
-    """
-    pi, flows = np.asarray(potentials, dtype=np.int64), np.asarray(flows, dtype=np.int64)
-    tail, head, cost = network.edges.T
-    live = (pi[head] != NO_EDGE) & (pi[tail] != -NO_EDGE)
-    reduced = cost + pi[tail] - pi[head]
-    forward = live & (flows < 1) & (reduced < 0)
-    backward = live & (flows > 0) & (reduced > 0)
-    return not (forward.any() or backward.any())
-
-
-def check_conservation(network: FlowNetwork, flows) -> None:
-    """Assert flow conservation and bounds exactly; raises on violation."""
-    flows = np.asarray(flows, dtype=np.int64)
-    if flows.shape != (len(network.edges),):
-        raise InfeasibleError(f"{flows.size} edge flows for {len(network.edges)} edges")
-    outside = np.flatnonzero((flows < 0) | (flows > 1))
-    if outside.size:
-        i = int(outside[0])
-        raise InfeasibleError(f"edge {i} flow {flows[i]} outside [0, 1]")
-    tail, head = network.edges[flows == 1, :2].T
-    nodes = network.node_count
-    balance = np.bincount(tail, minlength=nodes) - np.bincount(head, minlength=nodes)
-    supply = np.zeros(nodes, dtype=np.int64)
-    supply[network.source_id] = len(network.plan_ids)
-    supply[network.sink_id] = -len(network.plan_ids)
-    wrong = np.flatnonzero(balance != supply)
-    if wrong.size:
-        i = int(wrong[0])
-        raise InfeasibleError(f"node {i} balance {balance[i]} != supply {supply[i]}")

@@ -434,6 +434,17 @@ class ChainGenParams:
             raise InputError("cannot place plans or vehicles without locations")
         if self.fleet not in ("counted", "dedicated"):
             raise InputError(f"unknown fleet mode {self.fleet!r}")
+        if self.locations and self.grid_size < 1 or self.t_st_max < 0:
+            raise InputError("the grid size must be positive and t_st_max non-negative")
+        _check_ranges(self, "d_max_range", "extra_duration_range")
+
+
+def _check_ranges(params, *names: str) -> None:
+    """Refuse a (lo, hi) range field of ``params`` with lo > hi, which no draw can satisfy."""
+    for name in names:
+        lo, hi = getattr(params, name)
+        if lo > hi:
+            raise InputError(f"{name} ({lo}, {hi}) is empty")
 
 
 def generate_chain_instance(params: ChainGenParams) -> dict:
@@ -486,6 +497,7 @@ class DarpGenParams:
             raise InputError("generator counts must be non-negative and capacity positive")
         if self.locations == 0 and self.requests:
             raise InputError("cannot place requests without locations")
+        _check_ranges(self, "delay_range")
 
 
 def generate_darp_instance(params: DarpGenParams) -> dict:

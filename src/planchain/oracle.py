@@ -7,23 +7,18 @@ solution space as literal enumeration.  It shares only the model-layer
 predicates with the main solver: no graph or search code is reused.
 
 ``fleet_min_matching`` solves zero-delay fleet sizing through the
-bipartite-matching reduction, and ``full_variant_optimal`` re-solves the
-chaining problem over every integer-delay variant as the ground truth for
-the minimal generator.
+bipartite-matching reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flownet import build_network
-from .errors import GuardExceededError, InfeasibleError, InputError
+from .errors import GuardExceededError, InputError
 from . import model
 from .model import ChainingInstance, VariantRef
-from .variantgen import generate_exhaustive
 
 BRUTE_FORCE_MAX_PLANS = 9
-FULL_VARIANT_GUARD_TICKS = 200
 
 WitnessChain = tuple[int, tuple[tuple[int, int], ...]]
 
@@ -249,18 +244,3 @@ def fleet_min_matching(instance: ChainingInstance) -> int:
             size += 1
     return n - size
 
-
-def full_variant_optimal(instance: ChainingInstance) -> int | None:
-    """Optimal objective over every integer-delay variant, or None.
-
-    Ground truth for the minimal generator: the exhaustive variant set
-    makes the network formulation exact for any per-connection cost rule.
-    Guarded to ``FULL_VARIANT_GUARD_TICKS`` delay ticks.
-    """
-    from .chainsolve import solve_network
-
-    gen = generate_exhaustive(instance, guard_ticks=FULL_VARIANT_GUARD_TICKS)
-    try:
-        return solve_network(build_network(instance, gen)).objective
-    except InfeasibleError:
-        return None

@@ -169,16 +169,6 @@ class Connections(Sequence):
         columns = (origin, *(col[row] for col in self.columns[1:]))
         return Connections(self.instance, self.variants, *columns, np.arange(len(self.column_class)))
 
-    def per_vehicle_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The ``per_vehicle`` row of class row ``rows[i]`` read in origin column ``cols[i]``."""
-        if not self.members.size:
-            return rows
-        lo, hi, width, offset = self._view
-        shift = np.where(rows < hi, 0, int(width.sum()) - (hi - lo))
-        run = (lo <= rows) & (rows < hi)
-        shift[run] = offset[cols[run] - len(self.instance.plans)]
-        return rows + shift
-
     def _connection(self, o: int, od: int, t: int, td: int, cost: int) -> Connection:
         plans = self.instance.plans
         origin = VariantRef(plans[o].id, od) if o < len(plans) else self.instance.vehicles[o - len(plans)]

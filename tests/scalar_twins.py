@@ -14,6 +14,12 @@ the DARP references share no scheduling code with ``planchain.darp``.
 oracle of ``darp._search_batch``'s label search over all groups, and
 ``next_stops_reference`` builds one mask's next stops row by row, as the
 twin of ``darp._mask_steps`` over the per-batch ``darp._step_table``.
+
+``check_assignment_certificate`` checks that a relaxation's Hungarian
+duals prove its chosen rows optimal, reading only the connection rows and
+its own usability rule.  ``full_variant_optimal`` re-solves an instance
+with the solver under test over every integer-delay variant, as the
+ground truth for the minimal generator.
 """
 
 from __future__ import annotations
@@ -24,11 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from planchain import model
+from planchain.chainsolve import solve_network
 from planchain.darp import RoutePlan, Stop
 from planchain.errors import InfeasibleError, InputError
-from planchain.flownet import NO_EDGE
+from planchain.flownet import NO_EDGE, build_network
 from planchain.model import ChainingInstance, Plan, VariantRef, Vehicle
-from planchain.variantgen import Connection, GenerationResult
+from planchain.variantgen import Connection, GenerationResult, generate_exhaustive
+
+FULL_VARIANT_GUARD_TICKS = 200
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,7 @@ def generate_exhaustive_reference(instance: ChainingInstance) -> GenerationResul
 
 
 def assignment_matrix_reference(net, window):
-    """``solve_mcf``'s cost matrix, the connection edge per cell (-1: none), flat, and the cut nodes.
+    """``solve_mcf``'s cost matrix, and the connection edge per cell (-1: none), flat.
 
     Edge-level twin of the row rule: each variant outside its plan's
     ``window`` has both structural edges closed, and so does a plan without
@@ -174,7 +183,53 @@ def assignment_matrix_reference(net, window):
     matrix, edge_at = np.full(n * m, NO_EDGE, dtype=np.int64), np.full(n * m, -1, dtype=np.int64)
     matrix[cell[first]] = cost[start + first]
     edge_at[cell[first]] = start + first
-    return matrix.reshape(n, m), edge_at, cut
+    return matrix.reshape(n, m), edge_at
+
+
+def check_assignment_certificate(net, assignment) -> None:
+    """Assert that ``assignment``'s duals prove its chosen rows an optimal assignment under its window.
+
+    A row is usable when its target delay, and its origin delay if the
+    origin is a plan, lie in that plan's window.  The chosen rows must own
+    every plan once, each the usable row of its column's cell; ``v <= 0``,
+    0 on free columns; every usable row must cost at least ``u`` of its
+    target plus the largest ``v`` over its origin's class, with equality on
+    the chosen rows; and the rows' cost, ``total_cost`` and the dual
+    objective must agree.  An ``AssertionError`` names the broken part.
+    """
+    conns, rows, (owner, u, v) = net.connections, assignment.rows, assignment.state
+    n, m = len(u), len(v)
+    lo, hi = np.concatenate((assignment.window, np.zeros((2, m - n), dtype=np.int64)), axis=1)  # vehicles: [0, 0]
+    target, origin = conns.target, conns.origin
+    usable = (lo[target] <= conns.target_delay) & (conns.target_delay <= hi[target])
+    usable &= (lo[origin] <= conns.origin_delay) & (conns.origin_delay <= hi[origin])
+    cols = (owner >= 0).nonzero()[0]
+    assert sorted(owner[cols].tolist()) == list(range(n)), "matching: a plan is not owned exactly once"
+    assert len(rows) == len(cols), "matching: not one chosen row per assigned column"
+    cell = (target[rows] == owner[cols]) & (origin[rows] == conns.column_class[cols])
+    assert cell.all(), "matching: a chosen row is not its column's cell's"
+    assert usable[rows].all(), "matching: a chosen row is unusable"
+    assert (v <= 0).all() and (v[owner < 0] == 0).all(), "dual: v > 0, or v != 0 on a free column"
+    class_v = np.full(m, np.iinfo(np.int64).min, dtype=np.int64)
+    np.maximum.at(class_v, conns.column_class, v)  # the largest column dual of each class
+    below = conns.cost[usable] < u[target[usable]] + class_v[origin[usable]]
+    assert not below.any(), "dual: a usable row is below its duals"
+    assert (conns.cost[rows] == u[target[rows]] + v[cols]).all(), "tightness: a chosen row is not tight"
+    cost = sum(conns.cost[rows].tolist())
+    assert cost == assignment.total_cost == sum(u.tolist()) + sum(v.tolist()), "objective: primal and dual differ"
+
+
+def full_variant_optimal(instance: ChainingInstance) -> int | None:
+    """Optimal objective over every integer-delay variant, or None; guarded to ``FULL_VARIANT_GUARD_TICKS`` ticks.
+
+    The exhaustive variant set makes the network formulation exact for any
+    per-connection cost rule; it re-solves with ``chainsolve``.
+    """
+    gen = generate_exhaustive(instance, guard_ticks=FULL_VARIANT_GUARD_TICKS)
+    try:
+        return solve_network(build_network(instance, gen)).objective
+    except InfeasibleError:
+        return None
 
 
 def per_vehicle_reference(conns):

@@ -19,7 +19,7 @@ from planchain.darp import (
     validate_darp_solution,
 )
 from planchain.errors import InfeasibleError
-from planchain.flownet import build_network, check_conservation, residual_is_optimal, solve_mcf
+from planchain.flownet import build_network, solve_mcf
 from planchain.instances import (
     ChainGenParams,
     DarpGenParams,
@@ -39,6 +39,8 @@ from planchain.model import (
     TravelCostWaitCapped,
     TravelCostWaitPenalized,
 )
+
+from scalar_twins import check_assignment_certificate, full_variant_optimal
 
 PENALTIES = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)]
 
@@ -124,7 +126,7 @@ def test_criterion_2_minimal_variants_are_complete():
         assert not policy_needs_exhaustive_variants(policy)
         got = _solve_or_none(instance)
         objective = got.objective if got is not None else None
-        full = oracle.full_variant_optimal(instance)
+        full = full_variant_optimal(instance)
         assert objective == full, (2000 + i, objective, full)
     elapsed = time.perf_counter() - started
     print(f"PASS criterion 2: minimal == exhaustive variants on 100 instances ({elapsed:.0f}s)")
@@ -177,9 +179,7 @@ def test_criterion_5_pure_flow_path_on_zero_variant_instances():
         assert gen.variants == ()
         network = build_network(instance, gen)
         assignment = solve_mcf(network)
-        assert all(f in (0, 1) for f in assignment.flows)
-        check_conservation(network, assignment.flows)
-        assert residual_is_optimal(network, assignment.flows, assignment.potentials)
+        check_assignment_certificate(network, assignment)
         solution = solve_chaining(instance)
         assert solution.stats.nodes_explored == 0
         assert solution.objective == assignment.total_cost

@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from conftest import (
     solves_without_the_edge_view,
     waitcap_gap_instance,
 )
+from scalar_twins import check_assignment_certificate, full_variant_optimal
 
 
 def test_e1_travel_cost():
@@ -82,26 +84,37 @@ def test_empty_instance_solves_to_zero():
 def consistency_couplings(network):
     """The explicit <=1 couplings between each variant-carrying plan's sides.
 
-    Per routed variant d, ``left_major`` couples leaving via d with
-    arriving via any other variant and ``right_major`` is the mirror
-    image: (plan id, delay, orientation, term edge, complement edges).
+    Per routed delay d, ``left_major`` couples leaving via d with arriving
+    via any other delay and ``right_major`` is the mirror image: (plan id,
+    delay, orientation, term key, complement keys), each key a
+    ``chosen_ends`` key.
     """
-    # variant i's structural edges: left_struct.start + i and right_struct.start + i
-    keys = list(zip(network.plan_ids[network.variant_plan].tolist(), network.variant_delay.tolist()))
-    left = {key: network.left_struct.start + i for i, key in enumerate(keys)}
-    right = {key: network.right_struct.start + i for i, key in enumerate(keys)}
     out = []
     for pid, delays in network.routed_delays.items():
         for d in delays:
             others = [d2 for d2 in delays if d2 != d]
-            out.append((pid, d, "left_major", left[pid, d], tuple(right[pid, d2] for d2 in others)))
-            out.append((pid, d, "right_major", right[pid, d], tuple(left[pid, d2] for d2 in others)))
+            out.append((pid, d, "left_major", ("out", pid, d), tuple(("in", pid, d2) for d2 in others)))
+            out.append((pid, d, "right_major", ("in", pid, d), tuple(("out", pid, d2) for d2 in others)))
     return out
 
 
-def coupling_satisfied(coupling, flows):
+def chosen_ends(network, rows):
+    """How many chosen ``rows`` leave ("out") or enter ("in") each (plan id, delay).
+
+    A plan is left via d when a chosen row's origin is that plan at d, and
+    entered via d when a chosen row's target is.
+    """
+    conns, ids = network.connections, network.plan_ids.tolist()
+    ends = Counter(("in", ids[t], d) for t, d in zip(conns.target[rows].tolist(), conns.target_delay[rows].tolist()))
+    for o, d in zip(conns.origin[rows].tolist(), conns.origin_delay[rows].tolist()):
+        if o < len(ids):
+            ends["out", ids[o], d] += 1
+    return ends
+
+
+def coupling_satisfied(coupling, ends):
     _, _, _, term, complement = coupling
-    return flows[term] + sum(flows[e] for e in complement) <= 1
+    return ends[term] + sum(ends[key] for key in complement) <= 1
 
 
 def test_consistency_constraints_shape():
@@ -112,7 +125,7 @@ def test_consistency_constraints_shape():
     assert len(constraints) == 4
     assert {c[2] for c in constraints} == {"left_major", "right_major"}
     assignment = solve_mcf(net)
-    assert all(coupling_satisfied(c, assignment.flows) for c in constraints)
+    assert all(coupling_satisfied(c, chosen_ends(net, assignment.rows)) for c in constraints)
 
 
 def test_mismatch_detector_matches_constraint_objects():
@@ -131,7 +144,8 @@ def test_mismatch_detector_matches_constraint_objects():
             assignment = solve_mcf(net)
         except FlowInfeasibleError:
             continue
-        all_satisfied = all(coupling_satisfied(c, assignment.flows) for c in constraints)
+        ends = chosen_ends(net, assignment.rows)
+        all_satisfied = all(coupling_satisfied(c, ends) for c in constraints)
         assert all_satisfied == (not _find_mismatches(net, assignment.rows))
         checked += 1
     assert checked > 10
@@ -241,6 +255,7 @@ def test_bound_monotonicity_and_incumbent_validity(monkeypatch):
 
     def traced(network, window=None, start=None):
         assignment = solve_mcf(network, window, start)
+        check_assignment_certificate(network, assignment)
         if start is not None:
             trace.append((next(value for state, value in solved if state is start), assignment.total_cost))
         solved.append((assignment.state, assignment.total_cost))
@@ -397,8 +412,32 @@ def test_interval_branching_keeps_the_search_small():
     assert solution.stats.relaxations_solved <= 200
 
 
-def test_deep_window_search_on_twelve_plans():
-    # a delay-sensitive 12-plan instance whose tree splits windows over a thousand times
+def certify_every_relaxation(monkeypatch) -> list:
+    """Check every relaxation ``chainsolve`` runs with ``check_assignment_certificate``.
+
+    The returned list grows by each relaxation's value as it runs, or None
+    where it was infeasible.
+    """
+    certified = []
+
+    def checked(network, window=None, start=None):
+        try:
+            assignment = solve_mcf(network, window, start)
+        except InfeasibleError:
+            certified.append(None)
+            raise
+        check_assignment_certificate(network, assignment)
+        certified.append(assignment.total_cost)
+        return assignment
+
+    monkeypatch.setattr(chainsolve, "solve_mcf", checked)
+    return certified
+
+
+def test_deep_window_search_on_twelve_plans(monkeypatch):
+    # a delay-sensitive 12-plan instance whose tree splits windows over a
+    # thousand times; every relaxation's duals certify the rows it chose
+    certified = certify_every_relaxation(monkeypatch)
     inst = chain_instance_from_params(
         ChainGenParams(
             seed=502,
@@ -414,6 +453,28 @@ def test_deep_window_search_on_twelve_plans():
     assert solution.objective == 317
     assert (solution.stats.nodes_explored, solution.stats.relaxations_solved) == (1314, 2627)
     assert validate_chains(inst, solution.chains, solution.objective).ok
+    assert len(certified) == 2627
+
+
+def test_every_relaxation_of_a_branching_acceptance_instance_is_certified(monkeypatch):
+    # the instance of acceptance criterion 1 that branches most (seed 1016,
+    # its parameters drawn as that test draws them)
+    certified = certify_every_relaxation(monkeypatch)
+    inst = chain_instance_from_params(
+        ChainGenParams(
+            seed=1016,
+            plans=5,
+            vehicles=3,
+            locations=3,
+            horizon=60,
+            d_max_range=(0, 10),
+            policy=TravelCostWaitPenalized(Fraction(3, 2)),
+        )
+    )
+    solution = solve_chaining(inst)
+    assert solution.objective == oracle.brute_force_optimal(inst).objective
+    assert (solution.stats.nodes_explored, solution.stats.relaxations_solved) == (254, 507)
+    assert len(certified) == 507
 
 
 POLICIES = st.one_of(
@@ -449,7 +510,7 @@ def test_solver_agrees_with_brute_force_on_random_instances(seed, plans, vehicle
         )
     )
     expected = oracle.brute_force_optimal(inst).objective
-    assert oracle.full_variant_optimal(inst) == expected
+    assert full_variant_optimal(inst) == expected
     try:
         solution = solve_chaining(inst)
     except InfeasibleError:

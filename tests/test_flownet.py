@@ -7,13 +7,7 @@ import pytest
 
 from planchain import chainsolve, flownet, oracle, variantgen
 from planchain.errors import InfeasibleError, InputError
-from planchain.flownet import (
-    FlowInfeasibleError,
-    build_network,
-    check_conservation,
-    residual_is_optimal,
-    solve_mcf,
-)
+from planchain.flownet import FlowInfeasibleError, build_network, solve_mcf
 from planchain.instances import ChainGenParams, chain_instance_from_params
 from planchain.model import (
     ChainingInstance,
@@ -28,7 +22,7 @@ from planchain.model import (
 from planchain.variantgen import Connection, GenerationResult
 
 from conftest import make_e1, shared_class_instance, solves_without_the_edge_view
-from scalar_twins import assignment_matrix_reference
+from scalar_twins import assignment_matrix_reference, check_assignment_certificate
 
 
 def build_e1_network(policy=None, vehicles=None):
@@ -74,16 +68,24 @@ def test_parallel_edges_prefer_cheaper():
     for extra, duplicate_carries in ((3, False), (0, True)):
         duplicate = Connection(link.origin, link.target, link.cost + extra)
         net = build_network(inst, GenerationResult(gen.variants, (duplicate, *gen.connections)))
-        dup_edge, orig_edge = net.connection_edges[:2]
         assignment = solve_mcf(net)
         assert assignment.total_cost == 2
-        check_conservation(net, assignment.flows)
-        assert assignment.flows[dup_edge] == int(duplicate_carries)
-        assert assignment.flows[orig_edge] == int(not duplicate_carries)
+        check_assignment_certificate(net, assignment)
+        # class row 0 is the duplicate, row 1 the generated link
+        assert (0 in assignment.rows, 1 in assignment.rows) == (duplicate_carries, not duplicate_carries)
+
+
+def row_links(conns, rows, cols=None):
+    """(origin column, origin delay, target, target delay, cost) of each of ``rows``, read in origin columns ``cols``.
+
+    ``cols`` defaults to the rows' own origins.
+    """
+    origin = conns.origin[rows] if cols is None else cols
+    return np.stack([origin, *(column[rows] for column in conns.columns[1:])], axis=1)
 
 
 def per_vehicle_matrix(net, window):
-    """``_assignment_matrix``'s cost matrix, and the per-vehicle row that fills each cell (-1: none), flat.
+    """``_assignment_matrix``'s cost matrix, and the ``row_links`` link that fills each cell (-1s: none), flat.
 
     A usable cell reads the row of its class cell, found as ``solve_mcf`` finds it: under the window the live matrix holds.
     """
@@ -92,9 +94,17 @@ def per_vehicle_matrix(net, window):
     target, col = np.divmod(np.arange(n * m), m)
     found = matrix.ravel() != flownet.NO_EDGE
     rows = flownet._first_usable(net, net._live[1], (target * m + net.connections.column_class[col])[found])
-    row_at = np.full(n * m, -1)
-    row_at[found] = net.connections.per_vehicle_rows(rows, col[found])
-    return matrix, row_at
+    link_at = np.full((n * m, 5), -1)
+    link_at[found] = row_links(net.connections, rows, col[found])
+    return matrix, link_at
+
+
+def edge_links(net, edge_at):
+    """The ``row_links`` link of each connection edge of ``edge_at`` (-1s where it is -1), from the per-vehicle rows."""
+    link_at = np.full((len(edge_at), 5), -1)
+    found = edge_at >= 0
+    link_at[found] = row_links(net.connections.per_vehicle, edge_at[found] - net.connection_edges.start)
+    return link_at
 
 
 def test_generated_columns_build_the_hand_built_network():
@@ -114,7 +124,7 @@ def test_generated_columns_build_the_hand_built_network():
             assert fast.edges.tolist() == slow.edges.tolist()
             conns, order = fast.connections, fast.cell_order
             led = slow.cell_order[~np.isin(slow.connections.origin[slow.cell_order], len(inst.plans) + conns.members)]
-            assert conns.per_vehicle_rows(order, conns.origin[order]).tolist() == led.tolist()
+            assert row_links(conns, order).tolist() == row_links(slow.connections, led).tolist()
             for a, b in zip(per_vehicle_matrix(fast, None), per_vehicle_matrix(slow, None)):
                 assert a.tolist() == b.tolist()
             assert list(fast.connections) == list(gen.connections)
@@ -277,31 +287,95 @@ def test_e1_solve_and_active_edges():
     inst, net = build_e1_network()
     assignment = solve_mcf(net)
     assert assignment.total_cost == 2
-    check_conservation(net, assignment.flows)
-    assert residual_is_optimal(net, assignment.flows, assignment.potentials)
-    active = {tuple(net.edges[eid, :2].tolist()) for eid in net.connection_edges if assignment.flows[eid] == 1}
-    # vehicle -> right plan 1, and left plan 1 -> right variant 2@1
-    assert active == {(5, 8), (1, 7)}
+    check_assignment_certificate(net, assignment)
+    # by column: plan 1 -> plan 2 at delay 1, and the vehicle -> plan 1
+    assert row_links(net.connections, assignment.rows).tolist() == [[0, 0, 1, 1, 2], [2, 0, 0, 0, 0]]
+    # no vehicle shares a class, so a class row's edge is connection edge ``rows``:
+    # left plan 1 -> right variant 2@1, and vehicle -> right plan 1
+    active = net.edges[net.connection_edges.start + assignment.rows, :2]
+    assert active.tolist() == [[1, 7], [5, 8]]
     # branching scores: plan 1 enters at 0 and leaves at 2, plan 2 enters at 2
     assert chainsolve._active_connection_costs(net, assignment.rows).tolist() == [2, 2]
 
 
-def test_certificate_checks_catch_broken_flows():
-    _, net = build_e1_network()
-    assignment = solve_mcf(net)
-    for eid in range(len(net.edges)):
-        flows = assignment.flows.copy()
-        flows[eid] ^= 1
-        with pytest.raises(InfeasibleError):
-            check_conservation(net, flows)
-    for right_plan in (8, 9):
-        potentials = assignment.potentials.copy()
-        potentials[right_plan] -= 1
-        assert not residual_is_optimal(net, assignment.flows, potentials)
-    # closing the right variant 2@1 that the flow passes through
-    potentials = assignment.potentials.copy()
-    potentials[7] = -flownet.NO_EDGE
-    assert not residual_is_optimal(net, assignment.flows, potentials)
+def replaced(values, at, value):
+    """A copy of ``values`` with position ``at`` set to ``value``."""
+    values = values.copy()
+    values[at] = value
+    return values
+
+
+def test_certificate_check_catches_broken_assignments():
+    # each break of a certified relaxation fails the part of the check it
+    # breaks: a chosen row swapped for an unusable one of its cell, a row
+    # dropped, a column dual made positive, a row dual lowered (its chosen
+    # row is no longer tight) or raised (above its chosen row's cost), and
+    # a wrong total
+    rng = random.Random(13)
+    caught = dict.fromkeys(("unusable", "dropped", "v > 0", "u lowered", "u raised", "total"), 0)
+    for seed in range(60):
+        inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=7, vehicles=3, d_max_range=(0, 12)))
+        net = build_network(inst, variantgen.generate_exhaustive(inst))
+        try:
+            assignment = solve_mcf(net, random_window(net, rng))
+        except FlowInfeasibleError:
+            continue
+        check_assignment_certificate(net, assignment)
+        rows, state = assignment.rows, assignment.state
+        i, j = rng.randrange(len(state.u)), rng.randrange(len(state.v))
+        breaks = [
+            ("dropped", "matching", assignment._replace(rows=rows[1:])),
+            ("v > 0", "dual", assignment._replace(state=state._replace(v=replaced(state.v, j, 1)))),
+            ("u lowered", "tightness", assignment._replace(state=state._replace(u=replaced(state.u, i, state.u[i] - 1)))),
+            ("u raised", "dual", assignment._replace(state=state._replace(u=replaced(state.u, i, state.u[i] + 1)))),
+            ("total", "objective", assignment._replace(total_cost=assignment.total_cost + 1)),
+        ]
+        # a row the window leaves unusable, in the class cell of a chosen row
+        unusable = np.flatnonzero(~flownet._usable(net, assignment.window) & np.isin(net.cell, net.cell[rows]))
+        if unusable.size:
+            swap = rng.choice(unusable.tolist())
+            at = net.cell[rows].tolist().index(net.cell[swap])
+            swapped = assignment._replace(rows=replaced(rows, at, swap))
+            breaks.append(("unusable", "matching: a chosen row is unusable", swapped))
+        for kind, part, broken in breaks:
+            with pytest.raises(AssertionError, match=f"^{part}"):
+                check_assignment_certificate(net, broken)
+            caught[kind] += 1
+    assert min(caught.values()) >= 20, caught
+
+
+def test_certificate_check_rejects_a_row_dual_raised_on_its_tight_cell():
+    # a warm child's state with one row dual raised by 1 must be refused.  A
+    # residual check of edge flows bounded by [0, 1] can accept it, as the
+    # raised row's chosen edge is saturated: here it did in 9 of the 32
+    # cases, all among those where that row has no other tight cell
+    rng = random.Random(17)
+    raised = alone = 0
+    for seed in range(60):
+        inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=7, vehicles=3, d_max_range=(0, 12)))
+        net = build_network(inst, variantgen.generate(inst))
+        try:
+            parent = solve_mcf(net)
+        except FlowInfeasibleError:
+            continue
+        routed = [pid for pid, delays in net.routed_delays.items() if delays]
+        if not routed:
+            continue
+        pid = rng.choice(routed)
+        window = force_variant(open_window(net), net, pid, rng.choice(net.routed_delays[pid]))
+        try:
+            child = solve_mcf(net, window, parent.state)
+        except FlowInfeasibleError:
+            continue
+        check_assignment_certificate(net, child)
+        owner, u, v = child.state
+        bumped = child._replace(state=child.state._replace(u=replaced(u, 0, u[0] + 1)))
+        with pytest.raises(AssertionError, match="^dual: a usable row is below its duals"):
+            check_assignment_certificate(net, bumped)
+        matrix = flownet._assignment_matrix(net, window)[0]
+        alone += int((matrix[0] == u[0] + v).sum()) == 1
+        raised += 1
+    assert raised >= 30 and alone >= 5, (raised, alone)
 
 
 def test_e1_without_vehicle_is_infeasible():
@@ -346,9 +420,9 @@ def test_matching_agreement_on_zero_delay_fleet_instances():
         )
         net = build_network(inst, variantgen.generate(inst))
         assignment = solve_mcf(net)
-        from_vehicle = np.flatnonzero(net.connections.per_vehicle.origin >= len(inst.plans))
-        vehicle_edges = assignment.flows[net.connection_edges.start + from_vehicle].sum()
-        assert vehicle_edges == len(inst.plans) - (len(inst.plans) - oracle.fleet_min_matching(inst))
+        check_assignment_certificate(net, assignment)
+        vehicle_rows = int((assignment.state.columns >= len(inst.plans)).sum())
+        assert vehicle_rows == len(inst.plans) - (len(inst.plans) - oracle.fleet_min_matching(inst))
 
 
 def open_window(net):
@@ -419,8 +493,7 @@ def test_certificate_holds_with_forced_variants():
         except FlowInfeasibleError:
             continue
         feasible += 1
-        check_conservation(net, assignment.flows)
-        assert residual_is_optimal(net, assignment.flows, assignment.potentials)
+        check_assignment_certificate(net, assignment)
     assert feasible >= 30
 
 
@@ -465,8 +538,8 @@ def test_warm_start_matches_cold_on_nested_forced_variants():
                 break
             warm = solve_mcf(net, window, parent.state)
             assert warm.total_cost == cold.total_cost
-            check_conservation(net, warm.flows)
-            assert residual_is_optimal(net, warm.flows, warm.potentials)
+            check_assignment_certificate(net, warm)
+            check_assignment_certificate(net, cold)
             compared += 1
             parent = warm
     assert compared >= 100 and infeasible >= 20 and freed >= 20
@@ -507,10 +580,10 @@ def test_row_matrix_matches_the_edge_level_reference():
         assert unrestricted.tolist() == flownet._assignment_matrix(net, open_window(net))[0].tolist()
         for _ in range(2):
             window = random_window(net, rng)
-            matrix, row_at = per_vehicle_matrix(net, window)
-            reference, edge_at, cut = assignment_matrix_reference(net, window)
+            matrix, link_at = per_vehicle_matrix(net, window)
+            reference, edge_at = assignment_matrix_reference(net, window)
             assert matrix.tolist() == reference.tolist()
-            assert np.where(row_at >= 0, row_at + net.connection_edges.start, -1).tolist() == edge_at.tolist()
+            assert link_at.tolist() == edge_links(net, edge_at).tolist()
             windows += 1
             changed += bool((matrix != unrestricted).any())
             try:
@@ -521,11 +594,7 @@ def test_row_matrix_matches_the_edge_level_reference():
                     assert exc.plan_id == starved[0]
                 continue
             solved += 1
-            # flows and potentials, derived on first read, certify the solve;
-            # the potentials close exactly the reference's cut nodes
-            check_conservation(net, assignment.flows)
-            assert residual_is_optimal(net, assignment.flows, assignment.potentials)
-            assert ((np.abs(assignment.potentials) == flownet.NO_EDGE) == cut).all()
+            check_assignment_certificate(net, assignment)
     assert windows >= 150 and changed >= 100 and solved >= 100, (windows, changed, solved)
 
 
@@ -749,10 +818,10 @@ def test_row_matrix_matches_the_edge_level_reference_on_shared_vehicle_classes()
         net = build_network(inst, gen)
         member = len(inst.plans) + net.connections.members
         for window in (None, random_window(net, rng), random_window(net, rng)):
-            matrix, row_at = per_vehicle_matrix(net, window)
-            reference, edge_at, _ = assignment_matrix_reference(net, open_window(net) if window is None else window)
+            matrix, link_at = per_vehicle_matrix(net, window)
+            reference, edge_at = assignment_matrix_reference(net, open_window(net) if window is None else window)
             assert matrix.tolist() == reference.tolist()
-            assert np.where(row_at >= 0, row_at + net.connection_edges.start, -1).tolist() == edge_at.tolist()
+            assert link_at.tolist() == edge_links(net, edge_at).tolist()
             assert (matrix[:, member] == matrix[:, net.connections.column_class[member]]).all()
             copied += int((matrix[:, member] != flownet.NO_EDGE).sum())
     assert copied >= 500
@@ -786,10 +855,10 @@ def fresh_matrix(net, window):
 
 def assert_live_matrix_is_fresh(net, window, assignment=None):
     """The live matrix, the row of every usable cell and ``assignment``'s chosen rows equal a fresh network's."""
-    matrix, row_at = per_vehicle_matrix(net, window)  # the window it holds: the live matrix as it is
-    fresh, fresh_row_at, (cells, rows) = fresh_matrix(net, window)
+    matrix, link_at = per_vehicle_matrix(net, window)  # the window it holds: the live matrix as it is
+    fresh, fresh_link_at, (cells, rows) = fresh_matrix(net, window)
     assert matrix.tolist() == fresh.tolist()
-    assert row_at.tolist() == fresh_row_at.tolist()
+    assert link_at.tolist() == fresh_link_at.tolist()
     if assignment is not None:
         cols = np.flatnonzero(assignment.state.owner >= 0)
         m = matrix.shape[1]
@@ -798,7 +867,10 @@ def assert_live_matrix_is_fresh(net, window, assignment=None):
 
 
 def hook_live_matrix_checks(monkeypatch, counts):
-    """Check the live matrix after every relaxation ``chainsolve`` runs; count the refills, and those with members."""
+    """Check the live matrix and the certificate after every relaxation ``chainsolve`` runs.
+
+    Counts the relaxations, the infeasible ones, the refills and those with members.
+    """
     solve = chainsolve.solve_mcf
 
     def checked(network, window=None, start=None):
@@ -811,6 +883,8 @@ def hook_live_matrix_checks(monkeypatch, counts):
             raise
         finally:
             assert_live_matrix_is_fresh(network, window, assignment)
+            if assignment is not None:
+                check_assignment_certificate(network, assignment)
             counts["relaxations"] += 1
             counts["refills"] += refill
             counts["member_refills"] += refill and bool(network.connections.members.size)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import planchain
 from planchain import cli
 from planchain import instances as io
-from planchain import oracle
 from planchain.cli import main
 from planchain.chainsolve import solve_chaining
 from planchain.darp import AUTO_FLEET, DarpInstance, DarpSolution, Request, RoutePlan, Stop, run_proposed
@@ -25,6 +24,7 @@ from planchain.errors import InputError
 from planchain.model import TravelCostWaitCapped, TravelCostWaitPenalized, TravelMatrix, Vehicle
 
 from conftest import fractional_penalty_gap_instance, make_e1, waitcap_gap_instance
+from scalar_twins import full_variant_optimal
 
 DATA = Path(__file__).parent / "data"
 
@@ -345,7 +345,7 @@ def test_cli_fences_the_wait_penalty_on_the_exhaustive_path(tmp_path, capsys):
     assert not out.exists()
     instance = io.load_instance(DATA / "e1.chain.json").with_policy(io.policy_from_cli(f"cost-waitpen:{alpha}"))
     with pytest.raises(InputError, match="wait penalty"):
-        oracle.full_variant_optimal(instance)
+        full_variant_optimal(instance)
 
 
 def test_policy_round_trip_and_cli_syntax():
@@ -379,10 +379,28 @@ def test_generator_boundary_params():
     assert empty.plans == () and empty.vehicles == ()
     zero_delay = io.chain_instance_from_params(io.ChainGenParams(seed=1, plans=5, d_max_range=(0, 0)))
     assert all(p.d_max == 0 for p in zero_delay.plans)
+    nowhere = io.chain_instance_from_params(io.ChainGenParams(seed=1, plans=0, vehicles=0, locations=0, grid_size=0))
+    assert nowhere.plans == () and nowhere.vehicles == ()
     dedicated = io.chain_instance_from_params(io.ChainGenParams(seed=1, plans=4, fleet="dedicated"))
     assert len(dedicated.vehicles) == 4
     origins = {p.origin_location for p in dedicated.plans}
     assert {v.start_location for v in dedicated.vehicles} == origins
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: io.ChainGenParams(seed=1, d_max_range=(5, 2)), "d_max_range (5, 2) is empty"),
+        (lambda: io.ChainGenParams(seed=1, extra_duration_range=(3, 1)), "extra_duration_range (3, 1) is empty"),
+        (lambda: io.ChainGenParams(seed=1, grid_size=0), "the grid size must be positive and t_st_max non-negative"),
+        (lambda: io.ChainGenParams(seed=1, t_st_max=-1), "the grid size must be positive and t_st_max non-negative"),
+        (lambda: io.DarpGenParams(seed=1, delay_range=(9, 0)), "delay_range (9, 0) is empty"),
+    ],
+)
+def test_generator_params_that_no_draw_satisfies_are_input_errors(make, message):
+    # each once reached ``random`` and raised its ValueError from inside generation
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_cli_chain_solve_e1(tmp_path, capsys):

@@ -18,6 +18,7 @@ from planchain.model import (
 )
 
 from conftest import make_e1
+from scalar_twins import full_variant_optimal
 
 
 def solver_objective(inst):
@@ -94,11 +95,11 @@ def test_matching_examples():
 
 
 def test_full_variant_on_e1_and_guard():
-    assert oracle.full_variant_optimal(make_e1()) == 2
+    assert full_variant_optimal(make_e1()) == 2
     travel = TravelMatrix([[0]])
     inst = ChainingInstance((Plan(1, 0, 0, 0, 1, 500),), (Vehicle(1, 0, 0),), travel, TravelCost())
     with pytest.raises(GuardExceededError):
-        oracle.full_variant_optimal(inst)
+        full_variant_optimal(inst)
 
 
 def test_chained_delay_propagation_matches_full_enumeration():
@@ -109,7 +110,7 @@ def test_chained_delay_propagation_matches_full_enumeration():
     v = Vehicle(1, 1, 1)          # arrives at p1's origin at t=3 -> p1@3
     inst = ChainingInstance((p1, p2), (v,), travel, TravelCost())
     alg = solver_objective(inst)  # minimal variants under this policy
-    full = oracle.full_variant_optimal(inst)
+    full = full_variant_optimal(inst)
     assert alg == full == 2
     assert oracle.brute_force_optimal(inst).objective == 2
 

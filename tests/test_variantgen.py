@@ -361,14 +361,13 @@ def test_shared_vehicle_classes_match_the_scalar_references():
 
 
 def assert_per_vehicle_view_is_the_reference(conns):
-    """``per_vehicle`` and ``per_vehicle_rows`` of every (class row, column) pair agree with the general rule."""
+    """``per_vehicle`` agrees with the general rule on every (class row, column) pair."""
     row, origin = scalar_twins.per_vehicle_reference(conns)
     view = conns.per_vehicle
     assert len(conns) == len(view.cost) == len(row)
     assert view.origin.tolist() == origin.tolist()
     for col, class_col in zip(view.columns[1:], conns.columns[1:]):
         assert col.tolist() == class_col[row].tolist()
-    assert conns.per_vehicle_rows(row, origin).tolist() == list(range(len(row)))
 
 
 def test_per_vehicle_view_matches_the_general_rule():
@@ -417,5 +416,3 @@ def test_per_vehicle_view_needs_one_run_of_vehicle_rows():
         split = connections(origin, target)
         with pytest.raises(InternalSolverError, match="not one run"):
             split.per_vehicle
-        with pytest.raises(InternalSolverError, match="not one run"):
-            split.per_vehicle_rows(np.array([0]), np.array([origin[0]]))
