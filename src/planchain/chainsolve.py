@@ -166,10 +166,14 @@ def _pick_branch(network: FlowNetwork, rows, mismatches) -> tuple[int, int, int]
 def _split_window(window: np.ndarray, i: int, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Two copies of ``window``: plan index ``i``'s range cut below ``max(a, b)``, and from it on.
 
-    A plan entered at ``a`` and left at ``b != a`` has both in its window,
-    so each part is non-empty; a consistent cover serves the plan at one
-    delay, which lies in exactly one part.
+    A plan entered at ``a`` and left at ``b != a`` has both in its window
+    (else ``InternalSolverError``: a cut would leave a child that repeats
+    its parent), so each part is non-empty; a consistent cover serves the
+    plan at one delay, which lies in exactly one part.
     """
+    lo, hi = window[:, i].tolist()
+    if not lo <= min(a, b) <= max(a, b) <= hi:
+        raise InternalSolverError(f"plan index {i} is used at delays {a} and {b} outside its window [{lo}, {hi}]")
     low, high = window.copy(), window.copy()
     low[1, i], high[0, i] = max(a, b) - 1, max(a, b)
     return low, high

@@ -71,8 +71,7 @@ class DarpInstance:
     fleet: tuple[Vehicle, ...] | AutoFleet
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise InputError("vehicle capacity must be at least 1")
+        _check_capacity(self.capacity)
         size = self.travel.size
         requests, request_map = index_records(self.requests, "request", ("origin", "destination"), size)
         object.__setattr__(self, "requests", requests)

@@ -125,14 +125,13 @@ class FlowNetwork:
     """A chaining network: connection rows for the solver, an edge list on demand.
 
     ``connections`` holds class rows: a generator keeps one vehicle's rows
-    per class, and a hand-built list makes every vehicle its own class.
-    ``Connections.of`` has checked that every delayed endpoint is one of
-    the generation's variants, which ``routed_delays``, ``variant_plan``
-    and ``variant_delay`` list with each such plan's explicit delay 0, and
-    that every delay lies in ``open_window``, int64 ``[0, d_max]`` per plan.
-    Variants other than a generator's own tuple are checked here: each must
-    be a distinct delay in ``[1, d_max]`` of an instance plan, else
-    ``InputError`` names it.
+    per class, and any other pairing makes every vehicle its own class.
+    ``Connections.of`` owns what a valid generation is: every delayed
+    endpoint is one of the variants, each a distinct delay in ``[1,
+    d_max]`` of an instance plan, and every delay lies in ``open_window``,
+    int64 ``[0, d_max]`` per plan.  ``routed_delays``, ``variant_plan`` and
+    ``variant_delay`` list those variants with each such plan's explicit
+    delay 0.
 
     Row ``r`` fills matrix cell ``cell[r] = target * m + origin`` of the n x
     m assignment matrix (m = n + vehicles), and a member vehicle's column
@@ -167,19 +166,8 @@ class FlowNetwork:
         n, n_veh = len(plans), len(instance.vehicles)
         self.instance = instance
         self.connections = conns = Connections.of(instance, gen.connections, gen.variants)
-        if conns is not gen.connections or conns.variants is not gen.variants:  # not a generator's own tuple
-            budget, seen = {p.id: p.d_max for p in plans}, set()
-            for v in gen.variants:
-                ref = (v.plan_id, v.delay)
-                if v.plan_id not in budget:
-                    raise InputError(f"variant {ref} is not in the instance")
-                if not 1 <= v.delay <= budget[v.plan_id]:
-                    raise InputError(f"variant {ref} has a delay outside [1, {budget[v.plan_id]}]")
-                if ref in seen:
-                    raise InputError(f"variant {ref} is repeated")
-                seen.add(ref)
         routed: dict[int, list[int]] = {}  # plan id -> 0 and its delays, ascending
-        for v in sorted(gen.variants, key=lambda v: (v.plan_id, v.delay)):
+        for v in sorted(conns.variants, key=lambda v: (v.plan_id, v.delay)):
             routed.setdefault(v.plan_id, [0]).append(v.delay)
         self.routed_delays = {p.id: tuple(routed.get(p.id, ())) for p in plans}
         keys = [(p.id, d) for p in plans for d in self.routed_delays[p.id]]  # (plan id, delay) per variant
@@ -296,9 +284,9 @@ def build_network(instance: ChainingInstance, gen: GenerationResult) -> FlowNetw
 
     Every connection of a variant-carrying plan is routed through variant
     nodes, including an explicit zero-delay variant.  Raises ``InputError``
-    when a connection names a variant without a node, or when costs are
-    too large for exact int64 duals or too widely spread for the cell
-    order's int64 key.
+    when ``Connections.of`` refuses the generation, or when costs are too
+    large for exact int64 duals or too widely spread for the cell order's
+    int64 key.
     """
     return FlowNetwork(instance, gen)
 
@@ -700,9 +688,6 @@ def _assignment_matrix(net: FlowNetwork, window):
     else:
         costs, changed = live[0], (held != live[1]).any(axis=0)
         plans = changed.nonzero()[0]
-        if not plans.size:
-            net._live = live
-            return costs.reshape(n, m), None
         matrix = costs.reshape(n, m)
         matrix[plans] = NO_EDGE
         matrix[:, plans] = NO_EDGE

@@ -8,8 +8,8 @@ Manhattan metric scaled by ``ticks_per_unit``).
 
 The four key tuples ``_PLAN_KEYS``, ``_VEHICLE_KEYS``, ``_REQUEST_KEYS``
 and ``_STOP_KEYS`` are the file schema of the records: each names a
-record's fields in its constructor's order.  The readers, the writers and
-both seeded generators build or read every record through them.
+record's fields in its constructor's order.  The writers, the instance
+readers and both seeded generators build or read every record through them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .model import (
     TravelMatrix,
     Vehicle,
 )
-from .darp import AUTO_FLEET, DROPOFF, PICKUP, AutoFleet, DarpInstance, DarpSolution, Metrics, Request, RoutePlan, Stop
+from .darp import AUTO_FLEET, AutoFleet, DarpInstance, DarpSolution, Metrics, Request
 from .chainsolve import ChainSolution
 
 CHAIN_INSTANCE_SCHEMA = "planchain.chain-instance.v1"
@@ -198,7 +198,7 @@ def policy_from_cli(text: str) -> CostPolicy:
 # -- travel sections --------------------------------------------------------
 
 def _travel_to_dict(travel: TravelMatrix) -> dict:
-    return {"matrix": travel.rows()}
+    return {"matrix": travel.array.tolist()}
 
 
 def _travel_from_dict(data, count: int) -> TravelMatrix:
@@ -291,15 +291,6 @@ def load_instance(path) -> ChainingInstance | DarpInstance:
     raise InputError(f"{path}: unknown schema {schema!r}")
 
 
-def save_instance(path, instance) -> None:
-    if isinstance(instance, ChainingInstance):
-        save_json(path, chain_instance_to_dict(instance))
-    elif isinstance(instance, DarpInstance):
-        save_json(path, darp_instance_to_dict(instance))
-    else:
-        raise InputError(f"cannot save {type(instance).__name__}")
-
-
 # -- solutions --------------------------------------------------------------
 
 def chain_solution_to_dict(solution: ChainSolution, policy: CostPolicy) -> dict:
@@ -350,33 +341,6 @@ def darp_solution_to_dict(solution: DarpSolution) -> dict:
         ],
         "request_delays": [[rid, delay] for rid, delay in solution.request_delays],
     }
-
-
-def _stop_from_dict(s) -> Stop:
-    request_key, kind_key, *int_keys = _STOP_KEYS
-    request, location, time = _int_fields(s, (request_key, *int_keys), "stop")
-    kind = _require(s, kind_key, "stop")
-    if kind not in (PICKUP, DROPOFF):
-        raise InputError(f"stop: field '{kind_key}' must be '{PICKUP}' or '{DROPOFF}', got {kind!r}")
-    return Stop(request, kind, location, time)
-
-
-def darp_solution_from_dict(data) -> DarpSolution:
-    if _require(data, "schema", "solution") != DARP_SOLUTION_SCHEMA:
-        raise InputError(f"expected schema {DARP_SOLUTION_SCHEMA}, got {data['schema']!r}")
-    routes = []
-    for route in _list_field(data, "routes", "solution"):
-        vehicle = _record(Vehicle, _require(route, "vehicle", "route"), "vehicle", _VEHICLE_KEYS)
-        routes.append((vehicle, RoutePlan(tuple(map(_stop_from_dict, _list_field(route, "stops", "route"))))))
-    delays = _int_rows(data, "request_delays", "solution")
-    if any(len(pair) != 2 for pair in delays):
-        raise InputError("solution: field 'request_delays' must hold [request, delay] pairs")
-    method = _require(data, "method", "solution")
-    if not isinstance(method, str):
-        raise InputError(f"solution: field 'method' must be a string, got {method!r}")
-    batch_len = None if _require(data, "batch_len", "solution") is None else _int_field(data, "batch_len", "solution")
-    objective = _int_field(data, "objective", "solution")
-    return DarpSolution(method, batch_len, tuple(routes), objective, tuple(map(tuple, delays)))
 
 
 # -- metric CSVs ------------------------------------------------------------

@@ -142,10 +142,6 @@ class TravelMatrix:
             raise InputError(f"location pair ({a}, {b}) outside {self.size}x{self.size} matrix")
         return int(self._entries[a, b])
 
-    def rows(self) -> list[list[int]]:
-        """A fresh mutable copy of the entries; changing it changes nothing here."""
-        return self._entries.tolist()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TravelMatrix) and np.array_equal(self._entries, other._entries)
 

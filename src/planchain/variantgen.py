@@ -68,7 +68,7 @@ class Connections(Sequence):
     index) at ``origin_delay[r]`` to plan index ``target[r]`` at
     ``target_delay[r]`` for ``cost[r]``; indices are instance positions.
     ``variants`` holds every delayed variant a row may name: a generator's
-    own variant tuple, or the tuple ``of`` checked the rows against.
+    own variant tuple, or the tuple ``of`` checked with the rows.
 
     Vehicles that share a start location and ``t_st`` have the same links
     at the same costs, so a generator keeps the rows of one vehicle per
@@ -91,21 +91,17 @@ class Connections(Sequence):
 
     @classmethod
     def of(cls, instance: ChainingInstance, connections: Sequence[Connection], variants) -> Connections:
-        """``connections`` as columns over ``instance``, each vehicle its own class.
+        """``connections`` over ``instance`` with the delayed ``variants``: the one check of a generation.
 
-        Every delayed endpoint must be one of ``variants``, the delayed
-        variants with nodes, and every delay lie in ``[0, d_max]`` of its
-        plan.  Columns made for ``instance`` pass through once
-        ``variants`` holds theirs: no work when it is their own tuple, a set
-        test otherwise.  Others are checked one by one, and range-checked in
-        Python ints.  An endpoint outside the instance or its plan's delay
-        budget, or a delayed one without a node, raises ``InputError``.
+        A generator's own ``Connections``, made for ``instance`` and passed
+        with its own variant tuple, is returned untouched.  Any other pairing
+        is converted row by row, each vehicle its own class: each endpoint
+        must be in the instance, and one of ``variants`` if delayed, each
+        delay in ``[0, d_max]`` of its plan and each value in int64.  Then
+        each variant must be in the instance, have a delay in ``[1, d_max]``
+        and appear once.  The first failure raises ``InputError`` naming it.
         """
-        if isinstance(connections, Connections) and connections.instance is instance:
-            if connections.variants is not variants:
-                missing = sorted((v.plan_id, v.delay) for v in set(connections.variants).difference(variants))
-                if missing:
-                    raise InputError(f"connection endpoint {missing[0]} has no node")
+        if isinstance(connections, Connections) and connections.instance is instance and connections.variants is variants:
             return connections
         n, nodes = len(instance.plans), set(variants)
         plan_col = {p.id: i for i, p in enumerate(instance.plans)}
@@ -126,6 +122,17 @@ class Connections(Sequence):
             if not all(-(1 << 63) <= x < 1 << 63 for x in row):
                 raise InputError(f"connection {c} exceeds the int64 range")
             rows.append(row)
+        seen = set()
+        for v in variants:
+            ref = (v.plan_id, v.delay)
+            if v.plan_id not in plan_col:
+                raise InputError(f"variant {ref} is not in the instance")
+            d_max = instance.plans[plan_col[v.plan_id]].d_max
+            if not 1 <= v.delay <= d_max:
+                raise InputError(f"variant {ref} has a delay outside [1, {d_max}]")
+            if ref in seen:
+                raise InputError(f"variant {ref} is repeated")
+            seen.add(ref)
         columns = np.array(rows, dtype=np.int64).reshape(-1, 5).T
         return cls(instance, variants, *columns, np.arange(n + len(instance.vehicles)))
 

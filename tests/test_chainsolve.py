@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planchain import chainsolve, model, oracle, variantgen
+from planchain import chainsolve, flownet, model, oracle, variantgen
 from planchain.chainsolve import solve_chaining, validate_chains
-from planchain.errors import InfeasibleError
+from planchain.errors import InfeasibleError, InternalSolverError
 from planchain.flownet import build_network, solve_mcf
 from planchain.instances import ChainGenParams, chain_instance_from_params
 from planchain.model import (
@@ -434,11 +435,9 @@ def certify_every_relaxation(monkeypatch) -> list:
     return certified
 
 
-def test_deep_window_search_on_twelve_plans(monkeypatch):
-    # a delay-sensitive 12-plan instance whose tree splits windows over a
-    # thousand times; every relaxation's duals certify the rows it chose
-    certified = certify_every_relaxation(monkeypatch)
-    inst = chain_instance_from_params(
+def deep_twelve_plan_instance():
+    """A delay-sensitive 12-plan instance whose tree splits windows over a thousand times."""
+    return chain_instance_from_params(
         ChainGenParams(
             seed=502,
             plans=12,
@@ -449,11 +448,39 @@ def test_deep_window_search_on_twelve_plans(monkeypatch):
             policy=TravelCostWaitPenalized(Fraction(2, 3)),
         )
     )
+
+
+def test_deep_window_search_on_twelve_plans(monkeypatch):
+    # every relaxation's duals certify the rows it chose
+    certified = certify_every_relaxation(monkeypatch)
+    inst = deep_twelve_plan_instance()
     solution = solve_chaining(inst)
     assert solution.objective == 317
     assert (solution.stats.nodes_explored, solution.stats.relaxations_solved) == (1314, 2627)
     assert validate_chains(inst, solution.chains, solution.objective).ok
     assert len(certified) == 2627
+
+
+def test_a_row_outside_its_window_stops_the_search(monkeypatch):
+    # a relaxation that ignores the origin's window can choose a row leaving
+    # a plan at a delay its node's window excludes; a split at that delay
+    # would leave a child holding its parent's window, searched forever
+    def usable_at_the_target(net, window, rows=slice(None)):
+        conns, n = net.connections, len(net.plan_ids)
+        lo, hi = np.concatenate((window, np.zeros((2, len(conns.column_class) - n), dtype=np.int64)), axis=1)
+        target, delay = conns.target[rows], conns.target_delay[rows]
+        return (lo[target] <= delay) & (delay <= hi[target])
+
+    relaxations = itertools.count(1)
+
+    def capped(network, window=None, start=None):
+        assert next(relaxations) <= 5000, "the search does not end"
+        return solve_mcf(network, window, start)
+
+    monkeypatch.setattr(flownet, "_usable", usable_at_the_target)
+    monkeypatch.setattr(chainsolve, "solve_mcf", capped)
+    with pytest.raises(InternalSolverError, match=r"^plan index \d+ is used at delays \d+ and \d+ outside its window"):
+        solve_chaining(deep_twelve_plan_instance())
 
 
 def test_every_relaxation_of_a_branching_acceptance_instance_is_certified(monkeypatch):

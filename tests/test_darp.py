@@ -120,7 +120,7 @@ def test_group_search_matches_brute_force_over_stop_orders():
         capacity = rng.randint(len(group), 4)
         expected = _brute_force_group_plan(group, travel, capacity)
         outcomes[expected is None] += 1
-        assert optimal_plan_for_group(group, travel, capacity) == expected, (travel.rows(), group)
+        assert optimal_plan_for_group(group, travel, capacity) == expected, (travel.array.tolist(), group)
     assert min(kinds.values()) > 50 and min(outcomes.values()) > 50, (kinds, outcomes)
 
 
@@ -167,7 +167,7 @@ def test_batch_search_matches_the_group_search_reference():
         for mask in range(1, 1 << len(rows)):
             if mask.bit_count() <= capacity:
                 expected = group_search_reference([row for k, row in enumerate(rows) if mask >> k & 1], travel)
-                assert groups.get(mask) == expected, (travel.rows(), reqs, capacity, mask)
+                assert groups.get(mask) == expected, (travel.array.tolist(), reqs, capacity, mask)
                 outcomes[expected is None] += 1
     assert min(kinds.values()) > 50 and min(outcomes.values()) > 1000, (kinds, outcomes)
 
@@ -241,10 +241,10 @@ def test_batch_search_leaves_no_garbage_cycles(monkeypatch):
 def test_group_search_ignores_changes_to_copies_of_the_rows():
     travel = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
     req = Request(1, 0, 2, 0, 5)
-    travel.rows()[0][2] = 0  # before the search builds the table
+    travel.array.tolist()[0][2] = 0  # before the search builds the table
     plan = optimal_plan_for_group([req], travel, 4)
     assert [(s.kind, s.time) for s in plan.stops] == [("pickup", 0), ("dropoff", 4)]
-    for row in travel.rows():  # after
+    for row in travel.array.tolist():  # after
         row[:] = [0] * len(row)
     assert optimal_plan_for_group([req], travel, 4) == plan
     assert solve_batch_exact([req], travel, 4).plans == (plan,)
@@ -534,7 +534,7 @@ def test_insertion_heuristic_matches_the_scalar_reference():
             outcomes["exhausted"] += 1
             continue
         solution = insertion_heuristic(inst)
-        assert (solution.routes, solution.objective) == expected, (travel.rows(), requests, fleet)
+        assert (solution.routes, solution.objective) == expected, (travel.array.tolist(), requests, fleet)
         assert validate_darp_solution(inst, solution) == []
         outcomes["served"] += 1
     assert min(kinds.values()) > 50 and min(outcomes.values()) > 30, (kinds, outcomes)

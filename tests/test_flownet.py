@@ -146,26 +146,46 @@ def test_connection_without_a_node_is_rejected():
             build_network(inst, GenerationResult(gen.variants, (*gen.connections, stray)))
 
 
+def solved(net):
+    """``solve_network``'s objective and chains over ``net``, or its infeasibility message."""
+    try:
+        solution = chainsolve.solve_network(net)
+    except InfeasibleError as exc:
+        return str(exc)
+    return solution.objective, solution.chains
+
+
 def test_generated_connections_need_every_variant_of_their_generator():
-    # generated rows carry their generator's variant tuple, and the network
-    # checks that the variants it is given hold all of them: an equal tuple
-    # or a superset builds, any tuple without one of them is refused
-    dropped = supersets = 0
+    # a generator's own rows and variant tuple pass untouched; any other
+    # tuple converts the rows one by one, each vehicle its own class: an
+    # equal tuple or a superset builds rows that solve as the generator's
+    # pairing does, and a tuple without one of its variants is refused
+    dropped = supersets = solutions = 0
     for seed in range(6):
         inst = chain_instance_from_params(ChainGenParams(seed=seed, plans=5, vehicles=2, d_max_range=(1, 6)))
         for gen in (variantgen.generate(inst), variantgen.generate_exhaustive(inst)):
             assert gen.connections.variants is gen.variants
+            own = build_network(inst, gen)
+            assert own.connections is gen.connections
+            expected = solved(own)
             unused = [VariantRef(p.id, d) for p in inst.plans for d in range(1, p.d_max + 1)]
             extra = [v for v in unused if v not in gen.variants][:1]
             supersets += len(extra)
             for variants in (tuple(list(gen.variants)), (*gen.variants, *extra)):
-                assert build_network(inst, GenerationResult(variants, gen.connections)).connections is gen.connections
+                if variants is gen.variants:  # the empty tuple is one object
+                    continue
+                net = build_network(inst, GenerationResult(variants, gen.connections))
+                conns = net.connections
+                assert conns is not gen.connections and conns.variants is variants and not conns.members.size
+                assert list(conns) == list(gen.connections)
+                assert solved(net) == expected
+                solutions += isinstance(expected, tuple)
             for drop, ref in enumerate(gen.variants):
                 fewer = gen.variants[:drop] + gen.variants[drop + 1 :]
                 with pytest.raises(InputError, match=re.escape(f"endpoint {(ref.plan_id, ref.delay)} has no node")):
                     build_network(inst, GenerationResult(fewer, gen.connections))
                 dropped += 1
-    assert dropped >= 40 and supersets >= 4, (dropped, supersets)
+    assert dropped >= 40 and supersets >= 4 and solutions >= 4, (dropped, supersets, solutions)
 
 
 def test_hand_built_delayed_origins_need_a_node():

@@ -31,25 +31,23 @@ def test_travel_matrix_rejects_bad_entries():
 
 def test_travel_matrix_from_coordinates_is_manhattan():
     m = TravelMatrix.from_coordinates([(0, 0), (2, 0), (4, 0)])
-    assert m.rows() == [[0, 2, 4], [2, 0, 2], [4, 2, 0]]
+    assert m.array.tolist() == [[0, 2, 4], [2, 0, 2], [4, 2, 0]]
     assert TravelMatrix.from_coordinates([(0, 0), (1, 2)], ticks_per_unit=3).duration(0, 1) == 9
 
 
 def test_travel_matrix_table_is_lazy_read_only_and_apart_from_rows():
     m = TravelMatrix([[0, 2, 4], [2, 0, 2], [4, 2, 0]])
-    assert m._table is None  # building a matrix leaves the table unbuilt
-    rows = m.rows()
+    rows = m.array.tolist()
     rows[0][1] = 99
-    rows.append([7, 7, 7])
-    assert m._table is None and m.duration(0, 1) == 2
+    assert m._table is None and m.duration(0, 1) == 2  # building or reading a matrix leaves the table unbuilt
     assert m.table == ((0, 2, 4), (2, 0, 2), (4, 2, 0))
     assert m.table is m.table  # cached
     assert all(type(d) is int for row in m.table for d in row)
     with pytest.raises(TypeError):
         m.table[0][1] = 99
-    m.rows()[0][1] = 99
+    with pytest.raises(ValueError):
+        m.array[0, 1] = 99
     assert m.table[0][1] == m.duration(0, 1) == 2
-    assert m.rows() == [[0, 2, 4], [2, 0, 2], [4, 2, 0]]
 
 
 def test_travel_matrix_knows_whether_it_is_metric():
