@@ -19,9 +19,8 @@ child only narrows a window, so its assignment costs only rise and the
 parent's duals stay feasible; only the plans whose assigned connection got
 dearer are re-assigned, and the solver's duals still certify each child's
 optimum, so every bound stays exact.  On tied optima a warm child can pick
-another optimal assignment than a cold solve would, so the branching, and
-with it ``stats.relaxations_solved``, can differ from earlier versions on
-such instances; it stays deterministic from run to run.
+another optimal assignment than a cold solve would; the branching, and with
+it ``stats.relaxations_solved``, stays deterministic from run to run.
 """
 
 from __future__ import annotations
@@ -239,7 +238,7 @@ def solve_network(network: FlowNetwork) -> ChainSolution:
     ``InfeasibleError`` when no cover exists over these variants.
     """
     root = solve_mcf(network)
-    if not network.variant_delay.size:
+    if not network.connections.variants:
         chains = extract_chains(network, root.rows, root.state.columns)
         return ChainSolution(chains, root.total_cost, SolverStats(0, 1))
 
@@ -261,8 +260,6 @@ def solve_network(network: FlowNetwork) -> ChainSolution:
             try:
                 assignment = solve_mcf(network, node.window, node.state)
             except FlowInfeasibleError:
-                continue
-            if incumbent is not None and assignment.total_cost >= incumbent.bound:
                 continue
             solved = replace(node, bound=assignment.total_cost, rows=assignment.rows, state=assignment.state)
             heapq.heappush(heap, (solved.bound, -solved.depth, 0, next(counter), solved))

@@ -258,7 +258,6 @@ def _search_batch(rows, travel: TravelMatrix, capacity: int, deadline: float | N
     n, most, full, table = len(rows), min(capacity, len(rows)), (1 << len(rows)) - 1, travel.table
     step_table = _step_table(rows, travel)
     steps_at: dict[int, list] = {}  # onboard << 1 | opened -> ``_mask_steps``
-    known: dict[tuple, tuple] = {}  # one copy of each distinct step; most masks repeat them
     groups: dict[int, tuple] = {}
     # a state is the int picked | onboard << n | location << 2n
     level = {
@@ -278,8 +277,7 @@ def _search_batch(rows, travel: TravelMatrix, capacity: int, deadline: float | N
                 return {mask: v for mask, v in groups.items() if 2 * mask.bit_count() <= depth}, False
             steps = steps_at.get(onboard << 1 | opened)
             if steps is None:
-                made = _mask_steps(step_table, onboard, opened)
-                steps = steps_at[onboard << 1 | opened] = [known.setdefault(step, step) for step in made]
+                steps = steps_at[onboard << 1 | opened] = _mask_steps(step_table, onboard, opened)
             base, row = picked | onboard << n, table[state >> 2 * n]
             for now, first, driving, stops in labels:
                 for bit, to, earliest, latest, delta, closes, code, rid in steps:

@@ -129,9 +129,7 @@ class FlowNetwork:
     ``Connections.of`` owns what a valid generation is: every delayed
     endpoint is one of the variants, each a distinct delay in ``[1,
     d_max]`` of an instance plan, and every delay lies in ``open_window``,
-    int64 ``[0, d_max]`` per plan.  ``routed_delays``, ``variant_plan`` and
-    ``variant_delay`` list those variants with each such plan's explicit
-    delay 0.
+    int64 ``[0, d_max]`` per plan.
 
     Row ``r`` fills matrix cell ``cell[r] = target * m + origin`` of the n x
     m assignment matrix (m = n + vehicles), and a member vehicle's column
@@ -150,8 +148,8 @@ class FlowNetwork:
     (``connections.per_vehicle``) for the edge-list dump and an edge
     count; no solve reads it.  Nodes are numbered
     source, left plans, left variants, vehicles, right variants, right
-    plans, sink; plans and vehicles in instance order and variants by plan,
-    then delay.  Edges are numbered source to left plans, source to
+    plans, sink; plans and vehicles in instance order and variants as in
+    ``variant_nodes``.  Edges are numbered source to left plans, source to
     vehicles, ``left_struct`` (left plan to left variant),
     ``connection_edges`` (the per-vehicle rows in order), ``right_struct``
     (right variant to right plan), right plan to sink.  A row's path runs
@@ -166,14 +164,7 @@ class FlowNetwork:
         n, n_veh = len(plans), len(instance.vehicles)
         self.instance = instance
         self.connections = conns = Connections.of(instance, gen.connections, gen.variants)
-        routed: dict[int, list[int]] = {}  # plan id -> 0 and its delays, ascending
-        for v in sorted(conns.variants, key=lambda v: (v.plan_id, v.delay)):
-            routed.setdefault(v.plan_id, [0]).append(v.delay)
-        self.routed_delays = {p.id: tuple(routed.get(p.id, ())) for p in plans}
-        keys = [(p.id, d) for p in plans for d in self.routed_delays[p.id]]  # (plan id, delay) per variant
         self.plan_ids = np.array([p.id for p in plans], dtype=np.int64)
-        self.variant_plan = np.searchsorted(self.plan_ids, [pid for pid, _ in keys])  # plan index
-        self.variant_delay = np.array([d for _, d in keys], dtype=np.int64)
         self.open_window = np.array([[0] * n, [p.d_max for p in plans]], dtype=np.int64)
         self.open_window.setflags(write=False)
         self.max_cost = int(conns.cost.max()) if len(conns.cost) else 0
@@ -216,9 +207,23 @@ class FlowNetwork:
 
     source_id = 0  # the edge view's numbering (class docstring), from here to ``edge_count``
 
+    @cached_property
+    def variant_nodes(self) -> np.ndarray:
+        """Read-only int64 (plan index, delay) per variant node, by plan, then delay.
+
+        A plan with delayed variants has one node at delay 0 and one at each
+        variant's delay; a plan without has none.
+        """
+        variants = self.connections.variants
+        plan = self.plan_ids.searchsorted([v.plan_id for v in variants]).tolist()
+        pairs = [(i, 0) for i in plan] + [(i, v.delay) for i, v in zip(plan, variants)]
+        nodes = np.unique(np.array(pairs, dtype=np.int64).reshape(-1, 2), axis=0)
+        nodes.setflags(write=False)
+        return nodes
+
     @property
     def node_count(self) -> int:
-        return 2 + 2 * (len(self.plan_ids) + len(self.variant_plan)) + len(self.instance.vehicles)
+        return 2 + 2 * (len(self.plan_ids) + len(self.variant_nodes)) + len(self.instance.vehicles)
 
     @property
     def sink_id(self) -> int:
@@ -227,7 +232,7 @@ class FlowNetwork:
     @property
     def left_struct(self) -> slice:
         start = len(self.plan_ids) + len(self.instance.vehicles)
-        return slice(start, start + len(self.variant_plan))
+        return slice(start, start + len(self.variant_nodes))
 
     @property
     def connection_edges(self) -> range:
@@ -235,29 +240,30 @@ class FlowNetwork:
 
     @property
     def right_struct(self) -> slice:
-        return slice(self.connection_edges.stop, self.connection_edges.stop + len(self.variant_plan))
+        return slice(self.connection_edges.stop, self.connection_edges.stop + len(self.variant_nodes))
 
     @property
     def edge_count(self) -> int:
         return self.right_struct.stop + len(self.plan_ids)
 
     def _variant_index(self, plan: np.ndarray, delay: np.ndarray) -> np.ndarray:
-        """The variant of each (origin column, delay) endpoint, as an index into ``variant_plan``; -1 if it has none.
+        """The variant of each (origin column, delay) endpoint, as an index into ``variant_nodes``; -1 if it has none.
 
         A vehicle and a plan without variants have none.  One sorted search
         on (plan, rank of the delay), the variants' order; ``Connections.of``
         has checked that every delayed endpoint is a variant.
         """
-        values = np.unique(self.variant_delay)
+        variant_plan, variant_delay = self.variant_nodes.T
+        values = np.unique(variant_delay)
         stride = len(values) + 1
-        key = self.variant_plan * stride + values.searchsorted(self.variant_delay)
+        key = variant_plan * stride + values.searchsorted(variant_delay)
         want = plan * stride + values.searchsorted(delay)
         return np.where(np.isin(want, key), key.searchsorted(want), -1)
 
     @cached_property
     def edges(self) -> np.ndarray:
         """Read-only int64 (tail, head, cost) per edge, numbered as in the class docstring."""
-        n, n_veh, k, vp = len(self.plan_ids), len(self.instance.vehicles), len(self.variant_plan), self.variant_plan
+        n, n_veh, k, vp = len(self.plan_ids), len(self.instance.vehicles), len(self.variant_nodes), self.variant_nodes[:, 0]
         right = 1 + n + k + n_veh  # the first right-side node
         conns = self.connections.per_vehicle
         origin = self._variant_index(conns.origin, conns.origin_delay)

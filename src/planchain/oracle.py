@@ -226,21 +226,24 @@ def fleet_min_matching(instance: ChainingInstance) -> int:
         [j for j in range(n) if j != i and model.connection_feasible(instance, plans[i], plans[j])]
         for i in range(n)
     ]
-    match_right = [-1] * n
-
-    def try_augment(i: int, visited: list[bool]) -> bool:
-        for j in adjacency[i]:
-            if visited[j]:
+    match_right, size = [-1] * n, 0
+    for root in range(n):  # a depth-first search for an augmenting path, on an explicit stack
+        visited = [False] * n
+        stack, path = [(root, iter(adjacency[root]))], []  # path[t]: the right plan stack[t] tries
+        while stack:
+            j = next((j for j in stack[-1][1] if not visited[j]), None)
+            if j is None:  # a dead end: back up to the left plan before it
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             visited[j] = True
-            if match_right[j] == -1 or try_augment(match_right[j], visited):
-                match_right[j] = i
-                return True
-        return False
-
-    size = 0
-    for i in range(n):
-        if try_augment(i, [False] * n):
-            size += 1
+            path.append(j)
+            if match_right[j] == -1:  # flip the path
+                for (i, _), k in zip(stack, path):
+                    match_right[k] = i
+                size += 1
+                break
+            stack.append((match_right[j], iter(adjacency[match_right[j]])))
     return n - size
 

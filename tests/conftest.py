@@ -99,10 +99,10 @@ def shared_class_instance(seed):
 def solves_without_the_edge_view(monkeypatch):
     """Yield the networks ``chainsolve`` builds inside, and check on exit that no solve read the edge view.
 
-    Inside, the edge view's variant index raises.  On exit, also by an
-    exception, every network holds only the attributes it had once built
-    (and ``_live``), and its connections hold only theirs: no per-vehicle
-    view.
+    Inside, the edge view's variant nodes and variant index raise.  On
+    exit, also by an exception, every network holds only the attributes it
+    had once built (and ``_live``), and its connections hold only theirs:
+    no per-vehicle view.
     """
     built, held = [], []
     build = chainsolve.build_network
@@ -114,12 +114,13 @@ def solves_without_the_edge_view(monkeypatch):
         return net
 
     def unread(*args):
-        raise AssertionError("a solve read the edge view's variant index")
+        raise AssertionError("a solve read the edge view's variant nodes")
 
     try:
         with monkeypatch.context() as patch:
             patch.setattr(chainsolve, "build_network", recorded)
             patch.setattr(flownet.FlowNetwork, "_variant_index", unread)
+            patch.setattr(flownet.FlowNetwork, "variant_nodes", property(unread))
             yield built
     finally:  # infeasible solves too
         for net, (net_keys, conn_keys) in zip(built, held):

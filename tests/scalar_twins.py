@@ -145,6 +145,15 @@ def generate_exhaustive_reference(instance: ChainingInstance) -> GenerationResul
     return GenerationResult(tuple(variants), tuple(connections))
 
 
+def routed_delays(net) -> dict[int, tuple[int, ...]]:
+    """Each plan id's variant-node delays from the edge view: 0 and its variants' delays, ascending, or ()."""
+    ids = net.plan_ids.tolist()
+    delays = {pid: () for pid in ids}
+    for i, d in net.variant_nodes.tolist():
+        delays[ids[i]] += (d,)
+    return delays
+
+
 def assignment_matrix_reference(net, window):
     """``solve_mcf``'s cost matrix, and the connection edge per cell (-1: none), flat.
 
@@ -156,15 +165,17 @@ def assignment_matrix_reference(net, window):
     connection's cell comes from its edge's nodes: the column of its left
     node (a plan, a variant's plan or a vehicle) and the plan of its right one.
     """
-    n, k, v = len(net.plan_ids), len(net.variant_plan), len(net.instance.vehicles)
+    n, k, v = len(net.plan_ids), len(net.variant_nodes), len(net.instance.vehicles)
+    variant_plan = net.variant_nodes[:, 0]
     m = n + v
     tail, head, cost = net.edges.T
     off = np.zeros(len(net.edges), dtype=bool)
-    for i, (p, d) in enumerate(zip(net.variant_plan.tolist(), net.variant_delay.tolist())):
+    for i, (p, d) in enumerate(net.variant_nodes.tolist()):
         if not window[0][p] <= d <= window[1][p]:
             off[net.left_struct.start + i] = off[net.right_struct.start + i] = True
+    routed = routed_delays(net)
     for i, pid in enumerate(net.plan_ids.tolist()):
-        if not net.routed_delays[pid] and not window[0][i] <= 0 <= window[1][i]:
+        if not routed[pid] and not window[0][i] <= 0 <= window[1][i]:
             off[i] = off[net.right_struct.stop + i] = True
     cut = np.zeros(net.node_count, dtype=bool)
     start, stop = net.connection_edges.start, net.connection_edges.stop
@@ -174,8 +185,8 @@ def assignment_matrix_reference(net, window):
         cut[tail[up]] = off[up] | cut[head[up]]
     usable = ~off[block] & ~cut[tail[block]] & ~cut[head[block]]
     # the usable connections by cell, then cost, then edge: each cell's first wins
-    column = np.concatenate([[-1], np.arange(n), net.variant_plan, n + np.arange(v)])  # per left-side node
-    plan = np.concatenate([net.variant_plan, np.arange(n)])  # per right-side node, from 1 + n + k + v
+    column = np.concatenate([[-1], np.arange(n), variant_plan, n + np.arange(v)])  # per left-side node
+    plan = np.concatenate([variant_plan, np.arange(n)])  # per right-side node, from 1 + n + k + v
     cell = plan[head[block] - (1 + n + k + v)] * m + column[tail[block]]
     order = np.lexsort((np.arange(len(cell)), cost[block], cell))
     order = order[usable[order]]

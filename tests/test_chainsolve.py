@@ -33,7 +33,7 @@ from conftest import (
     solves_without_the_edge_view,
     waitcap_gap_instance,
 )
-from scalar_twins import check_assignment_certificate, full_variant_optimal
+from scalar_twins import check_assignment_certificate, full_variant_optimal, routed_delays
 
 
 def test_e1_travel_cost():
@@ -91,7 +91,7 @@ def consistency_couplings(network):
     ``chosen_ends`` key.
     """
     out = []
-    for pid, delays in network.routed_delays.items():
+    for pid, delays in routed_delays(network).items():
         for d in delays:
             others = [d2 for d2 in delays if d2 != d]
             out.append((pid, d, "left_major", ("out", pid, d), tuple(("in", pid, d2) for d2 in others)))

@@ -22,7 +22,7 @@ from planchain.model import (
 from planchain.variantgen import Connection, GenerationResult
 
 from conftest import make_e1, shared_class_instance, solves_without_the_edge_view
-from scalar_twins import assignment_matrix_reference, check_assignment_certificate
+from scalar_twins import assignment_matrix_reference, check_assignment_certificate, routed_delays
 
 
 def build_e1_network(policy=None, vehicles=None):
@@ -37,7 +37,7 @@ def test_e1_network_shape():
     assert len(net.edges) == 12
     assert (net.source_id, net.sink_id) == (0, 10)
     # plan 2 gained an explicit zero-delay variant next to the generated one
-    assert net.routed_delays == {1: (), 2: (0, 1)}
+    assert net.variant_nodes.tolist() == [[1, 0], [1, 1]]
     assert (net.edges[:, 2] >= 0).all()
 
 
@@ -378,11 +378,11 @@ def test_certificate_check_rejects_a_row_dual_raised_on_its_tight_cell():
             parent = solve_mcf(net)
         except FlowInfeasibleError:
             continue
-        routed = [pid for pid, delays in net.routed_delays.items() if delays]
+        routed = {pid: delays for pid, delays in routed_delays(net).items() if delays}
         if not routed:
             continue
-        pid = rng.choice(routed)
-        window = force_variant(open_window(net), net, pid, rng.choice(net.routed_delays[pid]))
+        pid = rng.choice(list(routed))
+        window = force_variant(open_window(net), net, pid, rng.choice(routed[pid]))
         try:
             child = solve_mcf(net, window, parent.state)
         except FlowInfeasibleError:
@@ -505,7 +505,7 @@ def test_certificate_holds_with_forced_variants():
         net = build_network(inst, variantgen.generate(inst))
         rng = random.Random(seed)
         window = open_window(net)
-        for pid, delays in net.routed_delays.items():
+        for pid, delays in routed_delays(net).items():
             if delays and rng.random() < 0.5:
                 window = force_variant(window, net, pid, rng.choice(delays))
         try:
@@ -544,10 +544,10 @@ def test_warm_start_matches_cold_on_nested_forced_variants():
             parent = solve_mcf(net)
         except FlowInfeasibleError:
             continue
-        routed = [pid for pid, delays in net.routed_delays.items() if delays]
+        routed = {pid: delays for pid, delays in routed_delays(net).items() if delays}
         window = open_window(net)
-        for pid in rng.sample(routed, len(routed)):
-            window = force_variant(window, net, pid, rng.choice(net.routed_delays[pid]))
+        for pid in rng.sample(list(routed), len(routed)):
+            window = force_variant(window, net, pid, rng.choice(routed[pid]))
             freed += freed_below_zero(net, parent.state, window)
             try:
                 cold = solve_mcf(net, window)
@@ -576,9 +576,9 @@ def test_start_must_be_dual_feasible():
 
 def random_window(net, rng):
     """Each plan's window, at random: open, between two of its routed delays, or any sub-range of 0..d_max + 1."""
-    window = open_window(net)
+    window, routed = open_window(net), routed_delays(net)
     for i, plan in enumerate(net.instance.plans):
-        roll, delays = rng.random(), net.routed_delays[plan.id] or (0,)
+        roll, delays = rng.random(), routed[plan.id] or (0,)
         if roll < 0.5:
             window[:, i] = sorted(rng.choice(delays) for _ in range(2))
         elif roll < 0.6:
@@ -968,12 +968,13 @@ def test_live_matrix_moves_through_repeated_widened_and_root_windows(monkeypatch
         net = build_network(inst, variantgen.generate_exhaustive(inst))
         assert len(net.connections.cost) >= flownet._REFILL_ROWS
         window = open_window(net)
-        routed = [i for i, pid in enumerate(net.plan_ids.tolist()) if net.routed_delays[pid]] or [0]
+        delays = list(routed_delays(net).values())
+        routed = [i for i, d in enumerate(delays) if d] or [0]
         for step in range(16):
             previous = window.copy()
             if step % 4 == 1:  # one plan held to a routed delay
                 i = rng.choice(routed)
-                window[:, i] = rng.choice(net.routed_delays[int(net.plan_ids[i])] or (0,))
+                window[:, i] = rng.choice(delays[i] or (0,))
             elif step % 4 == 2:  # the same window again, then a plan widened back
                 assert_live_matrix_is_fresh(net, window)
                 i = int(np.flatnonzero((window != open_window(net)).any(axis=0))[0])

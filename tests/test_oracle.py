@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,32 @@ def test_matching_examples():
     assert oracle.fleet_min_matching(inst3) == 2
     with pytest.raises(InputError):
         oracle.fleet_min_matching(make_e1())  # nonzero delay budget
+
+
+def ladder_instance(n):
+    """2n zero-delay plans on a line, whose matching needs an augmenting path through every plan.
+
+    Left plan P_i (id i + 1, at point 2i + 1) reaches Q_i and Q_{i+1} (at
+    points 2i and 2i + 2) and no other plan; Q_k has id 2n - k, so the
+    searches try Q_{i+1} first and the last left plan's path runs back
+    down the whole ladder.
+    """
+    travel = TravelMatrix.from_coordinates([(x,) for x in range(2 * n)])
+    left = [Plan(i + 1, 2 * i + 1, 2 * i + 1, 0, 1, 0) for i in range(n)]
+    right = [Plan(2 * n - k, 2 * k, 2 * k, 2, 2, 0) for k in range(n)]
+    return ChainingInstance(tuple(left + right), (), travel, FleetSize())
+
+
+def test_matching_finds_paths_deeper_than_the_recursion_limit():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert oracle.fleet_min_matching(ladder_instance(200)) == 200
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_full_variant_on_e1_and_guard():
