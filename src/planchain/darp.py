@@ -177,24 +177,16 @@ def _stop_times(specs, table, capacity: int, loc: int, t: int) -> list[int] | No
 
 
 def _request_rows(reqs, travel: TravelMatrix) -> list[tuple]:
-    """One row per request: (id, origin, destination, t_r, latest pickup, latest arrival).
+    """One row per request, by id: (id, origin, destination, t_r, latest pickup, latest arrival).
 
-    Raises ``InputError`` on a repeated request id, or unless every
-    location lies in ``travel``: the searches index ``travel.table``
-    without a range check, where a negative location would silently wrap,
-    and would serve a repeated request twice, so each entry point builds
-    its rows once.
+    Refuses a repeated request id or a location outside ``travel`` as
+    ``DarpInstance`` does (``model.index_records``): the searches index
+    ``travel.table`` without a range check, where a negative location would
+    silently wrap, and would serve a repeated request twice, so each entry
+    point builds its rows once.
     """
-    size = travel.size
-    rows, seen = [], set()
-    for r in reqs:
-        if r.id in seen:
-            raise InputError(f"duplicate request id {r.id}")
-        seen.add(r.id)
-        if not (0 <= r.origin < size and 0 <= r.destination < size):
-            raise InputError(f"request {r.id}: locations ({r.origin}, {r.destination}) outside {size}x{size} matrix")
-        rows.append((r.id, r.origin, r.destination, r.t_r, r.latest_pickup, r.latest_arrival(travel)))
-    return rows
+    ordered, _ = index_records(reqs, "request", ("origin", "destination"), travel.size)
+    return [(r.id, r.origin, r.destination, r.t_r, r.latest_pickup, r.latest_arrival(travel)) for r in ordered]
 
 
 def _check_capacity(capacity: int) -> None:
@@ -211,7 +203,7 @@ def optimal_plan_for_group(group, travel: TravelMatrix, capacity: int) -> RouteP
     _check_capacity(capacity)
     if not group:
         raise InputError("a group needs at least one request")
-    rows = _request_rows(sorted(group, key=lambda r: r.id), travel)
+    rows = _request_rows(group, travel)
     if len(rows) > capacity:
         raise GuardExceededError(f"group of {len(rows)} exceeds capacity {capacity}")
     found = _search_batch(rows, travel, capacity, None)[0].get((1 << len(rows)) - 1)
@@ -426,7 +418,7 @@ def solve_batch_exact(
     """
     _check_capacity(capacity)
     _check_time_limit(time_limit_ms)
-    reqs = sorted(batch, key=lambda r: r.id)
+    reqs = list(batch)
     if not reqs:
         return BatchResult((), True)
     if len(reqs) > MAX_BATCH_REQUESTS:
@@ -603,7 +595,7 @@ def insertion_heuristic(instance: DarpInstance) -> DarpSolution:
     route_by_vehicle: dict[int, tuple[list, list[int]]] = {}  # vehicle id -> ((code, row) specs, stop times)
     vehicle_by_id = {v.id: v for v in instance.fleet}
 
-    for row in _request_rows(sorted(instance.requests, key=lambda r: (r.t_r, r.id)), instance.travel):
+    for row in sorted(_request_rows(instance.requests, instance.travel), key=lambda row: (row[3], row[0])):
         best = None
         for vid, (specs, route) in sorted(route_by_vehicle.items()):
             vehicle = vehicle_by_id[vid]

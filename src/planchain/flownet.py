@@ -81,6 +81,16 @@ class HungarianState(NamedTuple):
     are the row and column duals.  Every cell satisfies ``u[i] + v[j] <=
     cost[i, j]``, with equality on the assignment, ``v <= 0``, and ``v == 0``
     on unassigned columns.
+
+    A warm start for an n x m matrix whose real cells cost at most ``limit
+    / n`` (``limit`` is ``_hungarian``'s) must meet what the solver's
+    exactness argument assumes, or ``solve_mcf`` refuses it before any
+    search.  Its owners lie in ``[-1, n)`` and no row owns two columns,
+    else ``InputError``.  It is dual feasible within the fence, else
+    ``ValueError``: ``u[i] + v[j] <= cost[i, j]`` on every cell, ``-limit
+    <= v <= 0``, ``-limit <= u <= limit``, and at least ``m - n`` unowned
+    columns carry ``v == 0`` (the slack pseudo-row's).  The state a solve
+    returns meets it under any narrower window of the same network.
     """
 
     owner: np.ndarray  # int64 per column
@@ -126,10 +136,10 @@ class FlowNetwork:
 
     ``connections`` holds class rows: a generator keeps one vehicle's rows
     per class, and any other pairing makes every vehicle its own class.
-    ``Connections.of`` owns what a valid generation is: every delayed
-    endpoint is one of the variants, each a distinct delay in ``[1,
-    d_max]`` of an instance plan, and every delay lies in ``open_window``,
-    int64 ``[0, d_max]`` per plan.
+    ``Connections.of`` owns what a valid generation is, and refuses any
+    other with ``InputError``: every delayed endpoint is one of the
+    variants, each a distinct delay in ``[1, d_max]`` of an instance plan,
+    and every delay lies in ``open_window``, int64 ``[0, d_max]`` per plan.
 
     Row ``r`` fills matrix cell ``cell[r] = target * m + origin`` of the n x
     m assignment matrix (m = n + vehicles), and a member vehicle's column
@@ -170,7 +180,7 @@ class FlowNetwork:
         self.max_cost = int(conns.cost.max()) if len(conns.cost) else 0
         low = int(conns.cost.min()) if len(conns.cost) else 0
         span, m = self.max_cost - low + 1, n + n_veh
-        # checked in Python ints: the empty start state and the infeasibility
+        # checked in Python ints: the cold start and the infeasibility
         # fence need costs of at least 0, an assignment through real cells
         # must cost less than one through a no-edge cell, and the duals and
         # search distances, which stay within n * max cost of 0 and of
@@ -285,20 +295,11 @@ class FlowNetwork:
         return "\n".join(f"{t} {h} 0 1 {c}" for t, h, c in self.edges.tolist())
 
 
-def build_network(instance: ChainingInstance, gen: GenerationResult) -> FlowNetwork:
-    """Assemble the flow network for a generation result.
-
-    Every connection of a variant-carrying plan is routed through variant
-    nodes, including an explicit zero-delay variant.  Raises ``InputError``
-    when ``Connections.of`` refuses the generation, or when costs are too
-    large for exact int64 duals or too widely spread for the cell order's
-    int64 key.
-    """
-    return FlowNetwork(instance, gen)
+build_network = FlowNetwork  # the constructor, under the name the package exports
 
 
-def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> HungarianState:
-    """Assign every row its own column at minimum total cost, from ``start``.
+def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState | None) -> HungarianState:
+    """Assign every row its own column at minimum total cost, cold (``start`` None) or from ``start``.
 
     The Hungarian method in its shortest-augmenting-path form (Jonker &
     Volgenant, Computing 38, 1987): each unassigned row enters through a
@@ -306,20 +307,17 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     only once the path is found: each scanned column and its row by how far
     short of the path's end the search reached it.
 
-    ``start`` must be dual feasible for ``cost``.  That is checked, raising
-    ``ValueError``, for every start but the empty one, whose row duals the
-    cold solve replaces at once; an owner outside ``[-1, n)`` raises
-    ``InputError``.  The start is kept as far as it stays optimal: an
-    assigned row whose cell is no longer tight (it got dearer or unusable)
-    is freed, and only free rows are searched.  From the state of a solve
-    on cheaper costs this is the dynamic Hungarian method
-    (Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27, 2007).  From the empty
-    state (no owners, zero duals) it is the cold solve, which first does
-    what Jonker & Volgenant's initialisation does, on rows: ``u`` becomes
-    each row's minimum, which keeps every reduced cost nonnegative and gives
-    each row a tight cell, and each row in turn takes its first free tight
-    column.  Only the rows left over are searched.  Any other start keeps
-    its tight assigned cells as they are.
+    A ``start`` meets the rule that ``HungarianState`` states, as
+    ``solve_mcf`` has checked; the kernels check nothing of it.  It is kept
+    as far as it stays optimal: an assigned row whose cell is no longer
+    tight (it got dearer or unusable) is freed, and only free rows are
+    searched.  From the state of a solve on cheaper costs this is the
+    dynamic Hungarian method (Mills-Tettey, Stentz & Dias, CMU-RI-TR-07-27,
+    2007).  The cold solve first does what Jonker & Volgenant's
+    initialisation does, on rows: ``u`` becomes each row's minimum and ``v``
+    zero, which keeps every reduced cost nonnegative and gives each row a
+    tight cell, and each row in turn takes its first free tight column.
+    Only the rows left over are searched.
 
     The search settles the columns a level at a time: all the front columns
     at the current least distance ``d``.  If some are free, the lowest of
@@ -353,18 +351,18 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     through a no-edge cell at least ``NO_EDGE``, so once the dual objective
     passes ``limit`` every assignment needs a no-edge cell:
     ``FlowInfeasibleError`` names the row being searched.  This holds for
-    any dual-feasible start: the row reduction starts at the sum of the row
-    minima, a parent's state at the parent's optimum.  Taking a level at
-    once changes neither: its ``d`` is the distance a column-at-a-time
-    search reaches next, and the fence is tested on it before anything in
-    the level is scanned.  A row of no-edge cells alone is reported before
-    any search, as the lowest such row being unreachable.  The cold solve
-    finds it as the first largest row minimum, the only way past ``limit``;
-    from a parent's state it has lost its assigned cell, which is no longer
-    tight (the parent's duals stay within ``limit`` of 0), so only the free
-    rows are tested.  The fence ``4 * n * max cost < NO_EDGE`` in
-    ``FlowNetwork`` keeps this exact in int64: ``limit < NO_EDGE``, the row
-    minima ``u`` start in ``[0, max cost]``, and as every search stops
+    any start that meets the rule: the row reduction starts at the sum of
+    the row minima, a parent's state at the parent's optimum.  Taking a
+    level at once changes neither: its ``d`` is the distance a
+    column-at-a-time search reaches next, and the fence is tested on it
+    before anything in the level is scanned.  A row of no-edge cells alone
+    is reported before any search, as the lowest such row being
+    unreachable.  The cold solve finds it as the first largest row minimum,
+    the only way past ``limit``; a start's duals lie within ``limit`` of 0,
+    so none of its no-edge cells is tight and only the free rows are
+    tested.  The fence ``4 * n * max cost < NO_EDGE`` in ``FlowNetwork``
+    keeps this exact in int64: ``limit < NO_EDGE``, the duals start within
+    ``limit`` of 0, and as every search stops
     before the dual objective passes ``limit``, no dual moves further than
     ``limit`` from 0 and every distance stays below ``NO_EDGE + 2 * limit <
     _UNSEEN``.  A block holds the same values a column-at-a-time search
@@ -380,31 +378,16 @@ def _hungarian(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> 
     return kernel(cost, limit, row_ids, start)
 
 
-def _hungarian_arrays(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> HungarianState:
+def _hungarian_arrays(cost: np.ndarray, limit: int, row_ids, start: HungarianState | None) -> HungarianState:
     """``_hungarian`` on numpy arrays: each scan and update is one call over a whole row, block or level."""
     n, m = cost.shape
-    owner, owners = np.concatenate((start.owner, [-1])), start.owner.tolist()  # column m roots every search
-    if owners and (min(owners) < -1 or max(owners) >= n):
-        raise InputError(f"a warm start's owners must lie in [-1, {n})")
-    u, v = start.u.astype(np.int64), start.v.astype(np.int64)
-    cols = (owner >= 0).nonzero()[0]
-    if len(cols) or u.any() or v.any():  # check the start, then free the rows whose cells are no longer tight
-        step = max(1, (1 << 15) // max(m, 1))  # rows per check, so that its temporaries stay small
-        if (v > 0).any() or any((cost[r : r + step] - v < u[r : r + step, None]).any() for r in range(0, n, step)):
-            raise ValueError("the start state is not dual feasible for this cost matrix")
-        rows = owner[cols]
-        owner[cols[cost[rows, cols] != u[rows] + v[cols]]] = -1
-        free = sorted(set(range(n)).difference(owner.tolist()))  # the unassigned rows
-        for i in free:  # a starved row has lost its assigned cell
-            if cost[i].min() == NO_EDGE:
-                raise FlowInfeasibleError(int(row_ids[i]))
-    else:  # the empty state: reduce the rows, then give each row in turn its first free tight column
-        u = cost.min(axis=1, initial=NO_EDGE)
+    if start is None:  # cold: reduce the rows, then give each row in turn its first free tight column
+        u, v = cost.min(axis=1, initial=NO_EDGE), np.zeros(m, dtype=np.int64)
         if sum(u.tolist()) > limit:  # a row of no-edge cells
             raise FlowInfeasibleError(int(row_ids[u.argmax()]))
         tight_rows, tight_cols = (cost == u[:, None]).nonzero()
         ends = np.searchsorted(tight_rows, np.arange(1, n + 1)).tolist()  # one past each row's tight cells
-        tight_cols, owner, first = tight_cols.tolist(), owners + [-1], 0
+        tight_cols, owner, first = tight_cols.tolist(), [-1] * (m + 1), 0  # column m roots every search
         for i, end in enumerate(ends):
             for j in tight_cols[first:end]:
                 if owner[j] < 0:
@@ -413,6 +396,15 @@ def _hungarian_arrays(cost: np.ndarray, limit: int, row_ids, start: HungarianSta
             first = end
         free = sorted(set(range(n)).difference(owner))
         owner = np.array(owner, dtype=np.int64)
+    else:  # warm: free the rows whose cells are no longer tight
+        owner, u, v = np.append(start.owner, -1), start.u.copy(), start.v.copy()  # column m roots every search
+        cols = (owner >= 0).nonzero()[0]
+        rows = owner[cols]
+        owner[cols[cost[rows, cols] != u[rows] + v[cols]]] = -1
+        free = sorted(set(range(n)).difference(owner.tolist()))  # the unassigned rows
+        for i in free:  # a starved row has lost its assigned cell
+            if cost[i].min() == NO_EDGE:
+                raise FlowInfeasibleError(int(row_ids[i]))
     level = sum(u.tolist()) + sum(v.tolist())  # the dual objective
     slack, mu = m - n, 0
     way = np.empty(m, dtype=np.int64)  # the scan that reached each column, set as it is reached
@@ -493,31 +485,17 @@ def _hungarian_arrays(cost: np.ndarray, limit: int, row_ids, start: HungarianSta
     return HungarianState(owner[:m], u, v)
 
 
-def _hungarian_lists(cost: np.ndarray, limit: int, row_ids, start: HungarianState) -> HungarianState:
+def _hungarian_lists(cost: np.ndarray, limit: int, row_ids, start: HungarianState | None) -> HungarianState:
     """``_hungarian`` on Python lists, step for step as ``_hungarian_arrays``, for matrices too small for numpy to pay.
 
     Each step mirrors its array twin, down to the order of the checks, the
     first column of a level that wins a tie and the gather-then-scatter of
-    the dual updates.  The start's dual-feasibility check is its one numpy
-    pass, and the results become int64 arrays.
+    the dual updates.  The results become int64 arrays.
     """
     n, m = cost.shape
-    c, owners = cost.tolist(), start.owner.tolist()
-    if owners and (min(owners) < -1 or max(owners) >= n):
-        raise InputError(f"a warm start's owners must lie in [-1, {n})")
-    owner, u, v = owners + [-1], start.u.tolist(), start.v.tolist()  # column m roots every search
-    if max(owners, default=-1) >= 0 or any(u) or any(v):  # check the start, then free the rows whose cells are no longer tight
-        if max(v, default=0) > 0 or (cost - start.v < start.u[:, None]).any():  # one numpy pass beats n * m list steps
-            raise ValueError("the start state is not dual feasible for this cost matrix")
-        for j, r in enumerate(owners):
-            if r >= 0 and c[r][j] != u[r] + v[j]:
-                owner[j] = -1
-        free = sorted(set(range(n)).difference(owner))  # the unassigned rows
-        for i in free:  # a starved row has lost its assigned cell
-            if min(c[i]) == NO_EDGE:
-                raise FlowInfeasibleError(int(row_ids[i]))
-    else:  # the empty state: reduce the rows, then give each row in turn its first free tight column
-        u = [min(row, default=NO_EDGE) for row in c]
+    c = cost.tolist()
+    if start is None:  # cold: reduce the rows, then give each row in turn its first free tight column
+        owner, u, v = [-1] * (m + 1), [min(row, default=NO_EDGE) for row in c], [0] * m  # column m roots every search
         if sum(u) > limit:  # a row of no-edge cells
             raise FlowInfeasibleError(int(row_ids[u.index(max(u))]))
         for i, (row, ui) in enumerate(zip(c, u)):
@@ -526,6 +504,15 @@ def _hungarian_lists(cost: np.ndarray, limit: int, row_ids, start: HungarianStat
                     owner[j] = i
                     break
         free = sorted(set(range(n)).difference(owner))
+    else:  # warm: free the rows whose cells are no longer tight
+        owner, u, v = start.owner.tolist() + [-1], start.u.tolist(), start.v.tolist()  # column m roots every search
+        for j, r in enumerate(owner):
+            if r >= 0 and c[r][j] != u[r] + v[j]:
+                owner[j] = -1
+        free = sorted(set(range(n)).difference(owner))  # the unassigned rows
+        for i in free:  # a starved row has lost its assigned cell
+            if min(c[i]) == NO_EDGE:
+                raise FlowInfeasibleError(int(row_ids[i]))
     level = sum(u) + sum(v)  # the dual objective
     slack, mu = m - n, 0
     way = [0] * m  # the scan that reached each column, set as it is reached
@@ -735,18 +722,21 @@ def solve_mcf(
     it.  Vehicles are never restricted; None is the network's
     ``open_window`` and tests no row.  Any other window (an unsigned one of
     2**63 or more too), or a ``start`` that is not a ``HungarianState`` of
-    signed integer arrays shaped (m,), (n,), (m,), raises ``InputError``
-    before the network's one live matrix moves to ``window``
-    (``_assignment_matrix``), so a network serves one relaxation at a time.
+    signed integer arrays shaped (m,), (n,), (m,) or that breaks its owner
+    rule, raises ``InputError`` before the network's one live matrix moves
+    to ``window`` (``_assignment_matrix``), so a network serves one
+    relaxation at a time.
 
     ``start`` warm-starts the solver from the ``state`` of an assignment
     solved on the same network under a window that contains ``window``.
     Narrowing windows only raises cells, so that state stays dual feasible,
     and only the plans whose assigned cell got dearer are re-assigned; the
     result is as exact as a cold solve, though on tied optima it can be
-    another optimal assignment.  Without ``start`` the solver begins from
-    the empty assignment, which it row-reduces and pre-assigns on tight
-    cells before any search.
+    another optimal assignment.  This is the one place that checks a start
+    against the rule ``HungarianState`` states, with ``limit = n *
+    max_cost``, raising ``ValueError`` on one that is not dual feasible
+    within the fence.  Without ``start`` the solve is cold: it row-reduces
+    and pre-assigns on tight cells before any search.
 
     Raises ``FlowInfeasibleError`` naming the lowest-id plan without a
     usable incoming connection ("its right node is unreachable"), else,
@@ -754,24 +744,36 @@ def solve_mcf(
     found that out.
     """
     net, n = network, len(network.plan_ids)
-    m = n + len(net.instance.vehicles)
+    m, limit = n + len(net.instance.vehicles), n * net.max_cost
     if window is not None:
         ok = isinstance(window, np.ndarray) and window.dtype.kind in "iu" and window.shape == (2, n)
         if not ok or window.dtype.kind == "u" and window.max(initial=0) >= 1 << 63:
             raise InputError(f"a delay window must be an integer array of shape (2, {n}) in the int64 range")
         window = window.astype(np.int64, copy=False)
-    if start is None:
-        start = HungarianState(np.full(m, -1, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64))
-    elif not (
-        isinstance(start, HungarianState) and all(map(isinstance, start, [np.ndarray] * 3))
-        and start.owner.dtype.kind == start.u.dtype.kind == start.v.dtype.kind == "i"
-        and start.owner.shape == start.v.shape == (m,) and start.u.shape == (n,)
-    ):
-        raise InputError(f"a warm start must be a HungarianState of signed integer arrays of shapes ({m},), ({n},), ({m},)")
+    if start is not None:
+        if not (
+            isinstance(start, HungarianState) and all(map(isinstance, start, [np.ndarray] * 3))
+            and start.owner.dtype.kind == start.u.dtype.kind == start.v.dtype.kind == "i"
+            and start.owner.shape == start.v.shape == (m,) and start.u.shape == (n,)
+        ):
+            raise InputError(f"a warm start must be a HungarianState of signed integer arrays of shapes ({m},), ({n},), ({m},)")
+        start = owner, u, v = HungarianState(*(part.astype(np.int64, copy=False) for part in start))
+        held = owner[owner >= 0]
+        if owner.min(initial=-1) < -1 or held.max(initial=-1) >= n:
+            raise InputError(f"a warm start's owners must lie in [-1, {n})")
+        if len(set(held.tolist())) < len(held):
+            raise InputError("a warm start must give each row at most one column")
     matrix, filled = _assignment_matrix(net, window)
     window = net._live[1]  # the window the live matrix holds: a copy, or the open window for None
+    if start is not None:  # the fence first, so that the cell check cannot overflow
+        fenced = -limit <= v.min(initial=0) and v.max(initial=0) <= 0 and -limit <= u.min(initial=0) and u.max(initial=0) <= limit
+        step = max(1, (1 << 15) // max(m, 1))  # rows per cell check, so that its temporaries stay small
+        if not fenced or np.count_nonzero(v[owner < 0] == 0) < m - n or any(
+            (matrix[r : r + step] - v < u[r : r + step, None]).any() for r in range(0, n, step)
+        ):
+            raise ValueError("the start state is not dual feasible for this cost matrix")
 
-    state = _hungarian(matrix, n * net.max_cost, net.plan_ids, start)
+    state = _hungarian(matrix, limit, net.plan_ids, start)
     for part in state:
         part.setflags(write=False)
     assigned = state.columns

@@ -17,7 +17,8 @@ twin of ``darp._mask_steps`` over the per-batch ``darp._step_table``.
 
 ``check_assignment_certificate`` checks that a relaxation's Hungarian
 duals prove its chosen rows optimal, reading only the connection rows and
-its own usability rule.  ``full_variant_optimal`` re-solves an instance
+its own usability rule, and ``warm_start_fault`` restates the rule for a
+warm start cell by cell.  ``full_variant_optimal`` re-solves an instance
 with the solver under test over every integer-delay variant, as the
 ground truth for the minimal generator.
 """
@@ -228,6 +229,27 @@ def check_assignment_certificate(net, assignment) -> None:
     assert (conns.cost[rows] == u[target[rows]] + v[cols]).all(), "tightness: a chosen row is not tight"
     cost = sum(conns.cost[rows].tolist())
     assert cost == assignment.total_cost == sum(u.tolist()) + sum(v.tolist()), "objective: primal and dual differ"
+
+
+def warm_start_fault(matrix, limit: int, start):
+    """The error ``solve_mcf`` must raise for a well-formed warm ``start`` on a relaxation's ``matrix``, or None.
+
+    On Python ints, one column and one cell at a time: an owner outside
+    ``[-1, n)`` or a row owning two columns is an ``InputError``.  A start
+    is a ``ValueError`` unless every ``v`` lies in ``[-limit, 0]``, every
+    ``u`` in ``[-limit, limit]``, at least m - n unowned columns have ``v ==
+    0`` and no cell costs less than ``u[i] + v[j]``.
+    """
+    cost, (owner, u, v) = matrix.tolist(), (part.tolist() for part in start)
+    n, m = len(u), len(v)
+    held = [r for r in owner if r != -1]
+    if any(not 0 <= r < n for r in held) or len(set(held)) != len(held):
+        return InputError
+    zero_free = sum(1 for r, x in zip(owner, v) if r == -1 and x == 0)
+    fenced = all(-limit <= x <= 0 for x in v) and all(-limit <= x <= limit for x in u)
+    if not fenced or zero_free < m - n or any(u[i] + v[j] > cost[i][j] for i in range(n) for j in range(m)):
+        return ValueError
+    return None
 
 
 def full_variant_optimal(instance: ChainingInstance) -> int | None:

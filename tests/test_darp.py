@@ -302,6 +302,12 @@ def test_batch_and_group_searches_refuse_repeated_ids_and_empty_groups():
         optimal_plan_for_group([r, replace(r, t_r=1)], LINE, 4)
     with pytest.raises(InputError, match="^a group needs at least one request$"):
         optimal_plan_for_group([], LINE, 4)
+    # a location outside the matrix, in the message a DarpInstance gives
+    far = [Request(2, 0, 1, 0, 5), Request(1, 0, 3, 0, 5)]
+    with pytest.raises(InputError, match="^request 1: location 3 outside travel matrix$"):
+        solve_batch_exact(far, LINE, 4)
+    with pytest.raises(InputError, match="^request 1: location -1 outside travel matrix$"):
+        optimal_plan_for_group([Request(1, -1, 2, 0, 5)], LINE, 4)
 
 
 def test_batch_time_limit_covers_group_enumeration():

@@ -22,7 +22,7 @@ from planchain.model import (
 from planchain.variantgen import Connection, GenerationResult
 
 from conftest import make_e1, shared_class_instance, solves_without_the_edge_view
-from scalar_twins import assignment_matrix_reference, check_assignment_certificate, routed_delays
+from scalar_twins import assignment_matrix_reference, check_assignment_certificate, routed_delays, warm_start_fault
 
 
 def build_e1_network(policy=None, vehicles=None):
@@ -246,7 +246,7 @@ def test_huge_connection_cost_is_rejected():
 
 
 def test_negative_connection_cost_is_rejected():
-    # the empty start state and the infeasibility fence need costs of at least 0
+    # the cold start and the infeasibility fence need costs of at least 0
     inst = make_e1()
     gen = variantgen.generate(inst)
     link = gen.connections[0]
@@ -574,6 +574,133 @@ def test_start_must_be_dual_feasible():
             solve_mcf(net, None, bad)
 
 
+def generated_network(**params):
+    inst = chain_instance_from_params(ChainGenParams(**params))
+    return build_network(inst, variantgen.generate(inst))
+
+
+def test_a_start_whose_row_owns_two_columns_is_refused():
+    # the root's row 0 also owns a free column that is tight for it: the
+    # kernels would keep both cells and return 4 rows for 3 plans at cost 16
+    net = generated_network(seed=1, plans=3, vehicles=3)
+    root = solve_mcf(net)
+    assert root.total_cost == 12
+    owner, u, v = root.state
+    matrix = flownet._assignment_matrix(net, None)[0]
+    free = np.flatnonzero((owner < 0) & (matrix[0] == u[0] + v))
+    assert len(free)
+    start = root.state._replace(owner=np.where(np.arange(len(owner)) == free[0], 0, owner))
+    with pytest.raises(InputError, match=r"^a warm start must give each row at most one column$"):
+        solve_mcf(net, None, start)
+
+
+def test_a_start_with_duals_shifted_by_a_constant_is_refused():
+    # u + c and v - c keep every cell's reduced cost, but leave no free
+    # column at v == 0 for the slack pseudo-row: re-solved with plan index 0
+    # held at delay 0, the kernels would stop at cost 12 against the cold 10
+    net = generated_network(seed=16, plans=6, vehicles=4, horizon=40, d_max_range=(2, 10))
+    root = solve_mcf(net)
+    window = open_window(net)
+    window[:, 0] = 0
+    assert solve_mcf(net, window).total_cost == 10
+    assert 6 * net.max_cost < 1000  # so 1000 is past the fence, and 1 and 50 are within it
+    for shift in (1000, 1, 50):
+        start = root.state._replace(u=root.state.u + shift, v=root.state.v - shift)
+        with pytest.raises(ValueError, match="^the start state is not dual feasible for this cost matrix$"):
+            solve_mcf(net, window, start)
+    assert solve_mcf(net, window, root.state).total_cost == 10
+
+
+def test_a_start_with_a_dual_past_the_fence_is_refused():
+    # held at delay 8, plan index 0 is starved; a start that assigns it to a
+    # no-edge cell at u = NO_EDGE is tight there and would be kept, so the
+    # starved plan would be reported as a Hall violation of plan 2
+    net = generated_network(seed=0, plans=5, vehicles=3, horizon=40, d_max_range=(2, 8))
+    window = open_window(net)
+    window[:, 0] = 8
+    with pytest.raises(FlowInfeasibleError, match="^no chain can reach plan 1: its right node is unreachable$"):
+        solve_mcf(net, window)
+    n, m = 5, 8
+    start = flownet.HungarianState(
+        np.where(np.arange(m) == 0, 0, -1), np.where(np.arange(n) == 0, flownet.NO_EDGE, 0), np.zeros(m, dtype=np.int64)
+    )
+    with pytest.raises(ValueError, match="^the start state is not dual feasible for this cost matrix$"):
+        solve_mcf(net, window, start)
+
+
+def random_start(matrix, solved, limit, rng):
+    """A warm start to try on ``matrix``, some breaking the rule on purpose.
+
+    Either ``solved`` (a root state, or None) shifted by a constant, most
+    often 0; or a partial matching with repeated rows and, at times, an
+    owner out of range, over ``v <= 0`` with few or many zero columns and
+    a few past the fence, and ``u`` at or below the reduced row minima
+    (mostly capped at the fence), sometimes far below or one above.
+    """
+    n, m = matrix.shape
+    if solved is not None and rng.random() < 0.3:
+        shift = int(rng.choice([0, 0, 0, 1, -1, int(rng.integers(2, 2 * limit + 3))]))
+        return solved._replace(u=solved.u + shift, v=solved.v - shift)
+    v = -rng.integers(0, limit + 2, m)
+    v[rng.random(m) < rng.uniform(0.3, 1)] = 0
+    reduced = matrix - v
+    u = reduced.min(axis=1, initial=flownet.NO_EDGE)
+    if rng.random() < 0.8:  # a starved row's minimum is past the fence
+        u = np.minimum(u, limit)
+    u -= rng.integers(0, 3, n) * (rng.random(n) < 0.3)
+    u[rng.random(n) < 0.03] -= 2 * limit + 1
+    u[rng.random(n) < 0.03] += 1
+    owner = np.full(m, -1)
+    for i in rng.permutation(n)[: rng.integers(0, n + 1)].tolist():
+        for _ in range(1 + (rng.random() < 0.1)):  # now and then a row gets two columns
+            tight = np.flatnonzero((owner < 0) & (reduced[i] == u[i]))
+            owner[rng.choice(tight) if len(tight) and rng.random() < 0.9 else rng.integers(m)] = i
+    if rng.random() < 0.03:
+        owner[rng.integers(m)] = rng.choice([-2, n])
+    return flownet.HungarianState(owner, u, v)
+
+
+@pytest.mark.parametrize("list_cells", [flownet._LIST_CELLS, 0], ids=["lists", "arrays"])
+def test_warm_starts_are_refused_exactly_when_they_break_the_rule(monkeypatch, list_cells):
+    # a start ``warm_start_fault`` finds fault with must be refused with its
+    # error; any other must reach the cold optimum with a valid certificate,
+    # or the cold solve's infeasibility (a starved plan named alike)
+    monkeypatch.setattr(flownet, "_LIST_CELLS", list_cells)
+    seen = dict.fromkeys((InputError, ValueError, "solved", "random", "infeasible"), 0)
+    rng, draws = np.random.default_rng(41), random.Random(41)
+    for seed in range(60):
+        net = generated_network(seed=seed, plans=draws.randint(1, 6), vehicles=draws.randint(1, 3), d_max_range=(0, 12))
+        limit = len(net.plan_ids) * max(net.connections.cost.tolist(), default=0)
+        try:
+            root = solve_mcf(net).state
+        except FlowInfeasibleError:
+            root = None
+        for _ in range(25):
+            window = random_window(net, draws)
+            matrix = assignment_matrix_reference(net, window)[0]
+            start = random_start(matrix, root, limit, rng)
+            fault = warm_start_fault(matrix, limit, start)
+            if fault is not None:
+                with pytest.raises(fault):
+                    solve_mcf(net, window, start)
+                seen[fault] += 1
+                continue
+            try:
+                cold = solve_mcf(net, window)
+            except FlowInfeasibleError as exc:
+                with pytest.raises(FlowInfeasibleError) as err:
+                    solve_mcf(net, window, start)
+                if "unreachable" in str(exc):
+                    assert str(err.value) == str(exc)
+                seen["infeasible"] += 1
+                continue
+            warm = solve_mcf(net, window, start)
+            assert warm.total_cost == cold.total_cost
+            check_assignment_certificate(net, warm)
+            seen["solved" if root is not None and start.owner is root.owner else "random"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def random_window(net, rng):
     """Each plan's window, at random: open, between two of its routed delays, or any sub-range of 0..d_max + 1."""
     window, routed = open_window(net), routed_delays(net)
@@ -652,9 +779,10 @@ def test_infeasibility_messages_tell_a_starved_plan_from_a_hall_violation():
         solve_mcf(net, force_variant(open_window(net), net, 2, 2))
 
 
-def empty_state(n, m):
-    """No owners and zero duals: where a cold solve starts."""
-    return flownet.HungarianState(np.full(m, -1), np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64))
+def zero_duals(owner, n):
+    """A start with these owners and zero duals: the cold solve's ``v``, but not its row reduction."""
+    m = len(owner)
+    return flownet.HungarianState(np.array(owner, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64))
 
 
 def certified_cost(cost, state):
@@ -698,7 +826,7 @@ def test_kernel_matches_scipy_on_random_matrices(kernel):
     for n, m in shapes:
         cost = rng.integers(0, 4, (n, m))  # costs 0..3, so ties are common
         cost[rng.random((n, m)) < rng.uniform(0, 0.5)] = flownet.NO_EDGE
-        state = solve(cost, empty_state(n, m))
+        state = solve(cost, None)
         optimum = scipy_optimum(cost)
         assert (state is None) == (optimum is None)
         if state is None:
@@ -733,7 +861,7 @@ def test_resolving_from_an_optimal_state_changes_nothing(kernel):
     rng = np.random.default_rng(3)
     for n, m in ((0, 0), (1, 1), (4, 7), (9, 9), (40, 60)):
         cost = rng.integers(0, 5, (n, m))
-        state = kernel(cost, 4 * n, np.arange(n), empty_state(n, m))
+        state = kernel(cost, 4 * n, np.arange(n), None)
         again = kernel(cost, 4 * n, np.arange(n), state)
         for part, same in zip(state, again):
             assert part.tolist() == same.tolist()
@@ -746,26 +874,30 @@ def test_resolving_from_an_optimal_state_changes_nothing(kernel):
 
 @KERNELS
 def test_only_the_empty_state_is_pre_assigned(kernel):
-    # from the empty state, each row in turn takes its first free tight column
+    # a cold solve (start None) row-reduces, then each row in turn takes its first free tight column
     cost = np.array([[0, 0, 5], [0, 3, 0]], dtype=np.int64)
-    cold = kernel(cost, 10, np.arange(2), empty_state(2, 3))
+    cold = kernel(cost, 10, np.arange(2), None)
     assert cold.owner.tolist() == [0, -1, 1]
     # a start with an assignment keeps its tight cells, even with zero duals
-    start = empty_state(2, 3)._replace(owner=np.array([-1, 0, 1], dtype=np.int64))
-    warm = kernel(cost, 10, np.arange(2), start)
+    warm = kernel(cost, 10, np.arange(2), zero_duals([-1, 0, 1], 2))
     assert warm.owner.tolist() == [-1, 0, 1]
     assert certified_cost(cost, warm) == certified_cost(cost, cold) == 0
     # a partial start keeps row 0 on column 1; row 1's search ends at the lowest free column of its level
-    start = empty_state(2, 3)._replace(owner=np.array([-1, 0, -1], dtype=np.int64))
-    assert kernel(cost, 10, np.arange(2), start).owner.tolist() == [1, 0, -1]
+    assert kernel(cost, 10, np.arange(2), zero_duals([-1, 0, -1], 2)).owner.tolist() == [1, 0, -1]
+    # an explicit empty state is a warm start like any other: every row is searched, none pre-assigned,
+    # and here it ends at another of the tied optima than the cold solve
+    cost = np.array([[1, 1, 0], [2, 2, 0], [0, 0, 2]], dtype=np.int64)
+    cold = kernel(cost, 6, np.arange(3), None)
+    warm = kernel(cost, 6, np.arange(3), zero_duals([-1, -1, -1], 3))
+    assert (cold.owner.tolist(), warm.owner.tolist()) == ([2, 0, 1], [0, 2, 1])
+    assert certified_cost(cost, cold) == certified_cost(cost, warm) == 1
 
 
 def test_list_and_array_kernels_agree():
     # ``_hungarian`` picks a kernel by cell count alone, so both must give the
-    # same state, or raise the same error with the same message, on any input
-    seen = dict.fromkeys(
-        ("cold", "warm", "above cutoff", "freed v < 0", "starved", "fence", "owner range", "not dual feasible"), 0
-    )
+    # same state, or raise the same error with the same message, on any start
+    # that ``solve_mcf`` lets through (None, or a solved state)
+    seen = dict.fromkeys(("cold", "warm", "above cutoff", "freed v < 0", "starved", "fence"), 0)
 
     def solve_both(cost, limit, start):
         """The array kernel's state, or None where it raised; the list kernel must do exactly the same."""
@@ -773,7 +905,7 @@ def test_list_and_array_kernels_agree():
         for kernel in (flownet._hungarian_arrays, flownet._hungarian_lists):
             try:
                 state = kernel(cost, limit, np.arange(1, cost.shape[0] + 1), start)
-            except (FlowInfeasibleError, InputError, ValueError) as exc:
+            except FlowInfeasibleError as exc:
                 outcomes.append((type(exc), str(exc)))
             else:
                 outcomes.append(tuple((part.dtype, part.tolist()) for part in state))
@@ -781,13 +913,8 @@ def test_list_and_array_kernels_agree():
         kind, message = outcomes[0][:2]
         if kind is FlowInfeasibleError:
             seen["starved" if "unreachable" in message else "fence"] += 1
-        elif kind is InputError:
-            seen["owner range"] += 1
-        elif kind is ValueError:
-            seen["not dual feasible"] += 1
-        else:
-            return flownet.HungarianState(*(np.array(values, dtype=dtype) for dtype, values in outcomes[0]))
-        return None
+            return None
+        return flownet.HungarianState(*(np.array(values, dtype=dtype) for dtype, values in outcomes[0]))
 
     rng = np.random.default_rng(29)
     side = int(flownet._LIST_CELLS**0.5) + 2  # square matrices of up to side**2 cells reach past the cutoff
@@ -801,16 +928,10 @@ def test_list_and_array_kernels_agree():
             limit = int(rng.integers(0, limit + 1))
         seen["above cutoff"] += cost.size >= flownet._LIST_CELLS
         seen["cold"] += 1
-        state = solve_both(cost, limit, empty_state(n, m))
+        state = solve_both(cost, limit, None)
         for _ in range(4):  # raise cells of the solved state, as a narrower window does, and re-solve warm
             if state is None:
                 break
-            for bad in (
-                state._replace(owner=np.where(state.owner == 0, n, state.owner)),
-                state._replace(v=state.v + 1),
-                state._replace(u=state.u + 1),
-            ):
-                solve_both(cost, limit, bad)
             raised = cost.copy()
             bump = rng.random((n, m)) < 0.2
             raised[bump] = np.minimum(raised[bump] + rng.integers(1, 3, (n, m))[bump], flownet.NO_EDGE)
@@ -1053,6 +1174,7 @@ def test_malformed_warm_starts_are_input_errors(monkeypatch):
     held = [part.copy() for part in live]
     shapes = re.escape("a warm start must be a HungarianState of signed integer arrays of shapes (3,), (2,), (3,)")
     owners = re.escape("a warm start's owners must lie in [-1, 2)")
+    twice = "a warm start must give each row at most one column"
     for bad, message in (
         (tuple(state), shapes),
         (state._replace(owner=state.owner[:2]), shapes),
@@ -1063,13 +1185,24 @@ def test_malformed_warm_starts_are_input_errors(monkeypatch):
         (state._replace(owner=np.array([5, -1, -1])), owners),
         (state._replace(owner=np.array([0, -2, 1])), owners),
         (flownet.HungarianState(np.array([-2, -1, -1]), np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64)), owners),
+        (flownet.HungarianState(np.array([1, 1, -1]), np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64)), twice),
     ):
         with pytest.raises(InputError, match=f"^{message}$"):
             solve_mcf(net, window, bad)
-        if message == shapes:
-            assert net._live is live and all((a == b).all() for a, b in zip(live, held))
-    with pytest.raises(ValueError, match="not dual feasible"):
-        solve_mcf(net, window, state._replace(v=state.v + 1))
+        assert net._live is live and all((a == b).all() for a, b in zip(live, held))
+    # each of the dual rule's parts: v <= 0, u + v <= cost, a free column at
+    # v == 0 for the slack, and both duals within n * max cost of 0
+    limit = 2 * net.max_cost
+    zeros = (np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64))
+    for bad in (
+        state._replace(v=state.v + 1),
+        state._replace(u=state.u + 1),
+        state._replace(u=state.u + 1, v=state.v - 1),
+        flownet.HungarianState(np.full(3, -1), zeros[0] - limit - 1, zeros[1]),
+        flownet.HungarianState(np.full(3, -1), *zeros)._replace(v=np.array([0, -limit - 1, 0])),
+    ):
+        with pytest.raises(ValueError, match="^the start state is not dual feasible for this cost matrix$"):
+            solve_mcf(net, window, bad)
     # narrower signed integer parts are taken as int64
     narrow = flownet.HungarianState(*(part.astype(np.int32) for part in state))
     assert solve_mcf(net, window, narrow).total_cost == 2
